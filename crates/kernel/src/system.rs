@@ -193,11 +193,6 @@ pub struct BaseSystem {
     pub pool_end: PhysAddr,
     processes: HashMap<u32, Process>,
     next_pid: u32,
-    /// Whether the workload layer's batched ops take their fast path.
-    /// With batching off every batched op delegates to the scalar
-    /// primitive — the reference execution the golden tests compare
-    /// against. Simulated cycles are identical either way.
-    batching: bool,
     /// The deterministic fault injector, shared with the messaging layer
     /// and IPI fabric once installed.
     fault_injector: Option<SharedFaultInjector>,
@@ -248,7 +243,6 @@ impl BaseSystem {
             pool_end,
             processes: HashMap::new(),
             next_pid: 1,
-            batching: true,
             fault_injector: None,
             tracer: None,
             code_base,
@@ -279,19 +273,6 @@ impl BaseSystem {
             Process::new(pid, origin, pt, lock_frame, lock_frame.offset(64));
         self.processes.insert(pid.0, proc);
         Ok(pid)
-    }
-
-    /// Toggles the workload layer's batched fast path (see the
-    /// `batching` field). `false` reinstates the scalar reference
-    /// execution for comparison runs.
-    pub fn set_batching(&mut self, enabled: bool) {
-        self.batching = enabled;
-    }
-
-    /// Whether batched ops currently take their fast path.
-    #[must_use]
-    pub fn batching_enabled(&self) -> bool {
-        self.batching
     }
 
     /// Installs a deterministic fault injector, sharing it with the
@@ -656,7 +637,6 @@ impl BaseSystem {
             self.processes[&pid].save_state(e);
         }
         e.u32(self.next_pid);
-        e.bool(self.batching);
         e.u64(self.ip);
         self.watchdog.save_state(e);
         match &self.fault_injector {
@@ -699,7 +679,6 @@ impl BaseSystem {
         }
         self.processes = processes;
         self.next_pid = d.u32()?;
-        self.batching = d.bool()?;
         self.ip = d.u64()?;
         self.watchdog.load_state(d)?;
         if d.bool()? {

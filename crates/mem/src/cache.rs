@@ -7,7 +7,7 @@
 //! the upper levels track presence only and are back-invalidated when the
 //! inclusive L3 evicts a line.
 
-use stramash_sim::config::CacheGeometry;
+use stramash_sim::config::{CacheGeometry, MAX_CACHE_WAYS};
 
 /// MESI coherence states (§7.3 models MESI transitions with CXL snoops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,17 +20,7 @@ pub enum Mesi {
     Shared,
 }
 
-/// One cache way.
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    /// Line address (`addr / line_bytes`); `u64::MAX` means empty.
-    line: u64,
-    /// LRU timestamp (bigger = more recent).
-    stamp: u64,
-    /// Coherence state (only meaningful at the L3).
-    state: Mesi,
-}
-
+/// Tag of an empty way.
 const EMPTY: u64 = u64::MAX;
 
 /// Checkpoint wire code for a MESI state.
@@ -54,47 +44,36 @@ fn mesi_from_code(b: u8) -> Result<Mesi, stramash_sim::checkpoint::CheckpointErr
 
 /// A single set-associative, LRU cache level.
 ///
-/// The probe/insert paths exist twice: the optimised default (power-of-
-/// two set masking, an MRU-first way check, an L0 "same line again"
-/// short circuit, and a single-pass insert scan) and the original
-/// reference implementation (`fast_paths == false`: modulo set index,
-/// straight-line scans). Both produce bit-identical LRU state, MESI
-/// state, evictions and statistics — the golden-stats tier-1 test and
-/// the `crit_simulator` harness hold them against each other.
+/// Structure-of-arrays layout: power-of-two set masking, packed tags
+/// per set, a packed-nibble LRU permutation per set, an MRU-first way
+/// check and an L0 "same line again" short circuit. Exact LRU — the
+/// unit tests hold every observable (hits, evictions, per-set
+/// residency, MESI state) against the independently written exact-LRU
+/// cache in [`crate::reference`].
 #[derive(Debug, Clone)]
 pub struct Cache {
     geo: CacheGeometry,
-    /// Per-way records, authoritative **only under the slow path**. The
-    /// fast path works exclusively on the dense `tags`/`states`/`perms`
-    /// arrays; toggling converts the full representation in both
-    /// directions (`rebuild_fast_state` / `materialize_sets`).
-    sets: Vec<Way>,
-    set_count: u64,
-    /// `set_count - 1`; valid because set counts are power-of-two
+    /// `set count - 1`; valid because set counts are power-of-two
     /// (enforced by `SimConfig::validate` / `CacheGeometry::new`).
     set_mask: u64,
-    tick: u64,
-    /// Fast-path mirror of each way's `line`, densely packed so a set's
-    /// tags share one host cache line and the match scan vectorises.
+    /// Each way's line address (`addr / line_bytes`, [`EMPTY`] when
+    /// free), densely packed so a set's tags share one host cache line
+    /// and the match scan vectorises.
     tags: Vec<u64>,
-    /// Fast-path mirror of each way's `state` (1 byte per way), so
-    /// probe hits never touch the 24-byte `Way` records at all.
+    /// Each way's coherence state (only meaningful at the L3).
     states: Vec<Mesi>,
-    /// Fast-path per-set LRU order, packed 4 bits per way: nibble `r`
-    /// holds the way index at recency rank `r` (0 = MRU, `ways-1` =
-    /// LRU/victim). Replaces per-hit stamp writes with a register
-    /// permutation update; equivalent to the stamp order because both
-    /// are move-to-front on exactly the same events.
+    /// Per-set LRU order, packed 4 bits per way: nibble `r` holds the
+    /// way index at recency rank `r` (0 = MRU, `ways-1` = LRU/victim).
+    /// Every touch is a move-to-front register permutation update.
     perms: Vec<u64>,
-    /// Fast-path per-set resident-way count. Full sets — the steady
-    /// state — skip empty-way tracking in the miss scans entirely.
+    /// Per-set resident-way count. Full sets — the steady state — skip
+    /// empty-way tracking in the miss scans entirely.
     occ: Vec<u8>,
     /// L0 hint: the line of the last probe hit and the slot/set it
     /// lives in. Self-validating — the tag is re-checked before use, so
     /// no invalidation bookkeeping is needed on eviction.
     last_line: u64,
     last_slot: usize,
-    fast_paths: bool,
 }
 
 /// Identity LRU permutation (nibble `r` = way `r`); ranks at and above
@@ -186,31 +165,20 @@ fn tags_contain(t: &[u64], line: u64) -> bool {
     }
 }
 
-/// Sentinel in a classified way slot: the lane hit (or missed) but the
-/// sweep did not extract *which* way — the commit pass re-finds it with
-/// the probe cascade. The portable sweep always reports this; the
-/// explicit-SIMD sweeps get the way for free from their compare masks.
-pub const WAY_UNKNOWN: u8 = u8::MAX;
-
-/// Portable lane sweep: per lane, the same `|`-accumulated compare
-/// chain as [`contain_fixed`] (which the backend lowers to vector
-/// compares) decides hit/miss; ways are left [`WAY_UNKNOWN`] because
-/// extracting a bit *position* from the chain defeats the
-/// vectorisation — the commit cascade re-finds it in one or two loads.
+/// Lane sweep for fixed associativity `N`: per lane, the same
+/// `|`-accumulated compare chain as [`contain_fixed`] (which the
+/// backend lowers to vector compares) decides hit/miss. Which way hit
+/// is not extracted — pulling a bit *position* out of the chain
+/// defeats the vectorisation — so the commit pass re-finds it with the
+/// probe cascade in one or two loads.
 ///
-/// Safety contract shared by every `classify_sweep_*` variant: the
-/// caller (`classify_lanes`) guarantees `tags.len()` is `set_count *
-/// N` with `set_mask == set_count - 1`, so `(line & set_mask) * N + N
-/// <= tags.len()` for any line, and `ways.len() >= lines.len()`. The
-/// unchecked indexing below relies on exactly that; the sweeps are the
+/// Safety contract: the caller (`classify_lanes`) guarantees
+/// `tags.len()` is `set_count * N` with `set_mask == set_count - 1`, so
+/// `(line & set_mask) * N + N <= tags.len()` for any line. The
+/// unchecked indexing below relies on exactly that; the sweep is the
 /// replay's innermost loop and the checks cost more than the compares.
 #[inline]
-fn classify_sweep_portable<const N: usize>(
-    tags: &[u64],
-    set_mask: u64,
-    lines: &[u64],
-    ways: &mut [u8],
-) -> u32 {
+fn classify_sweep<const N: usize>(tags: &[u64], set_mask: u64, lines: &[u64]) -> u32 {
     let mut mask = 0u32;
     for (j, &line) in lines.iter().enumerate() {
         let base = (line & set_mask) as usize * N;
@@ -221,184 +189,12 @@ fn classify_sweep_portable<const N: usize>(
             hit |= x == line;
         }
         mask |= u32::from(hit) << j;
-        // SAFETY: `ways.len() >= lines.len() > j`.
-        unsafe { *ways.get_unchecked_mut(j) = WAY_UNKNOWN };
     }
     mask
-}
-
-/// SSE2 lane sweep: two tags per 128-bit register, 64-bit equality
-/// composed from the 32-bit compare (SSE2 has no `cmpeq_epi64`) by
-/// AND-ing each half with its swapped neighbour. SSE2 is part of the
-/// x86-64 baseline, so no runtime detection is needed.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn classify_sweep_sse2<const N: usize>(
-    tags: &[u64],
-    set_mask: u64,
-    lines: &[u64],
-    ways: &mut [u8],
-) -> u32 {
-    use std::arch::x86_64::{
-        _mm_and_si128, _mm_castsi128_pd, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_pd,
-        _mm_set1_epi64x, _mm_shuffle_epi32,
-    };
-    let mut mask = 0u32;
-    for (j, &line) in lines.iter().enumerate() {
-        let base = (line & set_mask) as usize * N;
-        // SAFETY: SSE2 is baseline; the classify_sweep contract keeps
-        // every 16-byte load inside `tags`.
-        let m = unsafe {
-            let t = tags.as_ptr().add(base);
-            let needle = _mm_set1_epi64x(line as i64);
-            let mut m = 0u32;
-            for i in 0..N / 2 {
-                let v = _mm_loadu_si128(t.add(2 * i).cast());
-                let eq32 = _mm_cmpeq_epi32(v, needle);
-                let eq64 = _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, 0b1011_0001));
-                m |= (_mm_movemask_pd(_mm_castsi128_pd(eq64)) as u32) << (2 * i);
-            }
-            m
-        };
-        mask |= u32::from(m != 0) << j;
-        // SAFETY: `ways.len() >= lines.len() > j`.
-        unsafe { *ways.get_unchecked_mut(j) = m.trailing_zeros() as u8 };
-    }
-    mask
-}
-
-/// AVX2 lane sweep: native 64-bit compares, four tags per 256-bit
-/// register; the compare's sign mask hands back the matching way.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn classify_sweep_avx2<const N: usize>(
-    tags: &[u64],
-    set_mask: u64,
-    lines: &[u64],
-    ways: &mut [u8],
-) -> u32 {
-    use std::arch::x86_64::{
-        _mm256_castsi256_pd, _mm256_cmpeq_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
-        _mm256_set1_epi64x,
-    };
-    let mut mask = 0u32;
-    for (j, &line) in lines.iter().enumerate() {
-        let base = (line & set_mask) as usize * N;
-        let needle = _mm256_set1_epi64x(line as i64);
-        let mut m = 0u32;
-        for i in 0..N / 4 {
-            // SAFETY: the caller detected AVX2; the classify_sweep
-            // contract keeps every 32-byte load inside `tags`.
-            let eq = unsafe {
-                _mm256_cmpeq_epi64(_mm256_loadu_si256(tags.as_ptr().add(base + 4 * i).cast()), needle)
-            };
-            m |= (_mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32) << (4 * i);
-        }
-        mask |= u32::from(m != 0) << j;
-        // SAFETY: `ways.len() >= lines.len() > j`.
-        unsafe { *ways.get_unchecked_mut(j) = m.trailing_zeros() as u8 };
-    }
-    mask
-}
-
-/// AVX-512F lane sweep: one `vpcmpeqq` covers an entire 8-way set and
-/// writes the way mask straight into a mask register.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx512f")]
-unsafe fn classify_sweep_avx512<const N: usize>(
-    tags: &[u64],
-    set_mask: u64,
-    lines: &[u64],
-    ways: &mut [u8],
-) -> u32 {
-    use std::arch::x86_64::{_mm512_cmpeq_epi64_mask, _mm512_loadu_si512, _mm512_set1_epi64};
-    let mut mask = 0u32;
-    for (j, &line) in lines.iter().enumerate() {
-        let base = (line & set_mask) as usize * N;
-        let needle = _mm512_set1_epi64(line as i64);
-        let mut m = 0u32;
-        for i in 0..N / 8 {
-            // SAFETY: the caller detected AVX-512F; the classify_sweep
-            // contract keeps every 64-byte load inside `tags`.
-            let eq = unsafe {
-                _mm512_cmpeq_epi64_mask(_mm512_loadu_si512(tags.as_ptr().add(base + 8 * i).cast()), needle)
-            };
-            m |= u32::from(eq) << (8 * i);
-        }
-        mask |= u32::from(m != 0) << j;
-        // SAFETY: `ways.len() >= lines.len() > j`.
-        unsafe { *ways.get_unchecked_mut(j) = m.trailing_zeros() as u8 };
-    }
-    mask
-}
-
-/// NEON lane sweep: native 64-bit compares (`vceqq_u64`), two tags per
-/// register. NEON is part of the AArch64 baseline.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-#[inline]
-fn classify_sweep_neon<const N: usize>(
-    tags: &[u64],
-    set_mask: u64,
-    lines: &[u64],
-    ways: &mut [u8],
-) -> u32 {
-    use std::arch::aarch64::{vceqq_u64, vdupq_n_u64, vgetq_lane_u64, vld1q_u64};
-    let mut mask = 0u32;
-    for (j, &line) in lines.iter().enumerate() {
-        let base = (line & set_mask) as usize * N;
-        // SAFETY: NEON is mandatory on AArch64; the classify_sweep
-        // contract keeps every 16-byte load inside `tags`.
-        let m = unsafe {
-            let t = tags.as_ptr().add(base);
-            let needle = vdupq_n_u64(line);
-            let mut m = 0u32;
-            for i in 0..N / 2 {
-                let eq = vceqq_u64(vld1q_u64(t.add(2 * i)), needle);
-                m |= ((vgetq_lane_u64(eq, 0) & 1) as u32) << (2 * i);
-                m |= ((vgetq_lane_u64(eq, 1) & 1) as u32) << (2 * i + 1);
-            }
-            m
-        };
-        mask |= u32::from(m != 0) << j;
-        // SAFETY: `ways.len() >= lines.len() > j`.
-        unsafe { *ways.get_unchecked_mut(j) = m.trailing_zeros() as u8 };
-    }
-    mask
-}
-
-/// Best lane sweep for fixed associativity `N` (a multiple of the
-/// widest usable vector): explicit `core::arch` forms under the `simd`
-/// feature — AVX-512F / AVX2 by runtime detection, SSE2 or NEON as the
-/// architecture baseline — and the portable compare chain otherwise.
-#[inline]
-fn classify_sweep<const N: usize>(
-    tags: &[u64],
-    set_mask: u64,
-    lines: &[u64],
-    ways: &mut [u8],
-) -> u32 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if N.is_multiple_of(8) && std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature detected at runtime.
-            return unsafe { classify_sweep_avx512::<N>(tags, set_mask, lines, ways) };
-        }
-        if N.is_multiple_of(4) && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature detected at runtime.
-            return unsafe { classify_sweep_avx2::<N>(tags, set_mask, lines, ways) };
-        }
-        return classify_sweep_sse2::<N>(tags, set_mask, lines, ways);
-    }
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    {
-        return classify_sweep_neon::<N>(tags, set_mask, lines, ways);
-    }
-    #[allow(unreachable_code)]
-    classify_sweep_portable::<N>(tags, set_mask, lines, ways)
 }
 
 /// Moves `way` to the LRU (rank `ways-1`) nibble — used when a way is
-/// invalidated, mirroring the slow path's `stamp = 0`.
+/// invalidated, so a set's empty ways sit at its LRU end.
 #[inline]
 fn perm_demote(perm: u64, way: usize, ways: u32) -> u64 {
     let way64 = way as u64;
@@ -436,16 +232,14 @@ pub enum ProbeFill {
 }
 
 /// A pre-computed fill decision for a line that just missed: the slot
-/// the classic insert scan would pick (first empty way, else the first
-/// way with the minimal stamp). Only valid while the set is untouched
-/// between the probe and [`Cache::fill_planned`] — the caller
-/// guarantees that (upper-level fills on an L2/L3 hit; a full memory
-/// miss drops the plan because inclusive back-invalidation may edit
-/// the set).
+/// [`Cache::insert`] would pick (first empty way, else the LRU way).
+/// Only valid while the set is untouched between the probe and
+/// [`Cache::fill_planned`] — the caller guarantees that (upper-level
+/// fills on an L2/L3 hit; a full memory miss drops the plan because
+/// inclusive back-invalidation may edit the set).
 #[derive(Debug, Clone, Copy)]
 pub struct FillPlan {
-    /// Global way index to fill; `usize::MAX` defers to the classic
-    /// [`Cache::insert`] (the reference slow path).
+    /// Global way index to fill.
     slot: usize,
     /// The set index (for the MRU hint update).
     set: usize,
@@ -455,13 +249,14 @@ pub struct FillPlan {
     rank: u32,
 }
 
-impl FillPlan {
-    /// A plan that defers to the reference `insert` path.
-    const DEFER: FillPlan = FillPlan { slot: usize::MAX, set: 0, rank: u32::MAX };
-}
-
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-power-of-two set count or more than
+    /// [`MAX_CACHE_WAYS`] ways; `SimConfig::validate` reports both as
+    /// typed errors first.
     #[must_use]
     pub fn new(geo: CacheGeometry) -> Self {
         let set_count = geo.sets();
@@ -470,99 +265,22 @@ impl Cache {
             "cache set count must be a power of two (got {set_count}); \
              SimConfig::validate reports this as ConfigError::NonPowerOfTwoSets"
         );
-        let ways = geo.ways as usize;
-        let slots = set_count as usize * ways;
+        assert!(
+            geo.ways <= MAX_CACHE_WAYS,
+            "cache associativity must be at most {MAX_CACHE_WAYS} ways (got {}); \
+             SimConfig::validate reports this as ConfigError::TooManyWays",
+            geo.ways
+        );
+        let slots = set_count as usize * geo.ways as usize;
         Cache {
             geo,
-            sets: vec![Way { line: EMPTY, stamp: 0, state: Mesi::Shared }; slots],
-            set_count,
             set_mask: set_count - 1,
-            tick: 0,
             tags: vec![EMPTY; slots],
             states: vec![Mesi::Shared; slots],
             perms: vec![PERM_IDENTITY; set_count as usize],
             occ: vec![0; set_count as usize],
             last_line: EMPTY,
             last_slot: 0,
-            // The packed LRU permutation holds 16 4-bit ranks; wider
-            // caches fall back to the reference path permanently.
-            fast_paths: ways <= 16,
-        }
-    }
-
-    /// Enables or disables the host-side fast paths (set masking,
-    /// MRU-first probe, L0 short circuit, packed-LRU scans). Simulated
-    /// behaviour is identical either way; the toggle exists so the
-    /// benchmark harness can measure the old path and the golden-stats
-    /// test can assert cycle identity between the two. Switching
-    /// converts the LRU representation: enabling rebuilds the tag
-    /// mirrors and packed permutations from the stamps, disabling
-    /// materialises order-preserving stamps from the permutations.
-    pub fn set_fast_paths(&mut self, enabled: bool) {
-        let enabled = enabled && self.geo.ways <= 16;
-        if enabled == self.fast_paths {
-            return;
-        }
-        if enabled {
-            self.rebuild_fast_state();
-        } else {
-            self.materialize_sets();
-        }
-        self.fast_paths = enabled;
-    }
-
-    /// Rebuilds `tags`, `states` and `perms` from the authoritative
-    /// `sets` (stamps define recency; ties — possible only among empty
-    /// ways, since every real touch writes a unique tick — break by
-    /// slot order).
-    fn rebuild_fast_state(&mut self) {
-        for (slot, w) in self.sets.iter().enumerate() {
-            self.tags[slot] = w.line;
-            self.states[slot] = w.state;
-        }
-        let ways = self.geo.ways as usize;
-        let mut order: Vec<usize> = Vec::with_capacity(ways);
-        for set in 0..self.set_count as usize {
-            let base = set * ways;
-            order.clear();
-            order.extend(0..ways);
-            order.sort_by_key(|&i| (std::cmp::Reverse(self.sets[base + i].stamp), i));
-            let mut perm = PERM_IDENTITY;
-            for (r, &i) in order.iter().enumerate() {
-                perm = (perm & !(0xFu64 << (4 * r))) | ((i as u64) << (4 * r));
-            }
-            self.perms[set] = perm;
-            self.occ[set] =
-                self.sets[base..base + ways].iter().filter(|w| w.line != EMPTY).count() as u8;
-        }
-        self.last_line = EMPTY;
-        self.last_slot = 0;
-    }
-
-    /// Rebuilds the `sets` records from the fast-path arrays: lines and
-    /// states come straight from the mirrors, and stamps are written
-    /// consistent with the packed LRU order so the slow path's
-    /// `min_by_key` picks the same victims. Only the relative stamp
-    /// order within a set is observable, never the values; empty ways
-    /// get the slow path's canonical stamp 0.
-    fn materialize_sets(&mut self) {
-        let ways = self.geo.ways as usize;
-        // Ensure rank arithmetic cannot underflow and stays below every
-        // future tick.
-        self.tick = self.tick.max(ways as u64);
-        let t = self.tick;
-        for set in 0..self.set_count as usize {
-            let base = set * ways;
-            let perm = self.perms[set];
-            for r in 0..ways {
-                let slot = base + perm_way_at(perm, r as u32);
-                let line = self.tags[slot];
-                self.sets[slot] = Way {
-                    line,
-                    stamp: if line == EMPTY { 0 } else { t - r as u64 },
-                    state: self.states[slot],
-                };
-            }
         }
     }
 
@@ -573,17 +291,8 @@ impl Cache {
     }
 
     #[inline]
-    fn set_of(&self, line: u64) -> usize {
-        if self.fast_paths {
-            (line & self.set_mask) as usize
-        } else {
-            (line % self.set_count) as usize
-        }
-    }
-
-    #[inline]
     fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = self.set_of(line);
+        let set = (line & self.set_mask) as usize;
         let ways = self.geo.ways as usize;
         set * ways..(set + 1) * ways
     }
@@ -591,14 +300,6 @@ impl Cache {
     /// Probes for a line; on hit, refreshes LRU and returns its state.
     #[inline]
     pub fn probe(&mut self, line: u64) -> Option<Mesi> {
-        if !self.fast_paths {
-            self.tick += 1;
-            let tick = self.tick;
-            let range = self.set_range(line);
-            let way = self.sets[range].iter_mut().find(|w| w.line == line)?;
-            way.stamp = tick;
-            return Some(way.state);
-        }
         // L0: the same line probed again. The tag re-check makes the
         // hint self-validating, so eviction needs no bookkeeping here.
         if line == self.last_line && line != EMPTY && self.tags[self.last_slot] == line {
@@ -649,9 +350,6 @@ impl Cache {
     /// touch per level.
     #[inline]
     pub fn probe_hit(&mut self, line: u64) -> bool {
-        if !self.fast_paths {
-            return self.probe(line).is_some();
-        }
         if line == self.last_line && line != EMPTY && self.tags[self.last_slot] == line {
             let set = (line & self.set_mask) as usize;
             let way = self.last_slot - set * self.geo.ways as usize;
@@ -687,26 +385,12 @@ impl Cache {
     /// Probes for a line like [`Cache::probe`], but on a miss also
     /// returns the fill slot the subsequent insert scan would choose —
     /// computed in the *same* way walk, so the hot L1-miss/L2-hit
-    /// pattern scans the set once instead of twice. The plan replicates
-    /// the classic choice exactly (first empty way, else the first way
-    /// with the minimal stamp, matching `min_by_key`), so consuming it
+    /// pattern scans the set once instead of twice. Consuming the plan
     /// via [`Cache::fill_planned`] is state-identical to calling
     /// [`Cache::insert`] — provided the set is untouched in between,
     /// which the `MemorySystem` call sites guarantee.
     #[inline]
     pub fn probe_or_plan(&mut self, line: u64) -> ProbeFill {
-        if !self.fast_paths {
-            // Reference path: the original probe; a miss defers the
-            // fill to the original three-pass insert.
-            self.tick += 1;
-            let tick = self.tick;
-            let range = self.set_range(line);
-            if let Some(w) = self.sets[range].iter_mut().find(|w| w.line == line) {
-                w.stamp = tick;
-                return ProbeFill::Hit;
-            }
-            return ProbeFill::Miss(FillPlan::DEFER);
-        }
         if line == self.last_line && line != EMPTY && self.tags[self.last_slot] == line {
             let set = (line & self.set_mask) as usize;
             let way = self.last_slot - set * self.geo.ways as usize;
@@ -736,10 +420,10 @@ impl Cache {
             self.perms[set] = perm_promote_at(perm, w as u64, idx);
             return ProbeFill::Hit;
         }
-        // The victim is the LRU rank of the packed permutation — no
-        // stamp scan needed; its rank rides along so the fill can
-        // promote without re-finding the way. Full sets (the steady
-        // state, tracked in `occ`) skip the empty-way search.
+        // The victim is the LRU rank of the packed permutation; its
+        // rank rides along so the fill can promote without re-finding
+        // the way. Full sets (the steady state, tracked in `occ`) skip
+        // the empty-way search.
         let (slot, rank) = if self.occ[set] == ways as u8 {
             let last = self.geo.ways - 1;
             (base + perm_way_at(perm, last), last)
@@ -759,10 +443,6 @@ impl Cache {
     /// eviction, if any, is the one upper-level fills discard anyway.
     #[inline]
     pub fn fill_planned(&mut self, plan: FillPlan, line: u64, state: Mesi) {
-        if plan.slot == usize::MAX {
-            self.insert(line, state);
-            return;
-        }
         let way = (plan.slot - plan.set * self.geo.ways as usize) as u64;
         self.tags[plan.slot] = line;
         self.states[plan.slot] = state;
@@ -779,32 +459,28 @@ impl Cache {
 
     /// Pure lane classification for the vectorised plan replay
     /// ([`MemorySystem::run_plan`]'s dense path): bit `j` of the
-    /// returned mask is set iff `lines[j]` is resident, and `ways[j]`
-    /// records the way it was found in so the commit pass can skip the
-    /// probe cascade. No LRU, hint, or stat side effects — and since
-    /// *hits* never move tags, a batch classified up front stays valid
-    /// across the leading all-hit prefix the caller then commits via
-    /// [`Cache::touch_hits`].
+    /// returned mask is set iff `lines[j]` is resident. No LRU, hint,
+    /// or stat side effects — and since *hits* never move tags, a batch
+    /// classified up front stays valid across the leading all-hit
+    /// prefix the caller then commits via [`Cache::touch_hits`].
     ///
     /// [`MemorySystem::run_plan`]: crate::system::MemorySystem::run_plan
     #[inline]
     #[must_use]
-    pub fn classify_lanes(&self, lines: &[u64], ways: &mut [u8]) -> u32 {
-        debug_assert!(self.fast_paths, "classify_lanes is a fast-path primitive");
-        debug_assert!(lines.len() <= 32 && ways.len() >= lines.len());
+    pub fn classify_lanes(&self, lines: &[u64]) -> u32 {
+        debug_assert!(lines.len() <= 32);
         // Dispatch on the associativity once per batch, so the inner
         // sweep is monomorphic and the per-set compares unroll.
         match self.geo.ways {
-            4 => classify_sweep::<4>(&self.tags, self.set_mask, lines, ways),
-            8 => classify_sweep::<8>(&self.tags, self.set_mask, lines, ways),
-            16 => classify_sweep::<16>(&self.tags, self.set_mask, lines, ways),
+            4 => classify_sweep::<4>(&self.tags, self.set_mask, lines),
+            8 => classify_sweep::<8>(&self.tags, self.set_mask, lines),
+            16 => classify_sweep::<16>(&self.tags, self.set_mask, lines),
             _ => {
                 let wc = self.geo.ways as usize;
                 let mut mask = 0u32;
                 for (j, &line) in lines.iter().enumerate() {
                     let base = (line & self.set_mask) as usize * wc;
                     mask |= u32::from(tags_contain(&self.tags[base..base + wc], line)) << j;
-                    ways[j] = WAY_UNKNOWN;
                 }
                 mask
             }
@@ -812,141 +488,28 @@ impl Cache {
     }
 
     /// Commits the LRU/hint side effects of a run of probes known to
-    /// hit, with the ways already located by [`Cache::classify_lanes`].
-    /// Per element it is state-identical to [`Cache::probe_or_plan`]'s
-    /// hit arms: the L0 arm promotes without moving the hint, a hit on
-    /// the MRU way only moves the hint, and any other way is promoted
-    /// to MRU from its current rank (rank 1 — the cascade's dedicated
-    /// arm — short-circuits `perm_find`, which would return the same
-    /// offset). The arm order matters: the hint trajectory is
+    /// hit (classified by [`Cache::classify_lanes`]). Per element it is
+    /// state-identical to [`Cache::probe_or_plan`]'s hit arms: the L0
+    /// arm promotes without moving the hint, a hit on the MRU way only
+    /// moves the hint, and any other way is promoted to MRU from its
+    /// current rank. The arm order matters: the hint trajectory is
     /// serialised by checkpoints, so it must match the probe's exactly.
     /// Batching lets the field borrows split (`&tags` / `&mut perms`),
     /// so the permutation stores can't be taken to alias the tag loads
     /// and the whole run schedules with cross-element parallelism.
     #[inline]
-    pub fn touch_hits(&mut self, lines: &[u64], ways: &[u8]) {
-        debug_assert!(self.fast_paths, "touch_hits is a fast-path primitive");
-        debug_assert!(ways.len() >= lines.len());
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            // Whole batches of plain promotes vectorise: AVX-512CD's
-            // conflict detect proves the lanes hit eight *distinct*
-            // sets (so the permutation updates commute) and the guard
-            // compares prove no lane takes the L0 or MRU arm (the two
-            // arms with hint side effects). Any other batch — and the
-            // tail — drops to the scalar cascade, which is the
-            // reference semantics.
-            if ways.first().copied() != Some(WAY_UNKNOWN)
-                && is_x86_feature_detected!("avx512f")
-                && is_x86_feature_detected!("avx512cd")
-            {
-                let mut k = 0usize;
-                while lines.len() - k >= 8 {
-                    // SAFETY: avx512f + avx512cd were just detected;
-                    // both slices have at least 8 elements from `k`.
-                    if unsafe { self.touch8_avx512(&lines[k..k + 8], &ways[k..k + 8]) } {
-                        k += 8;
-                    } else {
-                        self.touch_hits_scalar(&lines[k..k + 8], &ways[k..k + 8]);
-                        k += 8;
-                    }
-                }
-                self.touch_hits_scalar(&lines[k..], &ways[k..]);
-                return;
-            }
-        }
-        self.touch_hits_scalar(lines, ways);
-    }
-
-    /// One eight-lane [`Cache::touch_hits`] batch as AVX-512 vector
-    /// code, or `false` (no state touched) when the batch is not a
-    /// pure order-independent promote: a lane maps to the same set as
-    /// an earlier lane (promotes in one set are order-dependent), a
-    /// lane's line equals the L0 hint (that arm derives the way from
-    /// the hint slot), or a lane is already MRU (that arm refreshes
-    /// the hint). For the batches it does take, each lane's new
-    /// permutation is exactly `perm_promote_at(perm, way,
-    /// perm_find(perm, way))`: the rank is located as the unique zero
-    /// nibble of `perm ^ (way * 0x111…1)` — same zero-nibble trick as
-    /// the scalar `perm_find`, with `63 - lzcnt(t & -t)` standing in
-    /// for `trailing_zeros` — and the splice masks come from
-    /// per-lane variable shifts (where `vpsllvq` shifting by 64
-    /// yields the 0 the scalar double-shift produces).
-    ///
-    /// # Safety
-    /// Caller detects `avx512f` and `avx512cd`, and passes exactly 8
-    /// classified-hit lanes whose `ways` were extracted by the sweep
-    /// (no [`WAY_UNKNOWN`]).
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx512f,avx512cd")]
-    unsafe fn touch8_avx512(&mut self, lines: &[u64], ways: &[u8]) -> bool {
-        use core::arch::x86_64::*;
-        debug_assert!(lines.len() == 8 && ways.len() == 8);
-        debug_assert!(!ways.contains(&WAY_UNKNOWN));
-        let lv = _mm512_loadu_si512(lines.as_ptr().cast());
-        let sets = _mm512_and_si512(lv, _mm512_set1_epi64(self.set_mask as i64));
-        let conf = _mm512_conflict_epi64(sets);
-        if _mm512_test_epi64_mask(conf, conf) != 0 {
-            return false;
-        }
-        if _mm512_cmpeq_epi64_mask(lv, _mm512_set1_epi64(self.last_line as i64)) != 0 {
-            return false;
-        }
-        // SAFETY: every set index is <= set_mask < perms.len(); scale 8.
-        let perms = _mm512_i64gather_epi64(sets, self.perms.as_ptr().cast(), 8);
-        let wv = _mm512_cvtepu8_epi64(_mm_loadl_epi64(ways.as_ptr().cast()));
-        let mru = _mm512_and_si512(perms, _mm512_set1_epi64(0xF));
-        if _mm512_cmpeq_epi64_mask(mru, wv) != 0 {
-            return false;
-        }
-        // wrep = way * 0x1111_1111_1111_1111, by doubling shifts.
-        let mut wrep = _mm512_or_si512(wv, _mm512_slli_epi64(wv, 4));
-        wrep = _mm512_or_si512(wrep, _mm512_slli_epi64(wrep, 8));
-        wrep = _mm512_or_si512(wrep, _mm512_slli_epi64(wrep, 16));
-        wrep = _mm512_or_si512(wrep, _mm512_slli_epi64(wrep, 32));
-        let x = _mm512_xor_si512(perms, wrep);
-        let t = _mm512_and_si512(
-            _mm512_sub_epi64(x, _mm512_set1_epi64(0x1111_1111_1111_1111)),
-            _mm512_andnot_si512(x, _mm512_set1_epi64(0x8888_8888_8888_8888_u64 as i64)),
-        );
-        let blsi = _mm512_and_si512(t, _mm512_sub_epi64(_mm512_setzero_si512(), t));
-        let idx = _mm512_and_si512(
-            _mm512_sub_epi64(_mm512_set1_epi64(63), _mm512_lzcnt_epi64(blsi)),
-            _mm512_set1_epi64(!3_i64),
-        );
-        let above = _mm512_and_si512(
-            perms,
-            _mm512_sllv_epi64(_mm512_set1_epi64(-1), _mm512_add_epi64(idx, _mm512_set1_epi64(4))),
-        );
-        let bmask = _mm512_sub_epi64(
-            _mm512_sllv_epi64(_mm512_set1_epi64(1), idx),
-            _mm512_set1_epi64(1),
-        );
-        let below = _mm512_slli_epi64(_mm512_and_si512(perms, bmask), 4);
-        let out = _mm512_or_si512(_mm512_or_si512(above, below), wv);
-        // SAFETY: same indices the gather proved in-bounds; the
-        // conflict test proved them pairwise distinct.
-        _mm512_i64scatter_epi64(self.perms.as_mut_ptr().cast(), sets, out, 8);
-        true
-    }
-
-    /// The scalar [`Cache::touch_hits`] loop — the reference for the
-    /// vector batches above and the path every non-x86 or
-    /// non-`simd` build takes.
-    #[inline]
-    fn touch_hits_scalar(&mut self, lines: &[u64], ways: &[u8]) {
+    pub fn touch_hits(&mut self, lines: &[u64]) {
         let set_mask = self.set_mask;
         let wc = self.geo.ways as usize;
         let tags = self.tags.as_slice();
         let perms = self.perms.as_mut_slice();
         let mut hint_line = self.last_line;
         let mut hint_slot = self.last_slot;
-        // SAFETY throughout: `set <= set_mask < perms.len()`, every
-        // way index is `< wc` (from the sweep's compare mask or the
-        // permutation's low nibbles), `base + wc <= tags.len()` by the
-        // mirror geometry, and `hint_slot` stays a valid slot (it only
-        // ever takes `base + way` values).
-        for (&line, &way8) in lines.iter().zip(ways) {
+        // SAFETY throughout: `set <= set_mask < perms.len()`, every way
+        // index is `< wc` (from the permutation's low nibbles), `base +
+        // wc <= tags.len()` by the set geometry, and `hint_slot` stays a
+        // valid slot (it only ever takes `base + way` values).
+        for &line in lines {
             let set = (line & set_mask) as usize;
             if line == hint_line && line != EMPTY && unsafe { *tags.get_unchecked(hint_slot) } == line
             {
@@ -961,40 +524,22 @@ impl Cache {
             }
             let perm = unsafe { *perms.get_unchecked(set) };
             let base = set * wc;
-            if way8 != WAY_UNKNOWN {
-                // The sweep extracted the way: nibble compares replace
-                // the cascade's tag loads.
-                let way = way8 as usize;
-                debug_assert!(tags[base + way] == line);
-                if (perm & 0xF) as usize == way {
-                    hint_line = line;
-                    hint_slot = base + way;
-                    continue;
-                }
-                let idx = if ((perm >> 4) & 0xF) as usize == way {
-                    4
-                } else {
-                    perm_find(perm, way as u64)
-                };
-                unsafe { *perms.get_unchecked_mut(set) = perm_promote_at(perm, way as u64, idx) };
-            } else {
-                // Portable sweep: re-find the way with the probe
-                // cascade (MRU, rank 1, then the recency scan).
-                let mru_slot = base + (perm & 0xF) as usize;
-                if unsafe { *tags.get_unchecked(mru_slot) } == line {
-                    hint_line = line;
-                    hint_slot = mru_slot;
-                    continue;
-                }
-                let w1 = ((perm >> 4) & 0xF) as usize;
-                if wc > 1 && unsafe { *tags.get_unchecked(base + w1) } == line {
-                    unsafe { *perms.get_unchecked_mut(set) = perm_promote_at(perm, w1 as u64, 4) };
-                    continue;
-                }
-                let (w, idx) = scan_recency(tags, base, perm, wc, line)
-                    .expect("classified line is found by the recency scan");
-                unsafe { *perms.get_unchecked_mut(set) = perm_promote_at(perm, w as u64, idx) };
+            // Re-find the way with the probe cascade (MRU, rank 1, then
+            // the recency scan).
+            let mru_slot = base + (perm & 0xF) as usize;
+            if unsafe { *tags.get_unchecked(mru_slot) } == line {
+                hint_line = line;
+                hint_slot = mru_slot;
+                continue;
             }
+            let w1 = ((perm >> 4) & 0xF) as usize;
+            if wc > 1 && unsafe { *tags.get_unchecked(base + w1) } == line {
+                unsafe { *perms.get_unchecked_mut(set) = perm_promote_at(perm, w1 as u64, 4) };
+                continue;
+            }
+            let (w, idx) = scan_recency(tags, base, perm, wc, line)
+                .expect("classified line is found by the recency scan");
+            unsafe { *perms.get_unchecked_mut(set) = perm_promote_at(perm, w as u64, idx) };
         }
         self.last_line = hint_line;
         self.last_slot = hint_slot;
@@ -1012,144 +557,88 @@ impl Cache {
     /// Whether the line is present, without disturbing LRU.
     #[must_use]
     pub fn contains(&self, line: u64) -> bool {
+        self.tags[self.set_range(line)].contains(&line)
+    }
+
+    /// The slot holding `line`, if resident.
+    #[inline]
+    fn slot_of(&self, line: u64) -> Option<usize> {
         let range = self.set_range(line);
-        if self.fast_paths {
-            self.tags[range].contains(&line)
-        } else {
-            self.sets[range].iter().any(|w| w.line == line)
-        }
+        let base = range.start;
+        self.tags[range].iter().position(|&t| t == line).map(|i| base + i)
     }
 
     /// Reads a line's state without disturbing LRU.
     #[must_use]
     pub fn state_of(&self, line: u64) -> Option<Mesi> {
-        let range = self.set_range(line);
-        if self.fast_paths {
-            let base = range.start;
-            let i = self.tags[range].iter().position(|&t| t == line)?;
-            Some(self.states[base + i])
-        } else {
-            self.sets[range].iter().find(|w| w.line == line).map(|w| w.state)
-        }
+        self.slot_of(line).map(|slot| self.states[slot])
     }
 
     /// Sets the state of a resident line, returning the *previous*
     /// state so callers can observe the transition (`None` if absent).
     pub fn set_state(&mut self, line: u64, state: Mesi) -> Option<Mesi> {
-        let range = self.set_range(line);
-        let base = range.start;
-        if self.fast_paths {
-            let i = self.tags[range].iter().position(|&t| t == line)?;
-            let old = self.states[base + i];
-            self.states[base + i] = state;
-            Some(old)
-        } else {
-            let i = self.sets[range].iter().position(|w| w.line == line)?;
-            let old = self.sets[base + i].state;
-            self.sets[base + i].state = state;
-            Some(old)
-        }
+        let slot = self.slot_of(line)?;
+        Some(std::mem::replace(&mut self.states[slot], state))
     }
 
     /// Inserts a line (replacing LRU if the set is full), returning any
     /// eviction. If the line is already resident its state is updated.
     #[inline]
     pub fn insert(&mut self, line: u64, state: Mesi) -> Option<Eviction> {
-        if !self.fast_paths {
-            self.tick += 1;
-            let tick = self.tick;
-            let range = self.set_range(line);
-            let ways = &mut self.sets[range];
-            if let Some(w) = ways.iter_mut().find(|w| w.line == line) {
-                w.state = state;
-                w.stamp = tick;
-                return None;
-            }
-            if let Some(w) = ways.iter_mut().find(|w| w.line == EMPTY) {
-                *w = Way { line, stamp: tick, state };
-                return None;
-            }
-            let victim = ways.iter_mut().min_by_key(|w| w.stamp).expect("ways > 0");
-            let evicted = Eviction { line: victim.line, state: victim.state };
-            *victim = Way { line, stamp: tick, state };
-            Some(evicted)
-        } else {
-            // One pass over the packed tags finds the matching way and
-            // the first empty way; the victim is the permutation's LRU
-            // rank (equal to the first-minimal-stamp way `min_by_key`
-            // picks, since both orders are move-to-front on the same
-            // events).
-            let set = (line & self.set_mask) as usize;
-            let ways = self.geo.ways as usize;
-            let base = set * ways;
-            let perm = self.perms[set];
-            let mru_slot = base + (perm & 0xF) as usize;
-            if self.tags[mru_slot] == line {
-                self.states[mru_slot] = state;
-                self.last_line = line;
-                self.last_slot = mru_slot;
-                return None;
-            }
-            if tags_contain(&self.tags[base..base + ways], line) {
-                let (w, idx) = scan_recency(&self.tags, base, perm, ways, line)
-                    .expect("contained line is found by the recency scan");
-                self.states[base + w] = state;
-                self.perms[set] = perm_promote_at(perm, w as u64, idx);
-                return None;
-            }
-            let (slot, evicted, idx) = if self.occ[set] == ways as u8 {
-                let last = self.geo.ways - 1;
-                let slot = base + perm_way_at(perm, last);
-                let ev = Eviction { line: self.tags[slot], state: self.states[slot] };
-                (slot, Some(ev), 4 * last)
-            } else {
-                let first_empty = self.tags[base..base + ways]
-                    .iter()
-                    .position(|&t| t == EMPTY)
-                    .expect("occ < ways implies an empty way");
-                self.occ[set] += 1;
-                let way = first_empty as u64;
-                (base + first_empty, None, perm_find(perm, way))
-            };
-            self.tags[slot] = line;
-            self.states[slot] = state;
-            self.perms[set] = perm_promote_at(perm, (slot - base) as u64, idx);
-            evicted
+        // One pass over the packed tags finds the matching way and the
+        // first empty way; the victim is the permutation's LRU rank.
+        let set = (line & self.set_mask) as usize;
+        let ways = self.geo.ways as usize;
+        let base = set * ways;
+        let perm = self.perms[set];
+        let mru_slot = base + (perm & 0xF) as usize;
+        if self.tags[mru_slot] == line {
+            self.states[mru_slot] = state;
+            self.last_line = line;
+            self.last_slot = mru_slot;
+            return None;
         }
+        if tags_contain(&self.tags[base..base + ways], line) {
+            let (w, idx) = scan_recency(&self.tags, base, perm, ways, line)
+                .expect("contained line is found by the recency scan");
+            self.states[base + w] = state;
+            self.perms[set] = perm_promote_at(perm, w as u64, idx);
+            return None;
+        }
+        let (slot, evicted, idx) = if self.occ[set] == ways as u8 {
+            let last = self.geo.ways - 1;
+            let slot = base + perm_way_at(perm, last);
+            let ev = Eviction { line: self.tags[slot], state: self.states[slot] };
+            (slot, Some(ev), 4 * last)
+        } else {
+            let first_empty = self.tags[base..base + ways]
+                .iter()
+                .position(|&t| t == EMPTY)
+                .expect("occ < ways implies an empty way");
+            self.occ[set] += 1;
+            let way = first_empty as u64;
+            (base + first_empty, None, perm_find(perm, way))
+        };
+        self.tags[slot] = line;
+        self.states[slot] = state;
+        self.perms[set] = perm_promote_at(perm, (slot - base) as u64, idx);
+        evicted
     }
 
     /// Removes a line; returns its state if it was present.
     pub fn invalidate(&mut self, line: u64) -> Option<Mesi> {
-        let range = self.set_range(line);
-        let base = range.start;
-        if self.fast_paths {
-            let i = self.tags[range].iter().position(|&t| t == line)?;
-            let slot = base + i;
-            let state = self.states[slot];
-            self.tags[slot] = EMPTY;
-            // Mirror the slow path's `stamp = 0`: the emptied way drops
-            // to the LRU rank.
-            let set = base / self.geo.ways as usize;
-            self.perms[set] = perm_demote(self.perms[set], i, self.geo.ways);
-            self.occ[set] -= 1;
-            Some(state)
-        } else {
-            let i = self.sets[range].iter().position(|w| w.line == line)?;
-            let slot = base + i;
-            let state = self.sets[slot].state;
-            self.sets[slot].line = EMPTY;
-            self.sets[slot].stamp = 0;
-            Some(state)
-        }
+        let slot = self.slot_of(line)?;
+        let ways = self.geo.ways as usize;
+        let set = slot / ways;
+        self.tags[slot] = EMPTY;
+        // The emptied way drops to the LRU rank.
+        self.perms[set] = perm_demote(self.perms[set], slot - set * ways, self.geo.ways);
+        self.occ[set] -= 1;
+        Some(self.states[slot])
     }
 
     /// Drops every line (e.g. between experiment phases).
     pub fn flush(&mut self) {
-        for w in &mut self.sets {
-            w.line = EMPTY;
-            w.stamp = 0;
-        }
-        self.tick = 0;
         self.tags.fill(EMPTY);
         self.perms.fill(PERM_IDENTITY);
         self.occ.fill(0);
@@ -1160,39 +649,20 @@ impl Cache {
     /// Number of resident lines (for tests and occupancy metrics).
     #[must_use]
     pub fn resident(&self) -> usize {
-        if self.fast_paths {
-            self.tags.iter().filter(|&&t| t != EMPTY).count()
-        } else {
-            self.sets.iter().filter(|w| w.line != EMPTY).count()
-        }
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
-    /// Serializes the mutable cache state into a checkpoint section.
-    ///
-    /// Only the *authoritative* LRU representation for the current mode
-    /// is written (packed permutations under the fast paths, stamp
-    /// records under the reference path) — the toggle machinery already
-    /// knows how to rebuild the other side, so restore reuses it.
+    /// Serializes the mutable cache state into a checkpoint section:
+    /// tags, states, LRU permutations, occupancy and the L0 hint.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x4343_4845); // "CCHE"
-        e.bool(self.fast_paths);
-        e.u64(self.tick);
-        if self.fast_paths {
-            e.u64s(&self.tags);
-            let states: Vec<u8> = self.states.iter().map(|&s| mesi_code(s)).collect();
-            e.bytes(&states);
-            e.u64s(&self.perms);
-            e.bytes(&self.occ);
-            e.u64(self.last_line);
-            e.u64(self.last_slot as u64);
-        } else {
-            e.u64(self.sets.len() as u64);
-            for w in &self.sets {
-                e.u64(w.line);
-                e.u64(w.stamp);
-                e.u8(mesi_code(w.state));
-            }
-        }
+        e.u64s(&self.tags);
+        let states: Vec<u8> = self.states.iter().map(|&s| mesi_code(s)).collect();
+        e.bytes(&states);
+        e.u64s(&self.perms);
+        e.bytes(&self.occ);
+        e.u64(self.last_line);
+        e.u64(self.last_slot as u64);
     }
 
     /// Restores the cache from a checkpoint section taken on an
@@ -1202,71 +672,53 @@ impl Cache {
     ///
     /// Decoding errors, or [`CheckpointError::ConfigMismatch`] when the
     /// artifact's slot count does not match this cache's geometry.
+    ///
+    /// [`CheckpointError::ConfigMismatch`]: stramash_sim::checkpoint::CheckpointError::ConfigMismatch
     pub fn load_state(
         &mut self,
         d: &mut stramash_sim::checkpoint::Decoder<'_>,
     ) -> Result<(), stramash_sim::checkpoint::CheckpointError> {
         use stramash_sim::checkpoint::CheckpointError;
         d.tag(0x4343_4845)?;
-        let saved_fast = d.bool()?;
-        self.tick = d.u64()?;
-        if saved_fast {
-            let tags = d.u64s()?;
-            if tags.len() != self.tags.len() {
-                return Err(CheckpointError::ConfigMismatch);
-            }
-            self.tags = tags;
-            let states = d.bytes()?;
-            if states.len() != self.states.len() {
-                return Err(CheckpointError::ConfigMismatch);
-            }
-            for (dst, &b) in self.states.iter_mut().zip(states) {
-                *dst = mesi_from_code(b)?;
-            }
-            let perms = d.u64s()?;
-            if perms.len() != self.perms.len() {
-                return Err(CheckpointError::ConfigMismatch);
-            }
-            self.perms = perms;
-            let occ = d.bytes()?;
-            if occ.len() != self.occ.len() {
-                return Err(CheckpointError::ConfigMismatch);
-            }
-            self.occ.copy_from_slice(occ);
-            self.last_line = d.u64()?;
-            self.last_slot = d.u64()? as usize;
-            if self.last_slot >= self.tags.len() && self.last_line != EMPTY {
-                return Err(CheckpointError::Malformed("cache MRU hint slot"));
-            }
-            self.last_slot = self.last_slot.min(self.tags.len().saturating_sub(1));
-            self.fast_paths = true;
-        } else {
-            let n = d.u64()? as usize;
-            if n != self.sets.len() {
-                return Err(CheckpointError::ConfigMismatch);
-            }
-            for w in &mut self.sets {
-                w.line = d.u64()?;
-                w.stamp = d.u64()?;
-                w.state = mesi_from_code(d.u8()?)?;
-            }
-            self.fast_paths = false;
+        let tags = d.u64s()?;
+        if tags.len() != self.tags.len() {
+            return Err(CheckpointError::ConfigMismatch);
         }
+        self.tags = tags;
+        let states = d.bytes()?;
+        if states.len() != self.states.len() {
+            return Err(CheckpointError::ConfigMismatch);
+        }
+        for (dst, &b) in self.states.iter_mut().zip(states) {
+            *dst = mesi_from_code(b)?;
+        }
+        let perms = d.u64s()?;
+        if perms.len() != self.perms.len() {
+            return Err(CheckpointError::ConfigMismatch);
+        }
+        self.perms = perms;
+        let occ = d.bytes()?;
+        if occ.len() != self.occ.len() {
+            return Err(CheckpointError::ConfigMismatch);
+        }
+        self.occ.copy_from_slice(occ);
+        self.last_line = d.u64()?;
+        self.last_slot = d.u64()? as usize;
+        if self.last_slot >= self.tags.len() && self.last_line != EMPTY {
+            return Err(CheckpointError::Malformed("cache MRU hint slot"));
+        }
+        self.last_slot = self.last_slot.min(self.tags.len().saturating_sub(1));
         Ok(())
     }
 
     /// Iterates every resident line with its state, without disturbing
     /// LRU. Used by the coherence auditor.
     pub fn lines(&self) -> impl Iterator<Item = (u64, Mesi)> + '_ {
-        let fast = self.fast_paths;
-        (0..self.sets.len()).filter_map(move |slot| {
-            let (line, state) = if fast {
-                (self.tags[slot], self.states[slot])
-            } else {
-                (self.sets[slot].line, self.sets[slot].state)
-            };
-            (line != EMPTY).then_some((line, state))
-        })
+        self.tags
+            .iter()
+            .zip(&self.states)
+            .filter(|(&line, _)| line != EMPTY)
+            .map(|(&line, &state)| (line, state))
     }
 }
 
@@ -1335,15 +787,6 @@ impl CacheHierarchy {
         self.l1d.flush();
         self.l2.flush();
         self.l3.flush();
-    }
-
-    /// Toggles the host-side fast paths on every level (see
-    /// [`Cache::set_fast_paths`]).
-    pub fn set_fast_paths(&mut self, enabled: bool) {
-        self.l1i.set_fast_paths(enabled);
-        self.l1d.set_fast_paths(enabled);
-        self.l2.set_fast_paths(enabled);
-        self.l3.set_fast_paths(enabled);
     }
 
     /// Serializes all four levels into a checkpoint section.
@@ -1480,106 +923,111 @@ mod tests {
         assert!(!h.contains(100));
     }
 
-    /// Every observable (return values, LRU victims, MESI states,
-    /// residency) must be identical between the fast paths and the
-    /// reference implementation over a long deterministic op mix.
+    /// Every observable of [`Cache`] — hit/miss, every eviction,
+    /// per-set residency and MESI state — against independent models:
+    /// the exact-LRU cache of [`crate::reference`] for replacement and
+    /// residency, and a plain map for coherence state. A seeded random
+    /// op mix drives every mutating entry point (including the fused
+    /// probe/fill pair and the lane classify/commit pair the plan
+    /// replay uses) over a line universe larger than the cache, so
+    /// hits, conflicts, evictions and refills of invalidated ways all
+    /// occur at every tested associativity.
     #[test]
-    fn fast_paths_are_bit_identical_to_reference() {
-        let mut fast = Cache::new(CacheGeometry::new(4 << 10, 4, 64)); // 16 sets
-        let mut slow = fast.clone();
-        slow.set_fast_paths(false);
-        let mut x = 0x9e37_79b9_7f4a_7c15u64; // splitmix-style walk
-        for step in 0..20_000u64 {
-            x = x.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(step);
-            // A small line universe forces hits, conflicts and evictions.
-            let line = (x >> 17) % 96;
-            let state = match x % 3 {
-                0 => Mesi::Modified,
-                1 => Mesi::Exclusive,
-                _ => Mesi::Shared,
-            };
-            match x % 8 {
-                0 | 1 => assert_eq!(fast.probe(line), slow.probe(line), "probe @{step}"),
-                2 => {
-                    assert_eq!(fast.probe_hit(line), slow.probe_hit(line), "probe_hit @{step}");
-                }
-                3 | 4 => {
-                    assert_eq!(fast.insert(line, state), slow.insert(line, state), "insert @{step}");
-                }
-                5 => assert_eq!(fast.invalidate(line), slow.invalidate(line), "inval @{step}"),
-                6 => {
-                    // The fused streaming pair: probe, then consume the
-                    // plan immediately (its validity condition).
-                    let (fh, sh) = (fast.probe_or_plan(line), slow.probe_or_plan(line));
-                    match (fh, sh) {
-                        (ProbeFill::Hit, ProbeFill::Hit) => {}
-                        (ProbeFill::Miss(fp), ProbeFill::Miss(sp)) => {
-                            fast.fill_planned(fp, line, state);
-                            slow.fill_planned(sp, line, state);
+    fn matches_exact_lru_reference_on_random_ops() {
+        use crate::reference::PlruCache;
+        use std::collections::HashMap;
+        use stramash_sim::rng::SimRng;
+
+        for (ways, sets) in [(2u32, 16u64), (4, 16), (8, 8), (12, 4), (16, 4)] {
+            let geo = CacheGeometry::new(sets * u64::from(ways) * 64, ways, 64);
+            let mut c = Cache::new(geo);
+            let mut r = PlruCache::new_lru(geo);
+            let mut mesi: HashMap<u64, Mesi> = HashMap::new();
+            let mut rng = SimRng::new(0x5eed_0000 + u64::from(ways));
+            let universe = sets * u64::from(ways) * 3 / 2;
+            for step in 0..20_000u32 {
+                let ctx = format!("{ways}-way, step {step}");
+                let line = rng.gen_range(universe);
+                let state = [Mesi::Modified, Mesi::Exclusive, Mesi::Shared]
+                    [rng.gen_range(3) as usize];
+                let mut touched = vec![line];
+                match rng.gen_range(1000) {
+                    0..=199 => {
+                        let got = c.probe(line);
+                        assert_eq!(got.is_some(), r.probe(line), "probe hit/miss, {ctx}");
+                        assert_eq!(got, mesi.get(&line).copied(), "probe state, {ctx}");
+                    }
+                    200..=299 => assert_eq!(c.probe_hit(line), r.probe(line), "probe_hit, {ctx}"),
+                    300..=449 => match c.probe_or_plan(line) {
+                        ProbeFill::Hit => assert!(r.probe(line), "planned hit, {ctx}"),
+                        ProbeFill::Miss(plan) => {
+                            assert!(!r.probe(line), "planned miss, {ctx}");
+                            c.fill_planned(plan, line, state);
+                            if let Some(ev) = r.insert(line) {
+                                assert!(!c.contains(ev), "planned fill kept the victim, {ctx}");
+                                assert!(mesi.remove(&ev).is_some(), "victim was resident, {ctx}");
+                            }
+                            mesi.insert(line, state);
                         }
-                        _ => panic!("fused hit/miss diverged @{step}"),
+                    },
+                    450..=549 => {
+                        // A lane batch: classify, then commit the
+                        // leading all-hit run exactly as the replay does.
+                        let n = 1 + rng.gen_range(16) as usize;
+                        let lanes: Vec<u64> = (0..n).map(|_| rng.gen_range(universe)).collect();
+                        let mask = c.classify_lanes(&lanes);
+                        for (j, &l) in lanes.iter().enumerate() {
+                            assert_eq!(mask >> j & 1 == 1, r.contains(l), "lane {j}, {ctx}");
+                        }
+                        let run = ((!mask).trailing_zeros() as usize).min(n);
+                        c.touch_hits(&lanes[..run]);
+                        for &l in &lanes[..run] {
+                            assert!(r.probe(l), "committed lane hits, {ctx}");
+                        }
+                        touched = lanes;
+                    }
+                    550..=749 => {
+                        let ev = c.insert(line, state);
+                        assert_eq!(ev.map(|e| e.line), r.insert(line), "eviction, {ctx}");
+                        if let Some(e) = ev {
+                            assert_eq!(Some(e.state), mesi.remove(&e.line), "evicted state, {ctx}");
+                        }
+                        mesi.insert(line, state);
+                    }
+                    750..=849 => {
+                        assert_eq!(c.invalidate(line), mesi.remove(&line), "invalidate, {ctx}");
+                        r.invalidate(line);
+                    }
+                    850..=998 => {
+                        assert_eq!(c.state_of(line), mesi.get(&line).copied(), "state_of, {ctx}");
+                        let old = c.set_state(line, state);
+                        assert_eq!(old, mesi.get(&line).copied(), "set_state, {ctx}");
+                        if old.is_some() {
+                            mesi.insert(line, state);
+                        }
+                    }
+                    _ => {
+                        c.flush();
+                        r = PlruCache::new_lru(geo);
+                        mesi.clear();
                     }
                 }
-                _ => {
-                    assert_eq!(fast.state_of(line), slow.state_of(line), "state @{step}");
-                    assert_eq!(fast.set_state(line, state), slow.set_state(line, state));
+                for l in touched {
+                    let set = (l % sets) as usize;
+                    let range = set * ways as usize..(set + 1) * ways as usize;
+                    let mut got: Vec<u64> =
+                        c.tags[range].iter().copied().filter(|&t| t != EMPTY).collect();
+                    got.sort_unstable();
+                    assert_eq!(got, r.set_lines(set), "set {set} residency, {ctx}");
                 }
+                assert_eq!(c.resident(), mesi.len(), "resident count, {ctx}");
             }
-            assert_eq!(fast.resident(), slow.resident(), "residency diverged @{step}");
+            let mut got: Vec<(u64, Mesi)> = c.lines().collect();
+            got.sort_unstable_by_key(|&(l, _)| l);
+            let mut want: Vec<(u64, Mesi)> = mesi.into_iter().collect();
+            want.sort_unstable_by_key(|&(l, _)| l);
+            assert_eq!(got, want, "{ways}-way: final contents and states");
         }
-        let mut f: Vec<_> = fast.lines().collect();
-        let mut s: Vec<_> = slow.lines().collect();
-        f.sort_unstable_by_key(|(l, _)| *l);
-        s.sort_unstable_by_key(|(l, _)| *l);
-        assert_eq!(f, s, "final contents diverged");
-    }
-
-    /// Toggling the fast paths mid-stream converts between the stamp
-    /// and packed-permutation LRU representations; every observable
-    /// must stay identical to an untoggled run on either path.
-    #[test]
-    fn mid_run_toggling_is_equivalent() {
-        let mut fast = Cache::new(CacheGeometry::new(4 << 10, 4, 64));
-        let mut slow = fast.clone();
-        slow.set_fast_paths(false);
-        let mut toggling = fast.clone();
-        let mut x = 0x1234_5678_9abc_def0u64;
-        for step in 0..20_000u64 {
-            if step % 500 == 0 {
-                toggling.set_fast_paths((step / 500) % 2 == 1);
-            }
-            x = x.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(step);
-            let line = (x >> 17) % 96;
-            let state = match x % 3 {
-                0 => Mesi::Modified,
-                1 => Mesi::Exclusive,
-                _ => Mesi::Shared,
-            };
-            match x % 5 {
-                0 | 1 => {
-                    let expect = fast.probe(line);
-                    assert_eq!(slow.probe(line), expect, "probe slow @{step}");
-                    assert_eq!(toggling.probe(line), expect, "probe toggling @{step}");
-                }
-                2 | 3 => {
-                    let expect = fast.insert(line, state);
-                    assert_eq!(slow.insert(line, state), expect, "insert slow @{step}");
-                    assert_eq!(toggling.insert(line, state), expect, "insert toggling @{step}");
-                }
-                _ => {
-                    let expect = fast.invalidate(line);
-                    assert_eq!(slow.invalidate(line), expect, "inval slow @{step}");
-                    assert_eq!(toggling.invalidate(line), expect, "inval toggling @{step}");
-                }
-            }
-        }
-        let norm = |c: &Cache| {
-            let mut v: Vec<_> = c.lines().collect();
-            v.sort_unstable_by_key(|(l, _)| *l);
-            v
-        };
-        assert_eq!(norm(&fast), norm(&slow));
-        assert_eq!(norm(&fast), norm(&toggling));
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! The two models therefore agree closely but not exactly — the benches
 //! check the same error bounds the paper reports (< 5 % per-level hit
 //! rate discrepancy; < 13 % cycle error, ≈ 4 % on average).
+//!
+//! The exact-LRU mode of the reference cache is also the oracle for the
+//! primary [`crate::cache::Cache`]: written as plain stamp scans with a
+//! modulo set index, it shares no code with the packed-permutation
+//! cache, and the cache's unit tests require identical hits, evictions
+//! and per-set residency on random op mixes.
 
 use crate::hwmodel::{AddressMap, MemClass};
 use crate::phys::{PhysAddr, PhysLayout};
@@ -33,7 +39,7 @@ use stramash_sim::{Cycles, DomainId, DomainStats, SimConfig};
 /// LLC with LRU, so the reference L3 matches that configuration while
 /// the upper levels keep PLRU).
 #[derive(Debug, Clone)]
-struct PlruCache {
+pub(crate) struct PlruCache {
     geo: CacheGeometry,
     sets: u64,
     /// `tags[set * ways + way]`; `u64::MAX` = empty.
@@ -53,7 +59,7 @@ impl PlruCache {
         Self::with_policy(geo, false)
     }
 
-    fn new_lru(geo: CacheGeometry) -> Self {
+    pub(crate) fn new_lru(geo: CacheGeometry) -> Self {
         Self::with_policy(geo, true)
     }
 
@@ -117,7 +123,7 @@ impl PlruCache {
     }
 
     /// Probe; on hit, protect the way. Returns hit.
-    fn probe(&mut self, line: u64) -> bool {
+    pub(crate) fn probe(&mut self, line: u64) -> bool {
         let base = self.base(line);
         let ways = self.geo.ways as usize;
         let set = (line % self.sets) as usize;
@@ -133,13 +139,23 @@ impl PlruCache {
     }
 
     #[cfg(test)]
-    fn contains(&self, line: u64) -> bool {
+    pub(crate) fn contains(&self, line: u64) -> bool {
         let base = self.base(line);
         (0..self.geo.ways as usize).any(|w| self.tags[base + w] == line)
     }
 
+    /// The lines resident in `set`, sorted.
+    #[cfg(test)]
+    pub(crate) fn set_lines(&self, set: usize) -> Vec<u64> {
+        let ways = self.geo.ways as usize;
+        let tags = &self.tags[set * ways..(set + 1) * ways];
+        let mut lines: Vec<u64> = tags.iter().copied().filter(|&t| t != EMPTY).collect();
+        lines.sort_unstable();
+        lines
+    }
+
     /// Insert; returns the evicted line, if any.
-    fn insert(&mut self, line: u64) -> Option<u64> {
+    pub(crate) fn insert(&mut self, line: u64) -> Option<u64> {
         let base = self.base(line);
         let ways = self.geo.ways as usize;
         let set = (line % self.sets) as usize;
@@ -171,7 +187,7 @@ impl PlruCache {
         Some(evicted)
     }
 
-    fn invalidate(&mut self, line: u64) {
+    pub(crate) fn invalidate(&mut self, line: u64) {
         let base = self.base(line);
         for w in 0..self.geo.ways as usize {
             if self.tags[base + w] == line {

@@ -28,8 +28,10 @@ use std::fmt;
 /// Artifact magic: `STRM`.
 pub const MAGIC: u32 = 0x5354_524d;
 
-/// Current artifact format version.
-pub const VERSION: u32 = 1;
+/// Current artifact format version. Version 2 dropped the host-path
+/// mode flags and the stamp-LRU cache encoding; version 1 artifacts
+/// are rejected with [`CheckpointError::BadVersion`].
+pub const VERSION: u32 = 2;
 
 /// Errors raised while decoding a checkpoint artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

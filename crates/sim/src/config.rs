@@ -89,6 +89,11 @@ pub struct CacheGeometry {
     pub line_bytes: u32,
 }
 
+/// Widest cache associativity the simulator models: each set's LRU
+/// order is one packed permutation of 4-bit way indices in a `u64`.
+/// Every Table 1 cache is 8- or 16-way.
+pub const MAX_CACHE_WAYS: u32 = 16;
+
 impl CacheGeometry {
     /// Creates a cache geometry.
     ///
@@ -468,8 +473,8 @@ impl SimConfig {
             ] {
                 // A geometry that is sound except for its set count gets
                 // the specific error: the caches index sets with a
-                // power-of-two mask, so a non-power-of-two count would
-                // otherwise silently demand a modulo slow path.
+                // power-of-two mask, so a non-power-of-two count is
+                // unsupported.
                 if geo.line_bytes.is_power_of_two()
                     && geo.ways > 0
                     && geo.size_bytes.is_multiple_of(geo.line_bytes as u64 * geo.ways as u64)
@@ -483,6 +488,15 @@ impl SimConfig {
                 }
                 if !geo.is_valid() {
                     return Err(ConfigError::InvalidCache { machine: d.name.clone(), level: lvl });
+                }
+                // The caches order each set's LRU in one packed 16-nibble
+                // permutation; no modelled hardware is wider.
+                if geo.ways > MAX_CACHE_WAYS {
+                    return Err(ConfigError::TooManyWays {
+                        machine: d.name.clone(),
+                        level: lvl,
+                        ways: geo.ways,
+                    });
                 }
             }
             let lb = d.cache.l1d.line_bytes;
@@ -530,6 +544,16 @@ pub enum ConfigError {
         /// The offending set count.
         sets: u64,
     },
+    /// A cache level is wider than [`MAX_CACHE_WAYS`], which the packed
+    /// per-set LRU order cannot represent.
+    TooManyWays {
+        /// The machine whose cache is invalid.
+        machine: String,
+        /// Which level is invalid.
+        level: &'static str,
+        /// The offending associativity.
+        ways: u32,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -546,6 +570,12 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "machine {machine} {level} has {sets} sets; set counts must be a power of two"
+                )
+            }
+            ConfigError::TooManyWays { machine, level, ways } => {
+                write!(
+                    f,
+                    "machine {machine} {level} is {ways}-way; at most {MAX_CACHE_WAYS} ways are supported"
                 )
             }
         }
@@ -692,6 +722,25 @@ mod tests {
         }
         let msg = cfg.validate().unwrap_err().to_string();
         assert!(msg.contains("1536"), "error must name the offending count: {msg}");
+    }
+
+    #[test]
+    fn validate_rejects_caches_wider_than_sixteen_ways_with_typed_error() {
+        let mut cfg = SimConfig::big_pair();
+        // 2 MB, 32-way, 64 B lines → 1024 sets: a sound geometry, but
+        // wider than the packed LRU order can hold.
+        cfg.domains[1].cache.l3 = CacheGeometry::new(2 << 20, 32, 64);
+        match cfg.validate() {
+            Err(ConfigError::TooManyWays { level, ways, .. }) => {
+                assert_eq!(level, "L3");
+                assert_eq!(ways, 32);
+            }
+            other => panic!("expected TooManyWays, got {other:?}"),
+        }
+        let msg = cfg.validate().unwrap_err().to_string();
+        assert!(msg.contains("32-way"), "error must name the offending width: {msg}");
+        cfg.domains[1].cache.l3 = CacheGeometry::new(2 << 20, MAX_CACHE_WAYS, 64);
+        assert_eq!(cfg.validate(), Ok(()), "exactly {MAX_CACHE_WAYS} ways is supported");
     }
 
     #[test]

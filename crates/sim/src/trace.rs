@@ -18,8 +18,6 @@
 //!
 //! * two runs of the same seed produce **identical full event
 //!   streams**;
-//! * the host-side cache fast paths produce **identical full event
-//!   streams** to the reference slow paths;
 //! * the batched client pipeline produces **identical per-class event
 //!   streams** ([`EventClass`]) to scalar ops for every class except
 //!   [`EventClass::Accounting`] — batching legitimately coalesces

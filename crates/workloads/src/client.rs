@@ -272,34 +272,26 @@ impl<'a, S: OsSystem> MemoryClient<'a, S> {
     /// session: the `(pid, domain)` resolution and session revalidation
     /// happen here, once, and every op on the returned scope reuses
     /// them. Cycle-identical to issuing the equivalent scalar ops —
-    /// the golden tests pin that — but much faster on the host.
-    ///
-    /// When batching is disabled on the [`BaseSystem`], every scope op
-    /// transparently delegates to its scalar counterpart (the reference
-    /// execution).
+    /// the unit tests hold every scope op against an explicit scalar
+    /// loop — but much faster on the host.
     ///
     /// Nothing inside a scope may migrate or unmap: those go through
     /// [`MemoryClient::migrate`] / the system directly, after the scope
     /// is dropped. Page faults *inside* a scope are fine — the session
     /// resynchronises with the TLB after every fallback translation.
     ///
-    /// [`BaseSystem`]: stramash_kernel::system::BaseSystem
-    ///
     /// # Errors
     ///
     /// Process-lookup errors.
     pub fn batch(&mut self) -> Result<BatchScope<'_, 'a, S>, OsError> {
-        let fast = self.sys.base().batching_enabled();
-        if fast {
-            self.sys.session_begin(&mut self.session)?;
-        }
+        self.sys.session_begin(&mut self.session)?;
         // A batch phase is private by construction (no migrate, no
         // unmap, faults suspend) — the natural deferred-epoch bracket.
         // `epoch_open` checks the policy and the cross-domain horizon;
         // nesting inside a wider epoch (e.g. the pair runner's) is
         // fine, the outermost close replays.
-        let epoch = fast && self.sys.epoch_open();
-        Ok(BatchScope { c: self, fast, epoch })
+        let epoch = self.sys.epoch_open();
+        Ok(BatchScope { c: self, epoch })
     }
 }
 
@@ -311,9 +303,6 @@ impl<'a, S: OsSystem> MemoryClient<'a, S> {
 #[derive(Debug)]
 pub struct BatchScope<'c, 'a, S: OsSystem> {
     c: &'c mut MemoryClient<'a, S>,
-    /// Whether the batched fast path is active (false = delegate to the
-    /// scalar reference ops).
-    fast: bool,
     /// Whether this scope opened a deferred-epoch level (closed on
     /// drop).
     epoch: bool,
@@ -356,9 +345,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     ///
     /// Translation errors.
     pub fn ld_f64(&mut self, a: ArrayF64, i: u64) -> Result<f64, OsError> {
-        if !self.fast {
-            return self.c.ld_f64(a, i);
-        }
         Ok(f64::from_bits(self.ld_word(a.at(i))?))
     }
 
@@ -368,9 +354,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     ///
     /// Translation errors.
     pub fn st_f64(&mut self, a: ArrayF64, i: u64, v: f64) -> Result<(), OsError> {
-        if !self.fast {
-            return self.c.st_f64(a, i, v);
-        }
         self.st_word(a.at(i), v.to_bits())
     }
 
@@ -380,9 +363,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     ///
     /// Translation errors.
     pub fn ld_u64(&mut self, a: ArrayU64, i: u64) -> Result<u64, OsError> {
-        if !self.fast {
-            return self.c.ld_u64(a, i);
-        }
         self.ld_word(a.at(i))
     }
 
@@ -392,9 +372,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     ///
     /// Translation errors.
     pub fn st_u64(&mut self, a: ArrayU64, i: u64, v: u64) -> Result<(), OsError> {
-        if !self.fast {
-            return self.c.st_u64(a, i, v);
-        }
         self.st_word(a.at(i), v)
     }
 
@@ -417,9 +394,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     ///
     /// Translation errors.
     pub fn ld_f64_pair(&mut self, a: ArrayF64, i: u64) -> Result<(f64, f64), OsError> {
-        if !self.fast {
-            return Ok((self.c.ld_f64(a, i)?, self.c.ld_f64(a, i + 1)?));
-        }
         debug_assert!(i.is_multiple_of(2), "pair base must be even");
         let va = a.at(i);
         let _ = a.at(i + 1); // bounds check
@@ -439,10 +413,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     ///
     /// Translation errors.
     pub fn st_f64_pair(&mut self, a: ArrayF64, i: u64, v0: f64, v1: f64) -> Result<(), OsError> {
-        if !self.fast {
-            self.c.st_f64(a, i, v0)?;
-            return self.c.st_f64(a, i + 1, v1);
-        }
         debug_assert!(i.is_multiple_of(2), "pair base must be even");
         let va = a.at(i);
         let _ = a.at(i + 1); // bounds check
@@ -526,13 +496,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         vals: &[u64],
         work_per: u64,
     ) -> Result<(), OsError> {
-        if !self.fast {
-            for (k, &v) in vals.iter().enumerate() {
-                self.c.st_u64(a, start + k as u64, v)?;
-                self.c.work(work_per)?;
-            }
-            return Ok(());
-        }
         if !vals.is_empty() {
             let _ = a.at(start + vals.len() as u64 - 1); // bounds check
         }
@@ -557,13 +520,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         out: &mut [u64],
         work_per: u64,
     ) -> Result<(), OsError> {
-        if !self.fast {
-            for (k, o) in out.iter_mut().enumerate() {
-                *o = self.c.ld_u64(a, start + k as u64)?;
-                self.c.work(work_per)?;
-            }
-            return Ok(());
-        }
         if !out.is_empty() {
             let _ = a.at(start + out.len() as u64 - 1); // bounds check
         }
@@ -591,13 +547,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         vals: &[f64],
         work_per: u64,
     ) -> Result<(), OsError> {
-        if !self.fast {
-            for (k, &v) in vals.iter().enumerate() {
-                self.c.st_f64(a, start + k as u64, v)?;
-                self.c.work(work_per)?;
-            }
-            return Ok(());
-        }
         if !vals.is_empty() {
             let _ = a.at(start + vals.len() as u64 - 1); // bounds check
         }
@@ -621,13 +570,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         out: &mut [f64],
         work_per: u64,
     ) -> Result<(), OsError> {
-        if !self.fast {
-            for (k, o) in out.iter_mut().enumerate() {
-                *o = self.c.ld_f64(a, start + k as u64)?;
-                self.c.work(work_per)?;
-            }
-            return Ok(());
-        }
         if !out.is_empty() {
             let _ = a.at(start + out.len() as u64 - 1); // bounds check
         }
@@ -661,13 +603,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         value: u64,
         work_per: u64,
     ) -> Result<(), OsError> {
-        if !self.fast {
-            for k in 0..len {
-                self.c.st_u64(a, start + k, value)?;
-                self.c.work(work_per)?;
-            }
-            return Ok(());
-        }
         if len > 0 {
             let _ = a.at(start + len - 1); // bounds check
         }
@@ -766,7 +701,7 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     /// canonical physical address of every access into `plan`.
     /// Subsequent calls replay the recorded sequence in flush-bounded
     /// chunks: timing through [`stramash_mem::MemorySystem::run_plan`]
-    /// over the dense fast-path mirrors, values element-major through
+    /// over the L1D's dense tag arrays, values element-major through
     /// the untimed store, so any dependence pattern (including a write
     /// column also being a read column) stays value-exact.
     ///
@@ -788,20 +723,10 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         if n == 0 {
             return Ok(());
         }
-        let mut rv = vec![0.0f64; reads.len()];
-        let mut wv = vec![0.0f64; writes.len()];
-        if !self.fast || reads.len() + writes.len() == 0 {
-            // Reference execution: the canonical loop through the
-            // scalar/batched element ops.
+        if reads.len() + writes.len() == 0 {
+            // No accesses to plan: just the closure and the work.
             for i in 0..n {
-                for (j, a) in reads.iter().enumerate() {
-                    rv[j] = self.ld_f64(*a, i)?;
-                }
-                wv.fill(0.0);
-                f(i, &rv, &mut wv);
-                for (j, a) in writes.iter().enumerate() {
-                    self.st_f64(*a, i, wv[j])?;
-                }
+                f(i, &[], &mut []);
                 self.work(work_per)?;
             }
             return Ok(());
@@ -987,26 +912,16 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         if n == 0 {
             return Ok(());
         }
-        let mut rv = vec![0u64; reads.len()];
-        let mut wv = vec![0u64; writes.len()];
-        if !self.fast || reads.len() + writes.len() == 0 {
-            // Reference execution: the canonical loop through the
-            // scalar element ops.
+        if reads.len() + writes.len() == 0 {
+            // No accesses to plan: just the closure and the work.
             for i in 0..n {
-                for j in 0..reads.len() {
-                    let e = reads[j].resolve(i, idx, &rv[..j]);
-                    rv[j] = self.c.sys.load_u64(self.c.pid, reads[j].at(e))?;
-                }
-                wv.fill(0);
-                f(i, &rv, &mut wv);
-                for (j, c) in writes.iter().enumerate() {
-                    let e = c.resolve(i, idx, &rv);
-                    self.c.sys.store_u64(self.c.pid, c.at(e), wv[j])?;
-                }
+                f(i, &[], &mut []);
                 self.c.work(work_per)?;
             }
             return Ok(());
         }
+        let mut rv = vec![0u64; reads.len()];
+        let mut wv = vec![0u64; writes.len()];
         if !plan.matches(&self.c.session, reads, writes) {
             plan.reset(&self.c.session, reads, writes);
         }
@@ -1542,6 +1457,69 @@ mod tests {
         acc
     }
 
+    /// [`scope_pattern`] as the explicit loop of scalar client ops
+    /// every scope op stands for — the reference the batched pipeline
+    /// must reproduce cycle for cycle.
+    fn scope_pattern_scalar(sys: &mut VanillaSystem, pid: Pid) -> f64 {
+        let mut c = MemoryClient::new(sys, pid);
+        let a = c.alloc_f64(600).unwrap();
+        let b = c.alloc_f64(600).unwrap();
+        let k = c.alloc_u64(600).unwrap();
+        let mut acc = 0.0f64;
+        for i in 0..600 {
+            c.st_u64(k, i, i * 7).unwrap();
+            c.work(3).unwrap();
+        }
+        for i in 0..600 {
+            c.st_f64(a, i, i as f64 * 0.25).unwrap();
+            c.work(2).unwrap();
+        }
+        for i in 100..300 {
+            c.st_u64(k, i, 9).unwrap();
+            c.work(1).unwrap();
+        }
+        for i in 0..300 {
+            let v = c.ld_f64(a, i).unwrap();
+            c.st_f64(b, i, v + 1.0).unwrap();
+            acc += c.ld_u64(k, i).unwrap() as f64;
+            c.work(5).unwrap();
+        }
+        for i in 150..300 {
+            let (x, y) = (c.ld_f64(a, 2 * i).unwrap(), c.ld_f64(a, 2 * i + 1).unwrap());
+            c.st_f64(b, 2 * i, x + y).unwrap();
+            c.st_f64(b, 2 * i + 1, x - y).unwrap();
+            c.work(4).unwrap();
+        }
+        let mut dot = 0.0;
+        for i in 0..600 {
+            let x = c.ld_f64(a, i).unwrap();
+            let y = c.ld_f64(b, i).unwrap();
+            dot += x * y;
+            c.work(4).unwrap();
+        }
+        acc += dot;
+        for i in 0..600 {
+            let y = c.ld_f64(b, i).unwrap();
+            let x = c.ld_f64(a, i).unwrap();
+            c.st_f64(b, i, y + 0.5 * x).unwrap();
+            c.work(6).unwrap();
+        }
+        let mut out = Vec::new();
+        for i in (0..100).map(|i| (i * 37) % 600) {
+            out.push(c.ld_f64(a, i).unwrap());
+            c.work(2).unwrap();
+        }
+        acc += out.iter().sum::<f64>();
+        let mut back = vec![0.0f64; 600];
+        for (i, v) in back.iter_mut().enumerate() {
+            *v = c.ld_f64(b, i as u64).unwrap();
+            c.work(3).unwrap();
+        }
+        acc += back.iter().sum::<f64>();
+        c.flush_work().unwrap();
+        acc
+    }
+
     /// Data-dependent plan segments: a histogram (value-indexed
     /// read-modify-write), a rank scatter through an index slice, and a
     /// replay of the same segment with moved targets over the compiled
@@ -1598,18 +1576,60 @@ mod tests {
         acc
     }
 
+    /// [`indexed_pattern`] as the explicit scalar loop each plan
+    /// segment stands for: per element, load every read column, store
+    /// every write column, then `work`.
+    fn indexed_pattern_scalar(sys: &mut VanillaSystem, pid: Pid) -> u64 {
+        let mut c = MemoryClient::new(sys, pid);
+        let keys = c.alloc_u64(512).unwrap();
+        let hist = c.alloc_u64(64).unwrap();
+        let out = c.alloc_u64(512).unwrap();
+        let mut acc = 0u64;
+        for i in 0..512 {
+            c.st_u64(keys, i, (i * 37) % 64).unwrap();
+            c.work(2).unwrap();
+        }
+        for i in 0..64 {
+            c.st_u64(hist, i, 0).unwrap();
+            c.work(1).unwrap();
+        }
+        for i in 0..512 {
+            let bucket = c.ld_u64(keys, i).unwrap();
+            let count = c.ld_u64(hist, bucket).unwrap();
+            c.st_u64(hist, bucket, count + 1).unwrap();
+            c.work(6).unwrap();
+        }
+        for mul in [131u64, 257] {
+            for i in 0..512 {
+                let key = c.ld_u64(keys, i).unwrap();
+                c.st_u64(out, (i * mul) % 512, key * 3 + 1).unwrap();
+                c.work(4).unwrap();
+            }
+        }
+        for i in 0..64 {
+            acc = acc.wrapping_mul(1_000_003).wrapping_add(c.ld_u64(hist, i).unwrap());
+        }
+        for i in 0..512 {
+            acc = acc.wrapping_mul(1_000_003).wrapping_add(c.ld_u64(out, i).unwrap());
+        }
+        c.flush_work().unwrap();
+        acc
+    }
+
+    /// Runs `pattern` on a fresh system and captures the value result,
+    /// the x86 clock and every x86 stats counter.
+    fn observe<T>(
+        pattern: impl FnOnce(&mut VanillaSystem, Pid) -> T,
+    ) -> (T, stramash_sim::Clock, stramash_sim::DomainStats) {
+        let (mut sys, pid) = client_env();
+        let acc = pattern(&mut sys, pid);
+        (acc, *sys.base().timebase.clock(DomainId::X86), *sys.base().mem.stats(DomainId::X86))
+    }
+
     #[test]
     fn indexed_plan_is_cycle_identical_to_scalar() {
-        let run = |batching: bool| {
-            let (mut sys, pid) = client_env();
-            sys.base_mut().set_batching(batching);
-            let acc = indexed_pattern(&mut sys, pid);
-            let clock = *sys.base().timebase.clock(DomainId::X86);
-            let stats = *sys.base().mem.stats(DomainId::X86);
-            (acc, clock, stats)
-        };
-        let (fast_acc, fast_clock, fast_stats) = run(true);
-        let (ref_acc, ref_clock, ref_stats) = run(false);
+        let (fast_acc, fast_clock, fast_stats) = observe(indexed_pattern);
+        let (ref_acc, ref_clock, ref_stats) = observe(indexed_pattern_scalar);
         assert_eq!(fast_acc, ref_acc, "values must match bit-for-bit");
         assert_eq!(fast_clock, ref_clock, "icount and memory cycles must match");
         assert_eq!(fast_stats, ref_stats, "every stats counter must match");
@@ -1617,16 +1637,8 @@ mod tests {
 
     #[test]
     fn batched_scope_is_cycle_identical_to_scalar() {
-        let run = |batching: bool| {
-            let (mut sys, pid) = client_env();
-            sys.base_mut().set_batching(batching);
-            let acc = scope_pattern(&mut sys, pid);
-            let clock = *sys.base().timebase.clock(DomainId::X86);
-            let stats = *sys.base().mem.stats(DomainId::X86);
-            (acc, clock, stats)
-        };
-        let (fast_acc, fast_clock, fast_stats) = run(true);
-        let (ref_acc, ref_clock, ref_stats) = run(false);
+        let (fast_acc, fast_clock, fast_stats) = observe(scope_pattern);
+        let (ref_acc, ref_clock, ref_stats) = observe(scope_pattern_scalar);
         assert_eq!(fast_acc, ref_acc, "values must match bit-for-bit");
         assert_eq!(fast_clock, ref_clock, "icount and memory cycles must match");
         assert_eq!(fast_stats, ref_stats, "every stats counter must match");
@@ -1668,18 +1680,48 @@ mod tests {
         acc
     }
 
+    /// [`plan_pattern`] as the explicit scalar loop: per element,
+    /// load `x, d, r`, store `x, r`, then `work`.
+    fn plan_pattern_scalar(sys: &mut VanillaSystem, pid: Pid) -> f64 {
+        let mut c = MemoryClient::new(sys, pid);
+        let x = c.alloc_f64(700).unwrap();
+        let d = c.alloc_f64(700).unwrap();
+        let r = c.alloc_f64(700).unwrap();
+        let mut acc = 0.0f64;
+        for i in 0..700 {
+            c.st_f64(x, i, i as f64 * 0.5).unwrap();
+            c.work(2).unwrap();
+        }
+        for i in 0..700 {
+            c.st_f64(d, i, 1.0 + i as f64 * 0.125).unwrap();
+            c.work(2).unwrap();
+        }
+        for i in 0..700 {
+            c.st_f64(r, i, 2.0 - i as f64 * 0.0625).unwrap();
+            c.work(2).unwrap();
+        }
+        for round in 0..3 {
+            let alpha = 0.25 + f64::from(round);
+            let mut rho = 0.0f64;
+            for i in 0..700 {
+                let (xv, dv, rv) =
+                    (c.ld_f64(x, i).unwrap(), c.ld_f64(d, i).unwrap(), c.ld_f64(r, i).unwrap());
+                let (nx, nr) = (xv + alpha * dv, rv - alpha * dv);
+                rho += nr * nr;
+                c.st_f64(x, i, nx).unwrap();
+                c.st_f64(r, i, nr).unwrap();
+                c.work(10).unwrap();
+            }
+            acc += rho;
+        }
+        c.flush_work().unwrap();
+        acc
+    }
+
     #[test]
     fn plan_map_is_cycle_identical_to_scalar() {
-        let run = |batching: bool| {
-            let (mut sys, pid) = client_env();
-            sys.base_mut().set_batching(batching);
-            let acc = plan_pattern(&mut sys, pid);
-            let clock = *sys.base().timebase.clock(DomainId::X86);
-            let stats = *sys.base().mem.stats(DomainId::X86);
-            (acc, clock, stats)
-        };
-        let (fast_acc, fast_clock, fast_stats) = run(true);
-        let (ref_acc, ref_clock, ref_stats) = run(false);
+        let (fast_acc, fast_clock, fast_stats) = observe(plan_pattern);
+        let (ref_acc, ref_clock, ref_stats) = observe(plan_pattern_scalar);
         assert_eq!(fast_acc, ref_acc, "plan replay must be value-exact");
         assert_eq!(fast_clock, ref_clock, "compile + replay must keep the clock");
         assert_eq!(fast_stats, ref_stats, "every stats counter must match");

@@ -136,42 +136,7 @@ pub fn run_benchmark_with(
     class: Class,
     l3_bytes: Option<u64>,
 ) -> Result<RunReport, OsError> {
-    run_benchmark_inner(config, kind, class, l3_bytes, true, true, None)
-}
-
-/// As [`run_benchmark`], but with the memory system's host-side fast
-/// paths *and* the client-side batching disabled — every access goes
-/// through the reference cache implementation, one scalar op at a
-/// time. Simulated cycles are identical either way (the golden-stats
-/// contract); this entry point exists so the perf harness can report
-/// the optimisations' *end-to-end* sweep wall-clock win against the
-/// genuine old code.
-///
-/// # Errors
-///
-/// OS or configuration errors.
-pub fn run_benchmark_oldpath(
-    config: Configuration,
-    kind: NpbKind,
-    class: Class,
-) -> Result<RunReport, OsError> {
-    run_benchmark_inner(config, kind, class, None, false, false, None)
-}
-
-/// As [`run_benchmark`], but with client-side batching disabled while
-/// keeping the memory system's fast paths — the PR-3 state of the
-/// code. The perf harness diffs this against the batched default to
-/// isolate the batching pipeline's own end-to-end win.
-///
-/// # Errors
-///
-/// OS or configuration errors.
-pub fn run_benchmark_scalar(
-    config: Configuration,
-    kind: NpbKind,
-    class: Class,
-) -> Result<RunReport, OsError> {
-    run_benchmark_inner(config, kind, class, None, true, false, None)
+    run_benchmark_inner(config, kind, class, l3_bytes, None)
 }
 
 /// As [`run_benchmark`], pinning the [`EpochPolicy`] a nested sweep's
@@ -188,7 +153,7 @@ pub fn run_benchmark_with_policy(
     class: Class,
     policy: Option<EpochPolicy>,
 ) -> Result<RunReport, OsError> {
-    run_benchmark_inner(config, kind, class, None, true, true, policy)
+    run_benchmark_inner(config, kind, class, None, policy)
 }
 
 /// Everything measured in one pair-workload run — the nested-sweep
@@ -242,8 +207,6 @@ fn run_benchmark_inner(
     kind: NpbKind,
     class: Class,
     l3_bytes: Option<u64>,
-    fast_paths: bool,
-    batching: bool,
     policy: Option<EpochPolicy>,
 ) -> Result<RunReport, OsError> {
     let mut cfg = stramash_sim::SimConfig::big_pair().with_hw_model(config.model);
@@ -253,12 +216,6 @@ fn run_benchmark_inner(
     let mut sys = TargetSystem::build_with(config.kind, cfg)?;
     if let Some(p) = policy {
         sys.base_mut().set_epoch_policy(p);
-    }
-    if !fast_paths {
-        sys.base_mut().mem.set_fast_paths(false);
-    }
-    if !batching {
-        sys.base_mut().set_batching(false);
     }
     let pid = sys.spawn(DomainId::X86)?;
     let migrate = config.kind.migrates();

@@ -452,6 +452,22 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_version_1_artifact() {
+        use stramash_sim::checkpoint::{crc32, CheckpointError, VERSION};
+        let sys = TargetSystem::build(SystemKind::Vanilla, HardwareModel::Shared).unwrap();
+        let mut bytes = sys.checkpoint();
+        assert_eq!(VERSION, 2);
+        // Rewrite the header's version field (after the 4-byte magic)
+        // and re-seal the CRC, so only the version is wrong.
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        let mut fresh = TargetSystem::build(SystemKind::Vanilla, HardwareModel::Shared).unwrap();
+        assert_eq!(fresh.restore(&bytes), Err(CheckpointError::BadVersion(1)));
+    }
+
+    #[test]
     fn kind_display() {
         assert_eq!(SystemKind::PopcornShm.to_string(), "Popcorn-SHM");
         assert_eq!(SystemKind::ALL.len(), 4);

@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # Simulator performance baseline: runs the host-side microbenchmark
-# harness (crit_simulator, including the old-path vs fast-path
-# comparison) and the end-to-end parallel NPB sweep, then merges both
-# result fragments into one machine-readable BENCH_simulator.json at
-# the repo root. Non-gating: CI uploads the JSON as an artifact so the
+# harness (crit_simulator), the end-to-end parallel NPB sweep and the
+# KV serving curve, then merges the result fragments into one
+# machine-readable BENCH_simulator.json at the repo root. Non-gating: CI uploads the JSON as an artifact so the
 # repo accumulates a perf trajectory, but a slow run never fails the
 # pipeline.
 #
@@ -24,20 +23,17 @@ MICRO_JSON="$TMPDIR_BENCH/micro.json"
 SWEEP_JSON="$TMPDIR_BENCH/sweep.json"
 KVSERVE_JSON="$TMPDIR_BENCH/kvserve.json"
 
-# Both harnesses run with the explicit-SIMD plan replay enabled — the
-# fastest host configuration, and the one whose numbers the committed
-# baseline records. Simulated results are identical without it.
-echo "==> cargo bench -p stramash-bench --features criterion,simd --bench crit_simulator"
+echo "==> cargo bench -p stramash-bench --features criterion --bench crit_simulator"
 STRAMASH_BENCH_JSON="$MICRO_JSON" \
-    cargo bench -p stramash-bench --features criterion,simd --bench crit_simulator
+    cargo bench -p stramash-bench --features criterion --bench crit_simulator
 
-echo "==> cargo bench -p stramash-bench --features simd --bench sweep_parallel"
+echo "==> cargo bench -p stramash-bench --bench sweep_parallel"
 STRAMASH_BENCH_JSON="$SWEEP_JSON" \
-    cargo bench -p stramash-bench --features simd --bench sweep_parallel
+    cargo bench -p stramash-bench --bench sweep_parallel
 
-echo "==> cargo bench -p stramash-bench --features simd --bench kv_serving"
+echo "==> cargo bench -p stramash-bench --bench kv_serving"
 STRAMASH_BENCH_JSON="$KVSERVE_JSON" \
-    cargo bench -p stramash-bench --features simd --bench kv_serving
+    cargo bench -p stramash-bench --bench kv_serving
 
 # Merge the three fragments textually (no jq dependency).
 {

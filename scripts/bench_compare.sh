@@ -70,7 +70,7 @@ SKIP = ("workers", "configs", "host_cores", "wide_replay", "requests", "fingerpr
 # Speedup metrics that track the headline optimisations: a drop here
 # means the optimisation itself eroded, not just runner noise, so it
 # gets its own advisory exit code (5).
-HEADLINE = ("endtoend", "parallel", "kvserve")
+HEADLINE = ("parallel", "kvserve")
 
 # Parallel speedups only mean anything on a multi-core host. Either
 # side reporting (or, for old baselines predating the field, implying)

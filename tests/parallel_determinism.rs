@@ -181,13 +181,11 @@ fn pair_workload_epoch_parallel_is_bit_identical_and_goes_wide() {
 /// How a run drives the client pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Mode {
-    /// Batching off: the scalar per-access loop plan segments must
+    /// The explicit loop of scalar client ops that plan segments must
     /// reproduce exactly.
     Scalar,
     /// Data-dependent plan segments (the default pipeline).
     Batched,
-    /// Plan segments over the reference (fast-paths-off) memory model.
-    BatchedSlowMem,
     /// Plan segments under forced-wide epoch replay
     /// (`STRAMASH_EPOCH_PARALLEL=1`'s strongest setting).
     BatchedWideEpochs,
@@ -210,12 +208,6 @@ fn indexed_case(
         Mode::BatchedWideEpochs => forced(),
         _ => EpochPolicy::default(),
     });
-    if mode == Mode::Scalar {
-        sys.base_mut().set_batching(false);
-    }
-    if mode == Mode::BatchedSlowMem {
-        sys.base_mut().mem.set_fast_paths(false);
-    }
     let tracer = shared_tracer(RING_CAPACITY);
     sys.install_tracer(tracer.clone());
 
@@ -246,7 +238,15 @@ fn indexed_case(
         let keys = c.alloc_u64(elems).unwrap();
         let hist = c.alloc_u64(buckets).unwrap();
         let out = c.alloc_u64(elems).unwrap();
-        {
+        if mode == Mode::Scalar {
+            for (i, &k) in keys_data.iter().enumerate() {
+                c.st_u64(keys, i as u64, k).unwrap();
+            }
+            for i in 0..buckets {
+                c.st_u64(hist, i, 0).unwrap();
+                c.work(2).unwrap();
+            }
+        } else {
             let mut s = c.batch().unwrap();
             for (i, &k) in keys_data.iter().enumerate() {
                 s.st_u64(keys, i as u64, k).unwrap();
@@ -268,7 +268,22 @@ fn indexed_case(
         let opened = sys.epoch_open();
         for lane in &mut lanes {
             let mut c = MemoryClient::new(&mut sys, lane.pid);
-            {
+            // Same compiled plan, different index slice per pass.
+            let idx: &[u64] = if pass == 0 { &idx_a } else { &idx_b };
+            if mode == Mode::Scalar {
+                for i in 0..elems {
+                    let b = c.ld_u64(lane.keys, i).unwrap();
+                    let count = c.ld_u64(lane.hist, b).unwrap();
+                    c.st_u64(lane.hist, b, count + 1).unwrap();
+                    c.work(6).unwrap();
+                }
+                for i in 0..elems {
+                    let v = c.ld_u64(lane.hist, idx[i as usize]).unwrap();
+                    checksum = checksum.wrapping_mul(1_000_003).wrapping_add(v ^ i);
+                    c.st_u64(lane.out, i, v).unwrap();
+                    c.work(4).unwrap();
+                }
+            } else {
                 let mut s = c.batch().unwrap();
                 s.plan_map_indexed(
                     &mut lane.hist_plan,
@@ -280,8 +295,6 @@ fn indexed_case(
                     |_, rv, wv| wv[0] = rv[1] + 1,
                 )
                 .unwrap();
-                // Same compiled plan, different index slice per pass.
-                let idx: &[u64] = if pass == 0 { &idx_a } else { &idx_b };
                 s.plan_map_indexed(
                     &mut lane.gather_plan,
                     &[PlanCol::u64(lane.hist, gather)],
@@ -326,8 +339,8 @@ fn accounting_totals(events: &[TraceEvent]) -> ([u64; 2], [u64; 2]) {
 
 /// Property: for randomized key/index distributions, data-dependent
 /// plan segments are cycle- and trace-identical to the scalar
-/// per-access loop — with the tracer on, over the reference memory
-/// paths, and under forced-wide epoch replay. Seeds are fixed so any
+/// per-access loop — with the tracer on, and under forced-wide epoch
+/// replay. Seeds are fixed so any
 /// failure replays exactly.
 #[test]
 fn indexed_plan_segments_match_scalar_for_random_cases() {
@@ -362,16 +375,9 @@ fn indexed_plan_segments_match_scalar_for_random_cases() {
                 "{kind}/{seed:#x}: accounting totals drifted"
             );
 
-            // The remaining host modes keep the batched pipeline, so
-            // their full streams — accounting included — must be
-            // bit-identical to the batched run.
-            let (slow_fp, slow_ev) = indexed_case(kind, Mode::BatchedSlowMem, seed);
-            assert_eq!(batched_fp, slow_fp, "{kind}/{seed:#x}: reference paths drifted");
-            assert_streams_identical(
-                &batched_ev,
-                &slow_ev,
-                &format!("{kind}/{seed:#x}: fast vs reference paths"),
-            );
+            // Forced-wide epochs keep the batched pipeline, so the full
+            // stream — accounting included — must be bit-identical to
+            // the batched run.
             let (wide_fp, wide_ev) = indexed_case(kind, Mode::BatchedWideEpochs, seed);
             assert_eq!(batched_fp, wide_fp, "{kind}/{seed:#x}: forced-wide epochs drifted");
             assert_streams_identical(

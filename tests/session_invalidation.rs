@@ -95,28 +95,42 @@ fn migration_resyncs_the_session_domain() {
 }
 
 /// A migration-heavy read-modify-write sweep through the client API:
-/// four migrations with a batch scope re-opened after each one.
-fn migration_sweep(kind: SystemKind, batching: bool) -> (u64, u64) {
+/// four migrations with a batch scope re-opened after each one. With
+/// `batched == false` the same sweep runs as the explicit loop of
+/// scalar client ops the scope ops stand for.
+fn migration_sweep(kind: SystemKind, batched: bool) -> (u64, u64) {
     let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
-    sys.base_mut().set_batching(batching);
     let pid = sys.spawn(DomainId::X86).unwrap();
     let mut c = MemoryClient::new(&mut sys, pid);
     let a = c.alloc_u64(1024).unwrap();
-    {
-        let mut s = c.batch().unwrap();
-        let vals: Vec<u64> = (0..1024).map(|i| i * 3 + 1).collect();
-        s.st_u64_slice(a, 0, &vals, 4).unwrap();
+    let vals: Vec<u64> = (0..1024).map(|i| i * 3 + 1).collect();
+    if batched {
+        c.batch().unwrap().st_u64_slice(a, 0, &vals, 4).unwrap();
+    } else {
+        for (i, &v) in vals.iter().enumerate() {
+            c.st_u64(a, i as u64, v).unwrap();
+            c.work(4).unwrap();
+        }
     }
     let mut acc = 0u64;
     for round in 0..4u64 {
         let to = if round % 2 == 0 { DomainId::ARM } else { DomainId::X86 };
         c.migrate(to).unwrap();
-        let mut s = c.batch().unwrap();
-        for i in 0..1024 {
-            let v = s.ld_u64(a, i).unwrap();
-            s.st_u64(a, i, v + 1).unwrap();
-            acc = acc.wrapping_add(v);
-            s.work(3).unwrap();
+        if batched {
+            let mut s = c.batch().unwrap();
+            for i in 0..1024 {
+                let v = s.ld_u64(a, i).unwrap();
+                s.st_u64(a, i, v + 1).unwrap();
+                acc = acc.wrapping_add(v);
+                s.work(3).unwrap();
+            }
+        } else {
+            for i in 0..1024 {
+                let v = c.ld_u64(a, i).unwrap();
+                c.st_u64(a, i, v + 1).unwrap();
+                acc = acc.wrapping_add(v);
+                c.work(3).unwrap();
+            }
         }
     }
     c.flush_work().unwrap();

@@ -2,25 +2,19 @@
 //!
 //! The tracer is a passive observer: it must never change a simulated
 //! cycle, and the stream it records must be a pure function of the
-//! simulated execution, not of host-side pipeline choices. Pinned here,
+//! simulated execution. Pinned here,
 //! on the same fixed workload as `tests/golden_stats.rs` (NPB IS Tiny +
 //! 500 KV sets, all four [`SystemKind`]s):
 //!
 //! 1. Installing a tracer leaves the golden fingerprint untouched.
 //! 2. Two same-seed runs emit byte-identical event streams.
-//! 3. The host fast paths and the reference slow paths emit identical
-//!    streams — not just identical totals.
-//! 4. The batched pipeline and scalar client ops emit identical
-//!    per-class subsequences for every [`EventClass`] except
-//!    `Accounting`, whose `Charge`/`Retire` events batching coalesces
-//!    (totals must still match exactly).
-//! 5. [`reconstruct_domain_stats`] rebuilds the end-of-run
+//! 3. [`reconstruct_domain_stats`] rebuilds the end-of-run
 //!    `DomainStats::report` blocks — including `Runtime` — from the
 //!    stream alone.
 
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
-use stramash_repro::sim::trace::{reconstruct_domain_stats, shared_tracer, EventClass, TraceEvent};
+use stramash_repro::sim::trace::{reconstruct_domain_stats, shared_tracer, TraceEvent};
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
@@ -53,10 +47,8 @@ struct Traced {
 /// installed before `spawn` so the stream covers every `Charge` /
 /// `Retire` the clocks ever see — that is what makes the reconstructed
 /// runtime exact rather than approximate.
-fn run(kind: SystemKind, fast_paths: bool, batching: bool, traced: bool) -> (Fingerprint, Option<Traced>) {
+fn run(kind: SystemKind, traced: bool) -> (Fingerprint, Option<Traced>) {
     let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
-    sys.base_mut().mem.set_fast_paths(fast_paths);
-    sys.base_mut().set_batching(batching);
     let tracer = traced.then(|| {
         let t = shared_tracer(RING_CAPACITY);
         sys.install_tracer(t.clone());
@@ -113,26 +105,11 @@ fn assert_streams_identical(a: &[TraceEvent], b: &[TraceEvent], ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: one stream is a prefix of the other");
 }
 
-/// Per-domain `(retired instructions, charged cycles)` totals — the
-/// quantities the `Accounting` class must conserve under batching.
-fn accounting_totals(events: &[TraceEvent]) -> ([u64; 2], [u64; 2]) {
-    let mut insns = [0u64; 2];
-    let mut charged = [0u64; 2];
-    for ev in events {
-        match *ev {
-            TraceEvent::Retire { domain, insns: n } => insns[domain.index()] += n,
-            TraceEvent::Charge { domain, cost } => charged[domain.index()] += cost.raw(),
-            _ => {}
-        }
-    }
-    (insns, charged)
-}
-
 #[test]
 fn tracing_does_not_change_the_fingerprint() {
     for kind in SystemKind::ALL {
-        let (untraced, _) = run(kind, true, true, false);
-        let (traced, capture) = run(kind, true, true, true);
+        let (untraced, _) = run(kind, false);
+        let (traced, capture) = run(kind, true);
         assert_eq!(untraced, traced, "{kind}: installing a tracer changed simulated timing");
         assert!(!capture.unwrap().events.is_empty(), "{kind}: traced run recorded nothing");
     }
@@ -141,8 +118,8 @@ fn tracing_does_not_change_the_fingerprint() {
 #[test]
 fn same_seed_runs_emit_identical_streams() {
     for kind in SystemKind::ALL {
-        let (fa, a) = run(kind, true, true, true);
-        let (fb, b) = run(kind, true, true, true);
+        let (fa, a) = run(kind, true);
+        let (fb, b) = run(kind, true);
         assert_eq!(fa, fb, "{kind}: same-seed runs disagree on the fingerprint");
         assert_streams_identical(
             &a.unwrap().events,
@@ -153,49 +130,9 @@ fn same_seed_runs_emit_identical_streams() {
 }
 
 #[test]
-fn fast_and_slow_paths_emit_identical_streams() {
-    for kind in SystemKind::ALL {
-        let (ff, fast) = run(kind, true, true, true);
-        let (fs, slow) = run(kind, false, true, true);
-        assert_eq!(ff, fs, "{kind}: fast/slow paths disagree on the fingerprint");
-        assert_streams_identical(
-            &fast.unwrap().events,
-            &slow.unwrap().events,
-            &format!("{kind}: fast vs slow paths"),
-        );
-    }
-}
-
-#[test]
-fn batched_and_scalar_pipelines_agree_per_class() {
-    for kind in SystemKind::ALL {
-        let (fb, batched) = run(kind, true, true, true);
-        let (fs, scalar) = run(kind, true, false, true);
-        assert_eq!(fb, fs, "{kind}: batched/scalar disagree on the fingerprint");
-        let batched = batched.unwrap().events;
-        let scalar = scalar.unwrap().events;
-        for class in EventClass::ALL {
-            if class == EventClass::Accounting {
-                continue;
-            }
-            let lhs: Vec<_> = batched.iter().copied().filter(|e| e.class() == class).collect();
-            let rhs: Vec<_> = scalar.iter().copied().filter(|e| e.class() == class).collect();
-            assert_streams_identical(&lhs, &rhs, &format!("{kind}: batched vs scalar, {class:?}"));
-        }
-        // Batching may coalesce Charge/Retire funnels; the per-domain
-        // totals — which are what the clocks actually saw — must match.
-        assert_eq!(
-            accounting_totals(&batched),
-            accounting_totals(&scalar),
-            "{kind}: batched vs scalar accounting totals"
-        );
-    }
-}
-
-#[test]
 fn reconstructed_reports_match_the_live_system() {
     for kind in SystemKind::ALL {
-        let (_, capture) = run(kind, true, true, true);
+        let (_, capture) = run(kind, true);
         let capture = capture.unwrap();
         let rebuilt = reconstruct_domain_stats(&capture.events);
         for d in DomainId::ALL {
