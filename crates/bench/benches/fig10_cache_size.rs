@@ -36,7 +36,8 @@ fn main() {
         let p = run_benchmark_with(shm, kind, class, Some(l3)).expect("popcorn run");
         let s = run_benchmark_with(stra, kind, class, Some(l3)).expect("stramash run");
         (kind, l3, p, s)
-    });
+    })
+    .expect("valid STRAMASH_SWEEP_WORKERS");
     for (kind, l3, p, s) in reports {
         assert!(p.outcome.verified && s.outcome.verified);
         let ratio = s.runtime.raw() as f64 / p.runtime.raw() as f64;

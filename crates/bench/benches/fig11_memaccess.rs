@@ -45,7 +45,8 @@ fn main() {
             let mut sys = TargetSystem::build(kind, model).expect("boot");
             let r = memory_access(&mut sys, scenario, BYTES).expect("scenario run");
             (scenario, label, r.measured.raw())
-        });
+        })
+        .expect("valid STRAMASH_SWEEP_WORKERS");
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|(scenario, label, cycles)| {

@@ -27,7 +27,8 @@ fn main() {
         // configuration order, Vanilla (the baseline) first.
         let reports = parallel_map(configs.clone(), |config| {
             (config, run_benchmark(config, kind, Class::Small).expect("benchmark run"))
-        });
+        })
+        .expect("valid STRAMASH_SWEEP_WORKERS");
         let vanilla = &reports[0].1;
         assert!(vanilla.outcome.verified, "{kind} Vanilla failed verification");
         let mut normalized = Vec::new();

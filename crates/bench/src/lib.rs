@@ -9,7 +9,7 @@
 
 use stramash_kernel::system::{OsError, OsSystem, VanillaSystem};
 use stramash_mem::{MemorySystem, ReferenceSystem, TraceEntry};
-use stramash_sim::{Cycles, DomainId, EpochPolicy, SimConfig, WideReplay};
+use stramash_sim::{Cycles, DomainId, SimConfig};
 use stramash_workloads::npb::{run_npb, Class, NpbKind};
 
 /// Renders an aligned text table.
@@ -120,55 +120,53 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// The worker count [`parallel_map`] uses for a given item count: the
-/// host's available parallelism, capped by the number of items.
-/// `STRAMASH_SWEEP_WORKERS=<n>` overrides the pool size (for pinned CI
-/// runners whose cgroup quota hides the real core count, or for
-/// forcing a serial sweep).
-#[must_use]
-pub fn sweep_workers(items: usize) -> usize {
-    std::env::var("STRAMASH_SWEEP_WORKERS")
+/// Environment variable overriding the [`parallel_map`] pool size (for
+/// pinned CI runners whose cgroup quota hides the real core count, or
+/// for forcing a serial sweep with `1`).
+const SWEEP_WORKERS_ENV: &str = "STRAMASH_SWEEP_WORKERS";
+
+/// A `STRAMASH_SWEEP_WORKERS` value that is not a positive integer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepWorkersError {
+    /// The rejected value, verbatim.
+    pub value: String,
+}
+
+impl std::fmt::Display for SweepWorkersError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{SWEEP_WORKERS_ENV} must be a positive integer, not {:?}", self.value)
+    }
+}
+
+impl std::error::Error for SweepWorkersError {}
+
+/// Parses a `STRAMASH_SWEEP_WORKERS` value: a positive integer,
+/// surrounding whitespace allowed.
+fn parse_sweep_workers(value: &str) -> Result<usize, SweepWorkersError> {
+    value
+        .trim()
+        .parse::<usize>()
         .ok()
-        .and_then(|v| v.parse().ok())
         .filter(|&w| w > 0)
-        .unwrap_or_else(host_cores)
-        .min(items)
+        .ok_or_else(|| SweepWorkersError { value: value.to_string() })
 }
 
-/// Deterministic core-budget split for a nested sweep×epoch run: the
-/// outer level takes [`sweep_workers`]`(items)` host threads, and the
-/// inner level (each config's epoch-parallel boundary replay) may go
-/// wide only when every outer worker can own at least two host cores —
-/// so the two levels never oversubscribe the machine. The split is a
-/// pure function of `STRAMASH_SWEEP_WORKERS`, the host core count and
-/// the item count; it never affects simulated cycles.
-#[must_use]
-pub fn nested_split(items: usize) -> (usize, WideReplay) {
-    let workers = sweep_workers(items).max(1);
-    let wide =
-        if host_cores() / workers >= 2 { WideReplay::Force } else { WideReplay::Never };
-    (workers, wide)
-}
-
-/// Runs `f` over `items` with both parallelism levels active: configs
-/// fan out across the sweep pool ([`parallel_map`]) while each call
-/// receives the inner [`EpochPolicy`] from [`nested_split`]'s budget —
-/// epochs enabled, wide replay only on the spare cores. Returns the
-/// results plus the split that ran, for reporting.
+/// The worker count [`parallel_map`] uses for a given item count: the
+/// `STRAMASH_SWEEP_WORKERS` override if set, otherwise the host's
+/// available parallelism, capped by the number of items.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Propagates a panic from any worker.
-pub fn parallel_map_nested<T, R, F>(items: Vec<T>, f: F) -> (Vec<R>, usize, WideReplay)
-where
-    T: Send,
-    R: Send,
-    F: Fn(T, EpochPolicy) -> R + Sync,
-{
-    let (workers, wide) = nested_split(items.len());
-    let inner =
-        EpochPolicy { enabled: true, min_lane_entries: EpochPolicy::DEFAULT_MIN_LANE, wide };
-    (parallel_map(items, |t| f(t, inner)), workers, wide)
+/// [`SweepWorkersError`] when the override is set but invalid.
+pub fn sweep_workers(items: usize) -> Result<usize, SweepWorkersError> {
+    let pool = match std::env::var(SWEEP_WORKERS_ENV) {
+        Ok(v) => parse_sweep_workers(&v)?,
+        Err(std::env::VarError::NotPresent) => host_cores(),
+        Err(std::env::VarError::NotUnicode(v)) => {
+            return Err(SweepWorkersError { value: v.to_string_lossy().into_owned() })
+        }
+    };
+    Ok(pool.min(items))
 }
 
 /// Runs `f` over `items` on scoped worker threads and returns the
@@ -184,10 +182,15 @@ where
 /// chunk — and a single-core host runs the sweep serially rather than
 /// thrashing between dozens of threads.
 ///
+/// # Errors
+///
+/// [`SweepWorkersError`] when `STRAMASH_SWEEP_WORKERS` is invalid;
+/// nothing has run in that case.
+///
 /// # Panics
 ///
 /// Propagates a panic from any worker.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Result<Vec<R>, SweepWorkersError>
 where
     T: Send,
     R: Send,
@@ -197,9 +200,9 @@ where
     use std::sync::Mutex;
 
     let n = items.len();
-    let workers = sweep_workers(n);
+    let workers = sweep_workers(n)?;
     if workers <= 1 {
-        return items.into_iter().map(f).collect();
+        return Ok(items.into_iter().map(f).collect());
     }
     let f = &f;
     let next = AtomicUsize::new(0);
@@ -217,9 +220,10 @@ where
             });
         }
     });
-    out.into_iter()
+    Ok(out
+        .into_iter()
         .map(|m| m.into_inner().expect("unpoisoned").expect("worker filled every claimed slot"))
-        .collect()
+        .collect())
 }
 
 /// Relative error |a − b| / b.
@@ -251,7 +255,7 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_input_order() {
-        let out = parallel_map((0..24u64).collect::<Vec<_>>(), |i| i * i);
+        let out = parallel_map((0..24u64).collect::<Vec<_>>(), |i| i * i).unwrap();
         assert_eq!(out, (0..24u64).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -267,7 +271,8 @@ mod tests {
             .map(|&c| run_benchmark(c, NpbKind::Is, Class::Tiny).expect("serial run"))
             .collect();
         let parallel =
-            parallel_map(configs, |c| run_benchmark(c, NpbKind::Is, Class::Tiny).expect("run"));
+            parallel_map(configs, |c| run_benchmark(c, NpbKind::Is, Class::Tiny).expect("run"))
+                .unwrap();
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.runtime, p.runtime);
             assert_eq!(s.messages, p.messages);
@@ -276,30 +281,18 @@ mod tests {
     }
 
     #[test]
-    fn nested_split_never_oversubscribes() {
-        // The core-budget invariant: wide inner replay (2 lanes per
-        // worker) is only granted when the outer pool leaves every
-        // worker at least two host cores — so outer × inner threads
-        // never exceed the machine.
-        for items in [1usize, 2, 8, 64] {
-            let (w, wide) = nested_split(items);
-            assert!(w >= 1 && w <= items.max(1));
-            assert_eq!(wide == WideReplay::Force, host_cores() / w >= 2);
-            if wide == WideReplay::Force {
-                assert!(w * 2 <= host_cores());
-            }
+    fn sweep_workers_override_rejects_non_positive_and_non_numeric() {
+        for bad in ["0", "-1", "two", "", "1.5"] {
+            assert_eq!(
+                parse_sweep_workers(bad),
+                Err(SweepWorkersError { value: bad.to_string() }),
+                "{bad:?} must be rejected"
+            );
         }
-    }
-
-    #[test]
-    fn nested_map_hands_each_item_an_enabled_pinned_policy() {
-        let (out, workers, wide) = parallel_map_nested((0..6u64).collect::<Vec<_>>(), |i, p| {
-            assert!(p.enabled, "inner epochs must be enabled");
-            assert_ne!(p.wide, WideReplay::Auto, "the split must pin the wide decision");
-            i * 3
-        });
-        assert_eq!(out, (0..6u64).map(|i| i * 3).collect::<Vec<_>>());
-        assert_eq!((workers, wide), nested_split(6));
+        assert_eq!(parse_sweep_workers("2"), Ok(2));
+        assert_eq!(parse_sweep_workers(" 3\n"), Ok(3));
+        let msg = parse_sweep_workers("two").unwrap_err().to_string();
+        assert!(msg.contains(SWEEP_WORKERS_ENV) && msg.contains("\"two\""), "{msg}");
     }
 
     #[test]

@@ -523,14 +523,6 @@ impl MessagingLayer {
         Ok(())
     }
 
-    /// Total undelivered wire bytes across both rings. Non-zero means a
-    /// receiver may act on a message at its next poll — a cross-domain
-    /// coupling that blocks the deferred-epoch horizon.
-    #[must_use]
-    pub fn outstanding_total(&self) -> u64 {
-        self.outstanding[0] + self.outstanding[1]
-    }
-
     /// Opens a multiplexed logical connection initiated by `initiator`
     /// with a credit window of `window` unanswered requests (minimum 1).
     ///

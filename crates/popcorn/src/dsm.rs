@@ -97,14 +97,6 @@ impl DsmDirectory {
         self.invalidations
     }
 
-    /// Whether any page is currently replicated on both domains. A
-    /// write to such a page triggers a cross-domain invalidation
-    /// round-trip, so replicas block the deferred-epoch horizon.
-    #[must_use]
-    pub fn has_replicas(&self) -> bool {
-        self.pages.values().any(|p| p.state == DsmPageState::SharedBoth)
-    }
-
     /// Number of pages the directory tracks.
     #[must_use]
     pub fn tracked_pages(&self) -> usize {

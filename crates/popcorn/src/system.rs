@@ -21,7 +21,7 @@ use stramash_kernel::system::{
 use stramash_kernel::BootConfig;
 use stramash_mem::PhysAddr;
 use stramash_sim::trace::{FutexOp, TraceEvent, HIST_DSM_TRANSFER};
-use stramash_sim::{Cycles, DomainId, EpochHorizon, SharedTracer, SimConfig};
+use stramash_sim::{Cycles, DomainId, SharedTracer, SimConfig};
 
 /// Kernel-side work to service one received protocol message.
 pub const HANDLER_COST: Cycles = Cycles::new(400);
@@ -454,16 +454,6 @@ impl OsSystem for PopcornSystem {
 
     fn name(&self) -> &'static str {
         "popcorn"
-    }
-
-    fn epoch_horizon(&self) -> EpochHorizon {
-        // On top of the base channels: a page replicated on both
-        // domains couples them through DSM invalidation round-trips.
-        let base = self.base.cross_domain_horizon();
-        if self.dsm.values().any(DsmDirectory::has_replicas) {
-            return base.and(EpochHorizon::Blocked("replicated DSM pages"));
-        }
-        base
     }
 
     fn handle_fault(&mut self, pid: Pid, va: VirtAddr, write: bool) -> Result<Cycles, OsError> {

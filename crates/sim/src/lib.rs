@@ -42,7 +42,6 @@
 pub mod chaos;
 pub mod checkpoint;
 pub mod config;
-pub mod epoch;
 pub mod fault;
 pub mod ipi;
 pub mod perf;
@@ -53,7 +52,6 @@ pub mod trace;
 
 pub use chaos::{shrink, ChaosEvent, ChaosSchedule};
 pub use checkpoint::{CheckpointError, Decoder, Encoder};
-pub use epoch::{EpochHorizon, EpochPolicy, EpochReport, WideReplay};
 pub use config::{
     CacheConfig, CacheGeometry, CxlCosts, DomainConfig, HardwareModel, Interconnect, LatencyTable,
     SimConfig,

@@ -285,13 +285,7 @@ impl<'a, S: OsSystem> MemoryClient<'a, S> {
     /// Process-lookup errors.
     pub fn batch(&mut self) -> Result<BatchScope<'_, 'a, S>, OsError> {
         self.sys.session_begin(&mut self.session)?;
-        // A batch phase is private by construction (no migrate, no
-        // unmap, faults suspend) — the natural deferred-epoch bracket.
-        // `epoch_open` checks the policy and the cross-domain horizon;
-        // nesting inside a wider epoch (e.g. the pair runner's) is
-        // fine, the outermost close replays.
-        let epoch = self.sys.epoch_open();
-        Ok(BatchScope { c: self, epoch })
+        Ok(BatchScope { c: self })
     }
 }
 
@@ -303,17 +297,6 @@ impl<'a, S: OsSystem> MemoryClient<'a, S> {
 #[derive(Debug)]
 pub struct BatchScope<'c, 'a, S: OsSystem> {
     c: &'c mut MemoryClient<'a, S>,
-    /// Whether this scope opened a deferred-epoch level (closed on
-    /// drop).
-    epoch: bool,
-}
-
-impl<S: OsSystem> Drop for BatchScope<'_, '_, S> {
-    fn drop(&mut self) {
-        if self.epoch {
-            self.c.sys.epoch_close();
-        }
-    }
 }
 
 impl<S: OsSystem> BatchScope<'_, '_, S> {

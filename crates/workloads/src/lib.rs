@@ -41,7 +41,6 @@ pub mod driver;
 pub mod kvstore;
 pub mod micro;
 pub mod npb;
-pub mod pair;
 pub mod recovery;
 pub mod serve;
 pub mod target;
@@ -59,7 +58,6 @@ pub use micro::{
     GranularityResult,
 };
 pub use npb::{run_npb, Class, NpbKind, NpbOutcome};
-pub use pair::{run_pair, PairConfig, PairOutcome, PairRun};
 pub use recovery::{
     run_is_recovered, run_kv_recovered, Recovered, RecoveryConfig, RecoveryPolicy,
 };

@@ -349,16 +349,6 @@ impl OsSystem for TargetSystem {
         }
     }
 
-    fn epoch_horizon(&self) -> stramash_sim::EpochHorizon {
-        // Must forward (not use the provided default) so Popcorn's
-        // DSM-replica horizon override is honoured through the wrapper.
-        match &self.inner {
-            Inner::Vanilla(s) => s.epoch_horizon(),
-            Inner::Popcorn(s) => s.epoch_horizon(),
-            Inner::Stramash(s) => s.epoch_horizon(),
-        }
-    }
-
     fn handle_fault(&mut self, pid: Pid, va: VirtAddr, write: bool) -> Result<Cycles, OsError> {
         match &mut self.inner {
             Inner::Vanilla(s) => s.handle_fault(pid, va, write),

@@ -12,14 +12,13 @@
 //! the scalar reference is pinned where each layer lives — the cache
 //! against the exact-LRU model of `mem::reference`, every batched
 //! client op against an explicit scalar loop (`workloads::client`
-//! tests, `session_invalidation.rs`, `parallel_determinism.rs`).
+//! tests, `session_invalidation.rs`, `trace_determinism.rs`).
 //!
 //! To regenerate the goldens after an *intentional* timing-model change:
 //! `cargo test --test golden_stats -- --ignored --nocapture print_goldens`
 
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
-use stramash_repro::sim::{EpochPolicy, WideReplay};
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
@@ -43,19 +42,7 @@ struct Fingerprint {
 
 /// Runs the fixed workload on a fresh system and captures the stats.
 fn fingerprint(kind: SystemKind) -> Fingerprint {
-    fingerprint_epochs(kind, false)
-}
-
-/// As [`fingerprint`], optionally forcing wide epoch-parallel replay
-/// (otherwise the policy is pinned off, regardless of the process
-/// environment).
-fn fingerprint_epochs(kind: SystemKind, forced_wide_epochs: bool) -> Fingerprint {
     let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
-    sys.base_mut().set_epoch_policy(if forced_wide_epochs {
-        EpochPolicy { enabled: true, min_lane_entries: 64, wide: WideReplay::Force }
-    } else {
-        EpochPolicy::default()
-    });
     let pid = sys.spawn(DomainId::X86).unwrap();
     let npb = run_npb(NpbKind::Is, &mut sys, pid, Class::Tiny, kind.migrates()).unwrap();
     assert!(npb.verified, "{kind}: NPB IS failed verification");
@@ -139,18 +126,6 @@ fn simulated_timing_matches_recorded_goldens() {
     for kind in SystemKind::ALL {
         let got = fingerprint(kind);
         assert_eq!(got, golden(kind), "{kind}: simulated timing drifted from the golden record");
-    }
-}
-
-#[test]
-fn plan_segments_under_forced_wide_epochs_match_goldens() {
-    // The IS ranking loops now run as data-dependent plan segments
-    // (`plan_map_indexed`); stacking forced-wide epoch replay on top of
-    // them must still reproduce the exact golden record, cycle for
-    // cycle.
-    for kind in SystemKind::ALL {
-        let wide = fingerprint_epochs(kind, true);
-        assert_eq!(wide, golden(kind), "{kind}: forced-wide epochs drifted from the goldens");
     }
 }
 
