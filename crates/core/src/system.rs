@@ -29,7 +29,6 @@
 
 use crate::fused_vas::FusedKernelVas;
 use crate::galloc::{GallocError, GlobalAllocator, PRESSURE_THRESHOLD};
-use std::collections::HashMap;
 use stramash_isa::{PteFlags, RawPte, RemoteCpuDriver};
 use stramash_kernel::addr::{VirtAddr, PAGE_SIZE};
 use stramash_kernel::futex::{ThreadId, Waiter};
@@ -42,7 +41,7 @@ use stramash_kernel::system::{
 use stramash_kernel::BootConfig;
 use stramash_mem::PhysAddr;
 use stramash_sim::trace::{FutexOp, TraceEvent, HIST_FUTEX_WAIT};
-use stramash_sim::{Cycles, DomainId, SharedTracer, SimConfig};
+use stramash_sim::{Cycles, DomainId, IntMap, SharedTracer, SimConfig};
 
 /// Kernel handler work per origin-handled fault message.
 const ORIGIN_FAULT_HANDLER_COST: Cycles = Cycles::new(400);
@@ -96,7 +95,7 @@ pub struct StramashSystem {
     /// Origin-side PTEs currently encoded in the remote ISA's format
     /// (pid → virtual page numbers). Converted in bulk at migrate-back,
     /// or lazily if the origin kernel faults on one first (§6.4).
-    remote_fmt_ptes: HashMap<u32, std::collections::BTreeSet<u64>>,
+    remote_fmt_ptes: IntMap<u32, std::collections::BTreeSet<u64>>,
 }
 
 impl StramashSystem {
@@ -137,7 +136,7 @@ impl StramashSystem {
             galloc,
             vas,
             counters: StramashCounters::default(),
-            remote_fmt_ptes: HashMap::new(),
+            remote_fmt_ptes: IntMap::default(),
         })
     }
 
@@ -240,7 +239,7 @@ impl StramashSystem {
             blocks_evicted: d.u64()?,
         };
         let n = d.len()?;
-        let mut remote_fmt = HashMap::with_capacity(n);
+        let mut remote_fmt = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let pid = d.u32()?;
             let vpns: std::collections::BTreeSet<u64> = d.u64s()?.into_iter().collect();

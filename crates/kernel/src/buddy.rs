@@ -5,7 +5,8 @@
 //! data in contiguous physical memory").
 
 use crate::addr::PAGE_SIZE;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use stramash_sim::IntMap;
 use std::fmt;
 
 /// Largest block order (2¹⁰ pages = 4 MiB), matching Linux's MAX_ORDER
@@ -66,7 +67,7 @@ pub struct BuddyAllocator {
     /// Free blocks per order, as page indices relative to `base`.
     free_lists: Vec<BTreeSet<u64>>,
     /// Allocated block order per starting page index.
-    allocated: HashMap<u64, u32>,
+    allocated: IntMap<u64, u32>,
     allocated_pages: u64,
 }
 
@@ -85,7 +86,7 @@ impl BuddyAllocator {
             base: base.raw(),
             total_pages,
             free_lists: vec![BTreeSet::new(); (MAX_ORDER + 1) as usize],
-            allocated: HashMap::new(),
+            allocated: IntMap::default(),
             allocated_pages: 0,
         };
         // Greedy seeding: carve the region into naturally aligned
@@ -268,7 +269,7 @@ impl BuddyAllocator {
             free_lists.push(d.u64s()?.into_iter().collect::<BTreeSet<u64>>());
         }
         let n = d.len()?;
-        let mut allocated = HashMap::with_capacity(n);
+        let mut allocated = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let idx = d.u64()?;
             let order = d.u32()?;

@@ -8,10 +8,9 @@
 //! to one domain, with register accesses from the other domain paying a
 //! forwarding cost over the interconnect.
 
-use std::collections::HashMap;
 use std::fmt;
 use stramash_mem::PhysAddr;
-use stramash_sim::{Cycles, DomainId};
+use stramash_sim::{Cycles, DomainId, IntMap};
 
 /// Identifier of a registered device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,7 +103,7 @@ const FORWARD_COST: u64 = 900;
 pub struct DeviceRegistry {
     devices: Vec<Device>,
     /// Device register backing state (registers really hold values).
-    regs: HashMap<u64, u64>,
+    regs: IntMap<u64, u64>,
     /// Accesses forwarded across instances, per requesting domain.
     forwarded: [u64; 2],
     next_id: u32,
@@ -244,7 +243,7 @@ impl DeviceRegistry {
         use stramash_sim::checkpoint::CheckpointError;
         d.tag(0x4445_5653)?;
         let n = d.len()?;
-        let mut regs = HashMap::with_capacity(n);
+        let mut regs = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let a = d.u64()?;
             regs.insert(a, d.u64()?);

@@ -11,8 +11,8 @@
 //! protocol vs direct shared-memory access) is decided by the OS layers.
 
 use crate::addr::VirtAddr;
-use std::collections::{HashMap, VecDeque};
-use stramash_sim::DomainId;
+use std::collections::VecDeque;
+use stramash_sim::{DomainId, IntMap};
 
 /// Identifier of a (simulated) thread blocked on a futex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,7 +46,7 @@ pub struct Waiter {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FutexTable {
-    queues: HashMap<u64, VecDeque<Waiter>>,
+    queues: IntMap<u64, VecDeque<Waiter>>,
     /// Total wait operations ever enqueued (for experiment reporting).
     waits: u64,
     /// Total successful wakes.
@@ -164,7 +164,7 @@ impl FutexTable {
         use stramash_sim::checkpoint::CheckpointError;
         d.tag(0x4654_5851)?;
         let n = d.len()?;
-        let mut queues = HashMap::with_capacity(n);
+        let mut queues = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let uaddr = d.u64()?;
             let m = d.len()?;

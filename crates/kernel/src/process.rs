@@ -9,11 +9,10 @@
 use crate::addr::{VirtAddr, PAGE_SIZE};
 use crate::pagetable::PageTable;
 use crate::vma::{Vma, VmaKind, VmaProt, VmaTree};
-use std::collections::HashMap;
 use std::fmt;
 use stramash_isa::PteFlags;
 use stramash_mem::PhysAddr;
-use stramash_sim::DomainId;
+use stramash_sim::{DomainId, IntMap};
 
 /// Process identifier (fused PID namespace, §6.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,7 +29,7 @@ impl fmt::Display for Pid {
 /// migration and on any unmap/protect, mirroring real TLB shootdowns.
 #[derive(Debug, Clone, Default)]
 pub struct SoftTlb {
-    map: HashMap<u64, (PhysAddr, PteFlags)>,
+    map: IntMap<u64, (PhysAddr, PteFlags)>,
     lookups: u64,
     misses: u64,
     /// Bumped on every invalidation/flush; translation caches layered
@@ -135,7 +134,7 @@ impl SoftTlb {
     ) -> Result<(), stramash_sim::checkpoint::CheckpointError> {
         d.tag(0x544c_4253)?;
         let n = d.len()?;
-        let mut map = HashMap::with_capacity(n);
+        let mut map = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let vpn = d.u64()?;
             let pa = PhysAddr::new(d.u64()?);

@@ -25,7 +25,6 @@ use crate::process::{Pid, Process};
 use crate::session::AccessSession;
 use crate::vma::{VmaError, VmaKind, VmaProt};
 use crate::watchdog::{Watchdog, WatchdogReport};
-use std::collections::HashMap;
 use std::fmt;
 use stramash_isa::PteFlags;
 use stramash_mem::{MemorySystem, PhysAddr, PhysLayout};
@@ -35,7 +34,7 @@ use stramash_sim::trace::{
     FutexOp, TraceEvent, CTR_WATCHDOG_DEATHS, HIST_FAULT_SERVICE, HIST_MSG_ROUND_TRIP,
 };
 use stramash_sim::{
-    Cycles, DomainId, SharedFaultInjector, SharedTracer, SimConfig, Timebase,
+    Cycles, DomainId, IntMap, SharedFaultInjector, SharedTracer, SimConfig, Timebase,
 };
 
 /// Trap entry/exit plus generic fault-path bookkeeping, charged for
@@ -200,7 +199,7 @@ pub struct BaseSystem {
     pub pool_start: PhysAddr,
     /// End of the global pool arena.
     pub pool_end: PhysAddr,
-    processes: HashMap<u32, Process>,
+    processes: IntMap<u32, Process>,
     next_pid: u32,
     /// The deterministic fault injector, shared with the messaging layer
     /// and IPI fabric once installed.
@@ -247,7 +246,7 @@ impl BaseSystem {
             devices: DeviceRegistry::paper_platform(),
             pool_start,
             pool_end,
-            processes: HashMap::new(),
+            processes: IntMap::default(),
             next_pid: 1,
             fault_injector: None,
             tracer: None,
@@ -586,7 +585,7 @@ impl BaseSystem {
         }
         self.devices.load_state(d)?;
         let n = d.len()?;
-        let mut processes = HashMap::with_capacity(n);
+        let mut processes = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let proc = Process::load_state(d)?;
             processes.insert(proc.pid.0, proc);

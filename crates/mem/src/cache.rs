@@ -935,14 +935,14 @@ mod tests {
     #[test]
     fn matches_exact_lru_reference_on_random_ops() {
         use crate::reference::PlruCache;
-        use std::collections::HashMap;
+        use std::collections::BTreeMap;
         use stramash_sim::rng::SimRng;
 
         for (ways, sets) in [(2u32, 16u64), (4, 16), (8, 8), (12, 4), (16, 4)] {
             let geo = CacheGeometry::new(sets * u64::from(ways) * 64, ways, 64);
             let mut c = Cache::new(geo);
             let mut r = PlruCache::new_lru(geo);
-            let mut mesi: HashMap<u64, Mesi> = HashMap::new();
+            let mut mesi: BTreeMap<u64, Mesi> = BTreeMap::new();
             let mut rng = SimRng::new(0x5eed_0000 + u64::from(ways));
             let universe = sets * u64::from(ways) * 3 / 2;
             for step in 0..20_000u32 {

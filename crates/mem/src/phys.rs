@@ -8,7 +8,6 @@
 //! visible to the other, exactly like cache-coherent shared DRAM.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
 use stramash_sim::DomainId;
 
@@ -196,6 +195,13 @@ impl PhysLayout {
             .expect("layout always has a pool half per domain")
     }
 
+    /// One past the highest byte of any region: the machine's physical
+    /// span.
+    #[must_use]
+    pub fn end(&self) -> PhysAddr {
+        self.regions.iter().map(MemRegion::end).max().unwrap_or_default()
+    }
+
     /// Verifies that no two regions overlap (the §6.1 boot invariant:
     /// "kernel instances' memory areas do not overlap").
     #[must_use]
@@ -215,6 +221,13 @@ impl Default for PhysLayout {
 const CHUNK_SHIFT: u32 = 16; // 64 KiB chunks
 const CHUNK_SIZE: usize = 1 << CHUNK_SHIFT;
 
+/// Chunks per radix leaf: one leaf covers 64 MiB of physical space.
+const LEAF_SHIFT: u32 = 10;
+const LEAF_LEN: usize = 1 << LEAF_SHIFT;
+
+/// One radix leaf: arena slot + 1 per chunk, 0 meaning absent.
+type Leaf = [u32; LEAF_LEN];
+
 /// The cursor value meaning "no chunk cached". `u64::MAX` can never be
 /// a real chunk number (chunk numbers are addresses shifted right).
 const NO_CHUNK: u64 = u64::MAX;
@@ -223,35 +236,53 @@ const NO_CHUNK: u64 = u64::MAX;
 ///
 /// Chunks materialise on first write; reads of untouched memory return
 /// zeroes, matching freshly-zeroed DRAM handed out by the allocators.
-/// Storage is a hash index over a chunk arena plus a one-entry cursor
-/// memoising the last chunk touched, so streaming access (the common
-/// case: sequential lines within one 64 KiB chunk) skips the hash probe
-/// entirely.
+/// Storage is a chunk arena under a two-level radix index (a top-level
+/// table of 64 MiB leaves, each mapping its 1024 chunks to arena slots),
+/// so a lookup is two dependent loads and no hash. A one-entry cursor
+/// memoises the last chunk touched, so streaming access (sequential
+/// lines within one 64 KiB chunk) skips even those.
+///
+/// The store spans the machine's physical address space, fixed at
+/// construction: the top level is sized for it once, and a checkpoint
+/// naming a chunk outside it is rejected before anything is allocated.
 #[derive(Debug)]
 pub struct SparseMemory {
-    index: HashMap<u64, u32>,
+    /// Radix top level, one entry per 64 MiB of the span.
+    leaves: Vec<Option<Box<Leaf>>>,
+    /// Chunks in the span: every chunk number is below this.
+    span_chunks: u64,
     arena: Vec<Box<[u8; CHUNK_SIZE]>>,
     /// `(chunk number, arena slot)` of the most recently touched chunk.
     cursor: Cell<(u64, u32)>,
 }
 
 impl Default for SparseMemory {
+    /// An empty store spanning the Figure 4 layout.
     fn default() -> Self {
-        // The cursor must start *invalid*: `(0, 0)` would claim chunk 0
-        // lives at slot 0 of a still-empty arena.
-        SparseMemory {
-            index: HashMap::new(),
-            arena: Vec::new(),
-            cursor: Cell::new((NO_CHUNK, 0)),
-        }
+        SparseMemory::with_span(PhysLayout::paper_default().end())
     }
 }
 
 impl SparseMemory {
-    /// Creates an empty (all-zero) memory.
+    /// Creates an empty (all-zero) memory spanning the Figure 4 layout.
     #[must_use]
     pub fn new() -> Self {
         SparseMemory::default()
+    }
+
+    /// Creates an empty memory covering physical addresses below `end`.
+    #[must_use]
+    pub fn with_span(end: PhysAddr) -> Self {
+        let span_chunks = end.raw().div_ceil(CHUNK_SIZE as u64);
+        let n_leaves = span_chunks.div_ceil(LEAF_LEN as u64) as usize;
+        // The cursor must start *invalid*: `(0, 0)` would claim chunk 0
+        // lives at slot 0 of a still-empty arena.
+        SparseMemory {
+            leaves: (0..n_leaves).map(|_| None).collect(),
+            span_chunks,
+            arena: Vec::new(),
+            cursor: Cell::new((NO_CHUNK, 0)),
+        }
     }
 
     /// Number of 64 KiB chunks currently materialised.
@@ -267,21 +298,43 @@ impl SparseMemory {
         if c == chunk {
             return Some(s);
         }
-        let s = *self.index.get(&chunk)?;
+        let leaf = self.leaves.get((chunk >> LEAF_SHIFT) as usize)?.as_deref()?;
+        let s = leaf[chunk as usize & (LEAF_LEN - 1)].checked_sub(1)?;
         self.cursor.set((chunk, s));
         Some(s)
     }
 
     /// The arena slot holding `chunk`, materialising it if absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` lies outside the span: a write beyond the
+    /// machine's physical memory is a simulator bug.
     fn slot_of_mut(&mut self, chunk: u64) -> u32 {
         if let Some(s) = self.slot_of(chunk) {
             return s;
         }
+        assert!(
+            chunk < self.span_chunks,
+            "physical write at {:#x} beyond the machine's span",
+            chunk << CHUNK_SHIFT
+        );
         let s = u32::try_from(self.arena.len()).expect("chunk arena overflow");
         self.arena.push(Box::new([0u8; CHUNK_SIZE]));
-        self.index.insert(chunk, s);
+        self.link(chunk, s);
         self.cursor.set((chunk, s));
         s
+    }
+
+    /// Points `chunk` (inside the span) at arena slot `s`, creating its
+    /// leaf on first use. Returns whether the chunk was already linked.
+    fn link(&mut self, chunk: u64, s: u32) -> bool {
+        let leaf = self.leaves[(chunk >> LEAF_SHIFT) as usize]
+            .get_or_insert_with(|| Box::new([0; LEAF_LEN]));
+        let entry = &mut leaf[chunk as usize & (LEAF_LEN - 1)];
+        let was_linked = *entry != 0;
+        *entry = s + 1;
+        was_linked
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
@@ -428,17 +481,20 @@ impl SparseMemory {
     }
 
     /// Serializes every materialised chunk into a checkpoint section,
-    /// in sorted chunk order so identical memory always yields an
-    /// identical byte stream regardless of materialisation order.
+    /// in ascending chunk order (the radix walk order) so identical
+    /// memory always yields an identical byte stream regardless of
+    /// materialisation order.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x53_504d45); // "SPME"
-        let mut chunks: Vec<u64> = self.index.keys().copied().collect();
-        chunks.sort_unstable();
-        e.u64(chunks.len() as u64);
-        for c in chunks {
-            e.u64(c);
-            let slot = self.index[&c] as usize;
-            e.bytes(&self.arena[slot][..]);
+        e.u64(self.arena.len() as u64);
+        for (i, leaf) in self.leaves.iter().enumerate() {
+            let Some(leaf) = leaf else { continue };
+            for (j, &entry) in leaf.iter().enumerate() {
+                if entry != 0 {
+                    e.u64(((i as u64) << LEAF_SHIFT) | j as u64);
+                    e.bytes(&self.arena[(entry - 1) as usize][..]);
+                }
+            }
         }
     }
 
@@ -448,7 +504,11 @@ impl SparseMemory {
     ///
     /// # Errors
     ///
-    /// Decoding errors.
+    /// Decoding errors; [`Malformed`] for a chunk outside this store's
+    /// span (checked before anything is allocated for it), a duplicate
+    /// chunk, or a chunk of the wrong size.
+    ///
+    /// [`Malformed`]: stramash_sim::checkpoint::CheckpointError::Malformed
     pub fn load_state(
         &mut self,
         d: &mut stramash_sim::checkpoint::Decoder<'_>,
@@ -456,18 +516,21 @@ impl SparseMemory {
         use stramash_sim::checkpoint::CheckpointError;
         d.tag(0x53_504d45)?;
         let n = d.len()?;
-        self.index.clear();
+        self.leaves.iter_mut().for_each(|l| *l = None);
         self.arena.clear();
         self.cursor.set((NO_CHUNK, 0));
         for slot in 0..n {
             let chunk = d.u64()?;
+            if chunk >= self.span_chunks {
+                return Err(CheckpointError::Malformed("memory chunk outside the physical span"));
+            }
             let data = d.bytes()?;
             let data: &[u8; CHUNK_SIZE] =
                 data.try_into().map_err(|_| CheckpointError::Malformed("chunk size"))?;
-            if self.index.insert(chunk, slot as u32).is_some() {
+            self.arena.push(Box::new(*data));
+            if self.link(chunk, slot as u32) {
                 return Err(CheckpointError::Malformed("duplicate memory chunk"));
             }
-            self.arena.push(Box::new(*data));
         }
         Ok(())
     }
@@ -476,6 +539,7 @@ impl SparseMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stramash_sim::checkpoint::CheckpointError;
 
     #[test]
     fn phys_addr_helpers() {
@@ -578,6 +642,251 @@ mod tests {
         let mut back = vec![0u64; 8];
         m.read_words(PhysAddr::new(boundary), &mut back);
         assert_eq!(back, &vals[..8]);
+    }
+
+    /// A hand-built "SPME" section: `(chunk, payload)` records, where a
+    /// `None` payload ends the section right after the chunk number.
+    fn spme_section(chunks: &[(u64, Option<&[u8]>)]) -> Vec<u8> {
+        let mut e = stramash_sim::checkpoint::Encoder::new();
+        e.tag(0x53_504d45);
+        e.u64(chunks.len() as u64);
+        for (chunk, data) in chunks {
+            e.u64(*chunk);
+            if let Some(data) = data {
+                e.bytes(data);
+            }
+        }
+        e.into_bytes()
+    }
+
+    fn load(m: &mut SparseMemory, bytes: &[u8]) -> Result<(), CheckpointError> {
+        m.load_state(&mut stramash_sim::checkpoint::Decoder::new(bytes))
+    }
+
+    #[test]
+    fn load_rejects_chunks_outside_the_span() {
+        let mut m = SparseMemory::with_span(PhysLayout::paper_default().end());
+        let span_chunks = (8 * GB) >> CHUNK_SHIFT;
+        let page = vec![0x5au8; CHUNK_SIZE];
+        // A chunk near the top of the address space is refused before
+        // its payload is even read: the section carries none.
+        for chunk in [u64::MAX >> CHUNK_SHIFT, u64::MAX - 1, span_chunks] {
+            let bytes = spme_section(&[(chunk, None)]);
+            assert_eq!(
+                load(&mut m, &bytes),
+                Err(CheckpointError::Malformed("memory chunk outside the physical span")),
+                "chunk {chunk:#x}"
+            );
+        }
+        // The last chunk of the span is fine; one past it is not, even
+        // with a well-formed payload.
+        let ok = spme_section(&[(span_chunks - 1, Some(&page))]);
+        assert_eq!(load(&mut m, &ok), Ok(()));
+        assert_eq!(m.read_u64(PhysAddr::new(8 * GB - 8)), 0x5a5a_5a5a_5a5a_5a5a);
+        let bad = spme_section(&[(0, Some(&page)), (span_chunks, Some(&page))]);
+        assert!(load(&mut m, &bad).is_err());
+        // The top level never grew past the span.
+        assert_eq!(m.leaves.len(), 128);
+    }
+
+    #[test]
+    fn load_rejects_duplicate_chunks() {
+        let mut m = SparseMemory::new();
+        let page = vec![1u8; CHUNK_SIZE];
+        let other = vec![2u8; CHUNK_SIZE];
+        let bytes = spme_section(&[(7, Some(&page)), (3, Some(&page)), (7, Some(&other))]);
+        assert_eq!(
+            load(&mut m, &bytes),
+            Err(CheckpointError::Malformed("duplicate memory chunk"))
+        );
+        // A rejected artifact leaves a store that is still safe to read.
+        let _ = m.read_u64(PhysAddr::new(7 << CHUNK_SHIFT));
+        // Wrong-sized chunks are refused too.
+        let short = spme_section(&[(1, Some(&page[..100]))]);
+        assert_eq!(load(&mut m, &short), Err(CheckpointError::Malformed("chunk size")));
+    }
+
+    #[test]
+    fn save_load_save_is_byte_identical() {
+        let mut m = SparseMemory::new();
+        // Materialise out of address order, across leaves and in the
+        // 4–8 GB pool, so the walk order is what sorts the section.
+        for (i, addr) in [7 * GB + 0x123, 0x40, 5 * GB, 64 << 20, (64 << 20) - 8, 3 * GB / 2]
+            .into_iter()
+            .enumerate()
+        {
+            m.write_u64(PhysAddr::new(addr), 0x1111 * (i as u64 + 1));
+        }
+        let mut e = stramash_sim::checkpoint::Encoder::new();
+        m.save_state(&mut e);
+        let first = e.into_bytes();
+        let mut back = SparseMemory::new();
+        load(&mut back, &first).unwrap();
+        assert_eq!(back.resident_chunks(), m.resident_chunks());
+        let mut e = stramash_sim::checkpoint::Encoder::new();
+        back.save_state(&mut e);
+        assert_eq!(e.into_bytes(), first);
+        // Chunk numbers are written in ascending order.
+        let mut d = stramash_sim::checkpoint::Decoder::new(&first);
+        d.tag(0x53_504d45).unwrap();
+        let n = d.len().unwrap();
+        let chunks: Vec<u64> = (0..n)
+            .map(|_| {
+                let c = d.u64().unwrap();
+                d.bytes().unwrap();
+                c
+            })
+            .collect();
+        assert!(chunks.windows(2).all(|w| w[0] < w[1]), "{chunks:x?}");
+    }
+
+    #[test]
+    fn reads_beyond_the_span_are_zero() {
+        let m = SparseMemory::new();
+        assert_eq!(m.read_u64(PhysAddr::new(1 << 40)), 0);
+        let mut buf = [0xffu8; 4];
+        m.read(PhysAddr::new(8 * GB - 2), &mut buf);
+        assert_eq!(buf, [0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the machine's span")]
+    fn writes_beyond_the_span_panic() {
+        SparseMemory::new().write_u64(PhysAddr::new(8 * GB), 1);
+    }
+
+    /// Seeded random op mixes against a naive byte map: every read and
+    /// the resident-chunk count must agree. Addresses cluster around
+    /// 64 KiB chunk and 64 MiB leaf boundaries, in both the private
+    /// regions and the 4–8 GB pool, up to the end of the span.
+    #[test]
+    fn matches_a_byte_map_model_on_random_ops() {
+        use std::collections::{BTreeMap, BTreeSet};
+        use stramash_sim::rng::SimRng;
+
+        const LEAF: u64 = (LEAF_LEN as u64) << CHUNK_SHIFT;
+        const CHUNK: u64 = CHUNK_SIZE as u64;
+        let end = 8 * GB;
+        let anchors = [
+            0,
+            CHUNK,
+            7 * CHUNK,
+            LEAF,
+            3 * LEAF + CHUNK,
+            3 * GB / 2,
+            4 * GB,
+            4 * GB + LEAF,
+            6 * GB - CHUNK,
+            7 * GB + 5 * LEAF,
+            end - CHUNK,
+            end,
+        ];
+
+        /// Every byte ever written, and the chunks those bytes fall in.
+        #[derive(Default)]
+        struct Model {
+            bytes: BTreeMap<u64, u8>,
+            chunks: BTreeSet<u64>,
+        }
+        fn model_read(model: &Model, addr: u64, len: usize) -> Vec<u8> {
+            (0..len as u64).map(|i| model.bytes.get(&(addr + i)).copied().unwrap_or(0)).collect()
+        }
+        fn model_write(model: &mut Model, addr: u64, bytes: &[u8]) {
+            for (i, b) in bytes.iter().enumerate() {
+                let a = addr + i as u64;
+                model.bytes.insert(a, *b);
+                model.chunks.insert(a >> CHUNK_SHIFT);
+            }
+        }
+
+        for seed in 0..4u64 {
+            let mut rng = SimRng::new(0x5ba5_e000 + seed);
+            let mut m = SparseMemory::new();
+            let mut model = Model::default();
+            // An address within 200 bytes of an anchor, leaving room for
+            // `len` bytes before the end of the span.
+            let pick = |rng: &mut SimRng, len: u64| {
+                let a = anchors[rng.gen_range(anchors.len() as u64) as usize];
+                let addr = (a + rng.gen_range(400)).saturating_sub(200);
+                addr.min(end - len)
+            };
+            for step in 0..2_000u32 {
+                let ctx = format!("seed {seed}, step {step}");
+                match rng.gen_range(9) {
+                    0 => {
+                        let len = 1 + rng.gen_range(300);
+                        let addr = pick(&mut rng, len);
+                        let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                        m.write(PhysAddr::new(addr), &bytes);
+                        model_write(&mut model, addr, &bytes);
+                    }
+                    1 => {
+                        let len = 1 + rng.gen_range(300) as usize;
+                        let addr = pick(&mut rng, len as u64);
+                        let mut buf = vec![0xeeu8; len];
+                        m.read(PhysAddr::new(addr), &mut buf);
+                        assert_eq!(buf, model_read(&model, addr, len), "{ctx}");
+                    }
+                    2 => {
+                        let addr = pick(&mut rng, 8);
+                        let v = rng.next_u64();
+                        m.write_u64(PhysAddr::new(addr), v);
+                        model_write(&mut model, addr, &v.to_le_bytes());
+                    }
+                    3 => {
+                        let addr = pick(&mut rng, 8);
+                        let want = model_read(&model, addr, 8);
+                        let want = u64::from_le_bytes(want.try_into().unwrap());
+                        assert_eq!(m.read_u64(PhysAddr::new(addr)), want, "{ctx}");
+                    }
+                    4 => {
+                        let n = 1 + rng.gen_range(40) as usize;
+                        let addr = pick(&mut rng, 8 * n as u64) & !7;
+                        let words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+                        m.write_words(PhysAddr::new(addr), &words);
+                        for (i, w) in words.iter().enumerate() {
+                            model_write(&mut model, addr + 8 * i as u64, &w.to_le_bytes());
+                        }
+                    }
+                    5 => {
+                        let n = 1 + rng.gen_range(40) as usize;
+                        let addr = pick(&mut rng, 8 * n as u64) & !7;
+                        let mut words = vec![0xdead_u64; n];
+                        m.read_words(PhysAddr::new(addr), &mut words);
+                        let want = model_read(&model, addr, 8 * n);
+                        let want: Vec<u64> = want
+                            .chunks_exact(8)
+                            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+                            .collect();
+                        assert_eq!(words, want, "{ctx}");
+                    }
+                    6 => {
+                        let len = rng.gen_range(3_000);
+                        let addr = pick(&mut rng, len);
+                        let byte = rng.next_u64() as u8;
+                        m.fill(PhysAddr::new(addr), len, byte);
+                        model_write(&mut model, addr, &vec![byte; len as usize]);
+                    }
+                    7 => {
+                        let len = rng.gen_range(2_000);
+                        let src = pick(&mut rng, len);
+                        let dst = pick(&mut rng, len);
+                        m.copy(PhysAddr::new(src), PhysAddr::new(dst), len);
+                        let bytes = model_read(&model, src, len as usize);
+                        model_write(&mut model, dst, &bytes);
+                    }
+                    _ => {
+                        let addr = pick(&mut rng, 8);
+                        let mask = rng.next_u64();
+                        m.flip_bits(PhysAddr::new(addr), mask);
+                        let old = model_read(&model, addr, 8);
+                        let new = u64::from_le_bytes(old.try_into().unwrap()) ^ mask;
+                        model_write(&mut model, addr, &new.to_le_bytes());
+                    }
+                }
+                assert_eq!(m.resident_chunks(), model.chunks.len(), "{ctx}");
+            }
+        }
     }
 
     #[test]

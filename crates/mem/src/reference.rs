@@ -30,6 +30,9 @@
 use crate::hwmodel::{AddressMap, MemClass};
 use crate::phys::{PhysAddr, PhysLayout};
 use crate::system::{Access, AccessKind};
+// The oracle's line directory keeps `std`'s map on purpose: sharing no
+// data structure with the production path is what makes it independent.
+#[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use stramash_sim::config::CacheGeometry;
 use stramash_sim::{Cycles, DomainId, DomainStats, SimConfig};
@@ -207,6 +210,7 @@ struct DirEntry {
 
 /// The reference (gem5-Ruby-style) memory system.
 #[derive(Debug)]
+#[allow(clippy::disallowed_types)] // independent oracle, see the import
 pub struct ReferenceSystem {
     cfg: SimConfig,
     map: AddressMap,
@@ -226,6 +230,7 @@ impl ReferenceSystem {
     /// Builds the reference model with the same geometry as the primary
     /// simulator would use for `cfg`.
     #[must_use]
+    #[allow(clippy::disallowed_types)] // independent oracle, see the import
     pub fn new(cfg: SimConfig) -> Self {
         let mk = |g: CacheGeometry| PlruCache::new(g);
         let line_bytes = cfg.domains[0].cache.line_bytes() as u64;

@@ -195,13 +195,14 @@ impl MemorySystem {
         } else {
             None
         };
+        let store = SparseMemory::with_span(layout.end());
         let map = AddressMap::new(layout, cfg.hw_model);
         Ok(MemorySystem {
             cfg,
             map,
             hierarchies,
             shared_l3,
-            store: SparseMemory::new(),
+            store,
             stats: [DomainStats::new(), DomainStats::new()],
             writebacks: [0, 0],
             line_bytes,

@@ -15,9 +15,8 @@
 //! "always local after replication" property is what makes Popcorn-SHM
 //! insensitive to the hardware model (§9.2.1).
 
-use std::collections::HashMap;
 use stramash_mem::PhysAddr;
-use stramash_sim::DomainId;
+use stramash_sim::{DomainId, IntMap};
 
 /// Coherence state of one DSM page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +39,7 @@ pub struct DsmPage {
 /// The DSM directory of one process's address space.
 #[derive(Debug, Default)]
 pub struct DsmDirectory {
-    pages: HashMap<u64, DsmPage>,
+    pages: IntMap<u64, DsmPage>,
     replications: u64,
     invalidations: u64,
 }
@@ -172,7 +171,7 @@ impl DsmDirectory {
         use stramash_sim::checkpoint::CheckpointError;
         d.tag(0x4453_4d44)?;
         let n = d.len()?;
-        let mut pages = HashMap::with_capacity(n);
+        let mut pages = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let vpn = d.u64()?;
             let mut frames = [None, None];

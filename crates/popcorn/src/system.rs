@@ -9,7 +9,6 @@
 //! memory accesses — the quantitative difference is Figure 9/Table 3.
 
 use crate::dsm::{DsmDirectory, DsmPageState};
-use std::collections::{HashMap, HashSet};
 use stramash_isa::PteFlags;
 use stramash_kernel::addr::{VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 use stramash_kernel::msg::{Message, MsgType, Transport};
@@ -21,7 +20,7 @@ use stramash_kernel::system::{
 use stramash_kernel::BootConfig;
 use stramash_mem::PhysAddr;
 use stramash_sim::trace::{FutexOp, TraceEvent, HIST_DSM_TRANSFER};
-use stramash_sim::{Cycles, DomainId, SharedTracer, SimConfig};
+use stramash_sim::{Cycles, DomainId, IntMap, IntSet, SharedTracer, SimConfig};
 
 /// Kernel-side work to service one received protocol message.
 pub const HANDLER_COST: Cycles = Cycles::new(400);
@@ -38,9 +37,9 @@ pub fn migration_cost_model() -> stramash_isa::MigrationCostModel {
 #[derive(Debug)]
 pub struct PopcornSystem {
     base: BaseSystem,
-    dsm: HashMap<u32, DsmDirectory>,
+    dsm: IntMap<u32, DsmDirectory>,
     /// VMAs already fetched by the remote kernel, per process.
-    vma_cache: HashMap<u32, HashSet<u64>>,
+    vma_cache: IntMap<u32, IntSet<u64>>,
 }
 
 impl PopcornSystem {
@@ -70,8 +69,8 @@ impl PopcornSystem {
     pub fn with_boot(cfg: SimConfig, boot: BootConfig) -> Result<Self, OsError> {
         Ok(PopcornSystem {
             base: BaseSystem::new(cfg, &boot)?,
-            dsm: HashMap::new(),
-            vma_cache: HashMap::new(),
+            dsm: IntMap::default(),
+            vma_cache: IntMap::default(),
         })
     }
 
@@ -83,7 +82,7 @@ impl PopcornSystem {
     pub fn spawn(&mut self, origin: DomainId) -> Result<Pid, OsError> {
         let pid = self.base.spawn(origin)?;
         self.dsm.insert(pid.0, DsmDirectory::new());
-        self.vma_cache.insert(pid.0, HashSet::new());
+        self.vma_cache.insert(pid.0, IntSet::default());
         Ok(pid)
     }
 
@@ -238,17 +237,17 @@ impl PopcornSystem {
         d.tag(0x504f_5043)?;
         self.base.load_state(d)?;
         let n = d.len()?;
-        let mut dsm = HashMap::with_capacity(n);
+        let mut dsm = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let pid = d.u32()?;
             dsm.insert(pid, DsmDirectory::load_state(d)?);
         }
         self.dsm = dsm;
         let n = d.len()?;
-        let mut vma_cache = HashMap::with_capacity(n);
+        let mut vma_cache = IntMap::with_capacity_and_hasher(n, Default::default());
         for _ in 0..n {
             let pid = d.u32()?;
-            vma_cache.insert(pid, d.u64s()?.into_iter().collect::<HashSet<u64>>());
+            vma_cache.insert(pid, d.u64s()?.into_iter().collect::<IntSet<u64>>());
         }
         self.vma_cache = vma_cache;
         Ok(())

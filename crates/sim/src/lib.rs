@@ -21,7 +21,9 @@
 //!   for the robustness harness,
 //! * a [`trace`] module with the deterministic observability layer: a
 //!   bounded typed-event ring and a metrics registry wired through
-//!   every layer of the stack without costing a simulated cycle.
+//!   every layer of the stack without costing a simulated cycle,
+//! * an [`intmap`] module with [`IntMap`]/[`IntSet`], the fixed-hash
+//!   maps every simulator table uses instead of `std`'s SipHash ones.
 //!
 //! # Example
 //!
@@ -43,6 +45,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod config;
 pub mod fault;
+pub mod intmap;
 pub mod ipi;
 pub mod perf;
 pub mod rng;
@@ -60,6 +63,7 @@ pub use fault::{
     shared_injector, FaultCounters, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSite,
     SharedFaultInjector,
 };
+pub use intmap::{IntMap, IntSet};
 pub use perf::{PerfPhase, PerfSample, PerfSession};
 pub use stats::{fully_shared_estimate, DomainStats, StatsError};
 pub use time::{Clock, Cycles, DomainId, Timebase};

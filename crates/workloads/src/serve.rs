@@ -536,7 +536,7 @@ mod tests {
 
         // Zipf skew: the most popular key hash dominates a uniform
         // share by an order of magnitude.
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         for r in &a {
             *counts.entry(r.key_hash).or_insert(0u64) += 1;
         }

@@ -30,8 +30,8 @@ fn usage() -> ExitCode {
         "usage:
   stramash-cli npb <is|cg|mg|ft|ep> [--system <vanilla|popcorn-tcp|popcorn-shm|stramash>]
                                     [--model <separated|shared|fully-shared>]
-                                    [--class <tiny|small|large>] [--report]
-  stramash-cli sweep <is|cg|mg|ft|ep> [--class <tiny|small|large>] [--parallel]
+                                    [--class <tiny|small|validation|large>] [--report]
+  stramash-cli sweep <is|cg|mg|ft|ep> [--class <...>] [--parallel]
   stramash-cli kv <get|set|lpush|rpush|lpop|rpop|sadd|mset> [--requests N]
   stramash-cli ipi
   stramash-cli trace <is|cg|mg|ft|ep> [--system <...>] [--model <...>] [--class <...>]
@@ -50,6 +50,26 @@ fn usage() -> ExitCode {
 fn fail(what: &str, e: impl std::fmt::Display) -> ExitCode {
     eprintln!("error: {what}: {e}");
     ExitCode::FAILURE
+}
+
+/// A flag given without a value, or with one that does not parse. The
+/// command reports it as `error: <flag>: ...` and exits non-zero rather
+/// than running with the default.
+#[derive(Debug, PartialEq, Eq)]
+struct FlagError {
+    flag: &'static str,
+    /// The offending value; `None` when the flag ends the command line.
+    value: Option<String>,
+    expected: &'static str,
+}
+
+impl std::fmt::Display for FlagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.value {
+            Some(v) => write!(f, "{}: invalid value `{v}` (expected {})", self.flag, self.expected),
+            None => write!(f, "{}: missing value (expected {})", self.flag, self.expected),
+        }
+    }
 }
 
 fn parse_kind(s: &str) -> Option<NpbKind> {
@@ -82,34 +102,68 @@ fn parse_model(s: &str) -> Option<HardwareModel> {
     }
 }
 
+fn parse_class(s: &str) -> Option<Class> {
+    match s {
+        "tiny" => Some(Class::Tiny),
+        "small" => Some(Class::Small),
+        "validation" => Some(Class::Validation),
+        "large" => Some(Class::Large),
+        _ => None,
+    }
+}
+
+/// A `u64` in decimal or (with or without `0x`) hexadecimal, as seeds
+/// are printed.
+fn parse_seed(s: &str) -> Option<u64> {
+    s.parse().ok().or_else(|| u64::from_str_radix(s.trim_start_matches("0x"), 16).ok())
+}
+
 /// A tiny flag parser: `--key value` pairs after the positionals.
 fn flag(args: &[String], key: &str) -> Option<String> {
     args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
 }
 
-fn cmd_npb(args: &[String]) -> ExitCode {
+/// `key`'s value through `parse`, or `default` when the flag is absent.
+///
+/// # Errors
+///
+/// [`FlagError`] when the flag is present without a value or with one
+/// `parse` rejects.
+fn flag_or<T>(
+    args: &[String],
+    key: &'static str,
+    default: T,
+    expected: &'static str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, FlagError> {
+    if !args.iter().any(|a| a == key) {
+        return Ok(default);
+    }
+    let value = flag(args, key);
+    value.as_deref().and_then(parse).ok_or(FlagError { flag: key, value, expected })
+}
+
+/// `key` as a number (`str::parse`), or `default` when absent.
+fn num_flag<T: std::str::FromStr>(
+    args: &[String],
+    key: &'static str,
+    default: T,
+) -> Result<T, FlagError> {
+    flag_or(args, key, default, "a number", |v| v.parse().ok())
+}
+
+const CLASSES: &str = "tiny|small|validation|large";
+const SYSTEMS: &str = "vanilla|popcorn-tcp|popcorn-shm|stramash";
+const MODELS: &str = "separated|shared|fully-shared";
+const SEED: &str = "an integer, decimal or hex";
+
+fn cmd_npb(args: &[String]) -> Result<ExitCode, FlagError> {
     let Some(kind) = args.first().and_then(|a| parse_kind(a)) else {
-        return usage();
+        return Ok(usage());
     };
-    let system = match flag(args, "--system").as_deref() {
-        Some(s) => match parse_system(s) {
-            Some(k) => k,
-            None => return usage(),
-        },
-        None => SystemKind::Stramash,
-    };
-    let model = match flag(args, "--model").as_deref() {
-        Some(s) => match parse_model(s) {
-            Some(m) => m,
-            None => return usage(),
-        },
-        None => HardwareModel::Shared,
-    };
-    let class = match flag(args, "--class").as_deref() {
-        Some("small") => Class::Small,
-        Some("large") => Class::Large,
-        _ => Class::Tiny,
-    };
+    let system = flag_or(args, "--system", SystemKind::Stramash, SYSTEMS, parse_system)?;
+    let model = flag_or(args, "--model", HardwareModel::Shared, MODELS, parse_model)?;
+    let class = flag_or(args, "--class", Class::Tiny, CLASSES, parse_class)?;
     let want_report = args.iter().any(|a| a == "--report");
 
     // Run through the driver for the metrics, or manually for --report
@@ -133,7 +187,7 @@ fn cmd_npb(args: &[String]) -> ExitCode {
         }
         println!("perf+icount phases:");
         print!("{}", sys.base().perf.report());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let report = run_benchmark(cfg, kind, class).expect("run");
     println!(
@@ -144,20 +198,16 @@ fn cmd_npb(args: &[String]) -> ExitCode {
         report.replicated_pages,
         report.outcome.verified
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_sweep(args: &[String]) -> ExitCode {
+fn cmd_sweep(args: &[String]) -> Result<ExitCode, FlagError> {
     use stramash_repro::bench::parallel_map;
 
     let Some(kind) = args.first().and_then(|a| parse_kind(a)) else {
-        return usage();
+        return Ok(usage());
     };
-    let class = match flag(args, "--class").as_deref() {
-        Some("small") => Class::Small,
-        Some("large") => Class::Large,
-        _ => Class::Tiny,
-    };
+    let class = flag_or(args, "--class", Class::Tiny, CLASSES, parse_class)?;
     let parallel = args.iter().any(|a| a == "--parallel");
     let configs = Configuration::figure9_set();
     let reports: Vec<_> = if parallel {
@@ -165,7 +215,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         // reports are identical to the serial sweep's, in the same order.
         match parallel_map(configs, |c| run_benchmark(c, kind, class).expect("run")) {
             Ok(reports) => reports,
-            Err(e) => return fail("sweep", e),
+            Err(e) => return Ok(fail("sweep", e)),
         }
     } else {
         configs.iter().map(|&c| run_benchmark(c, kind, class).expect("run")).collect()
@@ -182,49 +232,32 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             report.replicated_pages
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_kv(args: &[String]) -> ExitCode {
+fn cmd_kv(args: &[String]) -> Result<ExitCode, FlagError> {
     let Some(op) = args.first().and_then(|a| KvOp::ALL.iter().find(|o| o.to_string() == *a)) else {
-        return usage();
+        return Ok(usage());
     };
-    let requests: u64 =
-        flag(args, "--requests").and_then(|v| v.parse().ok()).unwrap_or(200);
+    let requests: u64 = num_flag(args, "--requests", 200)?;
     for kind in [SystemKind::PopcornTcp, SystemKind::PopcornShm, SystemKind::Stramash] {
         let mut sys = TargetSystem::build(kind, HardwareModel::Shared).expect("boot");
         let r = run_kv(&mut sys, *op, requests, 1024).expect("run");
         println!("{kind:<12} {op}: {:>10.0} cycles/request", r.per_request);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
+fn cmd_trace(args: &[String]) -> Result<ExitCode, FlagError> {
     use stramash_repro::sim::trace::{
         chrome_trace_json, reconstruct_domain_stats, render_phase_report, shared_tracer,
     };
     let Some(kind) = args.first().and_then(|a| parse_kind(a)) else {
-        return usage();
+        return Ok(usage());
     };
-    let system = match flag(args, "--system").as_deref() {
-        Some(s) => match parse_system(s) {
-            Some(k) => k,
-            None => return usage(),
-        },
-        None => SystemKind::Stramash,
-    };
-    let model = match flag(args, "--model").as_deref() {
-        Some(s) => match parse_model(s) {
-            Some(m) => m,
-            None => return usage(),
-        },
-        None => HardwareModel::Shared,
-    };
-    let class = match flag(args, "--class").as_deref() {
-        Some("small") => Class::Small,
-        Some("large") => Class::Large,
-        _ => Class::Tiny,
-    };
+    let system = flag_or(args, "--system", SystemKind::Stramash, SYSTEMS, parse_system)?;
+    let model = flag_or(args, "--model", HardwareModel::Shared, MODELS, parse_model)?;
+    let class = flag_or(args, "--class", Class::Tiny, CLASSES, parse_class)?;
     let mut sys = TargetSystem::build(system, model).expect("boot");
     let tracer = shared_tracer(1 << 20);
     sys.install_tracer(tracer.clone());
@@ -252,7 +285,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         std::fs::write(&path, chrome_trace_json(&events)).expect("write trace json");
         println!("chrome trace written to {path} (open via chrome://tracing or Perfetto)");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_ipi() -> ExitCode {
@@ -276,47 +309,32 @@ fn cmd_ipi() -> ExitCode {
 /// `--checkpoint` artifact that already exists fast-forwards the
 /// machine before the run, and the finished machine state is written
 /// back to the same path.
-fn cmd_run(args: &[String]) -> ExitCode {
+fn cmd_run(args: &[String]) -> Result<ExitCode, FlagError> {
     let Some(workload) = args.first().map(String::as_str) else {
-        return usage();
+        return Ok(usage());
     };
     if workload != "is" && workload != "kv" {
-        return usage();
+        return Ok(usage());
     }
-    let system = match flag(args, "--system").as_deref() {
-        Some(s) => match parse_system(s) {
-            Some(k) => k,
-            None => return usage(),
-        },
-        None => SystemKind::Stramash,
-    };
-    let model = match flag(args, "--model").as_deref() {
-        Some(s) => match parse_model(s) {
-            Some(m) => m,
-            None => return usage(),
-        },
-        None => HardwareModel::Shared,
-    };
-    let class = match flag(args, "--class").as_deref() {
-        Some("small") => Class::Small,
-        Some("large") => Class::Large,
-        _ => Class::Tiny,
-    };
-    let requests: u64 = flag(args, "--requests").and_then(|v| v.parse().ok()).unwrap_or(200);
-    let seed: Option<u64> = flag(args, "--seed").and_then(|v| {
-        v.parse().ok().or_else(|| u64::from_str_radix(v.trim_start_matches("0x"), 16).ok())
-    });
-    let stage: u32 = flag(args, "--stage").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let policy = match flag(args, "--policy").as_deref() {
-        Some("degrade") => RecoveryPolicy::Degrade,
-        Some("restart") | None => RecoveryPolicy::RestartFromCheckpoint,
-        Some(_) => return usage(),
-    };
+    let system = flag_or(args, "--system", SystemKind::Stramash, SYSTEMS, parse_system)?;
+    let model = flag_or(args, "--model", HardwareModel::Shared, MODELS, parse_model)?;
+    let class = flag_or(args, "--class", Class::Tiny, CLASSES, parse_class)?;
+    let requests: u64 = num_flag(args, "--requests", 200)?;
+    let seed = flag_or(args, "--seed", None, SEED, |v| parse_seed(v).map(Some))?;
+    let stage: u32 = num_flag(args, "--stage", 3)?;
+    let policy =
+        flag_or(args, "--policy", RecoveryPolicy::RestartFromCheckpoint, "restart|degrade", |v| {
+            match v {
+                "degrade" => Some(RecoveryPolicy::Degrade),
+                "restart" => Some(RecoveryPolicy::RestartFromCheckpoint),
+                _ => None,
+            }
+        })?;
     let ckpt_path = flag(args, "--checkpoint");
 
     let mut sys = match TargetSystem::build(system, model) {
         Ok(s) => s,
-        Err(e) => return fail("boot", e),
+        Err(e) => return Ok(fail("boot", e)),
     };
     if let Some(seed) = seed {
         let sched = ChaosSchedule::generate(seed, stage);
@@ -327,13 +345,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
         if std::path::Path::new(path).exists() {
             let bytes = match std::fs::read(path) {
                 Ok(b) => b,
-                Err(e) => return fail("read checkpoint", e),
+                Err(e) => return Ok(fail("read checkpoint", e)),
             };
             if let Err(e) = sys.restore(&bytes) {
                 eprintln!(
                     "hint: a checkpoint taken under a fault seed needs the same --seed to restore"
                 );
-                return fail("restore checkpoint", e);
+                return Ok(fail("restore checkpoint", e));
             }
             println!("fast-forwarded from {path} ({} bytes)", bytes.len());
         }
@@ -348,7 +366,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 );
                 (out.sys, out.crashes, out.restarts, out.degraded)
             }
-            Err(e) => return fail("run", e),
+            Err(e) => return Ok(fail("run", e)),
         }
     } else {
         match run_kv_recovered(sys, KvOp::Set, requests, 64, &rc) {
@@ -359,7 +377,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 );
                 (out.sys, out.crashes, out.restarts, out.degraded)
             }
-            Err(e) => return fail("run", e),
+            Err(e) => return Ok(fail("run", e)),
         }
     };
     println!(
@@ -373,64 +391,41 @@ fn cmd_run(args: &[String]) -> ExitCode {
         for v in &violations {
             eprintln!("invariant violation: {v}");
         }
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if let Some(path) = &ckpt_path {
         let artifact = final_sys.checkpoint();
         let len = artifact.len();
         match std::fs::write(path, artifact) {
             Ok(()) => println!("checkpoint written to {path} ({len} bytes)"),
-            Err(e) => return fail("write checkpoint", e),
+            Err(e) => return Ok(fail("write checkpoint", e)),
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `stramash-cli serve`: the production-scale serving scenario —
 /// throughput-vs-offered-load and p50/p99-vs-load curves for every
 /// system kind, from one deterministic seeded schedule per load point.
-fn cmd_serve(args: &[String]) -> ExitCode {
+fn cmd_serve(args: &[String]) -> Result<ExitCode, FlagError> {
     use stramash_repro::workloads::serve::{run_serve_curve, ServeConfig};
-    let model = match flag(args, "--model").as_deref() {
-        Some(s) => match parse_model(s) {
-            Some(m) => m,
-            None => return usage(),
-        },
-        None => HardwareModel::Shared,
+    let model = flag_or(args, "--model", HardwareModel::Shared, MODELS, parse_model)?;
+    let d = ServeConfig::default();
+    let cfg = ServeConfig {
+        workers: num_flag(args, "--workers", d.workers)?,
+        connections: num_flag(args, "--connections", d.connections)?,
+        window: num_flag(args, "--window", d.window)?,
+        requests: num_flag(args, "--requests", d.requests)?,
+        read_pct: num_flag(args, "--read-pct", d.read_pct)?,
+        keyspace: num_flag(args, "--keyspace", d.keyspace)?,
+        payload_len: num_flag(args, "--payload", d.payload_len)?,
+        seed: flag_or(args, "--seed", d.seed, SEED, parse_seed)?,
+        ..d
     };
-    let mut cfg = ServeConfig::default();
-    if let Some(v) = flag(args, "--workers").and_then(|v| v.parse().ok()) {
-        cfg.workers = v;
-    }
-    if let Some(v) = flag(args, "--connections").and_then(|v| v.parse().ok()) {
-        cfg.connections = v;
-    }
-    if let Some(v) = flag(args, "--window").and_then(|v| v.parse().ok()) {
-        cfg.window = v;
-    }
-    if let Some(v) = flag(args, "--requests").and_then(|v| v.parse().ok()) {
-        cfg.requests = v;
-    }
-    if let Some(v) = flag(args, "--read-pct").and_then(|v| v.parse().ok()) {
-        cfg.read_pct = v;
-    }
-    if let Some(v) = flag(args, "--keyspace").and_then(|v| v.parse().ok()) {
-        cfg.keyspace = v;
-    }
-    if let Some(v) = flag(args, "--payload").and_then(|v| v.parse().ok()) {
-        cfg.payload_len = v;
-    }
-    if let Some(v) = flag(args, "--seed").and_then(|v| {
-        v.parse().ok().or_else(|| u64::from_str_radix(v.trim_start_matches("0x"), 16).ok())
-    }) {
-        cfg.seed = v;
-    }
-    let loads: Vec<f64> = flag(args, "--loads")
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![2.0, 10.0, 40.0]);
-    if loads.is_empty() {
-        return usage();
-    }
+    let loads: Vec<f64> =
+        flag_or(args, "--loads", vec![2.0, 10.0, 40.0], "comma-separated numbers", |s| {
+            s.split(',').map(|v| v.trim().parse().ok()).collect()
+        })?;
 
     println!(
         "serving: {} workers × {} connections (window {}), {} requests/point, \
@@ -447,7 +442,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     {
         let curve = match run_serve_curve(kind, model, &cfg, &loads) {
             Ok(c) => c,
-            Err(e) => return fail("serve", e),
+            Err(e) => return Ok(fail("serve", e)),
         };
         for r in &curve {
             println!(
@@ -469,25 +464,21 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         }
     }
     println!("loads are requests per million cycles; latencies are simulated cycles (log₂-bucket p50/p99)");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `stramash-cli chaos`: the escalating seeded sweep with shrinking
 /// reproducers.
-fn cmd_chaos(args: &[String]) -> ExitCode {
-    let seed: u64 = flag(args, "--seed")
-        .and_then(|v| {
-            v.parse().ok().or_else(|| u64::from_str_radix(v.trim_start_matches("0x"), 16).ok())
-        })
-        .unwrap_or(0x5eed);
-    let stages: u32 = flag(args, "--stages").and_then(|v| v.parse().ok()).unwrap_or(4);
+fn cmd_chaos(args: &[String]) -> Result<ExitCode, FlagError> {
+    let seed = flag_or(args, "--seed", 0x5eed, SEED, parse_seed)?;
+    let stages: u32 = num_flag(args, "--stages", 4)?;
     let inject = args.iter().any(|a| a == "--inject-regression");
     if inject {
         println!("injecting a seeded recovery regression (degrade-where-restart-required)");
     }
     let report = match chaos_sweep(seed, stages, inject) {
         Ok(r) => r,
-        Err(e) => return fail("chaos baseline", e),
+        Err(e) => return Ok(fail("chaos baseline", e)),
     };
     for cell in &report.cells {
         println!(
@@ -511,7 +502,7 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
             seed,
             if inject { " --inject-regression" } else { "" }
         );
-        return if inject { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+        return Ok(if inject { ExitCode::SUCCESS } else { ExitCode::FAILURE });
     }
     println!(
         "\nchaos sweep green: {} cell(s), no auditor violations, no fingerprint drift",
@@ -519,24 +510,29 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
     );
     if inject {
         eprintln!("error: the injected regression was not found");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("npb") => cmd_npb(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("kv") => cmd_kv(&args[1..]),
-        Some("ipi") => cmd_ipi(),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        _ => usage(),
-    }
+    let rest = args.get(1..).unwrap_or_default();
+    let run = match args.first().map(String::as_str) {
+        Some("npb") => cmd_npb(rest),
+        Some("sweep") => cmd_sweep(rest),
+        Some("kv") => cmd_kv(rest),
+        Some("ipi") => Ok(cmd_ipi()),
+        Some("trace") => cmd_trace(rest),
+        Some("run") => cmd_run(rest),
+        Some("serve") => cmd_serve(rest),
+        Some("chaos") => cmd_chaos(rest),
+        _ => Ok(usage()),
+    };
+    run.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 #[cfg(test)]
@@ -554,6 +550,36 @@ mod tests {
         assert_eq!(parse_model("fully-shared"), Some(HardwareModel::FullyShared));
         assert_eq!(parse_model("separated"), Some(HardwareModel::Separated));
         assert_eq!(parse_model("x"), None);
+        assert_eq!(parse_class("validation"), Some(Class::Validation));
+        assert_eq!(parse_class("large"), Some(Class::Large));
+        assert_eq!(parse_class("huge"), None);
+        assert_eq!(parse_seed("0x5eed"), Some(0x5eed));
+        assert_eq!(parse_seed("42"), Some(42));
+    }
+
+    #[test]
+    fn bad_flag_values_are_typed_errors() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let class = |a: &[&str]| flag_or(&args(a), "--class", Class::Tiny, CLASSES, parse_class);
+        // Absent flags take the default; good values parse.
+        assert_eq!(class(&["is"]), Ok(Class::Tiny));
+        assert_eq!(class(&["is", "--class", "validation"]), Ok(Class::Validation));
+        assert_eq!(num_flag(&args(&["get", "--requests", "7"]), "--requests", 200u64), Ok(7));
+        // An unknown class no longer falls back to `tiny`.
+        let e = class(&["is", "--class", "huge"]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "--class: invalid value `huge` (expected tiny|small|validation|large)"
+        );
+        // Unparsable or missing numbers no longer use the default.
+        assert!(num_flag(&args(&["kv", "--requests", "many"]), "--requests", 200u64).is_err());
+        assert!(num_flag(&args(&["is", "--stage", "-1"]), "--stage", 3u32).is_err());
+        let e = flag_or(&args(&["is", "--seed"]), "--seed", 0, SEED, parse_seed).unwrap_err();
+        assert_eq!(e.to_string(), "--seed: missing value (expected an integer, decimal or hex)");
+        // Through a command: the error surfaces before anything runs.
+        let e = cmd_run(&args(&["is", "--seed", "0xzz"])).unwrap_err();
+        assert_eq!(e.flag, "--seed");
+        assert!(cmd_sweep(&args(&["is", "--class", "Small"])).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use stramash_repro::prelude::*;
 use stramash_repro::sim::rng::SimRng;
 use stramash_repro::sim::FaultPlan;
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 struct Region {
     start: VirtAddr,
@@ -29,7 +29,7 @@ fn stress_with_plan(kind: SystemKind, seed: u64, steps: u32, plan: Option<FaultP
     let pid = sys.spawn(DomainId::X86).unwrap();
     let mut rng = SimRng::new(seed);
     // The reference model: va → value for every word ever written.
-    let mut model: HashMap<u64, u64> = HashMap::new();
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut regions: Vec<Region> = Vec::new();
 
     for step in 0..steps {
