@@ -10,9 +10,9 @@
 //! is the fused kernel's tail-latency advantage over Popcorn-TCP at
 //! that load.
 //!
-//! Set `STRAMASH_BENCH_JSON=<path>` to also emit the results as a flat
-//! JSON object (`scripts/bench.sh` merges it into
-//! `BENCH_simulator.json`).
+//! Every number here is simulated cycles, exact on every host, so the
+//! leg asserts the whole table against pinned values: any drift means
+//! the timing model changed.
 
 use stramash_bench::{banner, render_table};
 use stramash_sim::HardwareModel;
@@ -32,28 +32,48 @@ fn cfg() -> ServeConfig {
     }
 }
 
-fn kind_slug(kind: SystemKind) -> &'static str {
-    match kind {
-        SystemKind::Vanilla => "vanilla",
-        SystemKind::PopcornTcp => "popcorn_tcp",
-        SystemKind::PopcornShm => "popcorn_shm",
-        SystemKind::Stramash => "stramash",
-    }
-}
+/// One pinned load point: `(throughput, p50, p99)`, throughput in
+/// requests/Mcycle at 3-decimal rounding, latencies in exact cycles.
+type Point = (&'static str, u64, u64);
+
+/// Pinned results per design, one [`Point`] per entry of [`LOADS`].
+const PINNED: [(SystemKind, [Point; 3]); 4] = [
+    (
+        SystemKind::Stramash,
+        [("2.116", 16_383, 16_383), ("10.579", 16_383, 20_802), ("42.304", 16_383, 28_301)],
+    ),
+    (
+        SystemKind::PopcornShm,
+        [("2.116", 16_383, 16_383), ("10.579", 16_383, 20_802), ("42.304", 16_383, 28_301)],
+    ),
+    (
+        SystemKind::PopcornTcp,
+        [
+            ("2.115", 238_386, 238_386),
+            ("10.568", 262_143, 346_502),
+            ("32.844", 524_287, 10_249_700),
+        ],
+    ),
+    (
+        SystemKind::Vanilla,
+        [("2.116", 16_383, 16_383), ("10.579", 16_383, 16_383), ("42.304", 16_383, 20_836)],
+    ),
+];
+
+/// Pinned fingerprint of the top-load request schedule.
+const PINNED_SCHEDULE: u64 = 0x223d_95c9_4297_3a9b;
+
+/// Pinned fused-over-TCP ratios at the top load, at 3-decimal rounding:
+/// p99 latency and throughput.
+const PINNED_FUSED_OVER_TCP: (&str, &str) = ("362.167", "1.288");
 
 fn main() {
     banner("KV serving — throughput / tail latency vs offered load");
     let base = cfg();
-    let kinds = [
-        SystemKind::Stramash,
-        SystemKind::PopcornShm,
-        SystemKind::PopcornTcp,
-        SystemKind::Vanilla,
-    ];
 
     let mut rows = Vec::new();
     let mut curves: Vec<(SystemKind, Vec<ServeResult>)> = Vec::new();
-    for kind in kinds {
+    for (kind, _) in PINNED {
         let curve =
             run_serve_curve(kind, HardwareModel::Shared, &base, &LOADS).expect("serve curve");
         for r in &curve {
@@ -89,7 +109,6 @@ fn main() {
             );
         }
     }
-    let sched = curves[0].1[LOADS.len() - 1].schedule_fingerprint;
     let replay = run_serve_curve(SystemKind::Stramash, HardwareModel::Shared, &base, &[LOADS[2]])
         .expect("replay");
     assert_eq!(
@@ -118,33 +137,33 @@ fn main() {
         LOADS[top], p99_speedup, tput_speedup
     );
 
-    if let Ok(path) = std::env::var("STRAMASH_BENCH_JSON") {
-        let mut json = String::from("{\n");
-        json.push_str(&format!("  \"requests\": {},\n", base.requests));
-        json.push_str(&format!("  \"workers\": {},\n", base.workers));
-        json.push_str(&format!(
-            "  \"schedule_fingerprint\": \"{sched:#018x}\",\n"
-        ));
-        for (kind, curve) in &curves {
-            let slug = kind_slug(*kind);
-            for r in curve {
-                let l = r.offered_load as u64;
-                json.push_str(&format!(
-                    "  \"kvserve_{slug}_l{l}_throughput\": {:.3},\n",
-                    r.throughput
+    // The whole table against its pinned values, reporting every
+    // drifted entry at once.
+    let mut drift = Vec::new();
+    let sched = curves[0].1[top].schedule_fingerprint;
+    if sched != PINNED_SCHEDULE {
+        drift.push(format!("schedule fingerprint {sched:#018x}, pinned {PINNED_SCHEDULE:#018x}"));
+    }
+    for ((kind, curve), (_, pinned)) in curves.iter().zip(PINNED) {
+        for ((r, load), (tput, p50, p99)) in curve.iter().zip(LOADS).zip(pinned) {
+            let got = (format!("{:.3}", r.throughput), r.p50(), r.p99());
+            if (got.0.as_str(), got.1, got.2) != (tput, p50, p99) {
+                drift.push(format!(
+                    "{kind} @ load {load}: (throughput, p50, p99) = {got:?}, \
+                     pinned ({tput}, {p50}, {p99})"
                 ));
-                json.push_str(&format!("  \"kvserve_{slug}_l{l}_p50\": {},\n", r.p50()));
-                json.push_str(&format!("  \"kvserve_{slug}_l{l}_p99\": {},\n", r.p99()));
             }
         }
-        json.push_str(&format!(
-            "  \"kvserve_fused_over_tcp_p99_speedup\": {p99_speedup:.3},\n"
-        ));
-        json.push_str(&format!(
-            "  \"kvserve_fused_over_tcp_throughput_speedup\": {tput_speedup:.3}\n"
-        ));
-        json.push_str("}\n");
-        std::fs::write(&path, json).expect("write bench JSON");
-        println!("wrote {path}");
     }
+    let ratios = (format!("{p99_speedup:.3}"), format!("{tput_speedup:.3}"));
+    if (ratios.0.as_str(), ratios.1.as_str()) != PINNED_FUSED_OVER_TCP {
+        drift.push(format!(
+            "fused-over-TCP (p99, throughput) = {ratios:?}, pinned {PINNED_FUSED_OVER_TCP:?}"
+        ));
+    }
+    assert!(drift.is_empty(), "simulated serving results drifted:\n  {}", drift.join("\n  "));
+    println!(
+        "schedule, {} curve points and both ratios match their pinned values",
+        LOADS.len() * PINNED.len()
+    );
 }

@@ -5,10 +5,9 @@
 //! Figure 9 NPB IS sweep twice — serially and fanned out with
 //! [`stramash_bench::parallel_map`] — asserts that every report is
 //! *identical* (the cycle-identity contract: threading must not change
-//! a single simulated cycle), and reports both wall-clocks.
-//!
-//! Set `STRAMASH_BENCH_JSON=<path>` to emit the timings as a JSON
-//! object (`scripts/bench.sh` merges it into `BENCH_simulator.json`).
+//! a single simulated cycle), and reports both wall-clocks. With two or
+//! more workers it also requires a multi-core host and a fan-out that
+//! beats the serial sweep.
 
 use std::time::Instant;
 use stramash_bench::{banner, host_cores, parallel_map, sweep_workers};
@@ -49,15 +48,12 @@ fn main() {
          ({speedup:.2}x, {n} configs on {workers} worker(s))"
     );
 
-    if let Ok(path) = std::env::var("STRAMASH_BENCH_JSON") {
-        let json = format!(
-            "{{\n  \"configs\": {n},\n  \"workers\": {workers},\n  \
-             \"host_cores\": {cores},\n  \
-             \"serial_seconds\": {serial_s:.3},\n  \
-             \"parallel_seconds\": {parallel_s:.3},\n  \"parallel_speedup\": {speedup:.2}\n}}\n",
-            cores = host_cores(),
+    if workers >= 2 {
+        let cores = host_cores();
+        assert!(
+            cores >= 2 && speedup > 1.0,
+            "sweep fan-out must beat the serial sweep on a multi-core host: \
+             {cores} core(s), {workers} worker(s), speedup {speedup:.2}x"
         );
-        std::fs::write(&path, json).expect("write bench JSON");
-        println!("wrote {path}");
     }
 }

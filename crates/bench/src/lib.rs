@@ -113,8 +113,8 @@ pub fn replay_reference(cfg: &SimConfig, trace: &[TraceEntry]) -> (Cycles, Refer
     (total, refm)
 }
 
-/// Host core count (`available_parallelism`), recorded in the bench
-/// JSON so comparisons can tell a single-core run from a regression.
+/// Host core count (`available_parallelism`): the default sweep pool
+/// size, and what `sweep_parallel` checks before it requires a speedup.
 #[must_use]
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)

@@ -664,41 +664,6 @@ impl MetricsRegistry {
         &self.counters
     }
 
-    /// Folds a domain's end-of-run [`DomainStats`] block into named
-    /// counters, prefixed with `label` (e.g. `x86.tlb_hits`). This is
-    /// what ties the totals-only world to the registry: after a run the
-    /// registry holds both the event-derived metrics and the
-    /// authoritative counters side by side.
-    pub fn fold_domain_stats(&mut self, label: &str, stats: &DomainStats) {
-        // Static names for the two domains' standard prefixes keep the
-        // common path allocation-free.
-        let entries: [(&str, u64); 12] = [
-            ("l1_hits", stats.l1i.hits + stats.l1d.hits),
-            ("l1_accesses", stats.l1i.accesses + stats.l1d.accesses),
-            ("l2_hits", stats.l2.hits),
-            ("l2_accesses", stats.l2.accesses),
-            ("l3_hits", stats.l3.hits),
-            ("l3_accesses", stats.l3.accesses),
-            ("ipi", stats.ipi),
-            ("instructions", stats.instructions),
-            ("mem_accesses", stats.mem_accesses),
-            ("tlb_hits", stats.tlb_hits),
-            ("tlb_misses", stats.tlb_misses),
-            ("runtime_cycles", stats.runtime.raw()),
-        ];
-        for (name, v) in entries {
-            let key: &'static str = Self::static_key(label, name);
-            self.add(key, v);
-        }
-    }
-
-    /// Interns `label.name` for the two standard domain labels; other
-    /// labels leak one small string per unique key (registries are
-    /// per-run diagnostics, not long-lived daemons).
-    fn static_key(label: &str, name: &str) -> &'static str {
-        Box::leak(format!("{label}.{name}").into_boxed_str())
-    }
-
     /// Renders every counter and histogram, one per line.
     #[must_use]
     pub fn render(&self) -> String {
@@ -1212,7 +1177,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_and_fold() {
+    fn registry_counters_and_histograms() {
         let mut m = MetricsRegistry::new();
         m.inc("x");
         m.add("x", 2);
@@ -1220,10 +1185,6 @@ mod tests {
         assert_eq!(m.counter("missing"), 0);
         m.observe(HIST_MSG_ROUND_TRIP, Cycles::new(9480));
         assert_eq!(m.histogram(HIST_MSG_ROUND_TRIP).unwrap().count(), 1);
-        let stats = DomainStats { tlb_hits: 7, instructions: 11, ..DomainStats::default() };
-        m.fold_domain_stats("x86", &stats);
-        assert_eq!(m.counter("x86.tlb_hits"), 7);
-        assert_eq!(m.counter("x86.instructions"), 11);
         assert!(m.render().contains("counter x = 3"));
         assert!(m.render().contains("histogram msg_round_trip_cycles:"));
     }
