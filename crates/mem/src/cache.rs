@@ -165,34 +165,6 @@ fn tags_contain(t: &[u64], line: u64) -> bool {
     }
 }
 
-/// Lane sweep for fixed associativity `N`: per lane, the same
-/// `|`-accumulated compare chain as [`contain_fixed`] (which the
-/// backend lowers to vector compares) decides hit/miss. Which way hit
-/// is not extracted — pulling a bit *position* out of the chain
-/// defeats the vectorisation — so the commit pass re-finds it with the
-/// probe cascade in one or two loads.
-///
-/// Safety contract: the caller (`classify_lanes`) guarantees
-/// `tags.len()` is `set_count * N` with `set_mask == set_count - 1`, so
-/// `(line & set_mask) * N + N <= tags.len()` for any line. The
-/// unchecked indexing below relies on exactly that; the sweep is the
-/// replay's innermost loop and the checks cost more than the compares.
-#[inline]
-fn classify_sweep<const N: usize>(tags: &[u64], set_mask: u64, lines: &[u64]) -> u32 {
-    let mut mask = 0u32;
-    for (j, &line) in lines.iter().enumerate() {
-        let base = (line & set_mask) as usize * N;
-        // SAFETY: see the contract above.
-        let t: &[u64; N] = unsafe { &*tags.as_ptr().add(base).cast() };
-        let mut hit = false;
-        for &x in t {
-            hit |= x == line;
-        }
-        mask |= u32::from(hit) << j;
-    }
-    mask
-}
-
 /// Moves `way` to the LRU (rank `ways-1`) nibble — used when a way is
 /// invalidated, so a set's empty ways sit at its LRU end.
 #[inline]
@@ -455,103 +427,6 @@ impl Cache {
             perm_find(perm, way)
         };
         self.perms[plan.set] = perm_promote_at(perm, way, idx);
-    }
-
-    /// Pure lane classification for the vectorised plan replay
-    /// ([`MemorySystem::run_plan`]'s dense path): bit `j` of the
-    /// returned mask is set iff `lines[j]` is resident. No LRU, hint,
-    /// or stat side effects — and since *hits* never move tags, a batch
-    /// classified up front stays valid across the leading all-hit
-    /// prefix the caller then commits via [`Cache::touch_hits`].
-    ///
-    /// [`MemorySystem::run_plan`]: crate::system::MemorySystem::run_plan
-    #[inline]
-    #[must_use]
-    pub fn classify_lanes(&self, lines: &[u64]) -> u32 {
-        debug_assert!(lines.len() <= 32);
-        // Dispatch on the associativity once per batch, so the inner
-        // sweep is monomorphic and the per-set compares unroll.
-        match self.geo.ways {
-            4 => classify_sweep::<4>(&self.tags, self.set_mask, lines),
-            8 => classify_sweep::<8>(&self.tags, self.set_mask, lines),
-            16 => classify_sweep::<16>(&self.tags, self.set_mask, lines),
-            _ => {
-                let wc = self.geo.ways as usize;
-                let mut mask = 0u32;
-                for (j, &line) in lines.iter().enumerate() {
-                    let base = (line & self.set_mask) as usize * wc;
-                    mask |= u32::from(tags_contain(&self.tags[base..base + wc], line)) << j;
-                }
-                mask
-            }
-        }
-    }
-
-    /// Commits the LRU/hint side effects of a run of probes known to
-    /// hit (classified by [`Cache::classify_lanes`]). Per element it is
-    /// state-identical to [`Cache::probe_or_plan`]'s hit arms: the L0
-    /// arm promotes without moving the hint, a hit on the MRU way only
-    /// moves the hint, and any other way is promoted to MRU from its
-    /// current rank. The arm order matters: the hint trajectory is
-    /// serialised by checkpoints, so it must match the probe's exactly.
-    /// Batching lets the field borrows split (`&tags` / `&mut perms`),
-    /// so the permutation stores can't be taken to alias the tag loads
-    /// and the whole run schedules with cross-element parallelism.
-    #[inline]
-    pub fn touch_hits(&mut self, lines: &[u64]) {
-        let set_mask = self.set_mask;
-        let wc = self.geo.ways as usize;
-        let tags = self.tags.as_slice();
-        let perms = self.perms.as_mut_slice();
-        let mut hint_line = self.last_line;
-        let mut hint_slot = self.last_slot;
-        // SAFETY throughout: `set <= set_mask < perms.len()`, every way
-        // index is `< wc` (from the permutation's low nibbles), `base +
-        // wc <= tags.len()` by the set geometry, and `hint_slot` stays a
-        // valid slot (it only ever takes `base + way` values).
-        for &line in lines {
-            let set = (line & set_mask) as usize;
-            if line == hint_line && line != EMPTY && unsafe { *tags.get_unchecked(hint_slot) } == line
-            {
-                // A resident line occupies exactly one way, so the
-                // hinted way is the resident way.
-                let way = hint_slot - set * wc;
-                let perm = unsafe { *perms.get_unchecked(set) };
-                if (perm & 0xF) as usize != way {
-                    unsafe { *perms.get_unchecked_mut(set) = perm_promote(perm, way) };
-                }
-                continue;
-            }
-            let perm = unsafe { *perms.get_unchecked(set) };
-            let base = set * wc;
-            // Re-find the way with the probe cascade (MRU, rank 1, then
-            // the recency scan).
-            let mru_slot = base + (perm & 0xF) as usize;
-            if unsafe { *tags.get_unchecked(mru_slot) } == line {
-                hint_line = line;
-                hint_slot = mru_slot;
-                continue;
-            }
-            let w1 = ((perm >> 4) & 0xF) as usize;
-            if wc > 1 && unsafe { *tags.get_unchecked(base + w1) } == line {
-                unsafe { *perms.get_unchecked_mut(set) = perm_promote_at(perm, w1 as u64, 4) };
-                continue;
-            }
-            let (w, idx) = scan_recency(tags, base, perm, wc, line)
-                .expect("classified line is found by the recency scan");
-            unsafe { *perms.get_unchecked_mut(set) = perm_promote_at(perm, w as u64, idx) };
-        }
-        self.last_line = hint_line;
-        self.last_slot = hint_slot;
-    }
-
-    /// Whether the line is resident in state [`Mesi::Modified`],
-    /// without disturbing LRU — the plan replay's write-lane ownership
-    /// test (`state_of(line) == Some(Mesi::Modified)`).
-    #[inline]
-    #[must_use]
-    pub fn state_modified(&self, line: u64) -> bool {
-        self.state_of(line) == Some(Mesi::Modified)
     }
 
     /// Whether the line is present, without disturbing LRU.
@@ -928,8 +803,7 @@ mod tests {
     /// the exact-LRU cache of [`crate::reference`] for replacement and
     /// residency, and a plain map for coherence state. A seeded random
     /// op mix drives every mutating entry point (including the fused
-    /// probe/fill pair and the lane classify/commit pair the plan
-    /// replay uses) over a line universe larger than the cache, so
+    /// probe/fill pair) over a line universe larger than the cache, so
     /// hits, conflicts, evictions and refills of invalidated ways all
     /// occur at every tested associativity.
     #[test]
@@ -950,15 +824,14 @@ mod tests {
                 let line = rng.gen_range(universe);
                 let state = [Mesi::Modified, Mesi::Exclusive, Mesi::Shared]
                     [rng.gen_range(3) as usize];
-                let mut touched = vec![line];
                 match rng.gen_range(1000) {
-                    0..=199 => {
+                    0..=249 => {
                         let got = c.probe(line);
                         assert_eq!(got.is_some(), r.probe(line), "probe hit/miss, {ctx}");
                         assert_eq!(got, mesi.get(&line).copied(), "probe state, {ctx}");
                     }
-                    200..=299 => assert_eq!(c.probe_hit(line), r.probe(line), "probe_hit, {ctx}"),
-                    300..=449 => match c.probe_or_plan(line) {
+                    250..=349 => assert_eq!(c.probe_hit(line), r.probe(line), "probe_hit, {ctx}"),
+                    350..=549 => match c.probe_or_plan(line) {
                         ProbeFill::Hit => assert!(r.probe(line), "planned hit, {ctx}"),
                         ProbeFill::Miss(plan) => {
                             assert!(!r.probe(line), "planned miss, {ctx}");
@@ -970,22 +843,6 @@ mod tests {
                             mesi.insert(line, state);
                         }
                     },
-                    450..=549 => {
-                        // A lane batch: classify, then commit the
-                        // leading all-hit run exactly as the replay does.
-                        let n = 1 + rng.gen_range(16) as usize;
-                        let lanes: Vec<u64> = (0..n).map(|_| rng.gen_range(universe)).collect();
-                        let mask = c.classify_lanes(&lanes);
-                        for (j, &l) in lanes.iter().enumerate() {
-                            assert_eq!(mask >> j & 1 == 1, r.contains(l), "lane {j}, {ctx}");
-                        }
-                        let run = ((!mask).trailing_zeros() as usize).min(n);
-                        c.touch_hits(&lanes[..run]);
-                        for &l in &lanes[..run] {
-                            assert!(r.probe(l), "committed lane hits, {ctx}");
-                        }
-                        touched = lanes;
-                    }
                     550..=749 => {
                         let ev = c.insert(line, state);
                         assert_eq!(ev.map(|e| e.line), r.insert(line), "eviction, {ctx}");
@@ -1012,14 +869,12 @@ mod tests {
                         mesi.clear();
                     }
                 }
-                for l in touched {
-                    let set = (l % sets) as usize;
-                    let range = set * ways as usize..(set + 1) * ways as usize;
-                    let mut got: Vec<u64> =
-                        c.tags[range].iter().copied().filter(|&t| t != EMPTY).collect();
-                    got.sort_unstable();
-                    assert_eq!(got, r.set_lines(set), "set {set} residency, {ctx}");
-                }
+                let set = (line % sets) as usize;
+                let range = set * ways as usize..(set + 1) * ways as usize;
+                let mut got: Vec<u64> =
+                    c.tags[range].iter().copied().filter(|&t| t != EMPTY).collect();
+                got.sort_unstable();
+                assert_eq!(got, r.set_lines(set), "set {set} residency, {ctx}");
                 assert_eq!(c.resident(), mesi.len(), "resident count, {ctx}");
             }
             let mut got: Vec<(u64, Mesi)> = c.lines().collect();

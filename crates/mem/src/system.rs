@@ -1068,114 +1068,23 @@ impl MemorySystem {
 
     // ---- compiled access plans ---------------------------------------------
 
-    /// Replays the plan's ops in `range` as timed data accesses. Cycle-, stat-
-    /// and trace-identical to issuing each op through
-    /// [`MemorySystem::access_line`] in order: with the tracer or the
-    /// debug trace on (or a shared LLC) it *is* that loop; otherwise
-    /// repeat hits on resident lines — the vast majority for a compiled
-    /// loop nest — are accounted in bulk against the L1D's
-    /// structure-of-arrays tags without the per-access dispatch. Plan
-    /// addresses must be canonical.
+    /// Replays the plan's ops in `range` as timed data accesses: one
+    /// [`MemorySystem::access_line`] per op, in order, on the op's line.
+    /// Plan addresses must be canonical.
     pub fn run_plan(
         &mut self,
         domain: DomainId,
         plan: &AccessPlan,
         range: std::ops::Range<usize>,
     ) -> Cycles {
-        let start = range.start;
-        let addrs = &plan.addrs[range];
         let mask = !(self.line_bytes - 1);
-        if self.tracer.is_some() || self.trace.is_some() || self.shared_l3.is_some() {
-            let mut cycles = Cycles::ZERO;
-            for (i, &addr) in addrs.iter().enumerate() {
-                let access =
-                    if plan.write_at(start + i) { Access::Write } else { Access::Read };
-                cycles += self
-                    .access_line(domain, PhysAddr::new(addr & mask), access, AccessKind::Data)
-                    .cycles;
-            }
-            return cycles;
+        let mut cycles = Cycles::ZERO;
+        for i in range {
+            let access = if plan.write_at(i) { Access::Write } else { Access::Read };
+            let addr = PhysAddr::new(plan.addrs[i] & mask);
+            cycles += self.access_line(domain, addr, access, AccessKind::Data).cycles;
         }
-        // Dense fast path, lane-parallel (DESIGN.md §11.2): classify
-        // up to `PLAN_LANES` ops at once against the structure-of-
-        // arrays tags — a pure sweep with no LRU, hint, or stat
-        // side effects — then commit the leading all-hit run with the
-        // exact probe side effects and one bulk account, and push the
-        // first non-hit op through the full pipeline just as the
-        // per-op loop does. An op is a pure L1 hit when the line is
-        // L1D-resident and, for writes, the private L3 already holds
-        // it Modified (then `ensure_writable` would be a no-op: no
-        // event, no snoop, no extra cycles). Classifying a whole batch
-        // up front is sound because hits never move tags, so the
-        // verdicts stay valid across the committed all-hit prefix; the
-        // first fallback op ends the batch and the next iteration
-        // re-classifies whatever the full pipeline changed.
-        const PLAN_LANES: usize = 16;
-        let di = domain.index();
-        let shift = self.line_shift;
-        let l1_lat = self.cfg.domains[di].latency.l1 as u64;
-        let mut fast_ops = 0u64;
-        let mut total = Cycles::ZERO;
-        let n = addrs.len();
-        let mut k = 0usize;
-        let mut lines = [0u64; PLAN_LANES];
-        while k < n {
-            let w = (n - k).min(PLAN_LANES);
-            for (j, &addr) in addrs[k..k + w].iter().enumerate() {
-                lines[j] = addr >> shift;
-            }
-            let wmask = plan.write_window(start + k) as u32;
-            let h = &self.hierarchies[di];
-            let hit = h.l1d.classify_lanes(&lines[..w]);
-            // Write lanes additionally need L3 ownership.
-            let mut fast = hit;
-            let mut writes = fast & wmask;
-            while writes != 0 {
-                let j = writes.trailing_zeros() as usize;
-                if !h.l3.state_modified(lines[j]) {
-                    fast &= !(1 << j);
-                }
-                writes &= writes - 1;
-            }
-            let run = ((!fast).trailing_zeros() as usize).min(w);
-            self.hierarchies[di].l1d.touch_hits(&lines[..run]);
-            fast_ops += run as u64;
-            k += run;
-            if run < w {
-                if fast_ops > 0 {
-                    let s = &mut self.stats[di];
-                    s.mem_accesses += fast_ops;
-                    s.l1d.accesses += fast_ops;
-                    s.l1d.hits += fast_ops;
-                    total += Cycles::new(fast_ops * l1_lat);
-                    fast_ops = 0;
-                }
-                // A fallback op that probed Hit (a write awaiting
-                // ownership) must keep the probe's MRU re-touch before
-                // the full pipeline runs, exactly as the per-op loop
-                // interleaves them. A true miss probes to a fill plan
-                // that mutates nothing, so the probe is skipped
-                // entirely — the pipeline rebuilds it anyway.
-                let line = lines[run];
-                if hit & (1 << run) != 0 {
-                    let _ = self.hierarchies[di].l1d.probe_or_plan(line);
-                }
-                let access =
-                    if plan.write_at(start + k) { Access::Write } else { Access::Read };
-                total += self
-                    .access_line(domain, PhysAddr::new(line << shift), access, AccessKind::Data)
-                    .cycles;
-                k += 1;
-            }
-        }
-        if fast_ops > 0 {
-            let s = &mut self.stats[di];
-            s.mem_accesses += fast_ops;
-            s.l1d.accesses += fast_ops;
-            s.l1d.hits += fast_ops;
-            total += Cycles::new(fast_ops * l1_lat);
-        }
-        total
+        cycles
     }
 
     /// Serializes the mutable memory-system state into a checkpoint
@@ -1310,13 +1219,8 @@ pub struct PlanOp {
 
 /// A compiled access plan: the exact data-access sequence of one loop
 /// iteration (or iteration chunk), precomputed once and replayed via
-/// [`MemorySystem::run_plan`]. Replay is cycle-, stat- and
-/// trace-identical to issuing each op through
-/// [`MemorySystem::access_line`] in order.
-///
-/// Stored structure-of-arrays — a dense address vector plus a
-/// write-direction bitset — so the lane-parallel replay sweeps
-/// contiguous `u64`s and reads a whole batch's directions in one word.
+/// [`MemorySystem::run_plan`] as one [`MemorySystem::access_line`] per
+/// op, in order.
 #[derive(Debug, Clone, Default)]
 pub struct AccessPlan {
     /// Canonical physical addresses in element order.
@@ -1367,20 +1271,6 @@ impl AccessPlan {
     #[must_use]
     pub fn write_at(&self, i: usize) -> bool {
         (self.writes[i / 64] >> (i % 64)) & 1 != 0
-    }
-
-    /// A 64-bit window of direction bits: bit `j` is op `start + j`
-    /// (zero past the end of the plan).
-    #[must_use]
-    pub fn write_window(&self, start: usize) -> u64 {
-        let wi = start / 64;
-        let off = start % 64;
-        let lo = self.writes.get(wi).copied().unwrap_or(0) >> off;
-        if off == 0 {
-            lo
-        } else {
-            lo | (self.writes.get(wi + 1).copied().unwrap_or(0) << (64 - off))
-        }
     }
 
     /// Iterates the ops in element order as [`PlanOp`] views.
@@ -1836,23 +1726,81 @@ mod tests {
         plan
     }
 
+    /// Hot shared lines that both domains read and write, so replaying
+    /// it in alternating turns ping-pongs ownership between them.
+    fn ping_pong_plan() -> AccessPlan {
+        let mut plan = AccessPlan::default();
+        for i in 0..1024u64 {
+            plan.push(POOL.raw() + (i * 24 % 4096), i % 3 != 0);
+        }
+        plan
+    }
+
+    /// An IS-like plan: a streaming key read, then a write to a
+    /// randomly chosen bucket in a span far larger than the L1 and L2.
+    fn scattered_plan() -> AccessPlan {
+        let mut rng = stramash_sim::rng::SimRng::new(0x15);
+        let mut plan = AccessPlan::default();
+        for i in 0..4096u64 {
+            plan.push(ARM_LOCAL.raw() + i * 8, false);
+            plan.push(POOL.raw() + 0x10_0000 + rng.gen_range(1 << 17) * 8, true);
+        }
+        plan
+    }
+
+    /// `run_plan` is pinned to one `access_line` per op on every model,
+    /// traced or not: each plan is replayed in 256-op turns that
+    /// alternate between the domains, through `run_plan` on one system
+    /// and an `access_line` loop on another. Cycles per turn, both
+    /// domains' stats and writebacks, the debug access trace and the
+    /// full event stream must all match.
     #[test]
     fn run_plan_matches_per_access_loop() {
-        let plan = mixed_plan();
-        let mut fast = sys(HardwareModel::Separated);
-        let mut slow = sys(HardwareModel::Separated);
-        let line_mask = !(fast.line_bytes() - 1);
-        for round in 0..3 {
-            let got = fast.run_plan(DomainId::X86, &plan, 0..plan.len());
-            let mut want = Cycles::ZERO;
-            for op in plan.iter() {
-                let access = if op.write { Access::Write } else { Access::Read };
-                let addr = PhysAddr::new(op.addr & line_mask);
-                want += slow.access_line(DomainId::X86, addr, access, AccessKind::Data).cycles;
+        let plans = [mixed_plan(), ping_pong_plan(), scattered_plan()];
+        for model in HardwareModel::ALL {
+            for traced in [false, true] {
+                let mut fast = sys(model);
+                let mut slow = sys(model);
+                let tracers = traced.then(|| {
+                    let (a, b) =
+                        (stramash_sim::shared_tracer(1 << 18), stramash_sim::shared_tracer(1 << 18));
+                    fast.set_tracer(a.clone());
+                    slow.set_tracer(b.clone());
+                    fast.enable_trace();
+                    slow.enable_trace();
+                    (a, b)
+                });
+                let line_mask = !(fast.line_bytes() - 1);
+                for round in 0..2 {
+                    for (p, plan) in plans.iter().enumerate() {
+                        for (turn, lo) in (0..plan.len()).step_by(256).enumerate() {
+                            let hi = (lo + 256).min(plan.len());
+                            let domain = if turn % 2 == 0 { DomainId::X86 } else { DomainId::ARM };
+                            let got = fast.run_plan(domain, plan, lo..hi);
+                            let mut want = Cycles::ZERO;
+                            for op in plan.iter().skip(lo).take(hi - lo) {
+                                let access = if op.write { Access::Write } else { Access::Read };
+                                let addr = PhysAddr::new(op.addr & line_mask);
+                                want += slow.access_line(domain, addr, access, AccessKind::Data).cycles;
+                            }
+                            let ctx = format!("{model:?} traced={traced} round {round} plan {p}");
+                            assert_eq!(got, want, "{ctx} turn {turn}: plan cycles");
+                        }
+                    }
+                }
+                for d in [DomainId::X86, DomainId::ARM] {
+                    let st = fast.stats(d);
+                    assert!(st.snoop_invalidations > 0, "{model:?} {d:?}: plans must ping-pong");
+                    assert_eq!(st, slow.stats(d), "{model:?} traced={traced} {d:?}");
+                    assert_eq!(fast.writebacks(d), slow.writebacks(d), "{model:?} {d:?} writebacks");
+                }
+                if let Some((a, b)) = tracers {
+                    assert_eq!(fast.take_trace(), slow.take_trace(), "{model:?}: access trace");
+                    let (a, b) = (a.borrow(), b.borrow());
+                    assert_eq!(a.dropped(), 0, "{model:?}: ring must hold the whole run");
+                    assert_eq!(a.events(), b.events(), "{model:?}: event stream");
+                }
             }
-            assert_eq!(got, want, "round {round}: plan replay must charge loop cycles");
-            assert_eq!(fast.stats(DomainId::X86), slow.stats(DomainId::X86));
-            assert_eq!(fast.writebacks(DomainId::X86), slow.writebacks(DomainId::X86));
         }
     }
 

@@ -18,7 +18,7 @@ use stramash_kernel::system::{
     BaseSystem, OsError, OsSystem, FAULT_TRAP_COST, MIGRATION_SCHED_COST,
 };
 use stramash_kernel::BootConfig;
-use stramash_mem::PhysAddr;
+use stramash_mem::{Access, PhysAddr};
 use stramash_sim::trace::{FutexOp, TraceEvent, HIST_DSM_TRANSFER};
 use stramash_sim::{Cycles, DomainId, IntMap, IntSet, SharedTracer, SimConfig};
 
@@ -415,8 +415,8 @@ impl PopcornSystem {
         let holder = requester.other();
         let base = &mut self.base;
         // Holder reads the page out of its frame (into the ring).
-        let mut scratch = vec![0u8; PAGE_SIZE as usize];
-        let c_read = base.mem.read_bytes(holder, src_frame, &mut scratch);
+        let src = base.mem.canonicalize(holder, src_frame);
+        let c_read = base.mem.access_range(holder, src, PAGE_SIZE, Access::Read);
         base.charge(holder, c_read);
         // Message round-trip with the page payload on the response.
         let total = self.round_trip(
@@ -424,12 +424,13 @@ impl PopcornSystem {
             Message::control(MsgType::PageRequest),
             Message::page(MsgType::PageResponse),
         );
-        // Requester stores the payload into its local frame.
+        // Requester stores the payload into its local frame; the bytes
+        // move once, so later reads see real data.
         let base = &mut self.base;
-        let c_write = base.mem.write_bytes(requester, dst_frame, &scratch);
+        let dst = base.mem.canonicalize(requester, dst_frame);
+        let c_write = base.mem.access_range(requester, dst, PAGE_SIZE, Access::Write);
         base.charge(requester, c_write);
-        // The actual bytes move so later reads see real data.
-        base.mem.store_mut().copy(src_frame, dst_frame, PAGE_SIZE);
+        base.mem.store_mut().copy(src, dst, PAGE_SIZE);
         let cost = c_read + c_write + total;
         self.base.emit(TraceEvent::DsmTransfer {
             from: holder,
@@ -922,5 +923,19 @@ mod tests {
             costs[1],
             costs[0]
         );
+    }
+
+    #[test]
+    fn ship_page_copies_the_frame_at_the_pinned_cost() {
+        let (mut sys, _pid) = popcorn();
+        let src = sys.alloc_frame(DomainId::X86).unwrap();
+        let dst = sys.alloc_frame(DomainId::ARM).unwrap();
+        let page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7 + 3) as u8).collect();
+        sys.base.mem.store_mut().write(src, &page);
+        let cost = sys.ship_page(DomainId::ARM, src, dst);
+        let mut got = vec![0u8; PAGE_SIZE as usize];
+        sys.base.mem.store().read(dst, &mut got);
+        assert_eq!(got, page, "the requester's frame holds the holder's bytes");
+        assert_eq!(cost.raw(), 135_640, "cost of one cold 4 KiB SHM page transfer");
     }
 }

@@ -683,8 +683,8 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     /// faulting and charging like the scalar path — while recording the
     /// canonical physical address of every access into `plan`.
     /// Subsequent calls replay the recorded sequence in flush-bounded
-    /// chunks: timing through [`stramash_mem::MemorySystem::run_plan`]
-    /// over the L1D's dense tag arrays, values element-major through
+    /// chunks: timing through [`stramash_mem::MemorySystem::run_plan`],
+    /// values element-major through
     /// the untimed store, so any dependence pattern (including a write
     /// column also being a read column) stays value-exact.
     ///
