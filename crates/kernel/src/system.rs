@@ -30,11 +30,10 @@ use stramash_isa::PteFlags;
 use stramash_mem::{MemorySystem, PhysAddr, PhysLayout};
 use stramash_sim::config::ConfigError;
 use stramash_sim::ipi::IpiFabric;
-use stramash_sim::trace::{
-    FutexOp, TraceEvent, CTR_WATCHDOG_DEATHS, HIST_FAULT_SERVICE, HIST_MSG_ROUND_TRIP,
-};
+use stramash_sim::trace::{FutexOp, TraceEvent, HIST_FAULT_SERVICE, HIST_MSG_ROUND_TRIP};
 use stramash_sim::{
-    Cycles, DomainId, IntMap, SharedFaultInjector, SharedTracer, SimConfig, Timebase,
+    Cycles, DomainId, DomainStats, IntMap, SharedFaultInjector, SharedTracer, SimConfig,
+    Timebase,
 };
 
 /// Trap entry/exit plus generic fault-path bookkeeping, charged for
@@ -187,9 +186,6 @@ pub struct BaseSystem {
     pub ipi: IpiFabric,
     /// Inter-kernel messaging.
     pub msg: MessagingLayer,
-    /// The §7.3 perf+icount session: OS layers record a marker at every
-    /// migration so per-phase, per-domain execution can be reported.
-    pub perf: stramash_sim::PerfSession,
     /// The two kernel instances.
     pub kernels: [KernelInstance; 2],
     /// Shared MMIO devices (§7.4): all accessible from both instances,
@@ -216,6 +212,9 @@ pub struct BaseSystem {
     ip: u64,
     /// Domain-failure detector (inert until armed).
     watchdog: Watchdog,
+    /// Both domains' counters (runtime from the clocks) at each
+    /// migration, oldest first: the §7.3 perf+icount phase markers.
+    migrations: Vec<[DomainStats; 2]>,
 }
 
 impl BaseSystem {
@@ -233,15 +232,11 @@ impl BaseSystem {
             layout.private_region(DomainId::X86).start.offset(1 << 20),
             layout.private_region(DomainId::ARM).start.offset(1 << 20),
         ];
-        let mut perf = stramash_sim::PerfSession::new();
-        let timebase = Timebase::new();
-        perf.sample("start", &timebase);
         Ok(BaseSystem {
             mem,
-            timebase,
+            timebase: Timebase::new(),
             ipi,
             msg,
-            perf,
             kernels,
             devices: DeviceRegistry::paper_platform(),
             pool_start,
@@ -255,6 +250,7 @@ impl BaseSystem {
             ifetch_interval: 64,
             ip: 0,
             watchdog: Watchdog::new(),
+            migrations: Vec::new(),
         })
     }
 
@@ -418,11 +414,42 @@ impl BaseSystem {
         Ok(())
     }
 
-    /// Records a perf marker for a migration between domains.
+    /// Records a migration between domains: snapshots both domains'
+    /// counters as the end of the current phase.
     pub fn record_migration(&mut self, from: DomainId, to: DomainId) {
-        let label = format!("migrate {from}->{to}");
-        self.perf.sample(label, &self.timebase);
+        self.migrations.push(self.domain_stats());
         self.emit(TraceEvent::Migration { from, to });
+    }
+
+    /// Both domains' live counters, with `runtime` read from the domain
+    /// clocks (the memory system's copy is only synced by
+    /// [`BaseSystem::sync_runtime_stats`]).
+    fn domain_stats(&self) -> [DomainStats; 2] {
+        DomainId::ALL.map(|d| DomainStats {
+            runtime: self.timebase.clock(d).cycles(),
+            ..*self.mem.stats(d)
+        })
+    }
+
+    /// The §7.3 perf+icount phases: what each domain did between
+    /// consecutive migrations. Phase 0 runs from boot to the first
+    /// migration and the last phase from the final migration to now,
+    /// so there are migrations + 1 phases and, per domain, they sum to
+    /// the live counters with runtime read from the clocks. Render with
+    /// [`stramash_sim::render_phases`].
+    #[must_use]
+    pub fn phases(&self) -> Vec<[DomainStats; 2]> {
+        let mut prev = [DomainStats::default(); 2];
+        self.migrations
+            .iter()
+            .copied()
+            .chain([self.domain_stats()])
+            .map(|now| {
+                let phase = DomainId::ALL.map(|d| now[d.index()].since(&prev[d.index()]));
+                prev = now;
+                phase
+            })
+            .collect()
     }
 
     /// Copies each domain's accumulated runtime into its statistics
@@ -519,15 +546,12 @@ impl BaseSystem {
             orphaned_waiters[k.domain.index()] = k.futexes.drain_domain(dead);
         }
         self.emit(TraceEvent::Watchdog { domain: dead, missed });
-        if let Some(t) = &self.tracer {
-            t.borrow_mut().metrics_mut().inc(CTR_WATCHDOG_DEATHS);
-        }
         Some(WatchdogReport { dead, missed, dropped_msg_bytes, orphaned_waiters })
     }
 
     /// Serializes every piece of mutable machine state — simulated
-    /// memory, clocks, IPI fabric, message rings, perf samples, both
-    /// kernels, devices, the process table, the watchdog, and (when
+    /// memory, clocks, IPI fabric, message rings, migration snapshots,
+    /// both kernels, devices, the process table, the watchdog, and (when
     /// installed) the fault injector's stream positions — into a
     /// checkpoint section. Structure derived from the boot
     /// configuration (layout, transports, namespaces, code regions) is
@@ -538,7 +562,10 @@ impl BaseSystem {
         self.timebase.save_state(e);
         self.ipi.save_state(e);
         self.msg.save_state(e);
-        self.perf.save_state(e);
+        e.u64(self.migrations.len() as u64);
+        for stats in self.migrations.iter().flatten() {
+            stats.save_state(e);
+        }
         for k in &self.kernels {
             k.save_state(e);
         }
@@ -579,7 +606,14 @@ impl BaseSystem {
         self.timebase.load_state(d)?;
         self.ipi.load_state(d)?;
         self.msg.load_state(d)?;
-        self.perf.load_state(d)?;
+        self.migrations.clear();
+        for _ in 0..d.len()? {
+            let mut snapshot = [DomainStats::default(); 2];
+            for stats in &mut snapshot {
+                stats.load_state(d)?;
+            }
+            self.migrations.push(snapshot);
+        }
         for k in &mut self.kernels {
             k.load_state(d)?;
         }

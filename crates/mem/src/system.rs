@@ -298,9 +298,7 @@ impl MemorySystem {
 
     /// Zeroes all statistics (cache contents are preserved).
     pub fn reset_stats(&mut self) {
-        for s in &mut self.stats {
-            s.reset();
-        }
+        self.stats = Default::default();
         self.writebacks = [0, 0];
     }
 

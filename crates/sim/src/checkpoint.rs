@@ -29,9 +29,12 @@ use std::fmt;
 pub const MAGIC: u32 = 0x5354_524d;
 
 /// Current artifact format version. Version 2 dropped the host-path
-/// mode flags and the stamp-LRU cache encoding; version 1 artifacts
-/// are rejected with [`CheckpointError::BadVersion`].
-pub const VERSION: u32 = 2;
+/// mode flags and the stamp-LRU cache encoding. Version 3 replaced the
+/// `PERF` marker section with per-migration `DomainStats` snapshots in
+/// the `BASE` section and dropped the IPI fabric's delivery counts.
+/// Version 1 and 2 artifacts are rejected with
+/// [`CheckpointError::BadVersion`].
+pub const VERSION: u32 = 3;
 
 /// Errors raised while decoding a checkpoint artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -9,7 +9,8 @@
 //! This module provides both sides of that methodology:
 //!
 //! * [`IpiFabric`] — the *simulated platform's* IPI delivery, a
-//!   configurable fixed cost (2 µs by default) plus a delivery counter,
+//!   configurable fixed cost (2 µs by default) plus a retransmission
+//!   counter (the senders count IPIs in their `DomainStats`),
 //! * [`IpiCharacterization`] — the *measurement experiment*: a per-core-
 //!   pair latency model reproducing the structure seen in Figures 5 and 6
 //!   (cheap within a socket/cluster, more expensive across sockets, with
@@ -40,7 +41,6 @@ pub enum NotifyMode {
 #[derive(Debug, Clone)]
 pub struct IpiFabric {
     latency: Cycles,
-    delivered: [u64; crate::NUM_DOMAINS],
     injector: Option<SharedFaultInjector>,
     retries: u64,
     tracer: Option<SharedTracer>,
@@ -52,7 +52,6 @@ impl IpiFabric {
     pub fn new(latency: Cycles) -> Self {
         IpiFabric {
             latency,
-            delivered: [0; crate::NUM_DOMAINS],
             injector: None,
             retries: 0,
             tracer: None,
@@ -89,8 +88,8 @@ impl IpiFabric {
     ///
     /// If an injected fault loses the delivery, the sender's interrupt
     /// controller re-raises it (the doorbell register stays set until
-    /// acknowledged), paying the fabric latency again per attempt; the
-    /// delivery counter only advances once the IPI actually lands.
+    /// acknowledged), paying the fabric latency again per attempt until
+    /// the IPI lands.
     pub fn send(&mut self, from: DomainId) -> Cycles {
         let mut cost = self.latency;
         if let Some(inj) = &self.injector {
@@ -107,35 +106,19 @@ impl IpiFabric {
                 inj.note_recovered(extra);
             }
         }
-        self.delivered[from.other().index()] += 1;
         if let Some(t) = &self.tracer {
             t.borrow_mut().record(TraceEvent::Ipi { from, cost });
         }
         cost
     }
 
-    /// IPIs delivered *to* `domain` so far.
-    #[must_use]
-    pub fn delivered_to(&self, domain: DomainId) -> u64 {
-        self.delivered[domain.index()]
-    }
-
-    /// Resets delivery counters (latency is preserved).
-    pub fn reset(&mut self) {
-        self.delivered = [0; crate::NUM_DOMAINS];
-        self.retries = 0;
-    }
-
-    /// Serializes the fabric's mutable counters (latency is config).
+    /// Serializes the fabric's retransmission counter (latency is config).
     pub fn save_state(&self, e: &mut crate::checkpoint::Encoder) {
         e.tag(0x49_504946); // "IPIF"
-        for &d in &self.delivered {
-            e.u64(d);
-        }
         e.u64(self.retries);
     }
 
-    /// Restores the fabric's counters.
+    /// Restores the fabric's retransmission counter.
     ///
     /// # Errors
     ///
@@ -145,9 +128,6 @@ impl IpiFabric {
         d: &mut crate::checkpoint::Decoder<'_>,
     ) -> Result<(), crate::checkpoint::CheckpointError> {
         d.tag(0x49_504946)?;
-        for v in &mut self.delivered {
-            *v = d.u64()?;
-        }
         self.retries = d.u64()?;
         Ok(())
     }
@@ -345,10 +325,7 @@ mod tests {
         let mut fabric = IpiFabric::new(Cycles::new(4200));
         let c = fabric.send(DomainId::X86);
         assert_eq!(c.raw(), 4200);
-        assert_eq!(fabric.delivered_to(DomainId::ARM), 1);
-        assert_eq!(fabric.delivered_to(DomainId::X86), 0);
-        fabric.reset();
-        assert_eq!(fabric.delivered_to(DomainId::ARM), 0);
+        assert_eq!(fabric.retries(), 0);
         assert_eq!(fabric.latency().raw(), 4200);
     }
 
@@ -362,9 +339,8 @@ mod tests {
         for _ in 0..200 {
             total += fabric.send(DomainId::X86);
         }
-        // Every IPI lands exactly once despite losses…
-        assert_eq!(fabric.delivered_to(DomainId::ARM), 200);
-        // …retransmissions happened and were charged real latency.
+        // Every IPI lands despite losses: retransmissions happened and
+        // were charged real latency.
         assert!(fabric.retries() > 0, "50% loss must force retries");
         assert_eq!(total.raw(), (200 + fabric.retries()) * 4200);
         let c = inj.borrow().counters();

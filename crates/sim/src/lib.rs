@@ -12,7 +12,8 @@
 //!   and the CXL snoop costs of §7.3,
 //! * a [`stats`] module with per-domain counters mirroring the output of
 //!   the paper's artifact (cache hits per level, IPI counts, local/remote
-//!   memory hits, instruction counts, runtime),
+//!   memory hits, instruction counts, runtime), and the §7.3 per-phase
+//!   report rendered from deltas of those counters,
 //! * an [`ipi`] module modelling cross-ISA inter-processor interrupts
 //!   (§7.2) and the IPI-latency characterisation of Figures 5 and 6,
 //! * a deterministic [`rng`] so every experiment is reproducible,
@@ -20,7 +21,7 @@
 //!   injection (message loss, IPI loss, bit flips, allocation failures)
 //!   for the robustness harness,
 //! * a [`trace`] module with the deterministic observability layer: a
-//!   bounded typed-event ring and a metrics registry wired through
+//!   bounded typed-event ring and latency histograms wired through
 //!   every layer of the stack without costing a simulated cycle,
 //! * an [`intmap`] module with [`IntMap`]/[`IntSet`], the fixed-hash
 //!   maps every simulator table uses instead of `std`'s SipHash ones.
@@ -47,7 +48,6 @@ pub mod config;
 pub mod fault;
 pub mod intmap;
 pub mod ipi;
-pub mod perf;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -64,8 +64,7 @@ pub use fault::{
     SharedFaultInjector,
 };
 pub use intmap::{IntMap, IntSet};
-pub use perf::{PerfPhase, PerfSample, PerfSession};
-pub use stats::{fully_shared_estimate, DomainStats, StatsError};
+pub use stats::{fully_shared_estimate, render_phases, DomainStats, StatsError};
 pub use time::{Clock, Cycles, DomainId, Timebase};
 pub use trace::{
     shared_tracer, EventClass, MetricsRegistry, SharedTracer, TraceEvent, Tracer,

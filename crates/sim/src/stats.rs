@@ -7,7 +7,7 @@
 //! counts, and the derived runtime.
 
 use crate::config::LatencyTable;
-use crate::time::Cycles;
+use crate::time::{Cycles, DomainId};
 use std::fmt;
 
 /// Errors from statistics derivations on degenerate inputs.
@@ -200,36 +200,35 @@ impl DomainStats {
         }
     }
 
-    /// Adds another domain's counters into this one (for aggregation).
-    pub fn merge(&mut self, other: &DomainStats) {
-        self.l1i.accesses += other.l1i.accesses;
-        self.l1i.hits += other.l1i.hits;
-        self.l1d.accesses += other.l1d.accesses;
-        self.l1d.hits += other.l1d.hits;
-        self.l2.accesses += other.l2.accesses;
-        self.l2.hits += other.l2.hits;
-        self.l3.accesses += other.l3.accesses;
-        self.l3.hits += other.l3.hits;
-        self.ipi += other.ipi;
-        self.local_mem_hits += other.local_mem_hits;
-        self.remote_mem_hits += other.remote_mem_hits;
-        self.remote_shared_mem_hits += other.remote_shared_mem_hits;
-        self.snoop_data_hits += other.snoop_data_hits;
-        self.snoop_invalidations += other.snoop_invalidations;
-        self.instructions += other.instructions;
-        self.mem_accesses += other.mem_accesses;
-        self.tlb_hits += other.tlb_hits;
-        self.tlb_misses += other.tlb_misses;
-        self.faults_injected += other.faults_injected;
-        self.faults_retried += other.faults_retried;
-        self.faults_recovered += other.faults_recovered;
-        self.faults_fatal += other.faults_fatal;
-        self.runtime += other.runtime;
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        *self = DomainStats::default();
+    /// The counters accumulated since `earlier`, an older snapshot of
+    /// the same domain: one phase of the §7.3 perf+icount report.
+    #[must_use]
+    pub fn since(&self, earlier: &DomainStats) -> DomainStats {
+        let level = |now: LevelStats, then: LevelStats| LevelStats {
+            accesses: now.accesses - then.accesses,
+            hits: now.hits - then.hits,
+        };
+        DomainStats {
+            l1i: level(self.l1i, earlier.l1i),
+            l1d: level(self.l1d, earlier.l1d),
+            l2: level(self.l2, earlier.l2),
+            l3: level(self.l3, earlier.l3),
+            ipi: self.ipi - earlier.ipi,
+            local_mem_hits: self.local_mem_hits - earlier.local_mem_hits,
+            remote_mem_hits: self.remote_mem_hits - earlier.remote_mem_hits,
+            remote_shared_mem_hits: self.remote_shared_mem_hits - earlier.remote_shared_mem_hits,
+            snoop_data_hits: self.snoop_data_hits - earlier.snoop_data_hits,
+            snoop_invalidations: self.snoop_invalidations - earlier.snoop_invalidations,
+            instructions: self.instructions - earlier.instructions,
+            mem_accesses: self.mem_accesses - earlier.mem_accesses,
+            tlb_hits: self.tlb_hits - earlier.tlb_hits,
+            tlb_misses: self.tlb_misses - earlier.tlb_misses,
+            faults_injected: self.faults_injected - earlier.faults_injected,
+            faults_retried: self.faults_retried - earlier.faults_retried,
+            faults_recovered: self.faults_recovered - earlier.faults_recovered,
+            faults_fatal: self.faults_fatal - earlier.faults_fatal,
+            runtime: self.runtime - earlier.runtime,
+        }
     }
 
     /// Serializes every counter into a checkpoint section.
@@ -325,10 +324,38 @@ impl DomainStats {
     }
 }
 
-impl fmt::Display for DomainStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.report("domain"))
+/// Renders the §7.3 perf+icount per-phase table. `phases[i]` holds
+/// what each domain did between migration `i` and the next one (phase 0
+/// starts at boot, the last phase ends at the current counters), so
+/// each phase is attributed to the domain that executed it. Memory
+/// cycles are runtime minus instructions (IPC 1).
+#[must_use]
+pub fn render_phases(phases: &[[DomainStats; 2]]) -> String {
+    use fmt::Write as _;
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "{:<7} {:<5} {:>14} {:>14} {:>12} {:>11} {:>6}",
+        "phase", "dom", "insns", "mem_cycles", "l1_acc", "remote_hits", "ipis"
+    );
+    for (i, phase) in phases.iter().enumerate() {
+        for d in DomainId::ALL {
+            let p = &phase[d.index()];
+            let _ = writeln!(
+                s,
+                "{:<7} {:<5} {:>14} {:>14} {:>12} {:>11} {:>6}",
+                i,
+                d.to_string(),
+                p.instructions,
+                (p.runtime - Cycles::new(p.instructions)).raw(),
+                p.l1i.accesses + p.l1d.accesses,
+                p.remote_mem_hits + p.remote_shared_mem_hits,
+                p.ipi
+            );
+        }
     }
+    let _ = writeln!(s, "phases: {} (split at thread migrations)", phases.len());
+    s
 }
 
 #[cfg(test)]
@@ -420,18 +447,39 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counters() {
-        let mut a = DomainStats { ipi: 1, instructions: 10, ..DomainStats::default() };
-        let b = DomainStats {
-            ipi: 2,
-            instructions: 5,
+    fn since_subtracts_an_earlier_snapshot() {
+        let earlier = DomainStats { ipi: 1, instructions: 10, ..DomainStats::default() };
+        let now = DomainStats {
+            ipi: 3,
+            instructions: 15,
+            l1d: LevelStats { accesses: 4, hits: 2 },
             runtime: Cycles::new(100),
             ..DomainStats::default()
         };
-        a.merge(&b);
-        assert_eq!(a.ipi, 3);
-        assert_eq!(a.instructions, 15);
-        assert_eq!(a.runtime.raw(), 100);
+        let d = now.since(&earlier);
+        assert_eq!(d.ipi, 2);
+        assert_eq!(d.instructions, 5);
+        assert_eq!(d.l1d, LevelStats { accesses: 4, hits: 2 });
+        assert_eq!(d.runtime.raw(), 100);
+        assert_eq!(now.since(&now), DomainStats::default());
+    }
+
+    #[test]
+    fn render_phases_shows_one_row_per_phase_and_domain() {
+        let x86 = DomainStats {
+            instructions: 1000,
+            runtime: Cycles::new(1500),
+            remote_mem_hits: 2,
+            remote_shared_mem_hits: 3,
+            ..DomainStats::default()
+        };
+        let arm = DomainStats { instructions: 7, runtime: Cycles::new(7), ipi: 1, ..x86 };
+        let r = render_phases(&[[x86, DomainStats::default()], [DomainStats::default(), arm]]);
+        assert_eq!(r.lines().count(), 1 + 2 * 2 + 1);
+        let row = r.lines().nth(1).unwrap();
+        assert_eq!(row.split_whitespace().collect::<Vec<_>>(), ["0", "x86", "1000", "500", "0", "5", "0"]);
+        assert!(r.ends_with("phases: 2 (split at thread migrations)\n"));
+        assert!(render_phases(&[]).contains("phases: 0"));
     }
 
     #[test]
@@ -445,13 +493,5 @@ mod tests {
         assert!(r.contains("Faults Injected: 0"));
         assert!(r.contains("Faults Recovered: 0"));
         assert!(r.contains("Runtime:"));
-        assert!(!format!("{s}").is_empty());
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let mut s = DomainStats { ipi: 9, ..DomainStats::default() };
-        s.reset();
-        assert_eq!(s, DomainStats::default());
     }
 }

@@ -6,8 +6,9 @@
 //! the observability layer: a bounded, preallocated ring of typed
 //! [`TraceEvent`]s emitted by every layer of the stack (cache, MESI,
 //! TLB, messaging, IPI, faults, futexes, migration, DSM) plus a
-//! [`MetricsRegistry`] of named counters and log-scaled latency
-//! histograms.
+//! [`MetricsRegistry`] of log-scaled latency histograms. Counts live in
+//! one place, [`DomainStats`]: the stream rebuilds them
+//! ([`reconstruct_domain_stats`]) rather than keeping a second copy.
 //!
 //! # Determinism contract
 //!
@@ -28,7 +29,7 @@
 //! full it overwrites the oldest events and counts them in
 //! [`Tracer::dropped`].
 
-use crate::stats::DomainStats;
+use crate::stats::{render_phases, DomainStats};
 use crate::time::{Cycles, DomainId};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -594,13 +595,12 @@ impl LatencyHistogram {
     }
 }
 
-/// A registry of named counters and latency histograms.
+/// A registry of named latency histograms.
 ///
 /// Names are `&'static str` so the registry stays allocation-free per
 /// observation after the first touch of each name.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, LatencyHistogram>,
 }
 
@@ -617,34 +617,12 @@ pub const HIST_FUTEX_WAIT: &str = "futex_wait_cycles";
 pub const HIST_KVSERVE_REQUEST: &str = "kvserve_request_cycles";
 /// Histogram name: KV-serving queueing delay (arrival to dispatch).
 pub const HIST_KVSERVE_QUEUE: &str = "kvserve_queue_cycles";
-/// Counter name: domains declared dead by the watchdog.
-pub const CTR_WATCHDOG_DEATHS: &str = "watchdog_deaths";
-/// Counter name: restart-from-checkpoint recoveries performed.
-pub const CTR_RECOVERY_RESTARTS: &str = "recovery_restarts";
-/// Counter name: checkpoints captured.
-pub const CTR_CHECKPOINTS: &str = "checkpoints_taken";
 
 impl MetricsRegistry {
     /// Creates an empty registry.
     #[must_use]
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// Adds `n` to the named counter.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Increments the named counter.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Reads a counter (zero if never touched).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Records a latency observation in the named histogram.
@@ -658,20 +636,11 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// All counters, in name order.
-    #[must_use]
-    pub fn counters(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counters
-    }
-
-    /// Renders every counter and histogram, one per line.
+    /// Renders every histogram, one per line.
     #[must_use]
     pub fn render(&self) -> String {
         use fmt::Write as _;
         let mut s = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(s, "counter {name} = {v}");
-        }
         for (name, h) in &self.histograms {
             let _ = writeln!(s, "histogram {name}: {}", h.render());
         }
@@ -853,87 +822,26 @@ pub fn reconstruct_domain_stats(events: &[TraceEvent]) -> [DomainStats; 2] {
     out
 }
 
-/// Per-phase, per-domain cycle totals in the style of the paper's
-/// Figure 9/11 breakdowns. Phases are delimited by
-/// [`TraceEvent::Migration`] events (phase 0 runs up to the first
-/// migration).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseTotals {
-    /// Instruction cycles (retired instructions at IPC 1).
-    pub inst_cycles: [u64; 2],
-    /// Memory/messaging feedback cycles charged.
-    pub mem_cycles: [u64; 2],
-    /// Cache accesses issued (instruction + data).
-    pub cache_accesses: [u64; 2],
-    /// Messages sent.
-    pub msgs: [u64; 2],
-    /// IPIs sent.
-    pub ipis: [u64; 2],
-    /// Page faults taken.
-    pub faults: [u64; 2],
-    /// Recovery-class events (watchdog deaths, recovery stages,
-    /// checkpoints) attributed to the domain.
-    pub recoveries: [u64; 2],
-}
-
-/// Splits an event stream into per-phase totals at migration events.
+/// Splits the stream at [`TraceEvent::Migration`] events and rebuilds
+/// each phase's per-domain counters with [`reconstruct_domain_stats`]:
+/// migrations + 1 phases, phase 0 running up to the first migration.
+/// On a run traced from boot with no drops, [`render_phases`] prints
+/// the same table for these as for `BaseSystem::phases`, the
+/// snapshot-based version (snoop and fault-injection counters, which
+/// the table does not show, rebuild to zero here).
 #[must_use]
-pub fn phase_breakdown(events: &[TraceEvent]) -> Vec<PhaseTotals> {
-    let mut phases = Vec::new();
-    let mut cur = PhaseTotals::default();
-    for ev in events {
-        if let TraceEvent::Migration { .. } = ev {
-            phases.push(std::mem::take(&mut cur));
-            continue;
-        }
-        match *ev {
-            TraceEvent::Retire { domain, insns } => cur.inst_cycles[domain.index()] += insns,
-            TraceEvent::Charge { domain, cost } => cur.mem_cycles[domain.index()] += cost.raw(),
-            TraceEvent::CacheAccess { domain, .. } => cur.cache_accesses[domain.index()] += 1,
-            TraceEvent::MsgSend { from, .. } => cur.msgs[from.index()] += 1,
-            TraceEvent::Ipi { from, .. } => cur.ipis[from.index()] += 1,
-            TraceEvent::PageFault { domain, .. } => cur.faults[domain.index()] += 1,
-            TraceEvent::Watchdog { domain, .. }
-            | TraceEvent::Recovery { domain, .. }
-            | TraceEvent::Checkpoint { domain, .. } => cur.recoveries[domain.index()] += 1,
-            _ => {}
-        }
-    }
-    phases.push(cur);
-    phases
+pub fn phase_breakdown(events: &[TraceEvent]) -> Vec<[DomainStats; 2]> {
+    events
+        .split(|ev| matches!(ev, TraceEvent::Migration { .. }))
+        .map(reconstruct_domain_stats)
+        .collect()
 }
 
-/// Renders the Figure 9/11-style per-phase textual report.
+/// Renders [`phase_breakdown`] as the per-phase report
+/// ([`render_phases`]), the stream-side oracle for the live table.
 #[must_use]
 pub fn render_phase_report(events: &[TraceEvent]) -> String {
-    use fmt::Write as _;
-    let phases = phase_breakdown(events);
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "{:<7} {:<5} {:>14} {:>14} {:>12} {:>8} {:>6} {:>7} {:>6}",
-        "phase", "dom", "inst_cycles", "mem_cycles", "cache_acc", "msgs", "ipis", "faults", "recov"
-    );
-    for (i, p) in phases.iter().enumerate() {
-        for d in DomainId::ALL {
-            let j = d.index();
-            let _ = writeln!(
-                s,
-                "{:<7} {:<5} {:>14} {:>14} {:>12} {:>8} {:>6} {:>7} {:>6}",
-                i,
-                d.to_string(),
-                p.inst_cycles[j],
-                p.mem_cycles[j],
-                p.cache_accesses[j],
-                p.msgs[j],
-                p.ipis[j],
-                p.faults[j],
-                p.recoveries[j]
-            );
-        }
-    }
-    let _ = writeln!(s, "phases: {} (split at thread migrations)", phases.len());
-    s
+    render_phases(&phase_breakdown(events))
 }
 
 /// Exports the stream as Chrome `trace_event` JSON (load in
@@ -1177,16 +1085,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_and_histograms() {
+    fn registry_histograms() {
         let mut m = MetricsRegistry::new();
-        m.inc("x");
-        m.add("x", 2);
-        assert_eq!(m.counter("x"), 3);
-        assert_eq!(m.counter("missing"), 0);
+        assert!(m.histogram(HIST_MSG_ROUND_TRIP).is_none());
         m.observe(HIST_MSG_ROUND_TRIP, Cycles::new(9480));
         assert_eq!(m.histogram(HIST_MSG_ROUND_TRIP).unwrap().count(), 1);
-        assert!(m.render().contains("counter x = 3"));
-        assert!(m.render().contains("histogram msg_round_trip_cycles:"));
+        assert!(m.render().starts_with("histogram msg_round_trip_cycles:"));
     }
 
     #[test]
@@ -1240,12 +1144,13 @@ mod tests {
         ];
         let phases = phase_breakdown(&events);
         assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].inst_cycles, [10, 0]);
-        assert_eq!(phases[1].inst_cycles, [0, 20]);
-        assert_eq!(phases[1].mem_cycles, [0, 5]);
-        let report = render_phase_report(&events);
-        assert!(report.contains("phases: 2"));
-        assert!(report.contains("inst_cycles"));
+        assert_eq!(phases[0].map(|s| s.instructions), [10, 0]);
+        assert_eq!(phases[1].map(|s| s.instructions), [0, 20]);
+        assert_eq!(phases[1].map(|s| s.runtime.raw()), [0, 25]);
+        assert_eq!(render_phase_report(&events), render_phases(&phases));
+        assert!(render_phase_report(&events).contains("phases: 2"));
+        // A trailing migration opens an empty last phase.
+        assert_eq!(phase_breakdown(&events[..2]).len(), 2);
     }
 
     #[test]

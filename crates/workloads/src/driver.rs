@@ -75,8 +75,6 @@ pub struct RunReport {
     /// Memory-system feedback cycles (local + remote + snoop + message
     /// traffic — the paper's memory/MSG components).
     pub mem_cycles: u64,
-    /// Migration phases recorded by the perf+icount tool.
-    pub perf_phases: usize,
     /// Kernel outcome (verification, checksum).
     pub outcome: NpbOutcome,
 }
@@ -167,7 +165,6 @@ pub fn run_benchmark_with(
         remote_hits_by_domain,
         inst_cycles,
         mem_cycles,
-        perf_phases: sys.base().perf.phases().len(),
         outcome,
     })
 }

@@ -76,9 +76,9 @@ pub enum Class {
     /// figures operate in, away from pathological LLC thrash).
     Validation,
     /// Working sets beyond even the 32 MB LLC — the regime of the
-    /// paper's real NPB classes. Minutes of host time per run; opt-in
-    /// (`STRAMASH_LARGE=1` for the Figure 10 bench, `--class large` in
-    /// the CLI).
+    /// paper's real NPB classes. Seconds of host time per run (IS about
+    /// 8 s, FT about 3 s on a 2-vCPU host); opt-in (`STRAMASH_LARGE=1`
+    /// for the Figure 10 bench, `--class large` in the CLI).
     Large,
 }
 

@@ -29,7 +29,7 @@ use stramash_kernel::process::Pid;
 use stramash_kernel::system::{OsError, OsSystem};
 use stramash_kernel::watchdog::DEFAULT_THRESHOLD;
 use stramash_sim::checkpoint::{CheckpointError, Decoder, Encoder};
-use stramash_sim::trace::{TraceEvent, CTR_RECOVERY_RESTARTS};
+use stramash_sim::trace::TraceEvent;
 use stramash_sim::DomainId;
 
 /// What the supervisor does once the watchdog declares a domain dead.
@@ -177,9 +177,6 @@ fn supervise<W: Stepped>(
                     sys = fresh;
                     cursor = restored_cursor;
                     restarts += 1;
-                    if let Some(t) = sys.tracer() {
-                        t.borrow_mut().metrics_mut().inc(CTR_RECOVERY_RESTARTS);
-                    }
                     sys.base()
                         .emit(TraceEvent::Recovery { domain: report.dead, stage: "replay" });
                 }

@@ -144,9 +144,6 @@ impl TargetSystem {
             domain: DomainId::X86,
             bytes: bytes.len() as u64,
         });
-        if let Some(t) = self.base().tracer() {
-            t.borrow_mut().metrics_mut().inc(stramash_sim::trace::CTR_CHECKPOINTS);
-        }
         bytes
     }
 
@@ -445,16 +442,19 @@ mod tests {
     fn restore_rejects_a_version_1_artifact() {
         use stramash_sim::checkpoint::{crc32, CheckpointError, VERSION};
         let sys = TargetSystem::build(SystemKind::Vanilla, HardwareModel::Shared).unwrap();
-        let mut bytes = sys.checkpoint();
-        assert_eq!(VERSION, 2);
-        // Rewrite the header's version field (after the 4-byte magic)
-        // and re-seal the CRC, so only the version is wrong.
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let body = bytes.len() - 4;
-        let crc = crc32(&bytes[..body]);
-        bytes[body..].copy_from_slice(&crc.to_le_bytes());
-        let mut fresh = TargetSystem::build(SystemKind::Vanilla, HardwareModel::Shared).unwrap();
-        assert_eq!(fresh.restore(&bytes), Err(CheckpointError::BadVersion(1)));
+        assert_eq!(VERSION, 3);
+        for old in [1u32, 2] {
+            let mut bytes = sys.checkpoint();
+            // Rewrite the header's version field (after the 4-byte
+            // magic) and re-seal the CRC, so only the version is wrong.
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            let body = bytes.len() - 4;
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            let mut fresh =
+                TargetSystem::build(SystemKind::Vanilla, HardwareModel::Shared).unwrap();
+            assert_eq!(fresh.restore(&bytes), Err(CheckpointError::BadVersion(old)));
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@ use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
 use stramash_repro::sim::chaos::ChaosSchedule;
 use stramash_repro::sim::ipi::{IpiCharacterization, IpiTopology};
+use stramash_repro::sim::render_phases;
 use stramash_repro::sim::rng::SimRng;
 use stramash_repro::workloads::chaos::chaos_sweep;
 use stramash_repro::workloads::driver::{run_benchmark, Configuration};
@@ -186,7 +187,7 @@ fn cmd_npb(args: &[String]) -> Result<ExitCode, FlagError> {
             println!("{}", sys.base().mem.stats(d).report(&d.to_string()));
         }
         println!("perf+icount phases:");
-        print!("{}", sys.base().perf.report());
+        print!("{}", render_phases(&sys.base().phases()));
         return Ok(ExitCode::SUCCESS);
     }
     let report = run_benchmark(cfg, kind, class).expect("run");
@@ -249,9 +250,7 @@ fn cmd_kv(args: &[String]) -> Result<ExitCode, FlagError> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<ExitCode, FlagError> {
-    use stramash_repro::sim::trace::{
-        chrome_trace_json, reconstruct_domain_stats, render_phase_report, shared_tracer,
-    };
+    use stramash_repro::sim::trace::{chrome_trace_json, reconstruct_domain_stats, shared_tracer};
     let Some(kind) = args.first().and_then(|a| parse_kind(a)) else {
         return Ok(usage());
     };
@@ -271,13 +270,22 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, FlagError> {
     let events = t.events();
     println!("{kind} on {system} ({model}) — verified: {}", out.verified);
     println!("{} events recorded, {} dropped by the bounded ring\n", t.recorded(), t.dropped());
-    print!("{}", render_phase_report(&events));
+    println!("perf+icount phases:");
+    print!("{}", render_phases(&sys.base().phases()));
 
-    // The report's per-domain totals, rebuilt purely from the stream.
-    println!("\nper-domain stats reconstructed from the event stream:");
-    let rebuilt = reconstruct_domain_stats(&events);
-    for d in DomainId::ALL {
-        println!("{}", rebuilt[d.index()].report(&d.to_string()));
+    if t.dropped() == 0 {
+        // The report's per-domain totals, rebuilt purely from the stream.
+        println!("\nper-domain stats reconstructed from the event stream:");
+        let rebuilt = reconstruct_domain_stats(&events);
+        for d in DomainId::ALL {
+            println!("{}", rebuilt[d.index()].report(&d.to_string()));
+        }
+    } else {
+        println!(
+            "\nthe ring wrapped: the stream and its Chrome export hold only the last {} of {} recorded events\n",
+            events.len(),
+            t.recorded()
+        );
     }
     println!("metrics:");
     print!("{}", t.metrics().render());

@@ -104,6 +104,11 @@ fn restored_system_is_bit_identical_going_forward() {
         assert_eq!(artifact, artifact_b, "{kind}: checkpointing must be deterministic");
         let mut fresh = TargetSystem::build_with(kind, sys.config().clone()).unwrap();
         fresh.restore(&artifact).unwrap();
+        assert_eq!(
+            fresh.base().phases(),
+            sys.base().phases(),
+            "{kind}: the migration snapshots must survive restore"
+        );
         let (got_fp, got_events) = resume(fresh, kind);
 
         assert_eq!(got_fp, want_fp, "{kind}: restored run drifted from the uninterrupted run");

@@ -5,6 +5,7 @@ use stramash_repro::kernel::addr::PAGE_SIZE;
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::kernel::vma::VmaProt;
 use stramash_repro::prelude::*;
+use stramash_repro::sim::trace::{chrome_trace_json, shared_tracer};
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
 
@@ -78,16 +79,19 @@ fn sequential_workloads_on_one_platform() {
     assert_eq!(sys.load_u64(p2, probe).unwrap(), 0xCAFE);
 }
 
-/// The perf+icount Chrome-trace export works on a real migrating run.
+/// The Chrome-trace export works on a real migrating run.
 #[test]
 fn chrome_trace_from_real_run() {
     let mut sys = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
+    let tracer = shared_tracer(1 << 20);
+    sys.install_tracer(tracer.clone());
     let pid = sys.spawn(DomainId::X86).unwrap();
     run_npb(NpbKind::Is, &mut sys, pid, Class::Tiny, true).unwrap();
-    let json = sys.base().perf.to_chrome_trace(2_100_000_000);
-    assert!(json.starts_with('[') && json.ends_with(']'));
-    assert!(json.contains("migrate x86->arm"));
+    assert_eq!(tracer.borrow().dropped(), 0);
+    let json = chrome_trace_json(&tracer.borrow().events());
+    assert!(json.starts_with("{\"displayTimeUnit\"") && json.trim_end().ends_with("]}"));
+    assert!(json.contains(r#""name":"migration","cat":"Migration","ph":"i""#));
     assert!(json.contains(r#""ph":"X""#));
     // Both domain tracks appear.
-    assert!(json.contains(r#""tid":1"#) && json.contains(r#""tid":2"#));
+    assert!(json.contains(r#""tid":0"#) && json.contains(r#""tid":1"#));
 }

@@ -12,35 +12,39 @@ use stramash_repro::kernel::BootConfig;
 use stramash_repro::mem::PhysAddr;
 use stramash_repro::prelude::*;
 use stramash_repro::sim::ipi::NotifyMode;
+use stramash_repro::sim::render_phases;
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
 
 /// The §7.3 perf tool attributes each offloaded procedure to the domain
-/// that ran it across a full NPB run.
+/// that ran it across a full NPB run, and its phases add up exactly to
+/// the domain clocks.
 #[test]
 fn perf_tool_attributes_phases_across_migrations() {
     let mut sys = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
     let pid = sys.spawn(DomainId::X86).unwrap();
     let out = run_npb(NpbKind::Is, &mut sys, pid, Class::Tiny, true).unwrap();
     assert!(out.verified);
-    let phases = sys.base().perf.phases();
-    // 2 iterations → 4 migrations → 5 markers → 4 closed phases (the
-    // final verification segment after the last back-migration has no
-    // closing marker).
-    assert!(phases.len() >= 4, "got {} phases", phases.len());
+    let phases = sys.base().phases();
+    // 2 iterations → 4 migrations → 5 phases, the last being the
+    // verification segment after the final back-migration.
+    assert_eq!(phases.len(), 5);
     // The setup phase (key generation) ran on x86.
-    assert_eq!(phases[0].label, "start");
-    assert_eq!(phases[0].dominant_domain(), DomainId::X86);
-    assert!(phases[0].insns.iter().sum::<u64>() > 0, "setup must retire instructions");
-    // Offloaded procedures ran on Arm.
-    let arm_phase =
-        phases.iter().find(|p| p.label == "migrate x86->arm").expect("offload phase exists");
-    assert_eq!(arm_phase.dominant_domain(), DomainId::ARM);
-    // Per-domain totals are consistent with the clocks.
-    let [x86_insns, arm_insns] = sys.base().perf.per_domain_insns();
-    assert!(x86_insns > 0 && arm_insns > 0);
-    let report = sys.base().perf.report();
-    assert!(report.contains("migrate arm->x86"));
+    let [x86, arm] = phases[0];
+    assert!(x86.instructions > 0, "setup must retire instructions");
+    assert!(x86.runtime > arm.runtime, "setup ran on x86");
+    // The first offloaded procedure (after x86 → Arm) ran on Arm.
+    let [x86, arm] = phases[1];
+    assert!(arm.runtime > x86.runtime && arm.instructions > x86.instructions);
+    // Per domain, the phases sum exactly to the clocks.
+    for d in DomainId::ALL {
+        let clock = sys.base().timebase.clock(d);
+        let insns: u64 = phases.iter().map(|p| p[d.index()].instructions).sum();
+        let runtime: u64 = phases.iter().map(|p| p[d.index()].runtime.raw()).sum();
+        assert_eq!(insns, clock.icount(), "{d}: instructions");
+        assert_eq!(runtime, clock.cycles().raw(), "{d}: runtime");
+    }
+    assert!(render_phases(&phases).ends_with("phases: 5 (split at thread migrations)\n"));
 }
 
 /// Device MMIO state is shared across instances, with redirection costs

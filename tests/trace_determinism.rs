@@ -10,7 +10,9 @@
 //! 2. Two same-seed runs emit byte-identical event streams.
 //! 3. [`reconstruct_domain_stats`] rebuilds the end-of-run
 //!    `DomainStats::report` blocks — including `Runtime` — from the
-//!    stream alone.
+//!    stream alone, and [`render_phase_report`] rebuilds the per-phase
+//!    table that `BaseSystem::phases` keeps as counter snapshots. The
+//!    snapshots need no ring: a wrapped one leaves them unchanged.
 //! 4. Data-dependent plan segments (the batched client pipeline) are
 //!    cycle-identical to the explicit scalar loop on randomised
 //!    gather/scatter cases, and their streams agree class by class with
@@ -18,8 +20,12 @@
 
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
+use stramash_repro::sim::render_phases;
 use stramash_repro::sim::rng::SimRng;
-use stramash_repro::sim::trace::{reconstruct_domain_stats, shared_tracer, EventClass, TraceEvent};
+use stramash_repro::sim::trace::{
+    reconstruct_domain_stats, render_phase_report, shared_tracer, EventClass, SharedTracer,
+    TraceEvent,
+};
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
@@ -153,6 +159,56 @@ fn reconstructed_reports_match_the_live_system() {
                 "{kind}/{d}: report reconstructed from the stream drifted from the live stats"
             );
         }
+    }
+}
+
+/// NPB IS Tiny with migration on `kind`, traced from boot into a ring
+/// of `capacity` events.
+fn traced_is(kind: SystemKind, capacity: usize) -> (TargetSystem, SharedTracer) {
+    let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
+    let tracer = shared_tracer(capacity);
+    sys.install_tracer(tracer.clone());
+    let pid = sys.spawn(DomainId::X86).unwrap();
+    assert!(run_npb(NpbKind::Is, &mut sys, pid, Class::Tiny, true).unwrap().verified);
+    (sys, tracer)
+}
+
+#[test]
+fn snapshot_phases_match_the_stream_phase_report() {
+    for kind in [SystemKind::Stramash, SystemKind::PopcornShm, SystemKind::PopcornTcp] {
+        let (sys, tracer) = traced_is(kind, RING_CAPACITY);
+        let t = tracer.borrow();
+        assert_eq!(t.dropped(), 0, "{kind}: the oracle needs the whole stream");
+        let phases = sys.base().phases();
+        assert!(phases.len() > 1, "{kind}: IS must migrate");
+        assert_eq!(
+            render_phases(&phases),
+            render_phase_report(&t.events()),
+            "{kind}: snapshot phases drifted from the stream's"
+        );
+    }
+}
+
+#[test]
+fn snapshot_phases_survive_a_wrapped_ring() {
+    let (whole, tracer) = traced_is(SystemKind::Stramash, RING_CAPACITY);
+    let migrations = tracer
+        .borrow()
+        .events()
+        .iter()
+        .filter(|ev| matches!(ev, TraceEvent::Migration { .. }))
+        .count();
+    let (sys, tracer) = traced_is(SystemKind::Stramash, 1024);
+    assert!(tracer.borrow().dropped() > 0, "a 1 024-event ring must wrap");
+    let phases = sys.base().phases();
+    assert_eq!(phases.len(), migrations + 1);
+    assert_eq!(phases, whole.base().phases());
+    for d in DomainId::ALL {
+        let clock = sys.base().timebase.clock(d);
+        let insns: u64 = phases.iter().map(|p| p[d.index()].instructions).sum();
+        let runtime: u64 = phases.iter().map(|p| p[d.index()].runtime.raw()).sum();
+        assert_eq!(insns, clock.icount(), "{d}: instructions");
+        assert_eq!(runtime, clock.cycles().raw(), "{d}: runtime");
     }
 }
 
