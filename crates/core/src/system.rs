@@ -912,13 +912,16 @@ impl OsSystem for StramashSystem {
             Message::control(MsgType::MigrationResponse),
             ORIGIN_FAULT_HANDLER_COST,
         );
+        // The phase ends once the protocol hands the thread over: the
+        // destination's transform and scheduling work belong to the
+        // phase that runs there.
+        self.base.record_migration(from, to);
         // Register-state transformation at the destination (§5).
         self.base.retire(to, cost_model.transform_insns);
         self.base.charge(to, MIGRATION_SCHED_COST);
         total += MIGRATION_SCHED_COST + cost_model.transform_cycles();
         self.base.process_mut(pid)?.switch_domain(to);
         self.base.kernels[to.index()].counters.migrations_in += 1;
-        self.base.record_migration(from, to);
 
         // Migrating back to the origin: reconfigure remote-format PTEs
         // to the origin's format (§6.4).

@@ -15,6 +15,7 @@ use std::fmt;
 use stramash_mem::{MemorySystem, PhysAddr};
 use stramash_sim::ipi::{IpiFabric, NotifyMode};
 use stramash_sim::trace::TraceEvent;
+pub use stramash_sim::trace::MsgType;
 use stramash_sim::{Cycles, DomainId, FaultKind, SharedFaultInjector, SharedTracer};
 
 /// Retransmission cap per logical message. With sane fault plans the
@@ -86,92 +87,6 @@ impl fmt::Display for MsgError {
 }
 
 impl std::error::Error for MsgError {}
-
-/// Message kinds exchanged by the OS protocols.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum MsgType {
-    /// DSM page fetch request (Popcorn).
-    PageRequest,
-    /// DSM page contents response (Popcorn).
-    PageResponse,
-    /// DSM invalidation of a replicated page (Popcorn).
-    PageInvalidate,
-    /// Remote VMA lookup request (Popcorn).
-    VmaRequest,
-    /// Remote VMA lookup response (Popcorn).
-    VmaResponse,
-    /// Futex operation forwarded to the origin kernel (Popcorn).
-    FutexRequest,
-    /// Futex operation acknowledgement (Popcorn).
-    FutexResponse,
-    /// Wake notification for a remote waiter.
-    FutexWake,
-    /// Thread migration request carrying the register state.
-    MigrationRequest,
-    /// Migration acknowledgement.
-    MigrationResponse,
-    /// Origin-handled fault in Stramash (missing upper-level table,
-    /// §9.2.3).
-    OriginFaultRequest,
-    /// Response to an origin-handled fault.
-    OriginFaultResponse,
-    /// Network-service request (the Figure 14 KV store).
-    KvRequest,
-    /// Network-service response.
-    KvResponse,
-    /// Watchdog liveness beacon. Only sent when the watchdog is armed,
-    /// so fault-free runs without one stay byte- and cycle-identical.
-    Heartbeat,
-}
-
-impl MsgType {
-    /// Short static name (used by trace events and reports).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            MsgType::PageRequest => "PageRequest",
-            MsgType::PageResponse => "PageResponse",
-            MsgType::PageInvalidate => "PageInvalidate",
-            MsgType::VmaRequest => "VmaRequest",
-            MsgType::VmaResponse => "VmaResponse",
-            MsgType::FutexRequest => "FutexRequest",
-            MsgType::FutexResponse => "FutexResponse",
-            MsgType::FutexWake => "FutexWake",
-            MsgType::MigrationRequest => "MigrationRequest",
-            MsgType::MigrationResponse => "MigrationResponse",
-            MsgType::OriginFaultRequest => "OriginFaultRequest",
-            MsgType::OriginFaultResponse => "OriginFaultResponse",
-            MsgType::KvRequest => "KvRequest",
-            MsgType::KvResponse => "KvResponse",
-            MsgType::Heartbeat => "Heartbeat",
-        }
-    }
-
-    /// All message kinds (for counter reports).
-    pub const ALL: [MsgType; 15] = [
-        MsgType::PageRequest,
-        MsgType::PageResponse,
-        MsgType::PageInvalidate,
-        MsgType::VmaRequest,
-        MsgType::VmaResponse,
-        MsgType::FutexRequest,
-        MsgType::FutexResponse,
-        MsgType::FutexWake,
-        MsgType::MigrationRequest,
-        MsgType::MigrationResponse,
-        MsgType::OriginFaultRequest,
-        MsgType::OriginFaultResponse,
-        MsgType::KvRequest,
-        MsgType::KvResponse,
-        MsgType::Heartbeat,
-    ];
-}
-
-impl fmt::Display for MsgType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
-}
 
 /// One message: a kind plus a payload size (contents are modelled by the
 /// bytes written into the ring).
@@ -778,7 +693,7 @@ impl MessagingLayer {
                 loop {
                     attempt += 1;
                     if attempt > 1 {
-                        self.emit(TraceEvent::MsgRetransmit { from, ty: msg.ty.name(), attempt });
+                        self.emit(TraceEvent::MsgRetransmit { from, ty: msg.ty, attempt });
                     }
                     let addr = self.slot(to, wire);
                     let payload = vec![0u8; wire_len(wire)];
@@ -866,7 +781,7 @@ impl MessagingLayer {
                         ack_attempt += 1;
                         self.emit(TraceEvent::MsgRetransmit {
                             from,
-                            ty: msg.ty.name(),
+                            ty: msg.ty,
                             attempt: ack_attempt,
                         });
                         cycles += Self::backoff(timeout_base, ack_attempt);
@@ -903,7 +818,7 @@ impl MessagingLayer {
                 loop {
                     attempt += 1;
                     if attempt > 1 {
-                        self.emit(TraceEvent::MsgRetransmit { from, ty: msg.ty.name(), attempt });
+                        self.emit(TraceEvent::MsgRetransmit { from, ty: msg.ty, attempt });
                     }
                     cycles += self.tcp_rtt / 2;
                     let fault = match &self.injector {
@@ -961,7 +876,7 @@ impl MessagingLayer {
             stats.faults_recovered += recovered;
             stats.faults_fatal += fatal;
         }
-        self.emit(TraceEvent::MsgSend { from, ty: msg.ty.name(), bytes: total, cost: cycles });
+        self.emit(TraceEvent::MsgSend { from, ty: msg.ty, bytes: total, cost: cycles });
         cycles
     }
 
@@ -990,7 +905,7 @@ impl MessagingLayer {
             // Receive-side copy out of the NIC; folded into the RTT.
             Transport::Tcp => Cycles::ZERO,
         };
-        self.emit(TraceEvent::MsgReceive { to, ty: msg.ty.name(), bytes: total, cost: cycles });
+        self.emit(TraceEvent::MsgReceive { to, ty: msg.ty, bytes: total, cost: cycles });
         cycles
     }
 

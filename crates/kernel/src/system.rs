@@ -439,15 +439,21 @@ impl BaseSystem {
     /// [`stramash_sim::render_phases`].
     #[must_use]
     pub fn phases(&self) -> Vec<[DomainStats; 2]> {
+        self.checked_phases().expect("migration snapshots are taken, and restored, in counter order")
+    }
+
+    /// [`BaseSystem::phases`], or `None` when a migration snapshot
+    /// exceeds the next one or the live counters (a hostile checkpoint).
+    fn checked_phases(&self) -> Option<Vec<[DomainStats; 2]>> {
         let mut prev = [DomainStats::default(); 2];
         self.migrations
             .iter()
             .copied()
             .chain([self.domain_stats()])
             .map(|now| {
-                let phase = DomainId::ALL.map(|d| now[d.index()].since(&prev[d.index()]));
+                let [x86, arm] = DomainId::ALL.map(|d| now[d.index()].checked_since(&prev[d.index()]));
                 prev = now;
-                phase
+                Some([x86?, arm?])
             })
             .collect()
     }
@@ -613,6 +619,11 @@ impl BaseSystem {
                 stats.load_state(d)?;
             }
             self.migrations.push(snapshot);
+        }
+        // The live counters were restored above; the snapshots must be
+        // earlier states of them, in order, or `phases` would underflow.
+        if self.checked_phases().is_none() {
+            return Err(CheckpointError::Malformed("migration snapshots out of counter order"));
         }
         for k in &mut self.kernels {
             k.load_state(d)?;

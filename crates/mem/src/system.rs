@@ -282,10 +282,7 @@ impl MemorySystem {
     pub fn note_tlb_hits(&mut self, domain: DomainId, n: u64) {
         self.stats[domain.index()].tlb_hits += n;
         if let Some(t) = &self.tracer {
-            let mut t = t.borrow_mut();
-            for _ in 0..n {
-                t.record(TraceEvent::TlbLookup { domain, hit: true });
-            }
+            t.borrow_mut().record_n(TraceEvent::TlbLookup { domain, hit: true }, n);
         }
     }
 

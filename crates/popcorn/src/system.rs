@@ -618,13 +618,16 @@ impl OsSystem for PopcornSystem {
             Message { ty: MsgType::MigrationRequest, payload: cost_model.payload_bytes },
             Message::control(MsgType::MigrationResponse),
         );
+        // The phase ends once the protocol hands the thread over: the
+        // destination's transform and scheduling work belong to the
+        // phase that runs there.
+        self.base.record_migration(from, to);
         // The destination transforms the register state to its ISA (§5).
         self.base.retire(to, cost_model.transform_insns);
         self.base.charge(to, MIGRATION_SCHED_COST);
         total += MIGRATION_SCHED_COST + cost_model.transform_cycles();
         self.base.process_mut(pid)?.switch_domain(to);
         self.base.kernels[to.index()].counters.migrations_in += 1;
-        self.base.record_migration(from, to);
         Ok(total)
     }
 

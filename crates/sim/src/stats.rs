@@ -201,34 +201,38 @@ impl DomainStats {
     }
 
     /// The counters accumulated since `earlier`, an older snapshot of
-    /// the same domain: one phase of the §7.3 perf+icount report.
+    /// the same domain: one phase of the §7.3 perf+icount report. `None`
+    /// when some counter of `earlier` exceeds this one, so the two cannot
+    /// be snapshots of one run in that order.
     #[must_use]
-    pub fn since(&self, earlier: &DomainStats) -> DomainStats {
-        let level = |now: LevelStats, then: LevelStats| LevelStats {
-            accesses: now.accesses - then.accesses,
-            hits: now.hits - then.hits,
+    pub fn checked_since(&self, earlier: &DomainStats) -> Option<DomainStats> {
+        let level = |now: LevelStats, then: LevelStats| {
+            Some(LevelStats {
+                accesses: now.accesses.checked_sub(then.accesses)?,
+                hits: now.hits.checked_sub(then.hits)?,
+            })
         };
-        DomainStats {
-            l1i: level(self.l1i, earlier.l1i),
-            l1d: level(self.l1d, earlier.l1d),
-            l2: level(self.l2, earlier.l2),
-            l3: level(self.l3, earlier.l3),
-            ipi: self.ipi - earlier.ipi,
-            local_mem_hits: self.local_mem_hits - earlier.local_mem_hits,
-            remote_mem_hits: self.remote_mem_hits - earlier.remote_mem_hits,
-            remote_shared_mem_hits: self.remote_shared_mem_hits - earlier.remote_shared_mem_hits,
-            snoop_data_hits: self.snoop_data_hits - earlier.snoop_data_hits,
-            snoop_invalidations: self.snoop_invalidations - earlier.snoop_invalidations,
-            instructions: self.instructions - earlier.instructions,
-            mem_accesses: self.mem_accesses - earlier.mem_accesses,
-            tlb_hits: self.tlb_hits - earlier.tlb_hits,
-            tlb_misses: self.tlb_misses - earlier.tlb_misses,
-            faults_injected: self.faults_injected - earlier.faults_injected,
-            faults_retried: self.faults_retried - earlier.faults_retried,
-            faults_recovered: self.faults_recovered - earlier.faults_recovered,
-            faults_fatal: self.faults_fatal - earlier.faults_fatal,
-            runtime: self.runtime - earlier.runtime,
-        }
+        Some(DomainStats {
+            l1i: level(self.l1i, earlier.l1i)?,
+            l1d: level(self.l1d, earlier.l1d)?,
+            l2: level(self.l2, earlier.l2)?,
+            l3: level(self.l3, earlier.l3)?,
+            ipi: self.ipi.checked_sub(earlier.ipi)?,
+            local_mem_hits: self.local_mem_hits.checked_sub(earlier.local_mem_hits)?,
+            remote_mem_hits: self.remote_mem_hits.checked_sub(earlier.remote_mem_hits)?,
+            remote_shared_mem_hits: self.remote_shared_mem_hits.checked_sub(earlier.remote_shared_mem_hits)?,
+            snoop_data_hits: self.snoop_data_hits.checked_sub(earlier.snoop_data_hits)?,
+            snoop_invalidations: self.snoop_invalidations.checked_sub(earlier.snoop_invalidations)?,
+            instructions: self.instructions.checked_sub(earlier.instructions)?,
+            mem_accesses: self.mem_accesses.checked_sub(earlier.mem_accesses)?,
+            tlb_hits: self.tlb_hits.checked_sub(earlier.tlb_hits)?,
+            tlb_misses: self.tlb_misses.checked_sub(earlier.tlb_misses)?,
+            faults_injected: self.faults_injected.checked_sub(earlier.faults_injected)?,
+            faults_retried: self.faults_retried.checked_sub(earlier.faults_retried)?,
+            faults_recovered: self.faults_recovered.checked_sub(earlier.faults_recovered)?,
+            faults_fatal: self.faults_fatal.checked_sub(earlier.faults_fatal)?,
+            runtime: Cycles::new(self.runtime.raw().checked_sub(earlier.runtime.raw())?),
+        })
     }
 
     /// Serializes every counter into a checkpoint section.
@@ -456,12 +460,17 @@ mod tests {
             runtime: Cycles::new(100),
             ..DomainStats::default()
         };
-        let d = now.since(&earlier);
+        let d = now.checked_since(&earlier).unwrap();
         assert_eq!(d.ipi, 2);
         assert_eq!(d.instructions, 5);
         assert_eq!(d.l1d, LevelStats { accesses: 4, hits: 2 });
         assert_eq!(d.runtime.raw(), 100);
-        assert_eq!(now.since(&now), DomainStats::default());
+        assert_eq!(now.checked_since(&now), Some(DomainStats::default()));
+        // An "earlier" snapshot ahead on any one counter is no snapshot
+        // of the same run: the phase would underflow.
+        assert_eq!(earlier.checked_since(&now), None);
+        let ahead = DomainStats { l3: LevelStats { accesses: 0, hits: 1 }, ..now };
+        assert_eq!(now.checked_since(&ahead), None);
     }
 
     #[test]

@@ -85,6 +85,94 @@ pub enum FutexOp {
     Wake,
 }
 
+/// Message kinds exchanged by the OS protocols (re-exported as
+/// `stramash_kernel::msg::MsgType`; defined here so message events
+/// carry the one-byte kind instead of its name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum MsgType {
+    /// DSM page fetch request (Popcorn).
+    PageRequest,
+    /// DSM page contents response (Popcorn).
+    PageResponse,
+    /// DSM invalidation of a replicated page (Popcorn).
+    PageInvalidate,
+    /// Remote VMA lookup request (Popcorn).
+    VmaRequest,
+    /// Remote VMA lookup response (Popcorn).
+    VmaResponse,
+    /// Futex operation forwarded to the origin kernel (Popcorn).
+    FutexRequest,
+    /// Futex operation acknowledgement (Popcorn).
+    FutexResponse,
+    /// Wake notification for a remote waiter.
+    FutexWake,
+    /// Thread migration request carrying the register state.
+    MigrationRequest,
+    /// Migration acknowledgement.
+    MigrationResponse,
+    /// Origin-handled fault in Stramash (missing upper-level table,
+    /// §9.2.3).
+    OriginFaultRequest,
+    /// Response to an origin-handled fault.
+    OriginFaultResponse,
+    /// Network-service request (the Figure 14 KV store).
+    KvRequest,
+    /// Network-service response.
+    KvResponse,
+    /// Watchdog liveness beacon. Only sent when the watchdog is armed,
+    /// so fault-free runs without one stay byte- and cycle-identical.
+    Heartbeat,
+}
+
+impl MsgType {
+    /// Short static name (used by trace events and reports).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            MsgType::PageRequest => "PageRequest",
+            MsgType::PageResponse => "PageResponse",
+            MsgType::PageInvalidate => "PageInvalidate",
+            MsgType::VmaRequest => "VmaRequest",
+            MsgType::VmaResponse => "VmaResponse",
+            MsgType::FutexRequest => "FutexRequest",
+            MsgType::FutexResponse => "FutexResponse",
+            MsgType::FutexWake => "FutexWake",
+            MsgType::MigrationRequest => "MigrationRequest",
+            MsgType::MigrationResponse => "MigrationResponse",
+            MsgType::OriginFaultRequest => "OriginFaultRequest",
+            MsgType::OriginFaultResponse => "OriginFaultResponse",
+            MsgType::KvRequest => "KvRequest",
+            MsgType::KvResponse => "KvResponse",
+            MsgType::Heartbeat => "Heartbeat",
+        }
+    }
+
+    /// All message kinds (for counter reports).
+    pub const ALL: [MsgType; 15] = [
+        MsgType::PageRequest,
+        MsgType::PageResponse,
+        MsgType::PageInvalidate,
+        MsgType::VmaRequest,
+        MsgType::VmaResponse,
+        MsgType::FutexRequest,
+        MsgType::FutexResponse,
+        MsgType::FutexWake,
+        MsgType::MigrationRequest,
+        MsgType::MigrationResponse,
+        MsgType::OriginFaultRequest,
+        MsgType::OriginFaultResponse,
+        MsgType::KvRequest,
+        MsgType::KvResponse,
+        MsgType::Heartbeat,
+    ];
+}
+
+impl fmt::Display for MsgType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{self:?}")
+    }
+}
+
 /// Coarse classification of events, used by the determinism contract
 /// (see the module docs) and by the textual report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -128,10 +216,29 @@ impl EventClass {
         EventClass::Accounting,
         EventClass::Recovery,
     ];
+
+    /// The class name, as the Chrome exporter's `cat` field prints it
+    /// (identical to the `Debug` rendering).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            EventClass::Cache => "Cache",
+            EventClass::Tlb => "Tlb",
+            EventClass::Msg => "Msg",
+            EventClass::Ipi => "Ipi",
+            EventClass::Fault => "Fault",
+            EventClass::Sync => "Sync",
+            EventClass::Migration => "Migration",
+            EventClass::Dsm => "Dsm",
+            EventClass::Accounting => "Accounting",
+            EventClass::Recovery => "Recovery",
+        }
+    }
 }
 
 /// One typed trace event. `Copy` and free of heap data so recording is
-/// a store into the preallocated ring.
+/// a store into the preallocated ring; at most 24 bytes (asserted
+/// below), so the 2^20-event ring the CLI and benchmark use is 24 MiB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// One cache-hierarchy access (the parent event; any snoop /
@@ -204,8 +311,8 @@ pub enum TraceEvent {
     MsgSend {
         /// Sending domain.
         from: DomainId,
-        /// Message kind name.
-        ty: &'static str,
+        /// Message kind.
+        ty: MsgType,
         /// Header + payload bytes.
         bytes: u64,
         /// Sender-side cost, including any retries.
@@ -215,8 +322,8 @@ pub enum TraceEvent {
     MsgReceive {
         /// Receiving domain.
         to: DomainId,
-        /// Message kind name.
-        ty: &'static str,
+        /// Message kind.
+        ty: MsgType,
         /// Header + payload bytes.
         bytes: u64,
         /// Receiver-side cost.
@@ -226,8 +333,8 @@ pub enum TraceEvent {
     MsgRetransmit {
         /// Sending domain.
         from: DomainId,
-        /// Message kind name.
-        ty: &'static str,
+        /// Message kind.
+        ty: MsgType,
         /// 1-based attempt number that failed.
         attempt: u32,
     },
@@ -335,6 +442,10 @@ pub enum TraceEvent {
         bytes: u64,
     },
 }
+
+// Every variant fits two words plus a tag word; a wider field (such as
+// a `&'static str` next to two u64s) would grow every slot of the ring.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 24);
 
 impl TraceEvent {
     /// The event's coarse class (see [`EventClass`]).
@@ -698,7 +809,43 @@ impl Tracer {
             self.ring[self.head] = ev;
             self.dropped += 1;
         }
-        self.head = (self.head + 1) % self.capacity;
+        self.head += 1;
+        if self.head == self.capacity {
+            self.head = 0;
+        }
+    }
+
+    /// Records `n` copies of `ev`, leaving exactly the state `n` calls
+    /// to [`Tracer::record`] would, but writing the ring as at most two
+    /// slice fills (only the last `capacity` copies can survive).
+    pub fn record_n(&mut self, ev: TraceEvent, n: u64) {
+        self.recorded += n;
+        let cap = self.capacity;
+        // While the ring is still filling, `head == ring.len()`.
+        let fill = n.min((cap - self.ring.len()) as u64) as usize;
+        if fill > 0 {
+            self.ring.resize(self.ring.len() + fill, ev);
+            self.head = if self.ring.len() == cap { 0 } else { self.ring.len() };
+        }
+        let over = n - fill as u64;
+        if over == 0 {
+            return;
+        }
+        self.dropped += over;
+        if over >= cap as u64 {
+            self.ring.fill(ev);
+            self.head = (self.head + (over % cap as u64) as usize) % cap;
+            return;
+        }
+        let end = self.head + over as usize;
+        if end <= cap {
+            self.ring[self.head..end].fill(ev);
+            self.head = if end == cap { 0 } else { end };
+        } else {
+            self.ring[self.head..].fill(ev);
+            self.ring[..end - cap].fill(ev);
+            self.head = end - cap;
+        }
     }
 
     /// Ring capacity.
@@ -844,6 +991,15 @@ pub fn render_phase_report(events: &[TraceEvent]) -> String {
     render_phases(&phase_breakdown(events))
 }
 
+/// The Chrome JSON header and footer.
+const CHROME_HEADER: &str = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
+const CHROME_FOOTER: &str = "\n]}\n";
+
+/// Output bytes reserved per event. Records of an NPB run average about
+/// 83 bytes (11-digit timestamps), so one reservation normally covers
+/// the whole export.
+const CHROME_BYTES_PER_EVENT: usize = 96;
+
 /// Exports the stream as Chrome `trace_event` JSON (load in
 /// `chrome://tracing` or Perfetto).
 ///
@@ -853,43 +1009,64 @@ pub fn render_phase_report(events: &[TraceEvent]) -> String {
 /// other event renders as an instant at its domain's current simulated
 /// time. The `ts`/`dur` unit is the simulated cycle (the viewer labels
 /// it µs; divide by the clock rate for wall time).
+///
+/// Each record is appended as static pieces plus hand-formatted
+/// integers into one buffer sized up front: the export runs over up to
+/// 2^20 events, where `core::fmt` would dominate its cost.
 #[must_use]
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    use fmt::Write as _;
     let mut now = [0u64; 2];
-    let mut s = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
-    let mut first = true;
-    for ev in events {
+    let mut s = String::with_capacity(
+        CHROME_HEADER.len() + CHROME_FOOTER.len() + events.len() * CHROME_BYTES_PER_EVENT,
+    );
+    s.push_str(CHROME_HEADER);
+    for (i, ev) in events.iter().enumerate() {
         let d = ev.domain().index();
-        let (ph, dur) = match *ev {
-            TraceEvent::Charge { cost, .. } => ("X", Some(cost.raw())),
-            TraceEvent::Retire { insns, .. } => ("X", Some(insns)),
-            _ => ("i", None),
+        let dur = match *ev {
+            TraceEvent::Charge { cost, .. } => Some(cost.raw()),
+            TraceEvent::Retire { insns, .. } => Some(insns),
+            _ => None,
         };
-        if !first {
+        if i > 0 {
             s.push_str(",\n");
         }
-        first = false;
-        let _ = write!(
-            s,
-            "{{\"name\":\"{}\",\"cat\":\"{:?}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}",
-            ev.name(),
-            ev.class(),
-            ph,
-            d,
-            d,
-            now[d]
-        );
+        s.push_str("{\"name\":\"");
+        s.push_str(ev.name());
+        s.push_str("\",\"cat\":\"");
+        s.push_str(ev.class().name());
+        s.push_str(if dur.is_some() { "\",\"ph\":\"X\",\"pid\":" } else { "\",\"ph\":\"i\",\"pid\":" });
+        push_u64(&mut s, d as u64);
+        s.push_str(",\"tid\":");
+        push_u64(&mut s, d as u64);
+        s.push_str(",\"ts\":");
+        push_u64(&mut s, now[d]);
         if let Some(dur) = dur {
-            let _ = write!(s, ",\"dur\":{dur}");
+            s.push_str(",\"dur\":");
+            push_u64(&mut s, dur);
+            s.push('}');
             now[d] += dur;
         } else {
-            s.push_str(",\"s\":\"t\"");
+            s.push_str(",\"s\":\"t\"}");
         }
-        s.push('}');
     }
-    s.push_str("\n]}\n");
+    s.push_str(CHROME_FOOTER);
     s
+}
+
+/// Appends `v` in decimal, without going through `core::fmt`.
+#[inline]
+fn push_u64(s: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    s.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"));
 }
 
 #[cfg(test)]
@@ -933,6 +1110,42 @@ mod tests {
         assert_eq!(t.dropped(), 0);
     }
 
+    /// `record_n` against a tracer that only calls `record`, over seeded
+    /// mixes of single records and runs of 0, fewer than capacity,
+    /// exactly capacity and more than capacity copies.
+    #[test]
+    fn record_n_matches_repeated_record() {
+        for capacity in [1usize, 7, 1024] {
+            let cap = capacity as u64;
+            for seed in 1..=6 {
+                let mut rng = crate::rng::SimRng::new(seed);
+                let mut bulk = Tracer::with_capacity(capacity);
+                let mut reference = Tracer::with_capacity(capacity);
+                for step in 0..48u64 {
+                    let domain = if step % 2 == 0 { DomainId::X86 } else { DomainId::ARM };
+                    let ev = TraceEvent::Retire { domain, insns: step };
+                    let n = match rng.gen_range(5) {
+                        0 => 0,
+                        1 => rng.gen_range(cap),
+                        2 => cap,
+                        3 => cap + 1 + rng.gen_range(2 * cap),
+                        _ => 1,
+                    };
+                    bulk.record_n(ev, n);
+                    for _ in 0..n {
+                        reference.record(ev);
+                    }
+                    let ctx = format!("capacity {capacity}, seed {seed}, step {step}, n {n}");
+                    assert_eq!(bulk.events(), reference.events(), "{ctx}");
+                    assert_eq!(bulk.len(), reference.len(), "{ctx}");
+                    assert_eq!(bulk.recorded(), reference.recorded(), "{ctx}");
+                    assert_eq!(bulk.dropped(), reference.dropped(), "{ctx}");
+                    assert_eq!(bulk.head, reference.head, "{ctx}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn ring_is_alloc_free_in_steady_state() {
         let mut t = Tracer::with_capacity(8);
@@ -968,7 +1181,7 @@ mod tests {
             EventClass::Migration
         );
         assert_eq!(
-            TraceEvent::MsgReceive { to: DomainId::ARM, ty: "KvRequest", bytes: 64, cost: Cycles::ZERO }
+            TraceEvent::MsgReceive { to: DomainId::ARM, ty: MsgType::KvRequest, bytes: 64, cost: Cycles::ZERO }
                 .domain(),
             DomainId::ARM
         );

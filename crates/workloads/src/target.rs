@@ -457,6 +457,58 @@ mod tests {
         }
     }
 
+    /// Migration snapshots that exceed the next one, or the live
+    /// counters, would make `phases` underflow: restore refuses them.
+    #[test]
+    fn restore_rejects_out_of_order_migration_snapshots() {
+        use crate::npb::{run_npb, Class, NpbKind};
+        use stramash_sim::checkpoint::{crc32, CheckpointError, Encoder};
+        use stramash_sim::DomainStats;
+        let build = || TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
+        let mut sys = build();
+        let pid = sys.spawn(DomainId::X86).unwrap();
+        assert!(run_npb(NpbKind::Is, &mut sys, pid, Class::Tiny, true).unwrap().verified);
+        let migrations = sys.base().phases().len() - 1;
+        assert!(migrations >= 2, "IS Tiny must migrate at least twice");
+        let artifact = sys.checkpoint();
+        build().restore(&artifact).unwrap();
+
+        // The snapshots are `migrations` pairs of `DomainStats` sections
+        // right after their u64 count.
+        let mut e = Encoder::new();
+        DomainStats::default().save_state(&mut e);
+        let section = e.into_bytes();
+        let pair = 2 * section.len();
+        let count = (migrations as u64).to_le_bytes();
+        let start = (8..artifact.len() - migrations * pair)
+            .find(|&i| {
+                artifact[i - 8..i] == count
+                    && (0..2 * migrations)
+                        .all(|k| artifact[i + k * section.len()..][..4] == section[..4])
+            })
+            .expect("the checkpoint holds the migration snapshots");
+        let reseal = |mut bytes: Vec<u8>| {
+            let body = bytes.len() - 4;
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            bytes
+        };
+        let malformed = Err(CheckpointError::Malformed("migration snapshots out of counter order"));
+
+        // Swap the first two snapshots.
+        let mut swapped = artifact.clone();
+        let (first, second) = swapped[start..start + 2 * pair].split_at_mut(pair);
+        first.swap_with_slice(second);
+        assert_eq!(build().restore(&reseal(swapped)), malformed);
+
+        // Push the last snapshot's x86 runtime (its final u64) past the
+        // live clock.
+        let mut ahead = artifact;
+        let runtime = start + migrations * pair - section.len() - 8;
+        ahead[runtime..runtime + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(build().restore(&reseal(ahead)), malformed);
+    }
+
     #[test]
     fn kind_display() {
         assert_eq!(SystemKind::PopcornShm.to_string(), "Popcorn-SHM");

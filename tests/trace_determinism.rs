@@ -17,14 +17,16 @@
 //!    cycle-identical to the explicit scalar loop on randomised
 //!    gather/scatter cases, and their streams agree class by class with
 //!    the accounting totals conserved.
+//! 5. `chrome_trace_json` prints byte for byte what the `write!`-based
+//!    exporter it replaced printed, kept here as its oracle.
 
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
 use stramash_repro::sim::render_phases;
 use stramash_repro::sim::rng::SimRng;
 use stramash_repro::sim::trace::{
-    reconstruct_domain_stats, render_phase_report, shared_tracer, EventClass, SharedTracer,
-    TraceEvent,
+    chrome_trace_json, reconstruct_domain_stats, render_phase_report, shared_tracer, EventClass,
+    FutexOp, MsgType, SharedTracer, TraceEvent, TraceLevel, TraceMemClass, TraceMesi,
 };
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
@@ -189,6 +191,33 @@ fn snapshot_phases_match_the_stream_phase_report() {
     }
 }
 
+/// A phase ends when the migration protocol hands the thread over, so
+/// the destination's register transform lands in the phase that runs
+/// there: the domain the thread is not on retires nothing.
+#[test]
+fn idle_domain_retires_nothing_in_any_phase() {
+    for kind in [SystemKind::Stramash, SystemKind::PopcornShm] {
+        let (sys, tracer) = traced_is(kind, RING_CAPACITY);
+        let events = tracer.borrow().events();
+        // Phase 0 runs on the spawn domain, phase i on the i-th
+        // migration's destination.
+        let running: Vec<DomainId> = std::iter::once(DomainId::X86)
+            .chain(events.iter().filter_map(|ev| match *ev {
+                TraceEvent::Migration { to, .. } => Some(to),
+                _ => None,
+            }))
+            .collect();
+        let phases = sys.base().phases();
+        assert_eq!(phases.len(), running.len(), "{kind}");
+        for (i, (phase, on)) in phases.iter().zip(&running).enumerate() {
+            let idle = on.other();
+            assert!(phase[on.index()].instructions > 0, "{kind}: phase {i} retired nothing on {on}");
+            assert_eq!(phase[idle.index()].instructions, 0, "{kind}: phase {i}: idle {idle} retired instructions");
+        }
+        assert_eq!(render_phases(&phases), render_phase_report(&events), "{kind}: stream oracle");
+    }
+}
+
 #[test]
 fn snapshot_phases_survive_a_wrapped_ring() {
     let (whole, tracer) = traced_is(SystemKind::Stramash, RING_CAPACITY);
@@ -209,6 +238,115 @@ fn snapshot_phases_survive_a_wrapped_ring() {
         let runtime: u64 = phases.iter().map(|p| p[d.index()].runtime.raw()).sum();
         assert_eq!(insns, clock.icount(), "{d}: instructions");
         assert_eq!(runtime, clock.cycles().raw(), "{d}: runtime");
+    }
+}
+
+/// The `write!`-based Chrome exporter `chrome_trace_json` replaced, kept
+/// verbatim as its byte-for-byte oracle.
+fn chrome_trace_json_fmt(events: &[TraceEvent]) -> String {
+    use std::fmt::Write as _;
+    let mut now = [0u64; 2];
+    let mut s = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n");
+    let mut first = true;
+    for ev in events {
+        let d = ev.domain().index();
+        let (ph, dur) = match *ev {
+            TraceEvent::Charge { cost, .. } => ("X", Some(cost.raw())),
+            TraceEvent::Retire { insns, .. } => ("X", Some(insns)),
+            _ => ("i", None),
+        };
+        if !first {
+            s.push_str(",\n");
+        }
+        first = false;
+        let _ = write!(
+            s,
+            "{{\"name\":\"{}\",\"cat\":\"{:?}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}",
+            ev.name(),
+            ev.class(),
+            ph,
+            d,
+            d,
+            now[d]
+        );
+        if let Some(dur) = dur {
+            let _ = write!(s, ",\"dur\":{dur}");
+            now[d] += dur;
+        } else {
+            s.push_str(",\"s\":\"t\"");
+        }
+        s.push('}');
+    }
+    s.push_str("\n]}\n");
+    s
+}
+
+/// Asserts the exporter matches the oracle, reporting the first
+/// differing line instead of two multi-megabyte strings.
+fn assert_export_matches_oracle(events: &[TraceEvent], ctx: &str) {
+    let (fast, oracle) = (chrome_trace_json(events), chrome_trace_json_fmt(events));
+    if let Some((i, (a, b))) = fast.lines().zip(oracle.lines()).enumerate().find(|(_, (a, b))| a != b) {
+        panic!("{ctx}: Chrome export differs from the oracle at line {i}:\n  got:    {a}\n  oracle: {b}");
+    }
+    assert!(fast == oracle, "{ctx}: Chrome export differs from the oracle in length or line endings");
+}
+
+#[test]
+fn chrome_export_matches_the_fmt_oracle_on_every_variant() {
+    let (x86, arm) = (DomainId::X86, DomainId::ARM);
+    let big = u64::MAX / 2;
+    let events = [
+        TraceEvent::Charge { domain: x86, cost: Cycles::ZERO },
+        TraceEvent::Retire { domain: arm, insns: 0 },
+        TraceEvent::CacheAccess {
+            domain: x86,
+            addr: 0x40,
+            write: true,
+            ifetch: false,
+            level: TraceLevel::Memory,
+            class: Some(TraceMemClass::RemoteShared),
+            snooped: true,
+            cost: Cycles::new(300),
+        },
+        TraceEvent::CacheEvict { domain: arm, addr: 0x80, dirty: true },
+        TraceEvent::Snoop { domain: x86, addr: 0xc0, invalidate: false },
+        TraceEvent::MesiTransition { domain: arm, addr: 0xc0, from: TraceMesi::Modified, to: TraceMesi::Shared },
+        TraceEvent::TlbLookup { domain: x86, hit: true },
+        TraceEvent::TlbInvalidate { domain: arm, va: 0x7000 },
+        TraceEvent::Retire { domain: x86, insns: 12_345 },
+        TraceEvent::MsgSend { from: x86, ty: MsgType::MigrationRequest, bytes: 4160, cost: Cycles::new(90) },
+        TraceEvent::MsgReceive { to: arm, ty: MsgType::MigrationRequest, bytes: 4160, cost: Cycles::new(80) },
+        TraceEvent::MsgRetransmit { from: arm, ty: MsgType::Heartbeat, attempt: 3 },
+        TraceEvent::MsgBackpressure { from: x86 },
+        TraceEvent::Ipi { from: arm, cost: Cycles::new(4200) },
+        TraceEvent::Charge { domain: arm, cost: Cycles::new(big) },
+        TraceEvent::PageFault { domain: arm, va: 0xdead_b000, write: false, cost: Cycles::new(7) },
+        TraceEvent::Migration { from: x86, to: arm },
+        TraceEvent::Futex { domain: x86, op: FutexOp::Wait, va: 0x1008 },
+        TraceEvent::DsmReplicate { to: arm, page_va: 0x2000 },
+        TraceEvent::DsmInvalidate { to: x86, page_va: 0x2000 },
+        TraceEvent::DsmTransfer { from: arm, to: x86, bytes: 4096, cost: Cycles::new(157_500) },
+        TraceEvent::Retire { domain: x86, insns: big },
+        TraceEvent::Watchdog { domain: arm, missed: 4 },
+        TraceEvent::Recovery { domain: arm, stage: "quarantine" },
+        TraceEvent::Checkpoint { domain: x86, bytes: 1 << 20 },
+    ];
+    assert_eq!(
+        events.iter().map(TraceEvent::name).collect::<std::collections::BTreeSet<_>>().len(),
+        22,
+        "the synthetic stream must hold every TraceEvent variant"
+    );
+    assert_export_matches_oracle(&events, "synthetic stream");
+    assert_export_matches_oracle(&[], "empty stream");
+}
+
+#[test]
+fn chrome_export_matches_the_fmt_oracle_on_is_tiny() {
+    for kind in [SystemKind::Stramash, SystemKind::PopcornShm] {
+        let (_, tracer) = traced_is(kind, RING_CAPACITY);
+        let t = tracer.borrow();
+        assert_eq!(t.dropped(), 0, "{kind}: the oracle check wants the whole stream");
+        assert_export_matches_oracle(&t.events(), &format!("{kind}: IS Tiny"));
     }
 }
 
