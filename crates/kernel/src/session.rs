@@ -5,19 +5,22 @@
 //! loop that cost dwarfs the simulated cache model itself. An
 //! [`AccessSession`] amortises it: the `(pid, domain)` resolution
 //! happens once per batch, and page→frame translations are cached in a
-//! small direct-mapped array that a loop refills at most once per page.
+//! direct-mapped array that a loop refills at most once per page. It is
+//! the only translation cache above the TLB: batched element ops and
+//! the replayed plan segments of `plan_map_indexed` both look up here.
 //!
 //! Correctness leans on one invariant: **a session entry is always a
 //! copy of a live [`SoftTlb`] entry of the same `(process, domain)`**.
 //! Any event that could stale a TLB entry — migration (flush), `munmap`,
 //! `mprotect`, a DSM ownership transfer, a Stramash PTE reconfiguration
 //! — already goes through [`SoftTlb::invalidate`]/[`SoftTlb::flush`],
-//! which bump the TLB's generation counter. The session stores the
-//! generation it was filled under and drops *everything* the moment it
-//! observes a newer one, so it can never return a frame the TLB no
-//! longer vouches for. Timing is unchanged: a session hit corresponds
-//! exactly to a (zero-cycle) TLB hit on the scalar path, and a session
-//! miss falls back to the ordinary counted, timed `translate`.
+//! which bump the TLB's generation counter. The session remembers the
+//! generation it was filled under; the moment it observes a newer one
+//! it bumps its own stamp, and entries tagged with an older stamp never
+//! hit again, so it can never return a frame the TLB no longer vouches
+//! for. Timing is unchanged: a session hit corresponds exactly to a
+//! (zero-cycle) TLB hit on the scalar path, and a session miss falls
+//! back to the ordinary counted, timed `translate`.
 //!
 //! [`SoftTlb`]: crate::process::SoftTlb
 
@@ -26,24 +29,27 @@ use crate::process::{Pid, Process};
 use stramash_mem::PhysAddr;
 use stramash_sim::DomainId;
 
-/// Number of slots in the direct-mapped translation cache. 256 slots
-/// cover 1 MiB of loop working set per fill — larger than any NPB
-/// kernel's per-loop footprint at the classes the harness runs.
-const SLOTS: usize = 256;
-
-/// Sentinel VPN marking an empty slot (no real VPN is `u64::MAX`).
-const EMPTY: u64 = u64::MAX;
+/// Number of slots in the direct-mapped translation cache: 4096 pages
+/// cover 16 MiB of loop working set, so IS Small's ranking loop (keys
+/// and sorted arrays of 4 MiB each plus the histogram, about 2 050
+/// pages) never evicts its own translations. With 256 slots the keys
+/// and sorted pages alias and the replayed plan segments fall back to
+/// the element path on most pages (IS ran 25 % slower on the host).
+const SLOTS: usize = 4096;
 
 #[derive(Debug, Clone, Copy)]
 struct SessionEntry {
     vpn: u64,
     page_pa: PhysAddr,
+    /// The session stamp the entry was filled under; it hits only while
+    /// the session still carries that stamp.
+    stamp: u64,
     writable: bool,
 }
 
 impl SessionEntry {
     const VACANT: SessionEntry =
-        SessionEntry { vpn: EMPTY, page_pa: PhysAddr::new(0), writable: false };
+        SessionEntry { vpn: 0, page_pa: PhysAddr::new(0), stamp: 0, writable: false };
 }
 
 /// A per-client translation cache over one process's software TLB.
@@ -57,6 +63,11 @@ pub struct AccessSession {
     domain: DomainId,
     generation: u64,
     valid: bool,
+    /// Bumped whenever every entry must die (`clear`, a domain or TLB
+    /// generation change), so dropping the table costs O(1) instead of
+    /// a 128 KiB refill per TLB shootdown. Starts at 1: vacant slots
+    /// carry stamp 0 and never hit.
+    stamp: u64,
     entries: Box<[SessionEntry; SLOTS]>,
 }
 
@@ -71,6 +82,7 @@ impl AccessSession {
             domain: DomainId::X86,
             generation: 0,
             valid: false,
+            stamp: 1,
             entries: Box::new([SessionEntry::VACANT; SLOTS]),
         }
     }
@@ -93,18 +105,10 @@ impl AccessSession {
         self.valid
     }
 
-    /// The TLB generation adopted at the last revalidation. Plan caches
-    /// compare this against the live TLB to detect shootdowns that
-    /// happened since a plan (or session) was compiled.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Drops every cached translation.
     pub fn clear(&mut self) {
         self.valid = false;
-        self.entries.fill(SessionEntry::VACANT);
+        self.stamp += 1;
     }
 
     /// Syncs the session with `proc`'s current domain and TLB
@@ -114,7 +118,7 @@ impl AccessSession {
         let domain = proc.current;
         let generation = proc.tlb(domain).generation();
         if !self.valid || self.domain != domain || self.generation != generation {
-            self.entries.fill(SessionEntry::VACANT);
+            self.stamp += 1;
             self.domain = domain;
             self.generation = generation;
             self.valid = true;
@@ -129,7 +133,7 @@ impl AccessSession {
         debug_assert!(self.valid, "session used before session_begin");
         let vpn = va.vpn();
         let e = &self.entries[(vpn as usize) & (SLOTS - 1)];
-        if e.vpn == vpn && (!write || e.writable) {
+        if e.vpn == vpn && e.stamp == self.stamp && (!write || e.writable) {
             Some(e.page_pa.offset(va.page_offset()))
         } else {
             None
@@ -142,6 +146,7 @@ impl AccessSession {
         self.entries[(vpn as usize) & (SLOTS - 1)] = SessionEntry {
             vpn,
             page_pa: page_pa.align_down(PAGE_SIZE),
+            stamp: self.stamp,
             writable,
         };
     }
@@ -150,6 +155,19 @@ impl AccessSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::FrameAllocator;
+    use crate::pagetable::PageTable;
+    use stramash_isa::IsaKind;
+    use stramash_mem::MemorySystem;
+    use stramash_sim::SimConfig;
+
+    fn proc() -> Process {
+        let mut mem = MemorySystem::new(SimConfig::big_pair()).unwrap();
+        let mut frames = FrameAllocator::new();
+        frames.add_region(PhysAddr::new(0x10_0000), 1 << 20).unwrap();
+        let pt = PageTable::new(&mut mem, &mut frames, IsaKind::X86_64).unwrap();
+        Process::new(Pid(1), DomainId::X86, pt, PhysAddr::new(0x1000), PhysAddr::new(0x1008))
+    }
 
     #[test]
     fn lookup_respects_writability_and_slots() {
@@ -163,19 +181,70 @@ mod tests {
         assert!(s.lookup(va, true).is_none());
         s.insert(va, PhysAddr::new(0x55_4000), true);
         assert!(s.lookup(va, true).is_some());
-        // A VPN aliasing the same slot evicts the previous entry.
+    }
+
+    #[test]
+    fn vpn_slots_pages_apart_evicts_the_first() {
+        let mut s = AccessSession::new(Pid(1));
+        s.valid = true;
+        let va = VirtAddr::new(0x4000_0123);
+        s.insert(va, PhysAddr::new(0x55_4000), true);
+        // One page short of a full wrap maps to a different slot.
+        let neighbour = VirtAddr::new(va.raw() + (SLOTS as u64 - 1) * PAGE_SIZE);
+        s.insert(neighbour, PhysAddr::new(0x77_0000), true);
+        assert!(s.lookup(va, false).is_some());
         let alias = VirtAddr::new(va.raw() + (SLOTS as u64) * PAGE_SIZE);
         s.insert(alias, PhysAddr::new(0x99_0000), true);
         assert!(s.lookup(va, false).is_none());
         assert_eq!(s.lookup(alias, false).unwrap().raw(), 0x99_0123);
+        assert!(s.lookup(neighbour, false).is_some());
     }
 
     #[test]
     fn clear_drops_everything() {
         let mut s = AccessSession::new(Pid(2));
         s.valid = true;
-        s.insert(VirtAddr::new(0x1000), PhysAddr::new(0x9000), true);
+        let va = VirtAddr::new(0x1000);
+        s.insert(va, PhysAddr::new(0x9000), true);
         s.clear();
         assert!(!s.is_valid());
+        s.valid = true;
+        assert!(s.lookup(va, false).is_none(), "a cleared entry must never hit again");
+    }
+
+    #[test]
+    fn generation_change_drops_entries_inserted_before() {
+        let mut p = proc();
+        let mut s = AccessSession::new(p.pid);
+        s.revalidate(&p);
+        let (a, b) = (VirtAddr::new(0x4000_0000), VirtAddr::new(0x4000_1000));
+        s.insert(a, PhysAddr::new(0x20_0000), true);
+        s.insert(b, PhysAddr::new(0x20_1000), true);
+        // An unchanged TLB keeps the entries.
+        s.revalidate(&p);
+        assert!(s.lookup(a, true).is_some());
+        p.tlb_mut(DomainId::X86).invalidate(a);
+        s.revalidate(&p);
+        assert!(s.lookup(a, false).is_none());
+        assert!(s.lookup(b, false).is_none(), "every pre-shootdown entry dies");
+        // Entries inserted under the new stamp hit again.
+        s.insert(b, PhysAddr::new(0x20_1000), false);
+        assert_eq!(s.lookup(b, false).unwrap().raw(), 0x20_1000);
+    }
+
+    #[test]
+    fn domain_change_drops_every_entry() {
+        let mut p = proc();
+        let mut s = AccessSession::new(p.pid);
+        assert_eq!(s.revalidate(&p), DomainId::X86);
+        let vas: Vec<VirtAddr> =
+            (0..64).map(|i| VirtAddr::new(0x4000_0000 + i * PAGE_SIZE)).collect();
+        for (i, &va) in vas.iter().enumerate() {
+            s.insert(va, PhysAddr::new(0x30_0000 + i as u64 * PAGE_SIZE), true);
+        }
+        // Same TLB generation (0) on both domains: only the domain moves.
+        p.current = DomainId::ARM;
+        assert_eq!(s.revalidate(&p), DomainId::ARM);
+        assert!(vas.iter().all(|&va| s.lookup(va, false).is_none()));
     }
 }

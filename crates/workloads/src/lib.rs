@@ -46,7 +46,7 @@ pub mod serve;
 pub mod target;
 
 pub use chaos::{chaos_sweep, ChaosReport, Reproducer, StageReport};
-pub use client::{ArrayF64, ArrayU64, ColSpec, IndexedPlan, MemoryClient, PlanCol, ScopePlan};
+pub use client::{ArrayF64, ArrayU64, ColSpec, MemoryClient, PlanCol};
 pub use driver::{run_benchmark, run_benchmark_with, Configuration, RunReport};
 pub use kvstore::{run_kv, KvOp, KvRunResult, KvServer, ShardedKv};
 pub use serve::{

@@ -9,7 +9,7 @@
 //! (Figures 9 and 10).
 
 use super::{offload, Class, DataRng, NpbOutcome};
-use crate::client::{MemoryClient, ScopePlan};
+use crate::client::{ArrayF64, ColSpec, MemoryClient, PlanCol};
 use stramash_kernel::process::Pid;
 use stramash_kernel::system::{OsError, OsSystem};
 
@@ -98,12 +98,10 @@ pub fn run<S: OsSystem>(
     let mut rho = p.n as f64; // r·r with r = 1-vector
     let rho0 = rho;
 
-    // The two dense update loops have data-independent access patterns,
-    // so their line/frame sequences compile once into plans and replay
-    // each iteration (a migration bumps the TLB generation, which
-    // invalidates and recompiles them on the new domain automatically).
-    let mut update_plan = ScopePlan::new();
-    let mut direction_plan = ScopePlan::new();
+    // The two dense update loops are plan segments over unit-stride
+    // columns: their accesses replay through the session's cached
+    // translations in flush-bounded batches.
+    let dense = |a: ArrayF64| PlanCol::f64(a, ColSpec::Dense { stride: 1, offset: 0 });
 
     let mut procedures = 0;
     for _ in 0..p.iterations {
@@ -131,19 +129,27 @@ pub fn run<S: OsSystem>(
             let dq = s.dot_f64(d, q, p.n, 4)?;
             let alpha = rho / dq;
             // x += alpha d; r -= alpha q; rho' = r·r — a fixed-stride
-            // four-read/two-write nest, compiled into a plan.
+            // four-read/two-write nest.
             let mut acc = 0.0f64;
-            s.plan_map(&mut update_plan, &[x, d, r, q], &[x, r], p.n, 10, |_i, rv, wv| {
-                wv[0] = rv[0] + alpha * rv[1];
-                let ri = rv[2] - alpha * rv[3];
-                wv[1] = ri;
-                acc += ri * ri;
-            })?;
+            s.plan_map_indexed(
+                &[dense(x), dense(d), dense(r), dense(q)],
+                &[dense(x), dense(r)],
+                &[],
+                p.n,
+                10,
+                |_, vals, wv| {
+                    let [xv, dv, rv, qv] = [0, 1, 2, 3].map(|j| f64::from_bits(vals[j]));
+                    let ri = rv - alpha * qv;
+                    wv[0] = (xv + alpha * dv).to_bits();
+                    wv[1] = ri.to_bits();
+                    acc += ri * ri;
+                },
+            )?;
             rho_new = acc;
             // d = r + beta d (reads r before d, unlike axpy's order).
             let beta = rho_new / rho;
-            s.plan_map(&mut direction_plan, &[r, d], &[d], p.n, 5, |_i, rv, wv| {
-                wv[0] = rv[0] + beta * rv[1];
+            s.plan_map_indexed(&[dense(r), dense(d)], &[dense(d)], &[], p.n, 5, |_, rv, wv| {
+                wv[0] = (f64::from_bits(rv[0]) + beta * f64::from_bits(rv[1])).to_bits();
             })?;
             Ok(())
         })?;

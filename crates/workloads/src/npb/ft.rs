@@ -11,7 +11,7 @@
 //! must reproduce the initial data within floating-point tolerance.
 
 use super::{offload, Class, DataRng, NpbOutcome};
-use crate::client::{ArrayF64, ColSpec, IndexedPlan, MemoryClient, PlanCol};
+use crate::client::{ArrayF64, ColSpec, MemoryClient, PlanCol};
 use stramash_kernel::process::Pid;
 use stramash_kernel::system::{OsError, OsSystem};
 
@@ -44,18 +44,6 @@ impl ComplexGrid {
     fn slot(&self, x: u64, y: u64, z: u64) -> u64 {
         2 * ((z * self.n + y) * self.n + x)
     }
-}
-
-/// The data-dependent plan segments behind every FT inner loop. All
-/// columns range over the one grid array, so the two plans' page tables
-/// compile lazily on the first lines of the first pass and replay for
-/// the rest of the transform.
-#[derive(Default)]
-struct FtPlans {
-    /// 4 reads + 4 writes: butterfly and bit-reversal pair swaps.
-    pairs: IndexedPlan,
-    /// 2 reads + 2 writes: phase rotation and inverse scaling.
-    elems: IndexedPlan,
 }
 
 /// The (re, im) column pair of `data` driven by index slice `sl` (each
@@ -96,18 +84,17 @@ pub fn run<S: OsSystem>(
 
     let mut procedures = 0;
     let evolve_phase = 0.37f64;
-    let mut plans = FtPlans::default();
     for _ in 0..p.iterations {
         offload(&mut c, migrate, |c| {
             // Forward 3-D FFT.
-            fft3d(c, grid, false, &mut plans)?;
+            fft3d(c, grid, false)?;
             // Evolve: rotate every mode by a fixed phase (unit modulus,
             // trivially invertible — NPB uses exp(-4π²t|k|²)).
-            apply_phase(c, grid, evolve_phase, &mut plans)?;
+            apply_phase(c, grid, evolve_phase)?;
             // Undo the evolution and invert the transform so the result
             // is checkable against the initial field.
-            apply_phase(c, grid, -evolve_phase, &mut plans)?;
-            fft3d(c, grid, true, &mut plans)?;
+            apply_phase(c, grid, -evolve_phase)?;
+            fft3d(c, grid, true)?;
             Ok(())
         })?;
         procedures += 1;
@@ -141,7 +128,6 @@ fn apply_phase<S: OsSystem>(
     c: &mut MemoryClient<'_, S>,
     g: ComplexGrid,
     phase: f64,
-    plans: &mut FtPlans,
 ) -> Result<(), OsError> {
     let (sin, cos) = phase.sin_cos();
     let cells = g.n * g.n * g.n;
@@ -150,7 +136,7 @@ fn apply_phase<S: OsSystem>(
         PlanCol::f64(g.data, ColSpec::Dense { stride: 2, offset: 1 }),
     ];
     let mut s = c.batch()?;
-    s.plan_map_indexed(&mut plans.elems, &cols, &cols, &[], cells, 10, |_, rv, wv| {
+    s.plan_map_indexed(&cols, &cols, &[], cells, 10, |_, rv, wv| {
         let re = f64::from_bits(rv[0]);
         let im = f64::from_bits(rv[1]);
         wv[0] = (re * cos - im * sin).to_bits();
@@ -163,28 +149,27 @@ fn fft3d<S: OsSystem>(
     c: &mut MemoryClient<'_, S>,
     g: ComplexGrid,
     inverse: bool,
-    plans: &mut FtPlans,
 ) -> Result<(), OsError> {
     let n = g.n;
     // Along x (unit stride).
     for z in 0..n {
         for y in 0..n {
             let slots: Vec<u64> = (0..n).map(|x| g.slot(x, y, z)).collect();
-            fft1d(c, g.data, &slots, inverse, plans)?;
+            fft1d(c, g.data, &slots, inverse)?;
         }
     }
     // Along y (stride n).
     for z in 0..n {
         for x in 0..n {
             let slots: Vec<u64> = (0..n).map(|y| g.slot(x, y, z)).collect();
-            fft1d(c, g.data, &slots, inverse, plans)?;
+            fft1d(c, g.data, &slots, inverse)?;
         }
     }
     // Along z (stride n²).
     for y in 0..n {
         for x in 0..n {
             let slots: Vec<u64> = (0..n).map(|z| g.slot(x, y, z)).collect();
-            fft1d(c, g.data, &slots, inverse, plans)?;
+            fft1d(c, g.data, &slots, inverse)?;
         }
     }
     Ok(())
@@ -193,13 +178,12 @@ fn fft3d<S: OsSystem>(
 /// Iterative radix-2 Cooley–Tukey over the elements at `slots` (each
 /// slot is the re index; im follows at slot + 1). Every loop runs as a
 /// data-dependent plan segment: the pair targets move line to line and
-/// stage to stage, but the translations replay from the shared plans.
+/// stage to stage, but the translations replay from the session.
 fn fft1d<S: OsSystem>(
     c: &mut MemoryClient<'_, S>,
     data: ArrayF64,
     slots: &[u64],
     inverse: bool,
-    plans: &mut FtPlans,
 ) -> Result<(), OsError> {
     let n = slots.len();
     debug_assert!(n.is_power_of_two());
@@ -224,7 +208,6 @@ fn fft1d<S: OsSystem>(
         }
     }
     s.plan_map_indexed(
-        &mut plans.pairs,
         &ab,
         &ab,
         &[&swap_a, &swap_b],
@@ -261,7 +244,6 @@ fn fft1d<S: OsSystem>(
         let mut wr = 1.0f64;
         let mut wi = 0.0f64;
         s.plan_map_indexed(
-            &mut plans.pairs,
             &ab,
             &ab,
             &[&av, &bv],
@@ -292,7 +274,7 @@ fn fft1d<S: OsSystem>(
     if inverse {
         let inv = 1.0 / n as f64;
         let cols = complex_cols(data, 0);
-        s.plan_map_indexed(&mut plans.elems, &cols, &cols, &[slots], n as u64, 8, |_, rv, wv| {
+        s.plan_map_indexed(&cols, &cols, &[slots], n as u64, 8, |_, rv, wv| {
             wv[0] = (f64::from_bits(rv[0]) * inv).to_bits();
             wv[1] = (f64::from_bits(rv[1]) * inv).to_bits();
         })?;
@@ -338,7 +320,7 @@ mod tests {
             c.st_f64(data, 2 * i as u64 + 1, im).unwrap();
         }
         let slots: Vec<u64> = (0..8).map(|i| 2 * i).collect();
-        fft1d(&mut c, data, &slots, false, &mut FtPlans::default()).unwrap();
+        fft1d(&mut c, data, &slots, false).unwrap();
         // Direct DFT of bin 3.
         let k = 3;
         let mut re = 0.0;

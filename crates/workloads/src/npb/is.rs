@@ -9,17 +9,17 @@
 //! pages.
 
 use super::{offload, Class, DataRng, NpbOutcome};
-use crate::client::{ColSpec, IndexedPlan, MemoryClient, PlanCol};
+use crate::client::{ArrayU64, ColSpec, MemoryClient, PlanCol};
 use stramash_kernel::process::Pid;
 use stramash_kernel::system::{OsError, OsSystem};
 
-struct Params {
-    keys: u64,
-    max_key: u64,
-    iterations: u32,
+pub(crate) struct Params {
+    pub(crate) keys: u64,
+    pub(crate) max_key: u64,
+    pub(crate) iterations: u32,
 }
 
-fn params(class: Class) -> Params {
+pub(crate) fn params(class: Class) -> Params {
     match class {
         Class::Tiny => Params { keys: 1 << 10, max_key: 1 << 7, iterations: 2 },
         // keys + ranked output = 8 MB: past the 4 MB L3, inside 32 MB.
@@ -32,6 +32,154 @@ fn params(class: Class) -> Params {
     }
 }
 
+/// The three IS arrays: the keys, the ranked output and the histogram
+/// (one bucket per key value).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IsArrays {
+    pub(crate) keys: ArrayU64,
+    pub(crate) sorted: ArrayU64,
+    pub(crate) hist: ArrayU64,
+}
+
+/// Allocates the IS arrays and generates the keys on the origin (the
+/// NPB driver phase): streamed in page-sized batches, the same
+/// per-element order as the scalar loop.
+///
+/// # Errors
+///
+/// VMA and translation errors.
+pub(crate) fn setup<S: OsSystem>(
+    c: &mut MemoryClient<'_, S>,
+    p: &Params,
+) -> Result<IsArrays, OsError> {
+    let keys = c.alloc_u64(p.keys)?;
+    let sorted = c.alloc_u64(p.keys)?;
+    let hist = c.alloc_u64(p.max_key)?;
+    let mut rng = DataRng::new(0x15_15);
+    let mut s = c.batch()?;
+    let mut chunk = [0u64; 512];
+    let mut i = 0u64;
+    while i < p.keys {
+        let n = (p.keys - i).min(512) as usize;
+        for v in chunk[..n].iter_mut() {
+            *v = rng.next_u64() % p.max_key;
+        }
+        s.st_u64_slice(keys, i, &chunk[..n], 8)?;
+        i += n as u64;
+    }
+    Ok(IsArrays { keys, sorted, hist })
+}
+
+/// One ranking procedure: clear the histogram, histogram the keys,
+/// prefix-sum the buckets and scatter every key to its rank. The loops
+/// are data-dependent plan segments: the bucket and rank targets are
+/// recomputed from the loaded key every call, while the page
+/// translations replay from the client's session.
+///
+/// # Errors
+///
+/// Translation errors.
+pub(crate) fn rank<S: OsSystem>(c: &mut MemoryClient<'_, S>, a: IsArrays) -> Result<(), OsError> {
+    let IsArrays { keys, sorted, hist } = a;
+    let dense = ColSpec::Dense { stride: 1, offset: 0 };
+    let bucket = ColSpec::Value { col: 0, offset: 0 };
+    let mut s = c.batch()?;
+    s.fill_u64(hist, 0, hist.len(), 0, 2)?;
+    // Histogram the keys (read key, read-modify-write bucket — the
+    // bucket index is the key value itself).
+    s.plan_map_indexed(
+        &[PlanCol::u64(keys, dense), PlanCol::u64(hist, bucket)],
+        &[PlanCol::u64(hist, bucket)],
+        &[],
+        keys.len(),
+        6,
+        |_, rv, wv| wv[0] = rv[1] + 1,
+    )?;
+    // Exclusive prefix sum over the buckets.
+    let mut acc = 0u64;
+    s.plan_map_indexed(
+        &[PlanCol::u64(hist, dense)],
+        &[PlanCol::u64(hist, dense)],
+        &[],
+        hist.len(),
+        4,
+        |_, rv, wv| {
+            wv[0] = acc;
+            acc += rv[0];
+        },
+    )?;
+    // Scatter: rank every key (write-heavy, random indices — the ranked
+    // position is the bucket's running count).
+    s.plan_map_indexed(
+        &[PlanCol::u64(keys, dense), PlanCol::u64(hist, bucket)],
+        &[PlanCol::u64(sorted, ColSpec::Value { col: 1, offset: 0 }), PlanCol::u64(hist, bucket)],
+        &[],
+        keys.len(),
+        8,
+        |_, rv, wv| {
+            wv[0] = rv[0];
+            wv[1] = rv[1] + 1;
+        },
+    )
+}
+
+/// Partial verification on the origin (as NPB does each iteration):
+/// spot-checks ordering at a few positions and stops at the first
+/// violation, so it stays per-element.
+///
+/// # Errors
+///
+/// Translation errors.
+pub(crate) fn spot_check<S: OsSystem>(
+    c: &mut MemoryClient<'_, S>,
+    sorted: ArrayU64,
+) -> Result<bool, OsError> {
+    let step = (sorted.len() / 7).max(1);
+    let mut s = c.batch()?;
+    let mut i = step;
+    while i < sorted.len() {
+        let a = s.ld_u64(sorted, i - step)?;
+        let b = s.ld_u64(sorted, i)?;
+        if a > b {
+            return Ok(false);
+        }
+        s.work(6)?;
+        i += step;
+    }
+    Ok(true)
+}
+
+/// Full verification: whether the output is in order, and the sum of
+/// its keys. It reads every element unconditionally, so it streams.
+///
+/// # Errors
+///
+/// Translation errors.
+pub(crate) fn verify_sorted<S: OsSystem>(
+    c: &mut MemoryClient<'_, S>,
+    sorted: ArrayU64,
+) -> Result<(bool, f64), OsError> {
+    let mut checksum = 0.0f64;
+    let mut prev = 0u64;
+    let mut ordered = true;
+    let mut s = c.batch()?;
+    let mut buf = [0u64; 512];
+    let mut i = 0u64;
+    while i < sorted.len() {
+        let n = (sorted.len() - i).min(512) as usize;
+        s.ld_u64_slice(sorted, i, &mut buf[..n], 5)?;
+        for &k in &buf[..n] {
+            if k < prev {
+                ordered = false;
+            }
+            prev = k;
+            checksum += k as f64;
+        }
+        i += n as u64;
+    }
+    Ok((ordered, checksum))
+}
+
 /// Runs IS. See [`super::run_npb`].
 pub fn run<S: OsSystem>(
     sys: &mut S,
@@ -41,131 +189,17 @@ pub fn run<S: OsSystem>(
 ) -> Result<NpbOutcome, OsError> {
     let p = params(class);
     let mut c = MemoryClient::new(sys, pid);
-    let keys = c.alloc_u64(p.keys)?;
-    let sorted = c.alloc_u64(p.keys)?;
-    let hist = c.alloc_u64(p.max_key)?;
-
-    // Key generation on the origin (the NPB driver phase): streamed in
-    // page-sized batches (same per-element order as the scalar loop).
-    let mut rng = DataRng::new(0x15_15);
-    {
-        let mut s = c.batch()?;
-        let mut chunk = [0u64; 512];
-        let mut i = 0u64;
-        while i < p.keys {
-            let n = (p.keys - i).min(512) as usize;
-            for v in chunk[..n].iter_mut() {
-                *v = rng.next_u64() % p.max_key;
-            }
-            s.st_u64_slice(keys, i, &chunk[..n], 8)?;
-            i += n as u64;
-        }
-    }
-
-    // Data-dependent plan segments for the ranking loops: the bucket
-    // and rank targets are recomputed from the loaded key every call,
-    // but the page translations compile once and persist across
-    // iterations (a migration re-keys them automatically).
-    let dense = ColSpec::Dense { stride: 1, offset: 0 };
-    let bucket = ColSpec::Value { col: 0, offset: 0 };
-    let mut hist_plan = IndexedPlan::new();
-    let mut prefix_plan = IndexedPlan::new();
-    let mut scatter_plan = IndexedPlan::new();
-
+    let arrays = setup(&mut c, &p)?;
     let mut procedures = 0;
     for iter in 0..p.iterations {
         // One ranking procedure, offloaded per §9.2.
-        offload(&mut c, migrate, |c| {
-            let mut s = c.batch()?;
-            // Clear the histogram.
-            s.fill_u64(hist, 0, p.max_key, 0, 2)?;
-            // Histogram the keys (read key, read-modify-write bucket —
-            // the bucket index is the key value itself).
-            s.plan_map_indexed(
-                &mut hist_plan,
-                &[PlanCol::u64(keys, dense), PlanCol::u64(hist, bucket)],
-                &[PlanCol::u64(hist, bucket)],
-                &[],
-                p.keys,
-                6,
-                |_, rv, wv| wv[0] = rv[1] + 1,
-            )?;
-            // Exclusive prefix sum over the buckets.
-            let mut acc = 0u64;
-            s.plan_map_indexed(
-                &mut prefix_plan,
-                &[PlanCol::u64(hist, dense)],
-                &[PlanCol::u64(hist, dense)],
-                &[],
-                p.max_key,
-                4,
-                |_, rv, wv| {
-                    wv[0] = acc;
-                    acc += rv[0];
-                },
-            )?;
-            // Scatter: rank every key (write-heavy, random indices —
-            // the ranked position is the bucket's running count).
-            s.plan_map_indexed(
-                &mut scatter_plan,
-                &[PlanCol::u64(keys, dense), PlanCol::u64(hist, bucket)],
-                &[
-                    PlanCol::u64(sorted, ColSpec::Value { col: 1, offset: 0 }),
-                    PlanCol::u64(hist, bucket),
-                ],
-                &[],
-                p.keys,
-                8,
-                |_, rv, wv| {
-                    wv[0] = rv[0];
-                    wv[1] = rv[1] + 1;
-                },
-            )?;
-            Ok(())
-        })?;
+        offload(&mut c, migrate, |c| rank(c, arrays))?;
         procedures += 1;
-
-        // Partial verification on the origin (as NPB does each
-        // iteration): spot-check ordering at a few positions. The early
-        // return on failure keeps this per-element.
-        let step = (p.keys / 7).max(1);
-        {
-            let mut s = c.batch()?;
-            let mut i = step;
-            while i < p.keys {
-                let a = s.ld_u64(sorted, i - step)?;
-                let b = s.ld_u64(sorted, i)?;
-                if a > b {
-                    return Ok(NpbOutcome { verified: false, checksum: iter as f64, procedures });
-                }
-                s.work(6)?;
-                i += step;
-            }
+        if !spot_check(&mut c, arrays.sorted)? {
+            return Ok(NpbOutcome { verified: false, checksum: iter as f64, procedures });
         }
     }
-
-    // Full verification: the output must be a sorted permutation. The
-    // scalar loop reads every element unconditionally, so it streams.
-    let mut checksum = 0.0f64;
-    let mut prev = 0u64;
-    let mut verified = true;
-    {
-        let mut s = c.batch()?;
-        let mut buf = [0u64; 512];
-        let mut i = 0u64;
-        while i < p.keys {
-            let n = (p.keys - i).min(512) as usize;
-            s.ld_u64_slice(sorted, i, &mut buf[..n], 5)?;
-            for &k in &buf[..n] {
-                if k < prev {
-                    verified = false;
-                }
-                prev = k;
-                checksum += k as f64;
-            }
-            i += n as u64;
-        }
-    }
+    let (verified, checksum) = verify_sorted(&mut c, arrays.sorted)?;
     c.flush_work()?;
     Ok(NpbOutcome { verified, checksum, procedures })
 }

@@ -7,7 +7,7 @@
 //! Table 3 — every remotely-touched page is replicated).
 
 use super::{offload, Class, NpbOutcome};
-use crate::client::{ArrayF64, ColSpec, IndexedPlan, MemoryClient, PlanCol};
+use crate::client::{ArrayF64, ColSpec, MemoryClient, PlanCol};
 use stramash_kernel::process::Pid;
 use stramash_kernel::system::{OsError, OsSystem};
 
@@ -45,8 +45,7 @@ struct Level {
 }
 
 /// Host-side loop structure for one level: the cell-index slices that
-/// drive the data-dependent plan segments, plus the compiled plans
-/// themselves (translations persist across sweeps and V-cycles).
+/// drive the data-dependent plan segments.
 struct LevelAux {
     /// Interior cell indices in z,y,x traversal order.
     interior: Vec<u64>,
@@ -56,11 +55,6 @@ struct LevelAux {
     restrict_src: Vec<u64>,
     /// Coarse-grid source index per interior fine cell (prolongation).
     prolong_src: Vec<u64>,
-    residual_b: IndexedPlan,
-    residual_i: IndexedPlan,
-    smooth: IndexedPlan,
-    restrict: IndexedPlan,
-    prolong: IndexedPlan,
 }
 
 impl LevelAux {
@@ -97,17 +91,7 @@ impl LevelAux {
                 }
             }
         }
-        LevelAux {
-            interior,
-            boundary,
-            restrict_src,
-            prolong_src,
-            residual_b: IndexedPlan::new(),
-            residual_i: IndexedPlan::new(),
-            smooth: IndexedPlan::new(),
-            restrict: IndexedPlan::new(),
-            prolong: IndexedPlan::new(),
-        }
+        LevelAux { interior, boundary, restrict_src, prolong_src }
     }
 }
 
@@ -158,20 +142,20 @@ pub fn run<S: OsSystem>(
         s.st_f64(fine.v, idx(fine.n, 3 * q, 3 * q, 3 * q), -1.0)?;
     }
 
-    // Host-side loop structure per level: index slices + plan segments.
-    let mut aux: Vec<LevelAux> = (0..levels.len())
+    // Host-side loop structure per level: the plan segments' index slices.
+    let aux: Vec<LevelAux> = (0..levels.len())
         .map(|d| LevelAux::new(levels[d].n, levels.get(d + 1).map(|l| l.n)))
         .collect();
 
-    let initial = residual_norm(&mut c, fine, &mut aux[0])?;
+    let initial = residual_norm(&mut c, fine, &aux[0])?;
     let mut procedures = 0;
 
     for _ in 0..p.cycles {
         let lv = levels.clone();
-        offload(&mut c, migrate, |c| v_cycle(c, &lv, &mut aux, 0))?;
+        offload(&mut c, migrate, |c| v_cycle(c, &lv, &aux, 0))?;
         procedures += 1;
     }
-    let final_norm = residual_norm(&mut c, fine, &mut aux[0])?;
+    let final_norm = residual_norm(&mut c, fine, &aux[0])?;
     c.flush_work()?;
 
     let verified = final_norm.is_finite() && final_norm < initial * 0.6;
@@ -184,12 +168,11 @@ pub fn run<S: OsSystem>(
 fn compute_residual<S: OsSystem>(
     c: &mut MemoryClient<'_, S>,
     l: Level,
-    aux: &mut LevelAux,
+    aux: &LevelAux,
 ) -> Result<(), OsError> {
     let cell = ColSpec::Index { slice: 0, offset: 0 };
     let mut s = c.batch()?;
     s.plan_map_indexed(
-        &mut aux.residual_b,
         &[],
         &[PlanCol::f64(l.r, cell)],
         &[&aux.boundary],
@@ -200,7 +183,6 @@ fn compute_residual<S: OsSystem>(
     let mut reads: Vec<PlanCol> = stencil_cols(l.u, l.n).to_vec();
     reads.push(PlanCol::f64(l.v, cell));
     s.plan_map_indexed(
-        &mut aux.residual_i,
         &reads,
         &[PlanCol::f64(l.r, cell)],
         &[&aux.interior],
@@ -228,7 +210,7 @@ fn compute_residual<S: OsSystem>(
 fn smooth<S: OsSystem>(
     c: &mut MemoryClient<'_, S>,
     l: Level,
-    aux: &mut LevelAux,
+    aux: &LevelAux,
     sweeps: u32,
 ) -> Result<(), OsError> {
     let omega = 0.8;
@@ -237,7 +219,6 @@ fn smooth<S: OsSystem>(
     let mut s = c.batch()?;
     for _ in 0..sweeps {
         s.plan_map_indexed(
-            &mut aux.smooth,
             &reads,
             &[PlanCol::f64(l.u, ColSpec::Index { slice: 0, offset: 0 })],
             &[&aux.interior],
@@ -264,26 +245,25 @@ fn smooth<S: OsSystem>(
 fn v_cycle<S: OsSystem>(
     c: &mut MemoryClient<'_, S>,
     levels: &[Level],
-    aux: &mut [LevelAux],
+    aux: &[LevelAux],
     depth: usize,
 ) -> Result<(), OsError> {
     let l = levels[depth];
     if depth + 1 == levels.len() {
         // Coarsest level: solve by heavy smoothing.
-        smooth(c, l, &mut aux[depth], 8)?;
+        smooth(c, l, &aux[depth], 8)?;
         return Ok(());
     }
-    smooth(c, l, &mut aux[depth], 2)?;
-    compute_residual(c, l, &mut aux[depth])?;
+    smooth(c, l, &aux[depth], 2)?;
+    compute_residual(c, l, &aux[depth])?;
     // Restrict r to the coarser grid's v (injection of even cells): the
     // fine-grid gather indices ride the restriction index slice.
     let coarse = levels[depth + 1];
     {
-        let a = &mut aux[depth];
+        let a = &aux[depth];
         let mut s = c.batch()?;
         let dense = ColSpec::Dense { stride: 1, offset: 0 };
         s.plan_map_indexed(
-            &mut a.restrict,
             &[PlanCol::f64(l.r, ColSpec::Index { slice: 0, offset: 0 })],
             &[PlanCol::f64(coarse.v, dense), PlanCol::f64(coarse.u, dense)],
             &[&a.restrict_src],
@@ -299,11 +279,10 @@ fn v_cycle<S: OsSystem>(
     // Prolongate the coarse correction and add it in: the coarse-cell
     // gather indices ride their own slice alongside the interior one.
     {
-        let a = &mut aux[depth];
+        let a = &aux[depth];
         let mut s = c.batch()?;
         let cell = ColSpec::Index { slice: 0, offset: 0 };
         s.plan_map_indexed(
-            &mut a.prolong,
             &[
                 PlanCol::f64(coarse.u, ColSpec::Index { slice: 1, offset: 0 }),
                 PlanCol::f64(l.u, cell),
@@ -319,7 +298,7 @@ fn v_cycle<S: OsSystem>(
             },
         )?;
     }
-    smooth(c, l, &mut aux[depth], 2)?;
+    smooth(c, l, &aux[depth], 2)?;
     Ok(())
 }
 
@@ -327,7 +306,7 @@ fn v_cycle<S: OsSystem>(
 fn residual_norm<S: OsSystem>(
     c: &mut MemoryClient<'_, S>,
     l: Level,
-    aux: &mut LevelAux,
+    aux: &LevelAux,
 ) -> Result<f64, OsError> {
     compute_residual(c, l, aux)?;
     // The norm reduction reads r sequentially — a streaming batch.

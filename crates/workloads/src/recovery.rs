@@ -22,7 +22,8 @@
 
 use crate::client::{ArrayU64, MemoryClient};
 use crate::kvstore::{fnv, KvOp, KvRunResult, KvServer};
-use crate::npb::{offload, Class, DataRng, NpbOutcome};
+use crate::npb::is::{self, IsArrays};
+use crate::npb::{offload, Class, NpbOutcome};
 use crate::target::TargetSystem;
 use stramash_kernel::msg::{Message, MsgType};
 use stramash_kernel::process::Pid;
@@ -440,50 +441,12 @@ impl Stepped for SteppedIs {
     }
 
     fn step(&mut self, sys: &mut TargetSystem, _step: u64) -> Result<(), OsError> {
-        let (keys, sorted, hist) = (self.keys, self.sorted, self.hist);
-        let (n_keys, max_key) = (keys.len(), self.max_key);
+        let arrays = IsArrays { keys: self.keys, sorted: self.sorted, hist: self.hist };
         let mut c = MemoryClient::new(sys, self.pid);
-        offload(&mut c, self.migrate, |c| {
-            let mut s = c.batch()?;
-            s.fill_u64(hist, 0, max_key, 0, 2)?;
-            for i in 0..n_keys {
-                let k = s.ld_u64(keys, i)?;
-                let n = s.ld_u64(hist, k)?;
-                s.st_u64(hist, k, n + 1)?;
-                s.work(6)?;
-            }
-            let mut acc = 0u64;
-            for b in 0..max_key {
-                let n = s.ld_u64(hist, b)?;
-                s.st_u64(hist, b, acc)?;
-                acc += n;
-                s.work(4)?;
-            }
-            for i in 0..n_keys {
-                let k = s.ld_u64(keys, i)?;
-                let pos = s.ld_u64(hist, k)?;
-                s.st_u64(sorted, pos, k)?;
-                s.st_u64(hist, k, pos + 1)?;
-                s.work(8)?;
-            }
-            Ok(())
-        })?;
+        offload(&mut c, self.migrate, |c| is::rank(c, arrays))?;
         self.procedures += 1;
-        // Partial verification on the origin, as IS does per iteration.
-        let step_len = (n_keys / 7).max(1);
-        {
-            let mut s = c.batch()?;
-            let mut i = step_len;
-            while i < n_keys {
-                let a = s.ld_u64(sorted, i - step_len)?;
-                let b = s.ld_u64(sorted, i)?;
-                if a > b {
-                    self.verified = false;
-                    break;
-                }
-                s.work(6)?;
-                i += step_len;
-            }
+        if !is::spot_check(&mut c, self.sorted)? {
+            self.verified = false;
         }
         c.flush_work()
     }
@@ -500,40 +463,10 @@ impl Stepped for SteppedIs {
     }
 
     fn finish(&mut self, sys: &mut TargetSystem) -> Result<NpbOutcome, OsError> {
-        let (sorted, n_keys) = (self.sorted, self.keys.len());
         let mut c = MemoryClient::new(sys, self.pid);
-        let mut checksum = 0.0f64;
-        let mut prev = 0u64;
-        let mut verified = self.verified;
-        {
-            let mut s = c.batch()?;
-            let mut buf = [0u64; 512];
-            let mut i = 0u64;
-            while i < n_keys {
-                let n = (n_keys - i).min(512) as usize;
-                s.ld_u64_slice(sorted, i, &mut buf[..n], 5)?;
-                for &k in &buf[..n] {
-                    if k < prev {
-                        verified = false;
-                    }
-                    prev = k;
-                    checksum += k as f64;
-                }
-                i += n as u64;
-            }
-        }
+        let (ordered, checksum) = is::verify_sorted(&mut c, self.sorted)?;
         c.flush_work()?;
-        Ok(NpbOutcome { verified, checksum, procedures: self.procedures })
-    }
-}
-
-fn is_params(class: Class) -> (u64, u64, u32) {
-    // Mirrors npb::is::params (keys, max_key, iterations).
-    match class {
-        Class::Tiny => (1 << 10, 1 << 7, 2),
-        Class::Small => (1 << 19, 1 << 11, 3),
-        Class::Validation => (1 << 17, 1 << 11, 3),
-        Class::Large => (1 << 22, 1 << 11, 2),
+        Ok(NpbOutcome { verified: self.verified && ordered, checksum, procedures: self.procedures })
     }
 }
 
@@ -551,42 +484,26 @@ pub fn run_is_recovered(
     class: Class,
     rc: &RecoveryConfig,
 ) -> Result<Recovered<NpbOutcome>, OsError> {
-    let (n_keys, max_key, iterations) = is_params(class);
+    let p = is::params(class);
     let pid = sys.spawn(DomainId::X86)?;
     let migrate = sys.kind().migrates();
-    let (keys, sorted, hist) = {
+    let IsArrays { keys, sorted, hist } = {
         let mut c = MemoryClient::new(&mut sys, pid);
-        let keys = c.alloc_u64(n_keys)?;
-        let sorted = c.alloc_u64(n_keys)?;
-        let hist = c.alloc_u64(max_key)?;
-        let mut rng = DataRng::new(0x15_15);
-        {
-            let mut s = c.batch()?;
-            let mut chunk = [0u64; 512];
-            let mut i = 0u64;
-            while i < n_keys {
-                let n = (n_keys - i).min(512) as usize;
-                for v in chunk[..n].iter_mut() {
-                    *v = rng.next_u64() % max_key;
-                }
-                s.st_u64_slice(keys, i, &chunk[..n], 8)?;
-                i += n as u64;
-            }
-        }
+        let arrays = is::setup(&mut c, &p)?;
         c.flush_work()?;
-        (keys, sorted, hist)
+        arrays
     };
     let w = SteppedIs {
         pid,
         keys,
         sorted,
         hist,
-        max_key,
+        max_key: p.max_key,
         migrate,
         verified: true,
         procedures: 0,
     };
-    supervise(sys, w, u64::from(iterations), rc)
+    supervise(sys, w, u64::from(p.iterations), rc)
 }
 
 #[cfg(test)]

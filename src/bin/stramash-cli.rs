@@ -24,7 +24,39 @@ use stramash_repro::workloads::recovery::{
     run_is_recovered, run_kv_recovered, RecoveryConfig, RecoveryPolicy,
 };
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
+use std::io::Write as _;
 use std::process::ExitCode;
+
+/// Writes formatted output to stdout, the one way this binary prints
+/// results. A reader that closed the pipe early (`stramash-cli … | head
+/// -1`) ends the process quietly with status 0, like any Unix filter;
+/// any other write error prints to stderr and exits 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -182,16 +214,16 @@ fn cmd_npb(args: &[String]) -> Result<ExitCode, FlagError> {
         )
         .expect("run");
         sys.base_mut().sync_runtime_stats();
-        println!("{kind} on {} ({model}) — verified: {}\n", cfg.label(), out.verified);
+        outln!("{kind} on {} ({model}) — verified: {}\n", cfg.label(), out.verified);
         for d in DomainId::ALL {
-            println!("{}", sys.base().mem.stats(d).report(&d.to_string()));
+            outln!("{}", sys.base().mem.stats(d).report(&d.to_string()));
         }
-        println!("perf+icount phases:");
-        print!("{}", render_phases(&sys.base().phases()));
+        outln!("perf+icount phases:");
+        out!("{}", render_phases(&sys.base().phases()));
         return Ok(ExitCode::SUCCESS);
     }
     let report = run_benchmark(cfg, kind, class).expect("run");
-    println!(
+    outln!(
         "{kind} on {}: runtime {} cycles, {} messages, {} replicated pages, verified {}",
         cfg.label(),
         report.runtime.raw(),
@@ -224,7 +256,7 @@ fn cmd_sweep(args: &[String]) -> Result<ExitCode, FlagError> {
     let mut baseline = None;
     for report in &reports {
         let base = *baseline.get_or_insert(report.runtime);
-        println!(
+        outln!(
             "{:<22} {:>14} cycles  {:>6.3}x vanilla  msgs {:>6}  repl {:>5}",
             report.config.label(),
             report.runtime.raw(),
@@ -244,7 +276,7 @@ fn cmd_kv(args: &[String]) -> Result<ExitCode, FlagError> {
     for kind in [SystemKind::PopcornTcp, SystemKind::PopcornShm, SystemKind::Stramash] {
         let mut sys = TargetSystem::build(kind, HardwareModel::Shared).expect("boot");
         let r = run_kv(&mut sys, *op, requests, 1024).expect("run");
-        println!("{kind:<12} {op}: {:>10.0} cycles/request", r.per_request);
+        outln!("{kind:<12} {op}: {:>10.0} cycles/request", r.per_request);
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -268,30 +300,30 @@ fn cmd_trace(args: &[String]) -> Result<ExitCode, FlagError> {
 
     let t = tracer.borrow();
     let events = t.events();
-    println!("{kind} on {system} ({model}) — verified: {}", out.verified);
-    println!("{} events recorded, {} dropped by the bounded ring\n", t.recorded(), t.dropped());
-    println!("perf+icount phases:");
-    print!("{}", render_phases(&sys.base().phases()));
+    outln!("{kind} on {system} ({model}) — verified: {}", out.verified);
+    outln!("{} events recorded, {} dropped by the bounded ring\n", t.recorded(), t.dropped());
+    outln!("perf+icount phases:");
+    out!("{}", render_phases(&sys.base().phases()));
 
     if t.dropped() == 0 {
         // The report's per-domain totals, rebuilt purely from the stream.
-        println!("\nper-domain stats reconstructed from the event stream:");
+        outln!("\nper-domain stats reconstructed from the event stream:");
         let rebuilt = reconstruct_domain_stats(&events);
         for d in DomainId::ALL {
-            println!("{}", rebuilt[d.index()].report(&d.to_string()));
+            outln!("{}", rebuilt[d.index()].report(&d.to_string()));
         }
     } else {
-        println!(
+        outln!(
             "\nthe ring wrapped: the stream and its Chrome export hold only the last {} of {} recorded events\n",
             events.len(),
             t.recorded()
         );
     }
-    println!("metrics:");
-    print!("{}", t.metrics().render());
+    outln!("metrics:");
+    out!("{}", t.metrics().render());
     if let Some(path) = flag(args, "--json") {
         std::fs::write(&path, chrome_trace_json(&events)).expect("write trace json");
-        println!("chrome trace written to {path} (open via chrome://tracing or Perfetto)");
+        outln!("chrome trace written to {path} (open via chrome://tracing or Perfetto)");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -303,7 +335,7 @@ fn cmd_ipi() -> ExitCode {
     ] {
         let mut rng = SimRng::new(7);
         let run = IpiCharacterization::run(topo, 8, &mut rng);
-        println!(
+        outln!(
             "{name}: all-pairs avg {:.0} ns  ->  {} simulator cycles",
             run.average_ns(),
             run.average_cycles(freq).raw()
@@ -346,7 +378,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, FlagError> {
     };
     if let Some(seed) = seed {
         let sched = ChaosSchedule::generate(seed, stage);
-        println!("replaying fault schedule: {}", sched.describe());
+        outln!("replaying fault schedule: {}", sched.describe());
         sys.install_fault_plan(sched.plan(), seed);
     }
     if let Some(path) = &ckpt_path {
@@ -361,14 +393,14 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, FlagError> {
                 );
                 return Ok(fail("restore checkpoint", e));
             }
-            println!("fast-forwarded from {path} ({} bytes)", bytes.len());
+            outln!("fast-forwarded from {path} ({} bytes)", bytes.len());
         }
     }
     let rc = RecoveryConfig { policy, ..RecoveryConfig::default() };
     let (final_sys, crashes, restarts, degraded) = if workload == "is" {
         match run_is_recovered(sys, class, &rc) {
             Ok(out) => {
-                println!(
+                outln!(
                     "IS on {system} ({model}): verified {}, checksum {}, {} procedures",
                     out.result.verified, out.result.checksum, out.result.procedures
                 );
@@ -379,7 +411,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, FlagError> {
     } else {
         match run_kv_recovered(sys, KvOp::Set, requests, 64, &rc) {
             Ok(out) => {
-                println!(
+                outln!(
                     "KV set on {system} ({model}): {} requests, checksum {:#x}, {:.0} cycles/req",
                     out.result.requests, out.result.checksum, out.result.per_request
                 );
@@ -388,13 +420,13 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, FlagError> {
             Err(e) => return Ok(fail("run", e)),
         }
     };
-    println!(
+    outln!(
         "recovery: {crashes} watchdog death(s), {restarts} restart(s){}",
         degraded.map_or(String::new(), |d| format!(", degraded after losing {d}"))
     );
     let violations = final_sys.audit();
     if violations.is_empty() {
-        println!("invariant audit: clean");
+        outln!("invariant audit: clean");
     } else {
         for v in &violations {
             eprintln!("invariant violation: {v}");
@@ -405,7 +437,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, FlagError> {
         let artifact = final_sys.checkpoint();
         let len = artifact.len();
         match std::fs::write(path, artifact) {
-            Ok(()) => println!("checkpoint written to {path} ({len} bytes)"),
+            Ok(()) => outln!("checkpoint written to {path} ({len} bytes)"),
             Err(e) => return Ok(fail("write checkpoint", e)),
         }
     }
@@ -435,13 +467,13 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, FlagError> {
             s.split(',').map(|v| v.trim().parse().ok()).collect()
         })?;
 
-    println!(
+    outln!(
         "serving: {} workers × {} connections (window {}), {} requests/point, \
          {}% reads over {} Zipf keys, seed {:#x} ({model})\n",
         cfg.workers, cfg.connections, cfg.window, cfg.requests, cfg.read_pct, cfg.keyspace,
         cfg.seed
     );
-    println!(
+    outln!(
         "{:<12} {:>9} {:>10} {:>12} {:>12} {:>12} {:>8}",
         "system", "offered", "achieved", "p50", "p99", "queue-p99", "stalls"
     );
@@ -453,7 +485,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, FlagError> {
             Err(e) => return Ok(fail("serve", e)),
         };
         for r in &curve {
-            println!(
+            outln!(
                 "{:<12} {:>9.1} {:>10.2} {:>12} {:>12} {:>12} {:>8}",
                 kind.to_string(),
                 r.offered_load,
@@ -465,13 +497,13 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, FlagError> {
             );
         }
         if let Some(last) = curve.last() {
-            println!(
+            outln!(
                 "  └ schedule {:#018x}  run {:#018x}  (seed-replayable)\n",
                 last.schedule_fingerprint, last.fingerprint
             );
         }
     }
-    println!("loads are requests per million cycles; latencies are simulated cycles (log₂-bucket p50/p99)");
+    outln!("loads are requests per million cycles; latencies are simulated cycles (log₂-bucket p50/p99)");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -482,14 +514,14 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, FlagError> {
     let stages: u32 = num_flag(args, "--stages", 4)?;
     let inject = args.iter().any(|a| a == "--inject-regression");
     if inject {
-        println!("injecting a seeded recovery regression (degrade-where-restart-required)");
+        outln!("injecting a seeded recovery regression (degrade-where-restart-required)");
     }
     let report = match chaos_sweep(seed, stages, inject) {
         Ok(r) => r,
         Err(e) => return Ok(fail("chaos baseline", e)),
     };
     for cell in &report.cells {
-        println!(
+        outln!(
             "stage {} {:<12} {:>2} event(s)  crashes {} restarts {}  {}",
             cell.stage,
             cell.kind.to_string(),
@@ -500,19 +532,19 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, FlagError> {
         );
     }
     if let Some(rep) = &report.reproducer {
-        println!("\nfailure on {}: {}", rep.kind, rep.failure);
-        println!(
+        outln!("\nfailure on {}: {}", rep.kind, rep.failure);
+        outln!(
             "minimal reproducer after shrinking: {}",
             rep.schedule.describe()
         );
-        println!(
+        outln!(
             "replay: stramash-cli chaos --seed {:#x} --stages {stages}{}",
             seed,
             if inject { " --inject-regression" } else { "" }
         );
         return Ok(if inject { ExitCode::SUCCESS } else { ExitCode::FAILURE });
     }
-    println!(
+    outln!(
         "\nchaos sweep green: {} cell(s), no auditor violations, no fingerprint drift",
         report.cells.len()
     );

@@ -17,6 +17,7 @@ use stramash_repro::kernel::system::{OsError, OsSystem};
 use stramash_repro::kernel::vma::VmaProt;
 use stramash_repro::prelude::*;
 use stramash_repro::workloads::client::MemoryClient;
+use stramash_repro::workloads::{ArrayU64, ColSpec, PlanCol};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
 
 #[test]
@@ -69,6 +70,31 @@ fn mprotect_downgrade_blocks_batched_writes() {
     // Reads still work and see the value written before the downgrade.
     sys.session_translate(&mut session, buf, false).unwrap();
     assert_eq!(sys.load_u64(pid, buf).unwrap(), 77);
+
+    // Plan segments replay through the same session. The client's
+    // session caches the page writable through a write column; after
+    // the downgrade a read segment re-caches it read-only, and a write
+    // column over it is refused instead of replaying, storing nothing.
+    let page = sys.mmap(pid, PAGE_SIZE, VmaProt::rw()).unwrap();
+    let mut c = MemoryClient::new(&mut sys, pid);
+    let col = PlanCol::u64(
+        ArrayU64::from_raw(page, PAGE_SIZE / 8),
+        ColSpec::Dense { stride: 1, offset: 0 },
+    );
+    let bump = |_: u64, rv: &[u64], wv: &mut [u64]| wv[0] = rv[0] + 1;
+    c.batch().unwrap().plan_map_indexed(&[col], &[col], &[], 8, 1, bump).unwrap();
+    c.system().mprotect(pid, page, VmaProt::ro()).unwrap();
+    let mut s = c.batch().unwrap();
+    let mut sum = 0;
+    s.plan_map_indexed(&[col], &[], &[], 8, 1, |_, rv, _| sum += rv[0]).unwrap();
+    assert_eq!(sum, 8, "reads replay and see the pre-downgrade writes");
+    assert!(matches!(
+        s.plan_map_indexed(&[col], &[col], &[], 8, 1, bump),
+        Err(OsError::PermissionDenied { .. })
+    ));
+    let mut sum = 0;
+    s.plan_map_indexed(&[col], &[], &[], 8, 1, |_, rv, _| sum += rv[0]).unwrap();
+    assert_eq!(sum, 8, "the refused segment stored nothing");
 }
 
 #[test]

@@ -31,7 +31,7 @@ use stramash_repro::sim::trace::{
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
-use stramash_repro::workloads::{ColSpec, IndexedPlan, MemoryClient, PlanCol};
+use stramash_repro::workloads::{ColSpec, MemoryClient, PlanCol};
 
 /// Large enough that no run drops an event — a lossy ring would make
 /// both the stream comparisons and the reconstruction meaningless.
@@ -391,8 +391,6 @@ fn indexed_case(
         keys: stramash_repro::workloads::ArrayU64,
         hist: stramash_repro::workloads::ArrayU64,
         out: stramash_repro::workloads::ArrayU64,
-        hist_plan: IndexedPlan,
-        gather_plan: IndexedPlan,
     }
     let mut sides = Vec::new();
     for d in DomainId::ALL {
@@ -416,19 +414,12 @@ fn indexed_case(
             }
             s.fill_u64(hist, 0, buckets, 0, 2).unwrap();
         }
-        sides.push(Side {
-            pid,
-            keys,
-            hist,
-            out,
-            hist_plan: IndexedPlan::new(),
-            gather_plan: IndexedPlan::new(),
-        });
+        sides.push(Side { pid, keys, hist, out });
     }
     for pass in 0..2 {
-        for side in &mut sides {
+        for side in &sides {
             let mut c = MemoryClient::new(&mut sys, side.pid);
-            // Same compiled plan, different index slice per pass.
+            // Same segments, different index slice per pass.
             let idx: &[u64] = if pass == 0 { &idx_a } else { &idx_b };
             if mode == Mode::Scalar {
                 for i in 0..elems {
@@ -446,7 +437,6 @@ fn indexed_case(
             } else {
                 let mut s = c.batch().unwrap();
                 s.plan_map_indexed(
-                    &mut side.hist_plan,
                     &[PlanCol::u64(side.keys, dense), PlanCol::u64(side.hist, bucket)],
                     &[PlanCol::u64(side.hist, bucket)],
                     &[],
@@ -456,7 +446,6 @@ fn indexed_case(
                 )
                 .unwrap();
                 s.plan_map_indexed(
-                    &mut side.gather_plan,
                     &[PlanCol::u64(side.hist, gather)],
                     &[PlanCol::u64(side.out, dense)],
                     &[idx],
