@@ -370,28 +370,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         self.c.work(n)
     }
 
-    /// Loads the adjacent pair `a[i], a[i+1]` (`i` even — a 16-byte
-    /// aligned pair always shares one cache line and one page, so the
-    /// second element is translated and charged as the L1/TLB hit it
-    /// would be on the scalar path).
-    ///
-    /// # Errors
-    ///
-    /// Translation errors.
-    pub fn ld_f64_pair(&mut self, a: ArrayF64, i: u64) -> Result<(f64, f64), OsError> {
-        debug_assert!(i.is_multiple_of(2), "pair base must be even");
-        let va = a.at(i);
-        let _ = a.at(i + 1); // bounds check
-        let (pa, _) = self.c.sys.session_translate(&mut self.c.session, va, false)?;
-        let domain = self.c.session.domain();
-        let base = self.c.sys.base_mut();
-        let mut out = [0u64; 2];
-        let cyc = base.mem.read_u64_run(domain, pa, &mut out);
-        base.charge(domain, cyc);
-        base.mem.note_tlb_hit(domain);
-        Ok((f64::from_bits(out[0]), f64::from_bits(out[1])))
-    }
-
     /// Stores the adjacent pair `a[i] = v0, a[i+1] = v1` (`i` even).
     ///
     /// # Errors
@@ -601,30 +579,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         Ok(())
     }
 
-    /// Gathers `a[idx[k]]` for every index, `work_per` instructions per
-    /// element. Indices are arbitrary, so each element translates
-    /// through the session individually (order-identical to the scalar
-    /// gather loop).
-    ///
-    /// # Errors
-    ///
-    /// Translation errors.
-    pub fn gather_f64(
-        &mut self,
-        a: ArrayF64,
-        idx: &[u64],
-        out: &mut Vec<f64>,
-        work_per: u64,
-    ) -> Result<(), OsError> {
-        out.clear();
-        for &i in idx {
-            let v = self.ld_f64(a, i)?;
-            out.push(v);
-            self.work(work_per)?;
-        }
-        Ok(())
-    }
-
     /// Fused dot product `Σ x[i]·y[i]`, `work_per` instructions per
     /// element — access order `ld x[i]; ld y[i]; work` exactly like the
     /// CG scalar loop.
@@ -647,29 +601,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
             self.work(work_per)?;
         }
         Ok(acc)
-    }
-
-    /// Fused axpy `y[i] += alpha·x[i]`, access order
-    /// `ld y[i]; ld x[i]; st y[i]; work` per element.
-    ///
-    /// # Errors
-    ///
-    /// Translation errors.
-    pub fn axpy_f64(
-        &mut self,
-        alpha: f64,
-        x: ArrayF64,
-        y: ArrayF64,
-        n: u64,
-        work_per: u64,
-    ) -> Result<(), OsError> {
-        for i in 0..n {
-            let yv = self.ld_f64(y, i)?;
-            let xv = self.ld_f64(x, i)?;
-            self.st_f64(y, i, yv + alpha * xv)?;
-            self.work(work_per)?;
-        }
-        Ok(())
     }
 
     // ---- plan segments -----------------------------------------------------
@@ -987,8 +918,9 @@ mod tests {
     }
 
     /// A mixed pattern exercising every scope op: slice stores/loads,
-    /// fills, pairs, element ops, the fused helpers, and interleaved
-    /// `work` — enough to cross pages, cache lines and exec flushes.
+    /// fills, pair stores, element ops, the fused dot product, and
+    /// interleaved `work` — enough to cross pages, cache lines and exec
+    /// flushes.
     fn scope_pattern(sys: &mut VanillaSystem, pid: Pid) -> f64 {
         let mut c = MemoryClient::new(sys, pid);
         let a = c.alloc_f64(600).unwrap();
@@ -1009,16 +941,11 @@ mod tests {
                 s.work(5).unwrap();
             }
             for i in 150..300 {
-                let (x, y) = s.ld_f64_pair(a, 2 * i).unwrap();
+                let (x, y) = (s.ld_f64(a, 2 * i).unwrap(), s.ld_f64(a, 2 * i + 1).unwrap());
                 s.st_f64_pair(b, 2 * i, x + y, x - y).unwrap();
                 s.work(4).unwrap();
             }
             acc += s.dot_f64(a, b, 600, 4).unwrap();
-            s.axpy_f64(0.5, a, b, 600, 6).unwrap();
-            let idx: Vec<u64> = (0..100).map(|i| (i * 37) % 600).collect();
-            let mut out = Vec::new();
-            s.gather_f64(a, &idx, &mut out, 2).unwrap();
-            acc += out.iter().sum::<f64>();
             let mut back = vec![0.0f64; 600];
             s.ld_f64_slice(b, 0, &mut back, 3).unwrap();
             acc += back.iter().sum::<f64>();
@@ -1068,18 +995,6 @@ mod tests {
             c.work(4).unwrap();
         }
         acc += dot;
-        for i in 0..600 {
-            let y = c.ld_f64(b, i).unwrap();
-            let x = c.ld_f64(a, i).unwrap();
-            c.st_f64(b, i, y + 0.5 * x).unwrap();
-            c.work(6).unwrap();
-        }
-        let mut out = Vec::new();
-        for i in (0..100).map(|i| (i * 37) % 600) {
-            out.push(c.ld_f64(a, i).unwrap());
-            c.work(2).unwrap();
-        }
-        acc += out.iter().sum::<f64>();
         let mut back = vec![0.0f64; 600];
         for (i, v) in back.iter_mut().enumerate() {
             *v = c.ld_f64(b, i as u64).unwrap();
