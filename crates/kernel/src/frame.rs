@@ -7,11 +7,10 @@
 //! blocks later granted by the global allocator) and hands out 4 KiB
 //! frames. Regions can be drained and removed again, which is the
 //! substrate for the hotplug-style offline path of §6.3. Each region is
-//! managed by a [`crate::buddy::BuddyAllocator`], so contiguous
-//! multi-page allocations (§5's data packing) come for free.
+//! managed by a [`crate::buddy::BuddyAllocator`].
 
 use crate::addr::PAGE_SIZE;
-use crate::buddy::{order_for_pages, BuddyAllocator, BuddyError};
+use crate::buddy::{BuddyAllocator, BuddyError};
 use std::fmt;
 use stramash_mem::PhysAddr;
 
@@ -137,26 +136,6 @@ impl FrameAllocator {
                 continue;
             }
             if let Ok(pa) = r.buddy.alloc(0) {
-                return Ok(pa);
-            }
-        }
-        Err(FrameError::OutOfMemory)
-    }
-
-    /// Allocates `pages` physically **contiguous**, naturally aligned
-    /// frames (rounded up to a buddy order) — what §5's data packing
-    /// needs for its contiguous shared windows.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::OutOfMemory`] when no region can satisfy the order.
-    pub fn alloc_contiguous(&mut self, pages: u64) -> Result<PhysAddr, FrameError> {
-        let order = order_for_pages(pages);
-        for r in &mut self.regions {
-            if !r.online {
-                continue;
-            }
-            if let Ok(pa) = r.buddy.alloc(order) {
                 return Ok(pa);
             }
         }

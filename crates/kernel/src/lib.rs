@@ -41,16 +41,13 @@
 pub mod addr;
 pub mod boot;
 pub mod buddy;
-pub mod device;
 pub mod frame;
 pub mod futex;
 pub mod kernel;
 pub mod msg;
 pub mod namespace;
-pub mod packing;
 pub mod pagetable;
 pub mod process;
-pub mod rbtree;
 pub mod session;
 pub mod system;
 pub mod vma;
@@ -59,15 +56,12 @@ pub mod watchdog;
 pub use addr::{VirtAddr, PAGE_SIZE};
 pub use boot::{boot_pair, BootConfig, BootStage, BootTimeline, BootedPlatform};
 pub use buddy::{BuddyAllocator, BuddyError};
-pub use device::{Device, DeviceClass, DeviceError, DeviceId, DeviceRegistry};
 pub use frame::{FrameAllocator, FrameError};
 pub use futex::{FutexTable, ThreadId, Waiter};
 pub use kernel::{KernelCounters, KernelInstance};
 pub use msg::{Message, MessagingLayer, MsgCounters, MsgType, Transport};
-pub use packing::{PackedRegion, PackingError, SharingClass};
 pub use pagetable::{MapError, PageTable};
 pub use process::{Pid, Process, SoftTlb};
-pub use rbtree::{RbTree, RbTreeError};
 pub use session::AccessSession;
 pub use system::{BaseSystem, OsError, OsSystem, VanillaSystem};
 pub use vma::{Vma, VmaKind, VmaProt, VmaTree};

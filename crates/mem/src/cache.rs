@@ -393,9 +393,9 @@ impl Cache {
         self.tags[self.set_range(line)].contains(&line)
     }
 
-    /// The slot holding `line`, if resident.
+    /// The slot holding `line`, if resident, without disturbing LRU.
     #[inline]
-    fn slot_of(&self, line: u64) -> Option<usize> {
+    pub(crate) fn slot_of(&self, line: u64) -> Option<usize> {
         let range = self.set_range(line);
         let base = range.start;
         self.tags[range].iter().position(|&t| t == line).map(|i| base + i)

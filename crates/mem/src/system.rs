@@ -853,18 +853,18 @@ impl MemorySystem {
                 false
             }
             None => {
-                let state = self.hierarchies[di].l3.state_of(line);
-                if state == Some(Mesi::Modified) || state == Some(Mesi::Exclusive) {
-                    let old = self.hierarchies[di].l3.set_state(line, Mesi::Modified);
-                    if state == Some(Mesi::Exclusive) {
-                        self.emit_upgrade(domain, line, old);
-                    }
-                    return false;
-                }
+                // One scan of the L3 set: the peer invalidation below
+                // edits only the peer's hierarchy, so the slot stays
+                // valid.
+                let l3 = &self.hierarchies[di].l3;
+                let slot = l3.slot_of(line);
+                let old = slot.map(|slot| l3.state_at(slot));
                 // Shared (or L1-resident without L3 state after an odd
                 // flush): invalidate the peer if present.
                 let mut snooped = false;
-                if self.hierarchies[oi].contains(line) {
+                if !matches!(old, Some(Mesi::Modified | Mesi::Exclusive))
+                    && self.hierarchies[oi].contains(line)
+                {
                     *cycles += Cycles::new(self.cfg.cxl.snoop_invalidate as u64);
                     if self.hierarchies[oi].invalidate(line) == Some(Mesi::Modified) {
                         self.writebacks[oi] += 1;
@@ -877,7 +877,9 @@ impl MemorySystem {
                     });
                     snooped = true;
                 }
-                let old = self.hierarchies[di].l3.set_state(line, Mesi::Modified);
+                if let Some(slot) = slot {
+                    self.hierarchies[di].l3.set_state_at(slot, Mesi::Modified);
+                }
                 self.emit_upgrade(domain, line, old);
                 snooped
             }

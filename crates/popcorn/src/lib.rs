@@ -39,4 +39,4 @@ pub mod dsm;
 pub mod system;
 
 pub use dsm::{DsmDirectory, DsmPage, DsmPageState};
-pub use system::{migration_cost_model, PopcornSystem, HANDLER_COST};
+pub use system::PopcornSystem;

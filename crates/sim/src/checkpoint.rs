@@ -32,9 +32,11 @@ pub const MAGIC: u32 = 0x5354_524d;
 /// mode flags and the stamp-LRU cache encoding. Version 3 replaced the
 /// `PERF` marker section with per-migration `DomainStats` snapshots in
 /// the `BASE` section and dropped the IPI fabric's delivery counts.
-/// Version 1 and 2 artifacts are rejected with
-/// [`CheckpointError::BadVersion`].
-pub const VERSION: u32 = 3;
+/// Version 4 writes each VMA tree as its areas in address order (the
+/// `VMAS` section, validated on restore) instead of a red-black tree
+/// arena, and dropped the MMIO device registers. Older artifacts are
+/// rejected with [`CheckpointError::BadVersion`].
+pub const VERSION: u32 = 4;
 
 /// Errors raised while decoding a checkpoint artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -400,7 +400,17 @@ impl OsSystem for TargetSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stramash_kernel::addr::PAGE_SIZE;
     use stramash_kernel::vma::VmaProt;
+    use stramash_sim::checkpoint::{crc32, CheckpointError};
+
+    /// Re-seals an edited artifact's CRC, so only the edit is wrong.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
 
     #[test]
     fn builds_every_kind() {
@@ -440,20 +450,105 @@ mod tests {
 
     #[test]
     fn restore_rejects_a_version_1_artifact() {
-        use stramash_sim::checkpoint::{crc32, CheckpointError, VERSION};
+        use stramash_sim::checkpoint::VERSION;
         let sys = TargetSystem::build(SystemKind::Vanilla, HardwareModel::Shared).unwrap();
-        assert_eq!(VERSION, 3);
-        for old in [1u32, 2] {
+        assert_eq!(VERSION, 4);
+        for old in [1u32, 2, 3] {
             let mut bytes = sys.checkpoint();
             // Rewrite the header's version field (after the 4-byte
-            // magic) and re-seal the CRC, so only the version is wrong.
+            // magic).
             bytes[4..8].copy_from_slice(&old.to_le_bytes());
-            let body = bytes.len() - 4;
-            let crc = crc32(&bytes[..body]);
-            bytes[body..].copy_from_slice(&crc.to_le_bytes());
             let mut fresh =
                 TargetSystem::build(SystemKind::Vanilla, HardwareModel::Shared).unwrap();
-            assert_eq!(fresh.restore(&bytes), Err(CheckpointError::BadVersion(old)));
+            assert_eq!(fresh.restore(&reseal(bytes)), Err(CheckpointError::BadVersion(old)));
+        }
+    }
+
+    /// A forged VMA section (overlapping areas, an unaligned start, an
+    /// unknown kind) restores as `Malformed`, never as an address space
+    /// that breaks the tree's invariants.
+    #[test]
+    fn restore_rejects_a_hostile_vma_section() {
+        let build = || TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
+        let mut sys = build();
+        let pid = sys.spawn(DomainId::X86).unwrap();
+        let first = sys.mmap(pid, 2 * PAGE_SIZE, VmaProt::rw()).unwrap();
+        let second = sys.mmap(pid, PAGE_SIZE, VmaProt::rw()).unwrap();
+        assert!(first < second);
+        assert_eq!(sys.base().process(pid).unwrap().vmas.len(), 2);
+        let artifact = sys.checkpoint();
+        build().restore(&artifact).unwrap();
+
+        // The section: the "VMAS" tag and the area count, then per area
+        // its start and end, three protection bytes and a kind byte.
+        const AREA: usize = 8 + 8 + 3 + 1;
+        let mut head = 0x564d_4153u32.to_le_bytes().to_vec();
+        head.extend(2u64.to_le_bytes());
+        head.extend(first.raw().to_le_bytes());
+        let at = artifact
+            .windows(head.len())
+            .position(|w| w == head)
+            .expect("the checkpoint holds the process's VMA section")
+            + 12;
+        let restore_edited = |edit: &dyn Fn(&mut [u8])| {
+            let mut bytes = artifact.clone();
+            edit(&mut bytes[at..at + 2 * AREA]);
+            build().restore(&reseal(bytes))
+        };
+        let refused = Err(CheckpointError::Malformed("VMA unaligned, empty or overlapping"));
+
+        // The second area starts inside the first.
+        let inside = first.offset(PAGE_SIZE).raw().to_le_bytes();
+        assert_eq!(restore_edited(&|s| s[AREA..AREA + 8].copy_from_slice(&inside)), refused);
+        // The first area starts off a page boundary.
+        let unaligned = first.offset(8).raw().to_le_bytes();
+        assert_eq!(restore_edited(&|s| s[..8].copy_from_slice(&unaligned)), refused);
+        // The first area's kind byte names no kind.
+        assert_eq!(
+            restore_edited(&|s| s[AREA - 1] = 7),
+            Err(CheckpointError::Malformed("unknown VMA kind"))
+        );
+    }
+
+    /// Migrating to the domain the thread already runs on costs nothing
+    /// and changes nothing: no message, migration snapshot,
+    /// `migrations_in` or PTE reconfiguration. On Stramash that includes
+    /// origin→origin while remote-format PTEs wait for the thread's
+    /// return.
+    #[test]
+    fn migrating_to_the_current_domain_is_a_no_op() {
+        for kind in [SystemKind::Stramash, SystemKind::PopcornShm, SystemKind::PopcornTcp] {
+            let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
+            let pid = sys.spawn(DomainId::X86).unwrap();
+            let va = sys.mmap(pid, 64 << 10, VmaProt::rw()).unwrap();
+            sys.store_u64(pid, va, 1).unwrap();
+            let observe = |sys: &TargetSystem| {
+                (
+                    sys.message_total(),
+                    sys.base().phases().len(),
+                    sys.base().kernels.each_ref().map(|k| k.counters.migrations_in),
+                    sys.stramash_counters().map(|c| c.pte_reconfigurations),
+                )
+            };
+            let stay = |sys: &mut TargetSystem, on: DomainId| {
+                let (before, artifact) = (observe(sys), sys.checkpoint());
+                let cost = sys.as_thread_on(pid, on, |s| s.migrate(pid, on)).unwrap();
+                assert_eq!(cost, Cycles::ZERO, "{kind}: {on} to {on} must cost nothing");
+                assert_eq!(observe(sys), before, "{kind}: {on} to {on} must do nothing");
+                assert!(sys.checkpoint() == artifact, "{kind}: {on} to {on} changed the machine");
+            };
+            stay(&mut sys, DomainId::X86);
+            sys.migrate(pid, DomainId::ARM).unwrap();
+            // On Stramash the remote touch leaves a remote-format PTE
+            // for the return to the origin to reconfigure.
+            sys.store_u64(pid, va.offset(PAGE_SIZE), 2).unwrap();
+            stay(&mut sys, DomainId::ARM);
+            stay(&mut sys, DomainId::X86);
+            sys.migrate(pid, DomainId::X86).unwrap();
+            if let Some(c) = sys.stramash_counters() {
+                assert_eq!(c.pte_reconfigurations, 1, "the pending PTE waited for the real return");
+            }
+            assert_eq!(sys.base().kernels.each_ref().map(|k| k.counters.migrations_in), [1, 1]);
         }
     }
 
@@ -462,7 +557,7 @@ mod tests {
     #[test]
     fn restore_rejects_out_of_order_migration_snapshots() {
         use crate::npb::{run_npb, Class, NpbKind};
-        use stramash_sim::checkpoint::{crc32, CheckpointError, Encoder};
+        use stramash_sim::checkpoint::Encoder;
         use stramash_sim::DomainStats;
         let build = || TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
         let mut sys = build();
@@ -487,12 +582,6 @@ mod tests {
                         .all(|k| artifact[i + k * section.len()..][..4] == section[..4])
             })
             .expect("the checkpoint holds the migration snapshots");
-        let reseal = |mut bytes: Vec<u8>| {
-            let body = bytes.len() - 4;
-            let crc = crc32(&bytes[..body]);
-            bytes[body..].copy_from_slice(&crc.to_le_bytes());
-            bytes
-        };
         let malformed = Err(CheckpointError::Malformed("migration snapshots out of counter order"));
 
         // Swap the first two snapshots.

@@ -1,15 +1,12 @@
 //! Integration of the supporting subsystems with full runs: the
-//! perf+icount tool, shared devices, data packing, messaging polling
-//! mode, and the register-state transformation.
+//! perf+icount tool, messaging polling mode, and the register-state
+//! transformation.
 
 use stramash_repro::isa::regs::{self, RegFile, X86RegFile};
 use stramash_repro::isa::IsaKind;
-use stramash_repro::kernel::device::{DeviceClass, DeviceRegistry};
 use stramash_repro::kernel::msg::{Message, MsgType, Transport};
-use stramash_repro::kernel::packing::{PackedRegion, SharingClass};
 use stramash_repro::kernel::system::{protocol_round_trip, BaseSystem, OsSystem};
 use stramash_repro::kernel::BootConfig;
-use stramash_repro::mem::PhysAddr;
 use stramash_repro::prelude::*;
 use stramash_repro::sim::ipi::NotifyMode;
 use stramash_repro::sim::render_phases;
@@ -47,59 +44,6 @@ fn perf_tool_attributes_phases_across_migrations() {
     assert!(render_phases(&phases).ends_with("phases: 5 (split at thread migrations)\n"));
 }
 
-/// Device MMIO state is shared across instances, with redirection costs
-/// for the non-owner (§7.4).
-#[test]
-fn devices_shared_across_instances() {
-    let mut reg = DeviceRegistry::paper_platform();
-    let nic = reg
-        .devices()
-        .iter()
-        .find(|d| d.class == DeviceClass::Nic)
-        .map(|d| d.mmio_base)
-        .unwrap();
-    // x86 (owner) programs a ring doorbell; Arm reads it back through
-    // redirection.
-    let c_local = reg.mmio_write(DomainId::X86, nic.offset(8), 0x1234).unwrap();
-    let (v, c_remote) = reg.mmio_read(DomainId::ARM, nic.offset(8)).unwrap();
-    assert_eq!(v, 0x1234);
-    assert!(c_remote > c_local);
-    assert_eq!(reg.forwarded_from(DomainId::ARM), 1);
-}
-
-/// Data packing segregates shared kernel structures into the shared
-/// window and proves the isolation invariant (§5).
-#[test]
-fn packing_prepares_hardware_enforcement() {
-    let cfg = SimConfig::big_pair().with_hw_model(HardwareModel::Shared);
-    let mut mem = stramash_repro::mem::MemorySystem::new(cfg).unwrap();
-    // Shared window in the pool; private window in x86 memory.
-    let mut packer = PackedRegion::new(
-        DomainId::X86,
-        PhysAddr::new((4u64 << 30) + (200 << 20)),
-        4 << 20,
-        PhysAddr::new(256 << 20),
-        4 << 20,
-    );
-    // The §6.4/§6.5 shared structures…
-    let futex_list = packer.place(1, 4096, SharingClass::Shared).unwrap();
-    let vma_lock = packer.place(2, 64, SharingClass::Shared).unwrap();
-    // …and private ones.
-    packer.place(3, 1 << 16, SharingClass::Private).unwrap();
-    // A structure allocated before classification gets moved in.
-    let stray = PhysAddr::new(300 << 20);
-    mem.store_mut().write_u64(stray, 0xfee1);
-    let (moved, cycles) = packer.adopt(&mut mem, 4, stray, 4096, SharingClass::Shared).unwrap();
-    assert!(cycles.raw() > 0);
-    assert_eq!(mem.store().read_u64(moved), 0xfee1);
-    packer.verify_isolation().unwrap();
-    let (base, len) = packer.shared_window();
-    for pa in [futex_list, vma_lock, moved] {
-        assert!(pa.raw() >= base.raw() && pa.raw() < base.raw() + len);
-    }
-    assert_eq!(packer.pages_moved(), 1);
-}
-
 /// Polling-mode messaging trades the IPI for receiver poll reads (§6.2).
 #[test]
 fn polling_messaging_round_trip_is_cheaper() {
@@ -113,7 +57,6 @@ fn polling_messaging_round_trip_is_cheaper() {
             DomainId::X86,
             Message::control(MsgType::FutexRequest),
             Message::control(MsgType::FutexResponse),
-            Cycles::new(400),
         )
     };
     let interrupt = cost_with(NotifyMode::Interrupt);
@@ -145,26 +88,4 @@ fn migration_transforms_register_state() {
         arm_insns_after - arm_insns_before >= regs::TRANSFORM_INSNS,
         "destination must execute the state transformation"
     );
-}
-
-/// §5 end to end: contiguous buddy blocks feed the data packer's
-/// windows, and the isolation invariant holds over real kernel memory.
-#[test]
-fn contiguous_allocation_feeds_data_packing() {
-    use stramash_repro::kernel::packing::{PackedRegion, SharingClass};
-    let mut sys = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
-    let base = sys.base_mut();
-    // Carve two contiguous, naturally aligned windows out of each
-    // kernel's buddy-managed memory.
-    let shared_win = base.kernels[0].frames.alloc_contiguous(256).unwrap(); // 1 MB
-    let private_win = base.kernels[0].frames.alloc_contiguous(256).unwrap();
-    assert!(shared_win.is_aligned(256 * 4096), "buddy gives natural alignment");
-    let mut packer =
-        PackedRegion::new(DomainId::X86, shared_win, 256 * 4096, private_win, 256 * 4096);
-    packer.place(1, 4096, SharingClass::Shared).unwrap();
-    packer.place(2, 4096, SharingClass::Private).unwrap();
-    packer.verify_isolation().unwrap();
-    // The windows really are kernel-owned physical memory.
-    assert!(base.kernels[0].frames.owns(shared_win));
-    assert!(base.kernels[0].frames.owns(private_win));
 }
