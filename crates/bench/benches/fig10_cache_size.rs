@@ -23,7 +23,8 @@ fn main() {
     // STRAMASH_LARGE=1 runs the IS sweep at the paper-scale Large class
     // (64 MB working set, minutes of host time) where the paper's IS
     // trend regime lives.
-    let is_class = if std::env::var("STRAMASH_LARGE").is_ok() { Class::Large } else { Class::Small };
+    let is_class =
+        if std::env::var("STRAMASH_LARGE").is_ok() { Class::Large } else { Class::Small };
     // All eight runs (2 benchmarks × 2 L3 sizes × 2 systems) are
     // independent simulators — fan the whole grid out at once.
     let mut grid = Vec::new();
@@ -66,8 +67,12 @@ fn main() {
     let is_small = ratio(NpbKind::Is, 4 << 20);
     let is_big = ratio(NpbKind::Is, 32 << 20);
 
-    println!("CG: Stramash/SHM {cg_small:.2} at 4 MB -> {cg_big:.2} at 32 MB (paper: 1.34 -> ~1.00)");
-    println!("IS: Stramash/SHM {is_small:.2} at 4 MB -> {is_big:.2} at 32 MB (paper: 1/2.1 -> 1/1.6)");
+    println!(
+        "CG: Stramash/SHM {cg_small:.2} at 4 MB -> {cg_big:.2} at 32 MB (paper: 1.34 -> ~1.00)"
+    );
+    println!(
+        "IS: Stramash/SHM {is_small:.2} at 4 MB -> {is_big:.2} at 32 MB (paper: 1/2.1 -> 1/1.6)"
+    );
     println!();
     println!("reproduced: the headline CG effect — \"a larger L3 cache reduces the cache");
     println!("miss rate and overall memory accesses, significantly reducing execution time");

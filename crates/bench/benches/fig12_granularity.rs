@@ -24,8 +24,8 @@ fn main() {
         let mut pop = TargetSystem::build(SystemKind::PopcornShm, HardwareModel::Shared)
             .expect("boot popcorn");
         let p = granularity(&mut pop, lines, ROUNDS).expect("popcorn run");
-        let mut stra =
-            TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).expect("boot stramash");
+        let mut stra = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared)
+            .expect("boot stramash");
         let s = granularity(&mut stra, lines, ROUNDS).expect("stramash run");
         let ratio = p.cycles_per_round / s.cycles_per_round;
         if lines == 1 {
@@ -44,7 +44,12 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["cachelines", "DSM (Popcorn) cyc/round", "HW coherence (Stramash) cyc/round", "DSM overhead"],
+            &[
+                "cachelines",
+                "DSM (Popcorn) cyc/round",
+                "HW coherence (Stramash) cyc/round",
+                "DSM overhead"
+            ],
             &rows
         )
     );

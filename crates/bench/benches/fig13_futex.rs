@@ -21,8 +21,8 @@ fn main() {
         let mut pop = TargetSystem::build(SystemKind::PopcornShm, HardwareModel::Shared)
             .expect("boot popcorn");
         let p = futex_pingpong(&mut pop, loops).expect("popcorn run");
-        let mut stra =
-            TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).expect("boot stramash");
+        let mut stra = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared)
+            .expect("boot stramash");
         let s = futex_pingpong(&mut stra, loops).expect("stramash run");
         let speedup = p.total.raw() as f64 / s.total.raw() as f64;
         final_speedup = speedup;

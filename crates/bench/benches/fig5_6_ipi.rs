@@ -15,14 +15,8 @@ fn characterize(figure: u32, name: &str, topo: IpiTopology, freq_hz: u64, seed: 
     let run = IpiCharacterization::run(topo, 16, &mut rng);
     banner(&format!("Figure {figure} — IPI latency, {name}"));
     let rows = vec![
-        vec![
-            "same-socket avg".to_string(),
-            format!("{:.0} ns", run.average_ns_by_socket(false)),
-        ],
-        vec![
-            "cross-socket avg".to_string(),
-            format!("{:.0} ns", run.average_ns_by_socket(true)),
-        ],
+        vec!["same-socket avg".to_string(), format!("{:.0} ns", run.average_ns_by_socket(false))],
+        vec!["cross-socket avg".to_string(), format!("{:.0} ns", run.average_ns_by_socket(true))],
         vec!["all-pairs avg".to_string(), format!("{:.0} ns", run.average_ns())],
         vec![
             "simulator IPI cost".to_string(),

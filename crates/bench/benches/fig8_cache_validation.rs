@@ -18,8 +18,8 @@ fn main() {
     let mut rows = Vec::new();
     let mut worst: f64 = 0.0;
     for kind in NpbKind::ALL {
-        let run = capture_npb_trace(cfg.clone(), kind, Class::Validation)
-            .expect("capture must succeed");
+        let run =
+            capture_npb_trace(cfg.clone(), kind, Class::Validation).expect("capture must succeed");
         let (_, prim) = replay_primary(&cfg, &run.trace);
         let (_, refm) = replay_reference(&cfg, &run.trace);
         let p = prim.stats(DomainId::X86);

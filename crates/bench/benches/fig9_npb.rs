@@ -76,8 +76,7 @@ fn main() {
         let separated = report_of(SystemKind::Stramash, HardwareModel::Separated);
         let estimated = separated.ae_fully_shared_estimate(&cfg);
         let simulated = report_of(SystemKind::Stramash, HardwareModel::FullyShared).runtime;
-        let err = (estimated.raw() as f64 - simulated.raw() as f64).abs()
-            / simulated.raw() as f64;
+        let err = (estimated.raw() as f64 - simulated.raw() as f64).abs() / simulated.raw() as f64;
         println!(
             "{kind}: A.5 Fully-Shared estimate {} vs simulated {} ({:.1}% apart)",
             estimated.raw(),
@@ -94,7 +93,16 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["benchmark", "configuration", "runtime (cycles)", "vs Vanilla", "INST", "MEM+MSG", "messages", "remote hits"],
+            &[
+                "benchmark",
+                "configuration",
+                "runtime (cycles)",
+                "vs Vanilla",
+                "INST",
+                "MEM+MSG",
+                "messages",
+                "remote hits"
+            ],
             &rows
         )
     );

@@ -128,10 +128,7 @@ fn main() {
         p99_speedup > 2.0,
         "fused p99 must clearly beat TCP at the top load: {p99_speedup:.2}x"
     );
-    assert!(
-        tput_speedup > 1.1,
-        "fused must out-serve TCP at the top load: {tput_speedup:.2}x"
-    );
+    assert!(tput_speedup > 1.1, "fused must out-serve TCP at the top load: {tput_speedup:.2}x");
     println!(
         "\nheadline @ load {:.0}: fused p99 {:.2}x better, throughput {:.2}x vs Popcorn-TCP",
         LOADS[top], p99_speedup, tput_speedup

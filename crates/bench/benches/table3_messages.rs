@@ -8,13 +8,13 @@
 
 use stramash_bench::{banner, render_table};
 use stramash_kernel::msg::MsgType;
-use stramash_sim::HardwareModel;
-use stramash_workloads::npb::run_npb;
-use stramash_workloads::target::TargetSystem;
 use stramash_sim::DomainId;
+use stramash_sim::HardwareModel;
 use stramash_workloads::driver::{run_benchmark, Configuration};
+use stramash_workloads::npb::run_npb;
 use stramash_workloads::npb::{Class, NpbKind};
 use stramash_workloads::target::SystemKind;
+use stramash_workloads::target::TargetSystem;
 
 fn main() {
     banner("Table 3 — messages and replicated pages (Popcorn-SHM vs Stramash, Shared model)");
@@ -68,8 +68,11 @@ fn main() {
     println!("                 origin-handled faults on missing upper-level tables.");
 
     banner("Table 3 detail — Popcorn-SHM message breakdown on IS (by protocol type)");
-    let mut sys = TargetSystem::build(stramash_workloads::target::SystemKind::PopcornShm,
-        HardwareModel::Shared).expect("boot");
+    let mut sys = TargetSystem::build(
+        stramash_workloads::target::SystemKind::PopcornShm,
+        HardwareModel::Shared,
+    )
+    .expect("boot");
     let pid = sys.spawn(DomainId::X86).expect("spawn");
     use stramash_kernel::system::OsSystem as _;
     run_npb(NpbKind::Is, &mut sys, pid, Class::Small, true).expect("run");

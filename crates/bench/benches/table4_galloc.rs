@@ -24,13 +24,9 @@ fn main() {
         for domain in DomainId::ALL {
             let freq = cfg.domain(domain).freq_hz;
             let galloc = sys.global_allocator().clone();
-            let off = galloc
-                .offline_cost(&mut sys.base_mut().mem, domain, pages)
-                .to_millis(freq);
+            let off = galloc.offline_cost(&mut sys.base_mut().mem, domain, pages).to_millis(freq);
             sys.base_mut().mem.flush_caches();
-            let on = galloc
-                .online_cost(&mut sys.base_mut().mem, domain, pages)
-                .to_millis(freq);
+            let on = galloc.online_cost(&mut sys.base_mut().mem, domain, pages).to_millis(freq);
             sys.base_mut().mem.flush_caches();
             if domain == DomainId::X86 {
                 off_x86 = off;
@@ -52,10 +48,7 @@ fn main() {
 
     println!(
         "{}",
-        render_table(
-            &["pages", "x86 offline", "x86 online", "Arm offline", "Arm online"],
-            &rows
-        )
+        render_table(&["pages", "x86 offline", "x86 online", "Arm offline", "Arm online"], &rows)
     );
     println!("paper (Table 4): 2^15 pages = 12.5/5.8 ms (x86), 4.8/5.8 ms (Arm);");
     println!("                 2^20 pages = 246.3/68.1 ms (x86), 64.4/80.9 ms (Arm).");

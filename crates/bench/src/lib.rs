@@ -38,10 +38,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     };
     line(&mut out, &headers.iter().map(|s| (*s).to_string()).collect::<Vec<_>>());
-    line(
-        &mut out,
-        &widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>(),
-    );
+    line(&mut out, &widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
         line(&mut out, row);
     }
@@ -312,12 +309,8 @@ mod tests {
         assert!(replayed.raw() > 0);
         // Hit-rate sanity: replay saw the same access stream.
         assert_eq!(
-            mem.stats(DomainId::X86).mem_accesses
-                + mem.stats(DomainId::ARM).mem_accesses,
-            run.trace
-                .iter()
-                .filter(|e| e.kind == stramash_mem::AccessKind::Data)
-                .count() as u64
+            mem.stats(DomainId::X86).mem_accesses + mem.stats(DomainId::ARM).mem_accesses,
+            run.trace.iter().filter(|e| e.kind == stramash_mem::AccessKind::Data).count() as u64
         );
     }
 

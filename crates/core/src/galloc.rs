@@ -255,12 +255,7 @@ impl GlobalAllocator {
     /// The hotplug-style **offline** path run by `domain` on `pages`
     /// pages: walk each page descriptor, check references, isolate.
     /// Returns the cycles charged (the Table 4 "Offline" column).
-    pub fn offline_cost(
-        &self,
-        mem: &mut MemorySystem,
-        domain: DomainId,
-        pages: u64,
-    ) -> Cycles {
+    pub fn offline_cost(&self, mem: &mut MemorySystem, domain: DomainId, pages: u64) -> Cycles {
         let mut cycles = Cycles::ZERO;
         let base = self.vmemmap_base[domain.index()];
         for p in 0..pages {

@@ -14,7 +14,9 @@
 //! the driver stays a pure, side-effect-free codec.
 
 use crate::format::{IsaKind, PageTableFormat};
-use crate::pte::{decode_pte, decode_table_entry, encode_pte, encode_table_entry, PteFlags, RawPte};
+use crate::pte::{
+    decode_pte, decode_table_entry, encode_pte, encode_table_entry, PteFlags, RawPte,
+};
 
 /// Accessor functions for one remote ISA's page-table structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -118,10 +118,10 @@ pub static AARCH64_FORMAT: PageTableFormat = PageTableFormat {
     present_bit: 0,
     write_bit: 7, // AP[2]: set means read-only
     write_inverted: true,
-    user_bit: 6, // AP[1]: EL0 accessible
+    user_bit: 6,      // AP[1]: EL0 accessible
     accessed_bit: 10, // AF
-    dirty_bit: 55, // software dirty (Linux arm64 PTE_DIRTY)
-    nx_bit: 54, // UXN
+    dirty_bit: 55,    // software dirty (Linux arm64 PTE_DIRTY)
+    nx_bit: 54,       // UXN
     pfn_low: 12,
     pfn_high: 48,
 };
@@ -154,8 +154,8 @@ impl PageTableFormat {
     #[must_use]
     pub fn va_index(&self, va: u64, level: u8) -> u64 {
         assert!(level < self.levels, "level {level} out of range");
-        let low = self.page_shift as u32
-            + (self.levels - 1 - level) as u32 * self.index_bits as u32;
+        let low =
+            self.page_shift as u32 + (self.levels - 1 - level) as u32 * self.index_bits as u32;
         (va >> low) & (self.entries_per_table() - 1)
     }
 

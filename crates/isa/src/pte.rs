@@ -232,8 +232,14 @@ mod tests {
     fn cross_isa_conversion_preserves_meaning() {
         // §6.4: the origin kernel reconfigures a remote-format PTE to its
         // own format; pfn and logical flags must survive.
-        let flags =
-            PteFlags { present: true, writable: true, user: true, accessed: true, dirty: true, no_exec: false };
+        let flags = PteFlags {
+            present: true,
+            writable: true,
+            user: true,
+            accessed: true,
+            dirty: true,
+            no_exec: false,
+        };
         let arm = encode_pte(IsaKind::Aarch64.format(), 0xabcd, flags);
         let x86 = arm.convert_to(IsaKind::X86_64);
         assert_eq!(x86.isa, IsaKind::X86_64);

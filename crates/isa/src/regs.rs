@@ -148,8 +148,12 @@ pub fn materialize(state: &MachineState, isa: IsaKind) -> RegFile {
             RegFile::X86(r)
         }
         IsaKind::Aarch64 => {
-            let mut r =
-                ArmRegFile { pc: state.pc, sp: state.sp, pstate: state.flags, ..Default::default() };
+            let mut r = ArmRegFile {
+                pc: state.pc,
+                sp: state.sp,
+                pstate: state.flags,
+                ..Default::default()
+            };
             r.x[arm_reg::X29] = state.fp;
             r.x[arm_reg::X0] = state.args[0];
             r.x[arm_reg::X1] = state.args[1];

@@ -83,10 +83,7 @@ pub fn boot_pair(cfg: &SimConfig, layout: &PhysLayout, boot: &BootConfig) -> Boo
 
     for k in &mut kernels {
         let region = layout.private_region(k.domain);
-        assert!(
-            region.len > boot.kernel_reserve,
-            "private region smaller than the kernel reserve"
-        );
+        assert!(region.len > boot.kernel_reserve, "private region smaller than the kernel reserve");
         k.frames
             .add_region(region.start.offset(boot.kernel_reserve), region.len - boot.kernel_reserve)
             .expect("boot regions are aligned and disjoint");
@@ -147,8 +144,7 @@ impl BootTimeline {
         // discovered ... at boot") — proportional to region count, not
         // size.
         let regions = layout.regions().len() as u64;
-        let discovery =
-            BootStage { name: "resource discovery", cycles: [regions * 40_000; 2] };
+        let discovery = BootStage { name: "resource discovery", cycles: [regions * 40_000; 2] };
         // Initialisation touches only the kernel's PRIVATE memory
         // (struct-page setup ~ cycles per frame).
         let init = DomainId::ALL.map(|d| {

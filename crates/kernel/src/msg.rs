@@ -14,8 +14,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use stramash_mem::{MemorySystem, PhysAddr};
 use stramash_sim::ipi::{IpiFabric, NotifyMode};
-use stramash_sim::trace::TraceEvent;
 pub use stramash_sim::trace::MsgType;
+use stramash_sim::trace::TraceEvent;
 use stramash_sim::{Cycles, DomainId, FaultKind, SharedFaultInjector, SharedTracer};
 
 /// Retransmission cap per logical message. With sane fault plans the
@@ -1032,7 +1032,10 @@ mod tests {
 
     const POOL: u64 = 4 << 30;
 
-    fn setup(model: HardwareModel, transport: Transport) -> (MemorySystem, IpiFabric, MessagingLayer) {
+    fn setup(
+        model: HardwareModel,
+        transport: Transport,
+    ) -> (MemorySystem, IpiFabric, MessagingLayer) {
         let cfg = SimConfig::big_pair().with_hw_model(model);
         let ipi = IpiFabric::new(cfg.ipi_latency);
         let tcp = cfg.tcp_rtt;
@@ -1049,10 +1052,8 @@ mod tests {
 
     #[test]
     fn shm_send_charges_ring_writes_and_ipi() {
-        let (mut mem, mut ipi, mut ml) = setup(
-            HardwareModel::Shared,
-            Transport::Shm { notify: NotifyMode::Interrupt },
-        );
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Shared, Transport::Shm { notify: NotifyMode::Interrupt });
         let c = ml.send(&mut mem, &mut ipi, DomainId::X86, Message::control(MsgType::FutexRequest));
         // 64-byte header = 1 cache line into remote-shared memory (640)
         // plus the 2 µs IPI (4200 cycles at 2.1 GHz).
@@ -1074,10 +1075,8 @@ mod tests {
     #[test]
     fn ring_placement_feels_hardware_model() {
         // §8.2: Separated-SHM has the ring local to x86, remote to Arm.
-        let (mut mem, mut ipi, mut ml) = setup(
-            HardwareModel::Separated,
-            Transport::Shm { notify: NotifyMode::Polling },
-        );
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Separated, Transport::Shm { notify: NotifyMode::Polling });
         let from_x86 =
             ml.send(&mut mem, &mut ipi, DomainId::X86, Message::control(MsgType::PageRequest));
         mem.flush_caches();
@@ -1097,10 +1096,8 @@ mod tests {
 
     #[test]
     fn receive_reads_back_what_was_sent() {
-        let (mut mem, mut ipi, mut ml) = setup(
-            HardwareModel::Shared,
-            Transport::Shm { notify: NotifyMode::Polling },
-        );
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Shared, Transport::Shm { notify: NotifyMode::Polling });
         let msg = Message::page(MsgType::PageResponse);
         ml.send(&mut mem, &mut ipi, DomainId::X86, msg);
         let c = ml.receive(&mut mem, DomainId::ARM, msg);
@@ -1269,10 +1266,8 @@ mod tests {
     #[test]
     fn injected_drop_retransmits_and_charges_timeout() {
         use stramash_sim::{shared_injector, FaultPlan};
-        let (mut mem, mut ipi, mut ml) = setup(
-            HardwareModel::Shared,
-            Transport::Shm { notify: NotifyMode::Interrupt },
-        );
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Shared, Transport::Shm { notify: NotifyMode::Interrupt });
         let inj = shared_injector(FaultPlan::none().with_msg_drop(0.4), 0x5eed);
         ml.set_fault_injector(inj.clone());
         let baseline = 640 + 4200; // fault-free header send cost
@@ -1305,10 +1300,8 @@ mod tests {
     #[test]
     fn lost_ack_causes_duplicate_delivery_and_dedup() {
         use stramash_sim::{shared_injector, FaultPlan};
-        let (mut mem, mut ipi, mut ml) = setup(
-            HardwareModel::Shared,
-            Transport::Shm { notify: NotifyMode::Polling },
-        );
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Shared, Transport::Shm { notify: NotifyMode::Polling });
         let inj = shared_injector(FaultPlan::none().with_ack_drop(0.5), 0xacc);
         ml.set_fault_injector(inj);
         for _ in 0..100 {
@@ -1324,10 +1317,8 @@ mod tests {
     #[test]
     fn delay_fault_adds_latency_but_delivers() {
         use stramash_sim::{shared_injector, FaultPlan};
-        let (mut mem, mut ipi, mut ml) = setup(
-            HardwareModel::Shared,
-            Transport::Shm { notify: NotifyMode::Interrupt },
-        );
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Shared, Transport::Shm { notify: NotifyMode::Interrupt });
         let inj = shared_injector(FaultPlan::none().with_msg_delay(1.0, 9999), 1);
         ml.set_fault_injector(inj);
         let c = ml.send(&mut mem, &mut ipi, DomainId::X86, Message::control(MsgType::FutexWake));
@@ -1351,10 +1342,8 @@ mod tests {
 
     #[test]
     fn streams_multiplex_and_cost_like_raw_sends() {
-        let (mut mem, mut ipi, mut ml) = setup(
-            HardwareModel::Shared,
-            Transport::Shm { notify: NotifyMode::Interrupt },
-        );
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Shared, Transport::Shm { notify: NotifyMode::Interrupt });
         let s = ml.open_stream(DomainId::X86, 4);
         // A request on a stream charges exactly what the raw send does.
         let req = Message { ty: MsgType::KvRequest, payload: 64 };
@@ -1388,10 +1377,8 @@ mod tests {
         // A non-migrating design serves from the client's own domain;
         // a response sent from that domain must still count as a
         // response, not consume a fresh request credit.
-        let (mut mem, mut ipi, mut ml) = setup(
-            HardwareModel::Shared,
-            Transport::Shm { notify: NotifyMode::Interrupt },
-        );
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Shared, Transport::Shm { notify: NotifyMode::Interrupt });
         let s = ml.open_stream(DomainId::X86, 1);
         let req = Message::control(MsgType::KvRequest);
         ml.stream_request(&mut mem, &mut ipi, s, req).unwrap();
@@ -1408,10 +1395,8 @@ mod tests {
 
     #[test]
     fn stream_window_exhaustion_counts_stalls() {
-        let (mut mem, mut ipi, mut ml) = setup(
-            HardwareModel::Shared,
-            Transport::Shm { notify: NotifyMode::Interrupt },
-        );
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Shared, Transport::Shm { notify: NotifyMode::Interrupt });
         let s = ml.open_stream(DomainId::ARM, 2);
         let req = Message::control(MsgType::KvRequest);
         ml.stream_request(&mut mem, &mut ipi, s, req).unwrap();

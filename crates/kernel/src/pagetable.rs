@@ -137,8 +137,7 @@ impl PageTable {
                 None => return (None, cycles),
             }
         }
-        let leaf_pa =
-            PhysAddr::new(table.raw() + fmt.va_index(va.raw(), fmt.levels - 1) * 8);
+        let leaf_pa = PhysAddr::new(table.raw() + fmt.va_index(va.raw(), fmt.levels - 1) * 8);
         let (raw, c) = mem.read_u64(walker, leaf_pa);
         cycles += c;
         match (RawPte { raw, isa: self.isa }).decode() {
@@ -160,8 +159,7 @@ impl PageTable {
             let raw = mem.store().read_u64(entry_pa);
             table = PhysAddr::new(decode_table_entry(fmt, raw)?);
         }
-        let leaf_pa =
-            PhysAddr::new(table.raw() + fmt.va_index(va.raw(), fmt.levels - 1) * 8);
+        let leaf_pa = PhysAddr::new(table.raw() + fmt.va_index(va.raw(), fmt.levels - 1) * 8);
         let raw = mem.store().read_u64(leaf_pa);
         let (pfn, flags) = (RawPte { raw, isa: self.isa }).decode()?;
         Some((PhysAddr::new((pfn << fmt.page_shift) + va.page_offset()), flags))
@@ -213,8 +211,7 @@ impl PageTable {
                 }
             }
         }
-        let leaf_pa =
-            PhysAddr::new(table.raw() + fmt.va_index(va.raw(), fmt.levels - 1) * 8);
+        let leaf_pa = PhysAddr::new(table.raw() + fmt.va_index(va.raw(), fmt.levels - 1) * 8);
         let existing = if timed {
             let (r, c) = mem.read_u64(walker, leaf_pa);
             cycles += c;
@@ -414,10 +411,26 @@ mod tests {
         let (mut mem, mut frames) = setup();
         let pt = PageTable::new(&mut mem, &mut frames, IsaKind::Aarch64).unwrap();
         let va = VirtAddr::new(0x7000);
-        pt.map(&mut mem, &mut frames, DomainId::ARM, va, PhysAddr::new(0x60_0000), PteFlags::user_data(), false)
-            .unwrap();
+        pt.map(
+            &mut mem,
+            &mut frames,
+            DomainId::ARM,
+            va,
+            PhysAddr::new(0x60_0000),
+            PteFlags::user_data(),
+            false,
+        )
+        .unwrap();
         let err = pt
-            .map(&mut mem, &mut frames, DomainId::ARM, va, PhysAddr::new(0x61_0000), PteFlags::user_data(), false)
+            .map(
+                &mut mem,
+                &mut frames,
+                DomainId::ARM,
+                va,
+                PhysAddr::new(0x61_0000),
+                PteFlags::user_data(),
+                false,
+            )
             .unwrap_err();
         assert_eq!(err, MapError::AlreadyMapped(va));
     }
@@ -427,8 +440,16 @@ mod tests {
         let (mut mem, mut frames) = setup();
         let pt = PageTable::new(&mut mem, &mut frames, IsaKind::X86_64).unwrap();
         let va = VirtAddr::new(0x9000);
-        pt.map(&mut mem, &mut frames, DomainId::X86, va, PhysAddr::new(0x70_0000), PteFlags::user_data(), false)
-            .unwrap();
+        pt.map(
+            &mut mem,
+            &mut frames,
+            DomainId::X86,
+            va,
+            PhysAddr::new(0x70_0000),
+            PteFlags::user_data(),
+            false,
+        )
+        .unwrap();
         mem.reset_stats();
         let (res, cycles) = pt.walk(&mut mem, DomainId::X86, va);
         assert!(res.is_some());
@@ -444,8 +465,16 @@ mod tests {
         let (mut mem, mut frames) = setup();
         let pt = PageTable::new(&mut mem, &mut frames, IsaKind::X86_64).unwrap();
         let va = VirtAddr::new(0xA000);
-        pt.map(&mut mem, &mut frames, DomainId::X86, va, PhysAddr::new(0x70_0000), PteFlags::user_data(), false)
-            .unwrap();
+        pt.map(
+            &mut mem,
+            &mut frames,
+            DomainId::X86,
+            va,
+            PhysAddr::new(0x70_0000),
+            PteFlags::user_data(),
+            false,
+        )
+        .unwrap();
         mem.flush_caches();
         mem.reset_stats();
         let (_, remote_cost) = pt.walk(&mut mem, DomainId::ARM, va);
@@ -469,8 +498,16 @@ mod tests {
         let va = VirtAddr::new(0xB000);
         // Create the chain with one mapping, then insert a sibling page
         // purely at the PTE level.
-        pt.map(&mut mem, &mut frames, DomainId::X86, va, PhysAddr::new(0x70_0000), PteFlags::user_data(), false)
-            .unwrap();
+        pt.map(
+            &mut mem,
+            &mut frames,
+            DomainId::X86,
+            va,
+            PhysAddr::new(0x70_0000),
+            PteFlags::user_data(),
+            false,
+        )
+        .unwrap();
         let sibling = VirtAddr::new(0xC000);
         let pte = stramash_isa::pte::encode_pte(
             IsaKind::X86_64.format(),
@@ -487,7 +524,8 @@ mod tests {
     fn set_leaf_rejects_foreign_format() {
         let (mut mem, mut frames) = setup();
         let pt = PageTable::new(&mut mem, &mut frames, IsaKind::X86_64).unwrap();
-        let pte = stramash_isa::pte::encode_pte(IsaKind::Aarch64.format(), 1, PteFlags::user_data());
+        let pte =
+            stramash_isa::pte::encode_pte(IsaKind::Aarch64.format(), 1, PteFlags::user_data());
         let _ = pt.set_leaf(&mut mem, DomainId::X86, VirtAddr::new(0), pte, false);
     }
 
@@ -496,8 +534,16 @@ mod tests {
         let (mut mem, mut frames) = setup();
         let pt = PageTable::new(&mut mem, &mut frames, IsaKind::Aarch64).unwrap();
         let va = VirtAddr::new(0xD000);
-        pt.map(&mut mem, &mut frames, DomainId::ARM, va, PhysAddr::new(0x71_0000), PteFlags::user_data(), false)
-            .unwrap();
+        pt.map(
+            &mut mem,
+            &mut frames,
+            DomainId::ARM,
+            va,
+            PhysAddr::new(0x71_0000),
+            PteFlags::user_data(),
+            false,
+        )
+        .unwrap();
         let (old, _) = pt.unmap(&mut mem, DomainId::ARM, va, false);
         assert_eq!(old, Some(PhysAddr::new(0x71_0000)));
         assert!(pt.walk_untimed(&mem, va).is_none());
@@ -510,15 +556,28 @@ mod tests {
         let (mut mem, mut frames) = setup();
         let pt = PageTable::new(&mut mem, &mut frames, IsaKind::X86_64).unwrap();
         let va = VirtAddr::new(0xE000);
-        pt.map(&mut mem, &mut frames, DomainId::X86, va, PhysAddr::new(0x72_0000), PteFlags::user_data(), false)
-            .unwrap();
+        pt.map(
+            &mut mem,
+            &mut frames,
+            DomainId::X86,
+            va,
+            PhysAddr::new(0x72_0000),
+            PteFlags::user_data(),
+            false,
+        )
+        .unwrap();
         let (ok, _) =
             pt.protect(&mut mem, DomainId::X86, va, PteFlags::user_data().read_only(), false);
         assert!(ok);
         let (_, flags) = pt.walk_untimed(&mem, va).unwrap();
         assert!(!flags.writable);
-        let (ok, _) =
-            pt.protect(&mut mem, DomainId::X86, VirtAddr::new(0xFF000), PteFlags::user_data(), false);
+        let (ok, _) = pt.protect(
+            &mut mem,
+            DomainId::X86,
+            VirtAddr::new(0xFF000),
+            PteFlags::user_data(),
+            false,
+        );
         assert!(!ok);
     }
 

@@ -695,10 +695,7 @@ mod tests {
         let page = vec![1u8; CHUNK_SIZE];
         let other = vec![2u8; CHUNK_SIZE];
         let bytes = spme_section(&[(7, Some(&page)), (3, Some(&page)), (7, Some(&other))]);
-        assert_eq!(
-            load(&mut m, &bytes),
-            Err(CheckpointError::Malformed("duplicate memory chunk"))
-        );
+        assert_eq!(load(&mut m, &bytes), Err(CheckpointError::Malformed("duplicate memory chunk")));
         // A rejected artifact leaves a store that is still safe to read.
         let _ = m.read_u64(PhysAddr::new(7 << CHUNK_SHIFT));
         // Wrong-sized chunks are refused too.

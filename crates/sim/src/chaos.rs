@@ -186,11 +186,8 @@ where
         while start < current.len() {
             let end = (start + chunk).min(current.len());
             // The complement: everything except [start, end).
-            let candidate: Vec<ChaosEvent> = current[..start]
-                .iter()
-                .chain(current[end..].iter())
-                .copied()
-                .collect();
+            let candidate: Vec<ChaosEvent> =
+                current[..start].iter().chain(current[end..].iter()).copied().collect();
             if !candidate.is_empty() && oracle(&candidate) {
                 current = candidate;
                 granularity = granularity.max(2).min(current.len().max(2));
@@ -253,9 +250,8 @@ mod tests {
         let sched = ChaosSchedule::generate(7, 3);
         assert!(sched.events.len() > 5);
         // The "regression" needs exactly the crash event.
-        let minimal = shrink(&sched.events, |evs| {
-            evs.iter().any(|e| matches!(e, ChaosEvent::Crash { .. }))
-        });
+        let minimal =
+            shrink(&sched.events, |evs| evs.iter().any(|e| matches!(e, ChaosEvent::Crash { .. })));
         assert_eq!(minimal.len(), 1);
         assert!(matches!(minimal[0], ChaosEvent::Crash { .. }));
     }
@@ -288,13 +284,12 @@ mod tests {
 
     #[test]
     fn shrink_result_is_one_minimal() {
-        let events: Vec<ChaosEvent> =
-            (0..16).map(|i| ChaosEvent::MsgDelay(0.01, i)).collect();
+        let events: Vec<ChaosEvent> = (0..16).map(|i| ChaosEvent::MsgDelay(0.01, i)).collect();
         // Fails when events with delays 3, 8 and 13 are all present.
         let need = |evs: &[ChaosEvent]| {
-            [3u64, 8, 13].iter().all(|&k| {
-                evs.iter().any(|e| matches!(e, ChaosEvent::MsgDelay(_, d) if *d == k))
-            })
+            [3u64, 8, 13]
+                .iter()
+                .all(|&k| evs.iter().any(|e| matches!(e, ChaosEvent::MsgDelay(_, d) if *d == k)))
         };
         let minimal = shrink(&events, need);
         assert_eq!(minimal.len(), 3);

@@ -308,12 +308,18 @@ impl Interconnect {
         match self {
             Interconnect::Cxl => CxlCosts::paper_default(),
             // On-package NUMA links snoop faster than CXL.
-            Interconnect::Qpi => {
-                CxlCosts { snoop_invalidate: 50, snoop_data: 45, back_invalidate: 40, onchip_snoop: 25 }
-            }
-            Interconnect::InfinityFabric => {
-                CxlCosts { snoop_invalidate: 60, snoop_data: 55, back_invalidate: 45, onchip_snoop: 25 }
-            }
+            Interconnect::Qpi => CxlCosts {
+                snoop_invalidate: 50,
+                snoop_data: 45,
+                back_invalidate: 40,
+                onchip_snoop: 25,
+            },
+            Interconnect::InfinityFabric => CxlCosts {
+                snoop_invalidate: 60,
+                snoop_data: 55,
+                back_invalidate: 45,
+                onchip_snoop: 25,
+            },
         }
     }
 
@@ -465,12 +471,9 @@ impl SimConfig {
             if d.freq_hz == 0 {
                 return Err(ConfigError::ZeroFrequency(d.name.clone()));
             }
-            for (lvl, geo) in [
-                ("L1I", d.cache.l1i),
-                ("L1D", d.cache.l1d),
-                ("L2", d.cache.l2),
-                ("L3", d.cache.l3),
-            ] {
+            for (lvl, geo) in
+                [("L1I", d.cache.l1i), ("L1D", d.cache.l1d), ("L2", d.cache.l2), ("L3", d.cache.l3)]
+            {
                 // A geometry that is sound except for its set count gets
                 // the specific error: the caches index sets with a
                 // power-of-two mask, so a non-power-of-two count is

@@ -348,8 +348,7 @@ impl FaultInjector {
     #[must_use]
     pub fn new(plan: FaultPlan, seed: u64) -> Self {
         let mut root = SimRng::new(seed);
-        let streams =
-            [root.split(), root.split(), root.split(), root.split(), root.split()];
+        let streams = [root.split(), root.split(), root.split(), root.split(), root.split()];
         FaultInjector {
             plan,
             seed,

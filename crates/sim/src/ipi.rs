@@ -50,12 +50,7 @@ impl IpiFabric {
     /// Creates a fabric with the given one-way delivery latency.
     #[must_use]
     pub fn new(latency: Cycles) -> Self {
-        IpiFabric {
-            latency,
-            injector: None,
-            retries: 0,
-            tracer: None,
-        }
+        IpiFabric { latency, injector: None, retries: 0, tracer: None }
     }
 
     /// One-way delivery latency.
@@ -283,9 +278,7 @@ impl IpiCharacterization {
         let sel: Vec<&PairSample> = self
             .samples
             .iter()
-            .filter(|s| {
-                (self.topology.socket_of(s.src) != self.topology.socket_of(s.dst)) == cross
-            })
+            .filter(|s| (self.topology.socket_of(s.src) != self.topology.socket_of(s.dst)) == cross)
             .collect();
         if sel.is_empty() {
             return 0.0;
@@ -309,10 +302,7 @@ impl IpiCharacterization {
             let idx = ((s.mean_ns / bucket_ns) as usize).min(buckets - 1);
             hist[idx] += 1;
         }
-        hist.into_iter()
-            .enumerate()
-            .map(|(i, c)| ((i as f64 + 1.0) * bucket_ns, c))
-            .collect()
+        hist.into_iter().enumerate().map(|(i, c)| ((i as f64 + 1.0) * bucket_ns, c)).collect()
     }
 }
 

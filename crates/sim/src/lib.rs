@@ -66,9 +66,7 @@ pub use fault::{
 pub use intmap::{IntMap, IntSet};
 pub use stats::{fully_shared_estimate, render_phases, DomainStats, StatsError};
 pub use time::{Clock, Cycles, DomainId, Timebase};
-pub use trace::{
-    shared_tracer, EventClass, MetricsRegistry, SharedTracer, TraceEvent, Tracer,
-};
+pub use trace::{shared_tracer, EventClass, MetricsRegistry, SharedTracer, TraceEvent, Tracer};
 
 /// Number of simulated ISA domains. The paper's prototype fuses exactly two
 /// kernel instances (x86-64 and AArch64); scalability beyond a pair is

@@ -42,10 +42,9 @@ impl fmt::Display for StatsError {
                 f,
                 "latency table is inverted: remote_mem {remote_mem} is not above mem {mem}"
             ),
-            StatsError::EstimateUnderflow { runtime, adjustment } => write!(
-                f,
-                "fully-shared adjustment {adjustment} exceeds runtime {runtime}"
-            ),
+            StatsError::EstimateUnderflow { runtime, adjustment } => {
+                write!(f, "fully-shared adjustment {adjustment} exceeds runtime {runtime}")
+            }
         }
     }
 }
@@ -84,12 +83,13 @@ pub fn fully_shared_estimate(
         });
     }
     let differential = u64::from(table.remote_mem - table.mem);
-    let adjustment = remote_hits.checked_mul(differential).ok_or(
-        StatsError::EstimateUnderflow { runtime: runtime.raw(), adjustment: u64::MAX },
-    )?;
-    let estimate = runtime.raw().checked_sub(adjustment).ok_or(
-        StatsError::EstimateUnderflow { runtime: runtime.raw(), adjustment },
-    )?;
+    let adjustment = remote_hits
+        .checked_mul(differential)
+        .ok_or(StatsError::EstimateUnderflow { runtime: runtime.raw(), adjustment: u64::MAX })?;
+    let estimate = runtime
+        .raw()
+        .checked_sub(adjustment)
+        .ok_or(StatsError::EstimateUnderflow { runtime: runtime.raw(), adjustment })?;
     Ok(Cycles::new(estimate))
 }
 
@@ -220,9 +220,13 @@ impl DomainStats {
             ipi: self.ipi.checked_sub(earlier.ipi)?,
             local_mem_hits: self.local_mem_hits.checked_sub(earlier.local_mem_hits)?,
             remote_mem_hits: self.remote_mem_hits.checked_sub(earlier.remote_mem_hits)?,
-            remote_shared_mem_hits: self.remote_shared_mem_hits.checked_sub(earlier.remote_shared_mem_hits)?,
+            remote_shared_mem_hits: self
+                .remote_shared_mem_hits
+                .checked_sub(earlier.remote_shared_mem_hits)?,
             snoop_data_hits: self.snoop_data_hits.checked_sub(earlier.snoop_data_hits)?,
-            snoop_invalidations: self.snoop_invalidations.checked_sub(earlier.snoop_invalidations)?,
+            snoop_invalidations: self
+                .snoop_invalidations
+                .checked_sub(earlier.snoop_invalidations)?,
             instructions: self.instructions.checked_sub(earlier.instructions)?,
             mem_accesses: self.mem_accesses.checked_sub(earlier.mem_accesses)?,
             tlb_hits: self.tlb_hits.checked_sub(earlier.tlb_hits)?,
@@ -370,20 +374,13 @@ mod tests {
     fn ae_fully_shared_derivation() {
         // 1000 remote hits on the Xeon Gold row: each saves 640−300
         // cycles under the Fully-Shared model.
-        let est = fully_shared_estimate(
-            Cycles::new(1_000_000),
-            1000,
-            &LatencyTable::XEON_GOLD,
-        )
-        .unwrap();
+        let est =
+            fully_shared_estimate(Cycles::new(1_000_000), 1000, &LatencyTable::XEON_GOLD).unwrap();
         assert_eq!(est.raw(), 1_000_000 - 1000 * 340);
         // No remote hits: the runtime passes through untouched, even
         // with a degenerate table (nothing is subtracted).
         let flat = LatencyTable { l1: 4, l2: 14, l3: 50, mem: 360, remote_mem: 360 };
-        assert_eq!(
-            fully_shared_estimate(Cycles::new(42), 0, &flat).unwrap(),
-            Cycles::new(42)
-        );
+        assert_eq!(fully_shared_estimate(Cycles::new(42), 0, &flat).unwrap(), Cycles::new(42));
         // The AE constants give the paper's 0.455 ratio.
         let ae = LatencyTable { l1: 4, l2: 14, l3: 50, mem: 360, remote_mem: 660 };
         assert!((ae.remote_differential_ratio() - 0.455).abs() < 0.01);
@@ -400,8 +397,7 @@ mod tests {
         // Inverted table: remote DRAM "faster" than local DRAM. This
         // used to clamp the differential to 0 and return the runtime.
         let inverted = LatencyTable { l1: 4, l2: 14, l3: 50, mem: 660, remote_mem: 360 };
-        let err =
-            fully_shared_estimate(Cycles::new(1_000_000), 5, &inverted).unwrap_err();
+        let err = fully_shared_estimate(Cycles::new(1_000_000), 5, &inverted).unwrap_err();
         assert_eq!(err, StatsError::InvertedLatencyTable { mem: 660, remote_mem: 360 });
         // Equal latencies are just as undefined as inverted ones.
         let flat = LatencyTable { l1: 4, l2: 14, l3: 50, mem: 360, remote_mem: 360 };
@@ -486,7 +482,10 @@ mod tests {
         let r = render_phases(&[[x86, DomainStats::default()], [DomainStats::default(), arm]]);
         assert_eq!(r.lines().count(), 1 + 2 * 2 + 1);
         let row = r.lines().nth(1).unwrap();
-        assert_eq!(row.split_whitespace().collect::<Vec<_>>(), ["0", "x86", "1000", "500", "0", "5", "0"]);
+        assert_eq!(
+            row.split_whitespace().collect::<Vec<_>>(),
+            ["0", "x86", "1000", "500", "0", "5", "0"]
+        );
         assert!(r.ends_with("phases: 2 (split at thread migrations)\n"));
         assert!(render_phases(&[]).contains("phases: 0"));
     }

@@ -552,7 +552,14 @@ pub struct LatencyHistogram {
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
-        LatencyHistogram { buckets: [0; 64], count: 0, sum: 0, min: u64::MAX, max: 0, saturated: false }
+        LatencyHistogram {
+            buckets: [0; 64],
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            saturated: false,
+        }
     }
 }
 
@@ -1034,7 +1041,11 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         s.push_str(ev.name());
         s.push_str("\",\"cat\":\"");
         s.push_str(ev.class().name());
-        s.push_str(if dur.is_some() { "\",\"ph\":\"X\",\"pid\":" } else { "\",\"ph\":\"i\",\"pid\":" });
+        s.push_str(if dur.is_some() {
+            "\",\"ph\":\"X\",\"pid\":"
+        } else {
+            "\",\"ph\":\"i\",\"pid\":"
+        });
         push_u64(&mut s, d as u64);
         s.push_str(",\"tid\":");
         push_u64(&mut s, d as u64);
@@ -1181,8 +1192,13 @@ mod tests {
             EventClass::Migration
         );
         assert_eq!(
-            TraceEvent::MsgReceive { to: DomainId::ARM, ty: MsgType::KvRequest, bytes: 64, cost: Cycles::ZERO }
-                .domain(),
+            TraceEvent::MsgReceive {
+                to: DomainId::ARM,
+                ty: MsgType::KvRequest,
+                bytes: 64,
+                cost: Cycles::ZERO
+            }
+            .domain(),
             DomainId::ARM
         );
     }

@@ -402,12 +402,7 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
 
     /// One batched store run: at most one page, at most the flush cap.
     /// Returns how many elements were stored.
-    fn st_run(
-        &mut self,
-        va: VirtAddr,
-        words: &[u64],
-        work_per: u64,
-    ) -> Result<usize, OsError> {
+    fn st_run(&mut self, va: VirtAddr, words: &[u64], work_per: u64) -> Result<usize, OsError> {
         let in_page = ((PAGE_SIZE - va.page_offset()) / 8) as usize;
         let n = words.len().min(in_page).min(self.flush_cap(work_per));
         let (pa, _) = self.c.sys.session_translate(&mut self.c.session, va, true)?;
@@ -425,12 +420,7 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     }
 
     /// One batched load run; see [`BatchScope::st_run`].
-    fn ld_run(
-        &mut self,
-        va: VirtAddr,
-        out: &mut [u64],
-        work_per: u64,
-    ) -> Result<usize, OsError> {
+    fn ld_run(&mut self, va: VirtAddr, out: &mut [u64], work_per: u64) -> Result<usize, OsError> {
         let in_page = ((PAGE_SIZE - va.page_offset()) / 8) as usize;
         let n = out.len().min(in_page).min(self.flush_cap(work_per));
         let (pa, _) = self.c.sys.session_translate(&mut self.c.session, va, false)?;
@@ -767,7 +757,8 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     {
         for j in 0..reads.len() {
             let e = reads[j].resolve(i, idx, &rv[..j]);
-            let (pa, _) = self.c.sys.session_translate(&mut self.c.session, reads[j].at(e), false)?;
+            let (pa, _) =
+                self.c.sys.session_translate(&mut self.c.session, reads[j].at(e), false)?;
             let domain = self.c.session.domain();
             let base = self.c.sys.base_mut();
             let pa = base.mem.canonicalize(domain, pa);

@@ -3,9 +3,9 @@
 
 use crate::npb::{run_npb, Class, NpbKind, NpbOutcome};
 use crate::target::{SystemKind, TargetSystem};
+use std::fmt;
 use stramash_kernel::system::{OsError, OsSystem};
 use stramash_sim::{Cycles, DomainId, HardwareModel};
-use std::fmt;
 
 /// One experiment configuration: a design on a hardware model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,14 +147,9 @@ pub fn run_benchmark_with(
         s.remote_mem_hits + s.remote_shared_mem_hits
     });
     let remote_hits = remote_hits_by_domain.iter().sum();
-    let inst_cycles = DomainId::ALL
-        .iter()
-        .map(|&d| sys.base().timebase.clock(d).icount())
-        .sum();
-    let mem_cycles = DomainId::ALL
-        .iter()
-        .map(|&d| sys.base().timebase.clock(d).memory_cycles().raw())
-        .sum();
+    let inst_cycles = DomainId::ALL.iter().map(|&d| sys.base().timebase.clock(d).icount()).sum();
+    let mem_cycles =
+        DomainId::ALL.iter().map(|&d| sys.base().timebase.clock(d).memory_cycles().raw()).sum();
     Ok(RunReport {
         config,
         kind,

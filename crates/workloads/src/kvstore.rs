@@ -8,13 +8,13 @@
 //! the eight redis-benchmark operations the figure reports.
 
 use crate::target::TargetSystem;
+use std::fmt;
 use stramash_kernel::addr::VirtAddr;
 use stramash_kernel::msg::{Message, MsgType};
 use stramash_kernel::process::Pid;
 use stramash_kernel::system::{OsError, OsSystem};
 use stramash_kernel::vma::VmaProt;
 use stramash_sim::{Cycles, DomainId};
-use std::fmt;
 
 /// The redis-benchmark operations of Figure 14, in the figure's order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,11 +93,7 @@ impl KvServer {
     /// # Errors
     ///
     /// Allocation errors.
-    pub fn setup(
-        sys: &mut TargetSystem,
-        pid: Pid,
-        heap_len: u64,
-    ) -> Result<Self, OsError> {
+    pub fn setup(sys: &mut TargetSystem, pid: Pid, heap_len: u64) -> Result<Self, OsError> {
         let buckets = sys.mmap(pid, BUCKETS * 8, VmaProt::rw())?;
         let set_buckets = sys.mmap(pid, BUCKETS * 8, VmaProt::rw())?;
         let words = sys.mmap(pid, 4096, VmaProt::rw())?;
@@ -185,7 +181,10 @@ impl KvServer {
                     }
                     sys.store_u64(pid, self.list_tail, node.raw())?;
                 }
-                { let d = sys.current_domain(pid)?; sys.base_mut().retire(d, 40); }
+                {
+                    let d = sys.current_domain(pid)?;
+                    sys.base_mut().retire(d, 40);
+                }
                 Ok(8)
             }
             KvOp::Lpop | KvOp::Rpop => {
@@ -218,7 +217,10 @@ impl KvServer {
                 let len = sys.load_u64(pid, node_va.offset(16))?;
                 let mut out = vec![0u8; len as usize];
                 sys.read_mem(pid, node_va.offset(ENTRY_HEADER), &mut out)?;
-                { let d = sys.current_domain(pid)?; sys.base_mut().retire(d, 40); }
+                {
+                    let d = sys.current_domain(pid)?;
+                    sys.base_mut().retire(d, 40);
+                }
                 Ok(len as u32)
             }
             KvOp::Sadd => {
@@ -239,7 +241,10 @@ impl KvServer {
                 let head = sys.load_u64(pid, bucket)?;
                 sys.store_u64(pid, entry, head)?;
                 sys.store_u64(pid, bucket, entry.raw())?;
-                { let d = sys.current_domain(pid)?; sys.base_mut().retire(d, 60); }
+                {
+                    let d = sys.current_domain(pid)?;
+                    sys.base_mut().retire(d, 60);
+                }
                 Ok(8)
             }
         }
@@ -270,7 +275,10 @@ impl KvServer {
         let head = sys.load_u64(pid, bucket)?;
         sys.store_u64(pid, entry, head)?;
         sys.store_u64(pid, bucket, entry.raw())?;
-        { let d = sys.current_domain(pid)?; sys.base_mut().retire(d, 60); }
+        {
+            let d = sys.current_domain(pid)?;
+            sys.base_mut().retire(d, 60);
+        }
         Ok(())
     }
 
@@ -637,8 +645,7 @@ mod tests {
     #[test]
     fn sharded_store_routes_by_key_and_isolates_shards() {
         let mut sys = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
-        let pids: Vec<Pid> =
-            (0..4).map(|_| sys.spawn(DomainId::X86).unwrap()).collect();
+        let pids: Vec<Pid> = (0..4).map(|_| sys.spawn(DomainId::X86).unwrap()).collect();
         sys.migrate(pids[1], DomainId::ARM).unwrap();
         sys.migrate(pids[3], DomainId::ARM).unwrap();
         let mut store = ShardedKv::setup(&mut sys, &pids, 1 << 18).unwrap();

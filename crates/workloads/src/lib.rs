@@ -49,16 +49,14 @@ pub use chaos::{chaos_sweep, ChaosReport, Reproducer, StageReport};
 pub use client::{ArrayF64, ArrayU64, ColSpec, MemoryClient, PlanCol};
 pub use driver::{run_benchmark, run_benchmark_with, Configuration, RunReport};
 pub use kvstore::{run_kv, KvOp, KvRunResult, KvServer, ShardedKv};
-pub use serve::{
-    generate_schedule, run_serve, run_serve_curve, schedule_fingerprint, Request, ServeConfig,
-    ServeResult,
-};
 pub use micro::{
     futex_pingpong, granularity, memory_access, AccessResult, AccessScenario, FutexResult,
     GranularityResult,
 };
 pub use npb::{run_npb, Class, NpbKind, NpbOutcome};
-pub use recovery::{
-    run_is_recovered, run_kv_recovered, Recovered, RecoveryConfig, RecoveryPolicy,
+pub use recovery::{run_is_recovered, run_kv_recovered, Recovered, RecoveryConfig, RecoveryPolicy};
+pub use serve::{
+    generate_schedule, run_serve, run_serve_curve, schedule_fingerprint, Request, ServeConfig,
+    ServeResult,
 };
 pub use target::{SystemKind, TargetSystem};

@@ -193,10 +193,7 @@ pub struct FutexResult {
 /// # Errors
 ///
 /// OS errors.
-pub fn futex_pingpong(
-    sys: &mut TargetSystem,
-    loops: u64,
-) -> Result<FutexResult, OsError> {
+pub fn futex_pingpong(sys: &mut TargetSystem, loops: u64) -> Result<FutexResult, OsError> {
     let pid = sys.spawn(DomainId::X86)?;
     let word = sys.mmap(pid, PAGE_SIZE, VmaProt::rw())?;
     let counter = word.offset(512);
@@ -267,12 +264,7 @@ mod tests {
         let p = memory_access(&mut pop, AccessScenario::RemoteAccessOrigin, TEST_BYTES).unwrap();
         let mut stra = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
         let s = memory_access(&mut stra, AccessScenario::RemoteAccessOrigin, TEST_BYTES).unwrap();
-        assert!(
-            p.measured > s.measured,
-            "popcorn {} vs stramash {}",
-            p.measured,
-            s.measured
-        );
+        assert!(p.measured > s.measured, "popcorn {} vs stramash {}", p.measured, s.measured);
     }
 
     #[test]

@@ -187,8 +187,7 @@ fn fft1d<S: OsSystem>(
 ) -> Result<(), OsError> {
     let n = slots.len();
     debug_assert!(n.is_power_of_two());
-    let ab: Vec<PlanCol> =
-        complex_cols(data, 0).into_iter().chain(complex_cols(data, 1)).collect();
+    let ab: Vec<PlanCol> = complex_cols(data, 0).into_iter().chain(complex_cols(data, 1)).collect();
     let mut s = c.batch()?;
     // Bit-reversal permutation: collect the swap pairs, then exchange
     // them through the pair segment.
@@ -207,19 +206,12 @@ fn fft1d<S: OsSystem>(
             swap_b.push(slots[j]);
         }
     }
-    s.plan_map_indexed(
-        &ab,
-        &ab,
-        &[&swap_a, &swap_b],
-        swap_a.len() as u64,
-        12,
-        |_, rv, wv| {
-            wv[0] = rv[2];
-            wv[1] = rv[3];
-            wv[2] = rv[0];
-            wv[3] = rv[1];
-        },
-    )?;
+    s.plan_map_indexed(&ab, &ab, &[&swap_a, &swap_b], swap_a.len() as u64, 12, |_, rv, wv| {
+        wv[0] = rv[2];
+        wv[1] = rv[3];
+        wv[2] = rv[0];
+        wv[3] = rv[1];
+    })?;
     // Butterflies: one flattened segment per stage, the twiddle
     // recurrence carried element-major in the closure (reset at each
     // block boundary, exactly like the nested scalar loops).
@@ -243,32 +235,25 @@ fn fft1d<S: OsSystem>(
         let half = (len / 2) as u64;
         let mut wr = 1.0f64;
         let mut wi = 0.0f64;
-        s.plan_map_indexed(
-            &ab,
-            &ab,
-            &[&av, &bv],
-            av.len() as u64,
-            20,
-            |i, rv, wv| {
-                if i % half == 0 {
-                    wr = 1.0;
-                    wi = 0.0;
-                }
-                let ar = f64::from_bits(rv[0]);
-                let ai = f64::from_bits(rv[1]);
-                let br = f64::from_bits(rv[2]);
-                let bi = f64::from_bits(rv[3]);
-                let tr = br * wr - bi * wi;
-                let ti = br * wi + bi * wr;
-                wv[0] = (ar + tr).to_bits();
-                wv[1] = (ai + ti).to_bits();
-                wv[2] = (ar - tr).to_bits();
-                wv[3] = (ai - ti).to_bits();
-                let nwr = wr * wcos - wi * wsin;
-                wi = wr * wsin + wi * wcos;
-                wr = nwr;
-            },
-        )?;
+        s.plan_map_indexed(&ab, &ab, &[&av, &bv], av.len() as u64, 20, |i, rv, wv| {
+            if i % half == 0 {
+                wr = 1.0;
+                wi = 0.0;
+            }
+            let ar = f64::from_bits(rv[0]);
+            let ai = f64::from_bits(rv[1]);
+            let br = f64::from_bits(rv[2]);
+            let bi = f64::from_bits(rv[3]);
+            let tr = br * wr - bi * wi;
+            let ti = br * wi + bi * wr;
+            wv[0] = (ar + tr).to_bits();
+            wv[1] = (ai + ti).to_bits();
+            wv[2] = (ar - tr).to_bits();
+            wv[3] = (ai - ti).to_bits();
+            let nwr = wr * wcos - wi * wsin;
+            wi = wr * wsin + wi * wcos;
+            wr = nwr;
+        })?;
         len <<= 1;
     }
     if inverse {

@@ -20,10 +20,10 @@ pub mod is;
 pub mod mg;
 
 use crate::client::MemoryClient;
+use std::fmt;
 use stramash_kernel::process::Pid;
 use stramash_kernel::system::{OsError, OsSystem};
 use stramash_sim::DomainId;
-use std::fmt;
 
 /// Which NPB kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -90,8 +90,7 @@ trait Stepped {
     /// Restores what [`Stepped::save`] wrote, against the restored
     /// system (for state recomputed from the machine, e.g. the current
     /// domain of the server process).
-    fn restore(&mut self, d: &mut Decoder<'_>, sys: &TargetSystem)
-        -> Result<(), CheckpointError>;
+    fn restore(&mut self, d: &mut Decoder<'_>, sys: &TargetSystem) -> Result<(), CheckpointError>;
     /// Executes step `step` (0-based).
     fn step(&mut self, sys: &mut TargetSystem, step: u64) -> Result<(), OsError>;
     /// Re-homes the workload onto `survivor` after a degrade decision.
@@ -162,7 +161,10 @@ fn supervise<W: Stepped>(
             let wd = sys.base().watchdog();
             DomainId::ALL.iter().any(|&d| wd.is_halted(d))
         };
-        if cursor > 0 && rc.checkpoint_every > 0 && cursor.is_multiple_of(rc.checkpoint_every) && !halted
+        if cursor > 0
+            && rc.checkpoint_every > 0
+            && cursor.is_multiple_of(rc.checkpoint_every)
+            && !halted
         {
             artifact = snapshot(&sys, &w, cursor);
         }
@@ -172,19 +174,16 @@ fn supervise<W: Stepped>(
             crashes += 1;
             match rc.policy {
                 RecoveryPolicy::RestartFromCheckpoint => {
-                    sys.base()
-                        .emit(TraceEvent::Recovery { domain: report.dead, stage: "restart" });
+                    sys.base().emit(TraceEvent::Recovery { domain: report.dead, stage: "restart" });
                     let (fresh, restored_cursor) = rollback(&sys, &artifact, &mut w)?;
                     sys = fresh;
                     cursor = restored_cursor;
                     restarts += 1;
-                    sys.base()
-                        .emit(TraceEvent::Recovery { domain: report.dead, stage: "replay" });
+                    sys.base().emit(TraceEvent::Recovery { domain: report.dead, stage: "replay" });
                 }
                 RecoveryPolicy::Degrade => {
                     let survivor = report.dead.other();
-                    sys.base()
-                        .emit(TraceEvent::Recovery { domain: report.dead, stage: "degrade" });
+                    sys.base().emit(TraceEvent::Recovery { domain: report.dead, stage: "degrade" });
                     sys.fail_over(report.dead);
                     w.adopt(&mut sys, survivor)?;
                     degraded = Some(report.dead);
@@ -216,10 +215,7 @@ fn op_code(op: KvOp) -> u8 {
 }
 
 fn op_from_code(code: u8) -> Result<KvOp, CheckpointError> {
-    KvOp::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or(CheckpointError::Malformed("unknown KV op code"))
+    KvOp::ALL.get(code as usize).copied().ok_or(CheckpointError::Malformed("unknown KV op code"))
 }
 
 fn key_of(r: u64) -> u64 {
@@ -241,11 +237,7 @@ impl Stepped for SteppedKv {
         e.u64(self.before.raw());
     }
 
-    fn restore(
-        &mut self,
-        d: &mut Decoder<'_>,
-        _sys: &TargetSystem,
-    ) -> Result<(), CheckpointError> {
+    fn restore(&mut self, d: &mut Decoder<'_>, _sys: &TargetSystem) -> Result<(), CheckpointError> {
         d.tag(0x534b_5653)?;
         self.pid = Pid(d.u32()?);
         self.server = KvServer::load_state(d)?;
@@ -275,8 +267,7 @@ impl Stepped for SteppedKv {
             base.charge(client_domain, send_c);
             base.charge(self.server_domain, recv_c);
         }
-        let resp_len =
-            self.server.process(sys, self.pid, self.op, key_of(step), &self.payload)?;
+        let resp_len = self.server.process(sys, self.pid, self.op, key_of(step), &self.payload)?;
         for b in resp_len.to_le_bytes() {
             self.checksum = fnv(self.checksum, b);
         }
@@ -423,11 +414,7 @@ impl Stepped for SteppedIs {
         e.u32(self.procedures);
     }
 
-    fn restore(
-        &mut self,
-        d: &mut Decoder<'_>,
-        _sys: &TargetSystem,
-    ) -> Result<(), CheckpointError> {
+    fn restore(&mut self, d: &mut Decoder<'_>, _sys: &TargetSystem) -> Result<(), CheckpointError> {
         d.tag(0x5349_5353)?;
         self.pid = Pid(d.u32()?);
         self.keys = load_array(d)?;

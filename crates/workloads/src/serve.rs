@@ -38,14 +38,14 @@
 
 use crate::kvstore::{fnv, key_of, KvOp, ShardedKv, ENTRY_HEADER};
 use crate::target::TargetSystem;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use stramash_kernel::msg::{Message, MsgType, StreamId};
 use stramash_kernel::process::Pid;
 use stramash_kernel::system::{OsError, OsSystem};
-use stramash_sim::trace::{LatencyHistogram, HIST_KVSERVE_QUEUE, HIST_KVSERVE_REQUEST};
 use stramash_sim::rng::SimRng;
+use stramash_sim::trace::{LatencyHistogram, HIST_KVSERVE_QUEUE, HIST_KVSERVE_REQUEST};
 use stramash_sim::{Cycles, DomainId};
-use std::collections::BinaryHeap;
-use std::cmp::Reverse;
 
 /// Configuration of one serving run. `Default` is the small smoke
 /// shape; the bench and CLI scale it up.
@@ -165,8 +165,8 @@ pub(crate) fn det_exp(x: f64) -> f64 {
 #[must_use]
 pub fn generate_schedule(cfg: &ServeConfig) -> Vec<Request> {
     let mut rng = SimRng::new(cfg.seed ^ 0x6b76_7365_7276_6531); // "kvserve1"
-    // Zipf CDF over the keyspace: weight(rank i) = (i+1)^-s, computed
-    // as exp(-s·ln(i+1)) with the deterministic helpers.
+                                                                 // Zipf CDF over the keyspace: weight(rank i) = (i+1)^-s, computed
+                                                                 // as exp(-s·ln(i+1)) with the deterministic helpers.
     let k = cfg.keyspace.max(1);
     let mut cdf = Vec::with_capacity(k as usize);
     let mut total = 0.0f64;
@@ -283,9 +283,8 @@ pub fn run_serve(sys: &mut TargetSystem, cfg: &ServeConfig) -> Result<ServeResul
     // Workers: spawn on x86, spread odd indices to Arm when the design
     // migrates (Vanilla keeps everything on the origin kernel but still
     // pays the messaging costs, mirroring `run_kv`).
-    let workers: Vec<Pid> = (0..cfg.workers.max(1))
-        .map(|_| sys.spawn(DomainId::X86))
-        .collect::<Result<_, _>>()?;
+    let workers: Vec<Pid> =
+        (0..cfg.workers.max(1)).map(|_| sys.spawn(DomainId::X86)).collect::<Result<_, _>>()?;
     if sys.kind().migrates() {
         for (i, &pid) in workers.iter().enumerate() {
             if i % 2 == 1 {
@@ -325,8 +324,7 @@ pub fn run_serve(sys: &mut TargetSystem, cfg: &ServeConfig) -> Result<ServeResul
     // exhaustion and its stall counter fire exactly when the timeline
     // says the connection is full.
     let mut free_at = vec![0u64; workers.len()];
-    let mut inflight: Vec<BinaryHeap<Reverse<(u64, u32)>>> =
-        vec![BinaryHeap::new(); streams.len()];
+    let mut inflight: Vec<BinaryHeap<Reverse<(u64, u32)>>> = vec![BinaryHeap::new(); streams.len()];
     let mut latency_h = LatencyHistogram::new();
     let mut queue_h = LatencyHistogram::new();
     let mut busy = 0u64;
@@ -499,18 +497,12 @@ mod tests {
         for x in [1e-6, 0.5, 1.0, 2.0, core::f64::consts::E, 1000.0, 1e12] {
             let got = det_ln(x);
             let want = x.ln();
-            assert!(
-                (got - want).abs() <= want.abs().max(1.0) * 1e-14,
-                "ln({x}): {got} vs {want}"
-            );
+            assert!((got - want).abs() <= want.abs().max(1.0) * 1e-14, "ln({x}): {got} vs {want}");
         }
         for x in [-20.0, -1.0, 0.0, 0.5, 1.0, 10.0, 100.0] {
             let got = det_exp(x);
             let want = x.exp();
-            assert!(
-                ((got - want) / want).abs() < 1e-13,
-                "exp({x}): {got} vs {want}"
-            );
+            assert!(((got - want) / want).abs() < 1e-13, "exp({x}): {got} vs {want}");
         }
     }
 
@@ -570,12 +562,7 @@ mod tests {
             f.schedule_fingerprint, t.schedule_fingerprint,
             "the schedule must not depend on the system kind"
         );
-        assert!(
-            f.p99() < t.p99(),
-            "fused p99 {} should beat TCP p99 {}",
-            f.p99(),
-            t.p99()
-        );
+        assert!(f.p99() < t.p99(), "fused p99 {} should beat TCP p99 {}", f.p99(), t.p99());
         assert!(f.throughput > 0.0 && t.throughput > 0.0);
         assert!(fused.audit().is_empty(), "{:?}", fused.audit());
     }
@@ -594,8 +581,7 @@ mod tests {
         };
         let loads = [1.0, 2000.0];
         let curve =
-            run_serve_curve(SystemKind::PopcornTcp, HardwareModel::Shared, &cfg, &loads)
-                .unwrap();
+            run_serve_curve(SystemKind::PopcornTcp, HardwareModel::Shared, &cfg, &loads).unwrap();
         let light = &curve[0];
         let heavy = &curve[1];
         // At 1 req/Mcycle TCP keeps up: achieved ≈ offered.

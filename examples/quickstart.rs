@@ -52,8 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  remote VMA walks over shared memory: {}", c.remote_vma_walks);
     println!("  Stramash-PTL acquisitions: {}", c.ptl_acquisitions);
     println!("  PTEs reconfigured at migrate-back: {}", c.pte_reconfigurations);
-    println!("\ninter-kernel messages (migration handshakes only): {}",
-        sys.base().msg.counters().total());
+    println!(
+        "\ninter-kernel messages (migration handshakes only): {}",
+        sys.base().msg.counters().total()
+    );
     println!("total runtime: {}", sys.runtime());
     Ok(())
 }

@@ -10,6 +10,8 @@
 //! stramash-cli trace is --system stramash --json /tmp/trace.json
 //! ```
 
+use std::io::Write as _;
+use std::process::ExitCode;
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
 use stramash_repro::sim::chaos::ChaosSchedule;
@@ -24,8 +26,6 @@ use stramash_repro::workloads::recovery::{
     run_is_recovered, run_kv_recovered, RecoveryConfig, RecoveryPolicy,
 };
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
-use std::io::Write as _;
-use std::process::ExitCode;
 
 /// Writes formatted output to stdout, the one way this binary prints
 /// results. A reader that closed the pipe early (`stramash-cli … | head
@@ -205,14 +205,9 @@ fn cmd_npb(args: &[String]) -> Result<ExitCode, FlagError> {
     if want_report {
         let mut sys = TargetSystem::build(system, model).expect("boot");
         let pid = sys.spawn(DomainId::X86).expect("spawn");
-        let out = stramash_repro::workloads::npb::run_npb(
-            kind,
-            &mut sys,
-            pid,
-            class,
-            system.migrates(),
-        )
-        .expect("run");
+        let out =
+            stramash_repro::workloads::npb::run_npb(kind, &mut sys, pid, class, system.migrates())
+                .expect("run");
         sys.base_mut().sync_runtime_stats();
         outln!("{kind} on {} ({model}) — verified: {}\n", cfg.label(), out.verified);
         for d in DomainId::ALL {
@@ -397,29 +392,32 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, FlagError> {
         }
     }
     let rc = RecoveryConfig { policy, ..RecoveryConfig::default() };
-    let (final_sys, crashes, restarts, degraded) = if workload == "is" {
-        match run_is_recovered(sys, class, &rc) {
-            Ok(out) => {
-                outln!(
-                    "IS on {system} ({model}): verified {}, checksum {}, {} procedures",
-                    out.result.verified, out.result.checksum, out.result.procedures
-                );
-                (out.sys, out.crashes, out.restarts, out.degraded)
+    let (final_sys, crashes, restarts, degraded) =
+        if workload == "is" {
+            match run_is_recovered(sys, class, &rc) {
+                Ok(out) => {
+                    outln!(
+                        "IS on {system} ({model}): verified {}, checksum {}, {} procedures",
+                        out.result.verified,
+                        out.result.checksum,
+                        out.result.procedures
+                    );
+                    (out.sys, out.crashes, out.restarts, out.degraded)
+                }
+                Err(e) => return Ok(fail("run", e)),
             }
-            Err(e) => return Ok(fail("run", e)),
-        }
-    } else {
-        match run_kv_recovered(sys, KvOp::Set, requests, 64, &rc) {
-            Ok(out) => {
-                outln!(
+        } else {
+            match run_kv_recovered(sys, KvOp::Set, requests, 64, &rc) {
+                Ok(out) => {
+                    outln!(
                     "KV set on {system} ({model}): {} requests, checksum {:#x}, {:.0} cycles/req",
                     out.result.requests, out.result.checksum, out.result.per_request
                 );
-                (out.sys, out.crashes, out.restarts, out.degraded)
+                    (out.sys, out.crashes, out.restarts, out.degraded)
+                }
+                Err(e) => return Ok(fail("run", e)),
             }
-            Err(e) => return Ok(fail("run", e)),
-        }
-    };
+        };
     outln!(
         "recovery: {crashes} watchdog death(s), {restarts} restart(s){}",
         degraded.map_or(String::new(), |d| format!(", degraded after losing {d}"))
@@ -470,12 +468,23 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, FlagError> {
     outln!(
         "serving: {} workers × {} connections (window {}), {} requests/point, \
          {}% reads over {} Zipf keys, seed {:#x} ({model})\n",
-        cfg.workers, cfg.connections, cfg.window, cfg.requests, cfg.read_pct, cfg.keyspace,
+        cfg.workers,
+        cfg.connections,
+        cfg.window,
+        cfg.requests,
+        cfg.read_pct,
+        cfg.keyspace,
         cfg.seed
     );
     outln!(
         "{:<12} {:>9} {:>10} {:>12} {:>12} {:>12} {:>8}",
-        "system", "offered", "achieved", "p50", "p99", "queue-p99", "stalls"
+        "system",
+        "offered",
+        "achieved",
+        "p50",
+        "p99",
+        "queue-p99",
+        "stalls"
     );
     for kind in
         [SystemKind::Stramash, SystemKind::PopcornShm, SystemKind::PopcornTcp, SystemKind::Vanilla]
@@ -499,7 +508,8 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, FlagError> {
         if let Some(last) = curve.last() {
             outln!(
                 "  └ schedule {:#018x}  run {:#018x}  (seed-replayable)\n",
-                last.schedule_fingerprint, last.fingerprint
+                last.schedule_fingerprint,
+                last.fingerprint
             );
         }
     }
@@ -533,10 +543,7 @@ fn cmd_chaos(args: &[String]) -> Result<ExitCode, FlagError> {
     }
     if let Some(rep) = &report.reproducer {
         outln!("\nfailure on {}: {}", rep.kind, rep.failure);
-        outln!(
-            "minimal reproducer after shrinking: {}",
-            rep.schedule.describe()
-        );
+        outln!("minimal reproducer after shrinking: {}", rep.schedule.describe());
         outln!(
             "replay: stramash-cli chaos --seed {:#x} --stages {stages}{}",
             seed,
@@ -624,8 +631,10 @@ mod tests {
 
     #[test]
     fn flag_extraction() {
-        let args: Vec<String> =
-            ["is", "--system", "stramash", "--class", "small"].iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = ["is", "--system", "stramash", "--class", "small"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         assert_eq!(flag(&args, "--system").as_deref(), Some("stramash"));
         assert_eq!(flag(&args, "--class").as_deref(), Some("small"));
         assert_eq!(flag(&args, "--model"), None);

@@ -21,9 +21,7 @@ use stramash_repro::prelude::*;
 use stramash_repro::sim::trace::{shared_tracer, TraceEvent};
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
-use stramash_repro::workloads::recovery::{
-    run_is_recovered, run_kv_recovered, RecoveryConfig,
-};
+use stramash_repro::workloads::recovery::{run_is_recovered, run_kv_recovered, RecoveryConfig};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
 
 /// Lossless ring for the resumed segment of the fixed workload.
@@ -127,10 +125,8 @@ fn restored_system_is_bit_identical_going_forward() {
 #[test]
 fn restore_rejects_corruption_and_kind_mismatch() {
     let (_, artifact) = prefix(SystemKind::Stramash);
-    let cfg = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared)
-        .unwrap()
-        .config()
-        .clone();
+    let cfg =
+        TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap().config().clone();
 
     // Flip one payload byte: the CRC must catch it.
     let mut corrupt = artifact.clone();
@@ -147,10 +143,7 @@ fn restore_rejects_corruption_and_kind_mismatch() {
     // Truncation at any point must also fail cleanly.
     let mut sys = TargetSystem::build_with(
         SystemKind::Stramash,
-        TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared)
-            .unwrap()
-            .config()
-            .clone(),
+        TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap().config().clone(),
     )
     .unwrap();
     assert!(sys.restore(&artifact[..artifact.len() - 8]).is_err());
@@ -164,14 +157,14 @@ fn crash_plan(domain: u8, at_tick: u64) -> stramash_repro::sim::FaultPlan {
 
 #[test]
 fn npb_is_completes_byte_identically_after_watchdog_restart() {
-    let rc = RecoveryConfig {
-        checkpoint_every: 1,
-        watchdog_threshold: 1,
-        ..RecoveryConfig::default()
-    };
-    let clean =
-        run_is_recovered(TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap(), Class::Tiny, &rc)
-            .unwrap();
+    let rc =
+        RecoveryConfig { checkpoint_every: 1, watchdog_threshold: 1, ..RecoveryConfig::default() };
+    let clean = run_is_recovered(
+        TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap(),
+        Class::Tiny,
+        &rc,
+    )
+    .unwrap();
     assert!(clean.result.verified);
 
     let mut sys = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();

@@ -23,8 +23,7 @@ fn npb_results_identical_across_designs_and_models() {
                 }
                 let mut sys = TargetSystem::build(sys_kind, model).unwrap();
                 let pid = sys.spawn(DomainId::X86).unwrap();
-                let out =
-                    run_npb(kind, &mut sys, pid, Class::Tiny, sys_kind.migrates()).unwrap();
+                let out = run_npb(kind, &mut sys, pid, Class::Tiny, sys_kind.migrates()).unwrap();
                 assert!(out.verified, "{kind} on {sys_kind}/{model} failed verification");
                 let chk = *reference.get_or_insert(out.checksum);
                 assert_eq!(
@@ -110,8 +109,7 @@ fn runtime_accounting_is_consistent() {
         last = now;
     }
     let base = sys.base();
-    let by_domain: u64 =
-        DomainId::ALL.iter().map(|&d| base.timebase.clock(d).cycles().raw()).sum();
+    let by_domain: u64 = DomainId::ALL.iter().map(|&d| base.timebase.clock(d).cycles().raw()).sum();
     assert_eq!(by_domain, sys.runtime().raw(), "total = x86 runtime + Arm runtime");
 }
 

@@ -19,10 +19,7 @@ use stramash_repro::workloads::target::{SystemKind, TargetSystem};
 /// well above the 1 % floor so the schedule fires even on short runs
 /// (NPB IS Tiny exchanges only a few dozen messages).
 fn acceptance_plan() -> FaultPlan {
-    FaultPlan::none()
-        .with_msg_drop(0.08)
-        .with_ipi_loss(0.002)
-        .with_galloc_exhaust_at(3)
+    FaultPlan::none().with_msg_drop(0.08).with_ipi_loss(0.002).with_galloc_exhaust_at(3)
 }
 
 const SEED: u64 = 0xfa57_135d;
@@ -68,8 +65,10 @@ fn kv_store_10k_requests_identical_under_fault_schedule() {
     assert!(c.recovered > 0);
     assert_eq!(c.fatal, 0);
     assert!(faulty.base().msg.counters().retransmits() > 0);
-    let recovered: u64 =
-        [DomainId::X86, DomainId::ARM].iter().map(|&d| faulty.base().mem.stats(d).faults_recovered).sum();
+    let recovered: u64 = [DomainId::X86, DomainId::ARM]
+        .iter()
+        .map(|&d| faulty.base().mem.stats(d).faults_recovered)
+        .sum();
     assert!(recovered > 0, "recoveries must surface in DomainStats");
     let violations = faulty.audit();
     assert!(violations.is_empty(), "{violations:?}");

@@ -24,10 +24,7 @@ fn tcp_is_hardware_model_independent() {
     }
     let min = *runtimes.iter().min().unwrap() as f64;
     let max = *runtimes.iter().max().unwrap() as f64;
-    assert!(
-        max / min < 1.02,
-        "TCP runtimes must be (nearly) model-independent: {runtimes:?}"
-    );
+    assert!(max / min < 1.02, "TCP runtimes must be (nearly) model-independent: {runtimes:?}");
 }
 
 /// §9.2.1: Popcorn-SHM's *warm* accesses are model-insensitive because
@@ -44,10 +41,7 @@ fn popcorn_warm_access_is_model_insensitive() {
     }
     let min = *costs.iter().min().unwrap() as f64;
     let max = *costs.iter().max().unwrap() as f64;
-    assert!(
-        max / min < 1.10,
-        "warm DSM accesses should barely feel the model: {costs:?}"
-    );
+    assert!(max / min < 1.10, "warm DSM accesses should barely feel the model: {costs:?}");
 }
 
 /// Stramash *is* model-sensitive: Fully-Shared beats Shared and

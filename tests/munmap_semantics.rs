@@ -47,10 +47,7 @@ fn popcorn_munmap_frees_both_replicas() {
     let freed = sys.munmap(pid, buf).unwrap();
     assert_eq!(freed[0], 4, "origin copies freed");
     assert_eq!(freed[1], 4, "remote replicas freed");
-    assert!(matches!(
-        sys.load_u64(pid, buf),
-        Err(OsError::Segfault { .. })
-    ));
+    assert!(matches!(sys.load_u64(pid, buf), Err(OsError::Segfault { .. })));
 }
 
 #[test]

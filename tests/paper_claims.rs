@@ -5,7 +5,9 @@
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
 use stramash_repro::workloads::driver::{run_benchmark, Configuration};
-use stramash_repro::workloads::micro::{futex_pingpong, granularity, memory_access, AccessScenario};
+use stramash_repro::workloads::micro::{
+    futex_pingpong, granularity, memory_access, AccessScenario,
+};
 use stramash_repro::workloads::npb::{Class, NpbKind};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
 
@@ -33,9 +35,12 @@ fn headline_is_speedup_ordering() {
         Class::Tiny,
     )
     .unwrap();
-    let stra =
-        run_benchmark(config(SystemKind::Stramash, HardwareModel::Shared), NpbKind::Is, Class::Tiny)
-            .unwrap();
+    let stra = run_benchmark(
+        config(SystemKind::Stramash, HardwareModel::Shared),
+        NpbKind::Is,
+        Class::Tiny,
+    )
+    .unwrap();
     assert!(vanilla.runtime < stra.runtime, "vanilla is the floor");
     assert!(stra.runtime < shm.runtime, "fused beats multiple-kernel");
     assert!(shm.runtime < tcp.runtime, "SHM messaging beats TCP");
@@ -48,9 +53,12 @@ fn headline_is_speedup_ordering() {
 fn fully_shared_stramash_approaches_vanilla() {
     // Run at Small class: at Tiny sizes the fixed migration handshakes
     // are not amortised and dominate the comparison.
-    let vanilla =
-        run_benchmark(config(SystemKind::Vanilla, HardwareModel::Shared), NpbKind::Mg, Class::Small)
-            .unwrap();
+    let vanilla = run_benchmark(
+        config(SystemKind::Vanilla, HardwareModel::Shared),
+        NpbKind::Mg,
+        Class::Small,
+    )
+    .unwrap();
     let stra = run_benchmark(
         config(SystemKind::Stramash, HardwareModel::FullyShared),
         NpbKind::Mg,
@@ -69,18 +77,12 @@ fn fully_shared_stramash_approaches_vanilla() {
 #[test]
 fn table3_message_reduction_shape() {
     for kind in NpbKind::ALL {
-        let p = run_benchmark(
-            config(SystemKind::PopcornShm, HardwareModel::Shared),
-            kind,
-            Class::Tiny,
-        )
-        .unwrap();
-        let s = run_benchmark(
-            config(SystemKind::Stramash, HardwareModel::Shared),
-            kind,
-            Class::Tiny,
-        )
-        .unwrap();
+        let p =
+            run_benchmark(config(SystemKind::PopcornShm, HardwareModel::Shared), kind, Class::Tiny)
+                .unwrap();
+        let s =
+            run_benchmark(config(SystemKind::Stramash, HardwareModel::Shared), kind, Class::Tiny)
+                .unwrap();
         assert!(
             s.messages * 2 <= p.messages,
             "{kind}: Stramash {} msgs vs Popcorn {}",

@@ -17,8 +17,8 @@ use stramash_repro::kernel::system::{OsError, OsSystem};
 use stramash_repro::kernel::vma::VmaProt;
 use stramash_repro::prelude::*;
 use stramash_repro::workloads::client::MemoryClient;
-use stramash_repro::workloads::{ArrayU64, ColSpec, PlanCol};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
+use stramash_repro::workloads::{ArrayU64, ColSpec, PlanCol};
 
 #[test]
 fn munmap_invalidates_a_live_session() {

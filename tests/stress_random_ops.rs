@@ -3,6 +3,7 @@
 //! against a flat reference model of the address space. Any coherence,
 //! replication, or teardown bug shows up as a value mismatch.
 
+use std::collections::BTreeMap;
 use stramash_repro::kernel::addr::{VirtAddr, PAGE_SIZE};
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::kernel::vma::VmaProt;
@@ -10,7 +11,6 @@ use stramash_repro::prelude::*;
 use stramash_repro::sim::rng::SimRng;
 use stramash_repro::sim::FaultPlan;
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
-use std::collections::BTreeMap;
 
 struct Region {
     start: VirtAddr,
@@ -73,7 +73,8 @@ fn stress_with_plan(kind: SystemKind, seed: u64, steps: u32, plan: Option<FaultP
                 let got = sys.load_u64(pid, va).unwrap();
                 let expect = model.get(&va.raw()).copied().unwrap_or(0);
                 assert_eq!(
-                    got, expect,
+                    got,
+                    expect,
                     "{kind:?} seed {seed} step {step}: stale read at {va} \
                      (domain {:?})",
                     sys.current_domain(pid).unwrap()

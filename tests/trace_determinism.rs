@@ -211,8 +211,15 @@ fn idle_domain_retires_nothing_in_any_phase() {
         assert_eq!(phases.len(), running.len(), "{kind}");
         for (i, (phase, on)) in phases.iter().zip(&running).enumerate() {
             let idle = on.other();
-            assert!(phase[on.index()].instructions > 0, "{kind}: phase {i} retired nothing on {on}");
-            assert_eq!(phase[idle.index()].instructions, 0, "{kind}: phase {i}: idle {idle} retired instructions");
+            assert!(
+                phase[on.index()].instructions > 0,
+                "{kind}: phase {i} retired nothing on {on}"
+            );
+            assert_eq!(
+                phase[idle.index()].instructions,
+                0,
+                "{kind}: phase {i}: idle {idle} retired instructions"
+            );
         }
         assert_eq!(render_phases(&phases), render_phase_report(&events), "{kind}: stream oracle");
     }
@@ -285,10 +292,15 @@ fn chrome_trace_json_fmt(events: &[TraceEvent]) -> String {
 /// differing line instead of two multi-megabyte strings.
 fn assert_export_matches_oracle(events: &[TraceEvent], ctx: &str) {
     let (fast, oracle) = (chrome_trace_json(events), chrome_trace_json_fmt(events));
-    if let Some((i, (a, b))) = fast.lines().zip(oracle.lines()).enumerate().find(|(_, (a, b))| a != b) {
+    if let Some((i, (a, b))) =
+        fast.lines().zip(oracle.lines()).enumerate().find(|(_, (a, b))| a != b)
+    {
         panic!("{ctx}: Chrome export differs from the oracle at line {i}:\n  got:    {a}\n  oracle: {b}");
     }
-    assert!(fast == oracle, "{ctx}: Chrome export differs from the oracle in length or line endings");
+    assert!(
+        fast == oracle,
+        "{ctx}: Chrome export differs from the oracle in length or line endings"
+    );
 }
 
 #[test]
@@ -310,12 +322,27 @@ fn chrome_export_matches_the_fmt_oracle_on_every_variant() {
         },
         TraceEvent::CacheEvict { domain: arm, addr: 0x80, dirty: true },
         TraceEvent::Snoop { domain: x86, addr: 0xc0, invalidate: false },
-        TraceEvent::MesiTransition { domain: arm, addr: 0xc0, from: TraceMesi::Modified, to: TraceMesi::Shared },
+        TraceEvent::MesiTransition {
+            domain: arm,
+            addr: 0xc0,
+            from: TraceMesi::Modified,
+            to: TraceMesi::Shared,
+        },
         TraceEvent::TlbLookup { domain: x86, hit: true },
         TraceEvent::TlbInvalidate { domain: arm, va: 0x7000 },
         TraceEvent::Retire { domain: x86, insns: 12_345 },
-        TraceEvent::MsgSend { from: x86, ty: MsgType::MigrationRequest, bytes: 4160, cost: Cycles::new(90) },
-        TraceEvent::MsgReceive { to: arm, ty: MsgType::MigrationRequest, bytes: 4160, cost: Cycles::new(80) },
+        TraceEvent::MsgSend {
+            from: x86,
+            ty: MsgType::MigrationRequest,
+            bytes: 4160,
+            cost: Cycles::new(90),
+        },
+        TraceEvent::MsgReceive {
+            to: arm,
+            ty: MsgType::MigrationRequest,
+            bytes: 4160,
+            cost: Cycles::new(80),
+        },
         TraceEvent::MsgRetransmit { from: arm, ty: MsgType::Heartbeat, attempt: 3 },
         TraceEvent::MsgBackpressure { from: x86 },
         TraceEvent::Ipi { from: arm, cost: Cycles::new(4200) },
@@ -365,11 +392,7 @@ enum Mode {
 /// two gathers through the *same* compiled plan with different index
 /// slices — the recompute-per-call property that distinguishes
 /// data-dependent segments from dense plans.
-fn indexed_case(
-    kind: SystemKind,
-    mode: Mode,
-    seed: u64,
-) -> (Fingerprint, Vec<TraceEvent>) {
+fn indexed_case(kind: SystemKind, mode: Mode, seed: u64) -> (Fingerprint, Vec<TraceEvent>) {
     let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
     let tracer = shared_tracer(RING_CAPACITY);
     sys.install_tracer(tracer.clone());
