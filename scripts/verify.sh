@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
-# Tier-1 verification gate, fully offline: release build, the whole
-# test suite, and warning-free clippy. CI runs exactly this script, so
-# a green local run means a green pipeline.
+# Tier-1 verification gate, fully offline: formatting, release build,
+# the whole test suite, and warning-free clippy. CI runs exactly this
+# script, so a green local run means a green pipeline.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -9,13 +9,9 @@ cd "$(dirname "$0")/.."
 # Never touch the network: every dependency is in-workspace.
 export CARGO_NET_OFFLINE=true
 
-# Files held rustfmt-clean (rustfmt.toml). A file joins the list once
-# it has been formatted in a change of its own.
-FMT_CHECKED="crates/mem/src/cache.rs crates/mem/src/system.rs"
-
-echo "==> rustfmt --check (allowlist)"
-# shellcheck disable=SC2086
-rustfmt --edition 2021 --check $FMT_CHECKED
+# The whole workspace is held rustfmt-clean (rustfmt.toml).
+echo "==> cargo fmt --check"
+cargo fmt --check
 
 echo "==> cargo build --release"
 cargo build --release
