@@ -686,10 +686,59 @@ pub fn protocol_round_trip(
     total
 }
 
+/// [`OsSystem::translate`], also returning the domain the access runs
+/// on: the one process-table probe a scalar op needs for both.
+fn translate_on<S: OsSystem + ?Sized>(
+    sys: &mut S,
+    pid: Pid,
+    va: VirtAddr,
+    write: bool,
+) -> Result<(DomainId, PhysAddr, Cycles), OsError> {
+    let (domain, tlb_hit) = {
+        let proc = sys.base_mut().process_mut(pid)?;
+        let domain = proc.current;
+        let hit = proc.tlb_mut(domain).lookup(va).filter(|(_, f)| !write || f.writable);
+        (domain, hit)
+    };
+    if let Some((page_pa, _)) = tlb_hit {
+        sys.base_mut().mem.note_tlb_hit(domain);
+        return Ok((domain, page_pa.offset(va.page_offset()), Cycles::ZERO));
+    }
+    sys.base_mut().mem.note_tlb_miss(domain);
+    let mut total = Cycles::ZERO;
+    for attempt in 0..2 {
+        let pt = {
+            let proc = sys.base().process(pid)?;
+            proc.page_table(domain).copied()
+        };
+        if let Some(pt) = pt {
+            let base = sys.base_mut();
+            let (res, cycles) = pt.walk(&mut base.mem, domain, va);
+            base.charge(domain, cycles);
+            total += cycles;
+            if let Some((pa, flags)) = res {
+                if !write || flags.writable {
+                    let proc = base.process_mut(pid)?;
+                    proc.tlb_mut(domain).insert(va, pa.align_down(PAGE_SIZE), flags);
+                    return Ok((domain, pa, total));
+                }
+            }
+        }
+        if attempt == 0 {
+            let fault_cost = sys.handle_fault(pid, va, write)?;
+            total += fault_cost;
+            let base = sys.base();
+            base.emit(TraceEvent::PageFault { domain, va: va.raw(), write, cost: fault_cost });
+            base.observe(HIST_FAULT_SERVICE, fault_cost);
+        }
+    }
+    Err(OsError::Segfault { pid, va })
+}
+
 /// The single source of truth for page-chunk iteration over a process
-/// buffer: resolves the executing domain once (it cannot change
-/// mid-call — only an explicit migrate does that), translates each
-/// page-sized chunk, and hands `(base, domain, pa, done, n)` to `op`,
+/// buffer: translates each page-sized chunk on the executing domain
+/// (it cannot change mid-call — only an explicit migrate does that),
+/// and hands `(base, domain, pa, done, n)` to `op`,
 /// charging whatever cycles it returns. Both the scalar
 /// `read_mem`/`write_mem` and any batched transfer share this walk, so
 /// chunking semantics cannot drift between them.
@@ -701,14 +750,17 @@ fn walk_page_chunks<S: OsSystem + ?Sized>(
     write: bool,
     op: &mut dyn FnMut(&mut BaseSystem, DomainId, PhysAddr, usize, usize) -> Cycles,
 ) -> Result<Cycles, OsError> {
-    let domain = sys.base().process(pid)?.current;
+    if len == 0 {
+        // No chunk translates, yet a missing process is still an error.
+        sys.base().process(pid)?;
+    }
     let mut total = Cycles::ZERO;
     let mut done = 0usize;
     while done < len {
         let cur = va.offset(done as u64);
         let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
         let n = in_page.min(len - done);
-        let (pa, tc) = sys.translate(pid, cur, write)?;
+        let (domain, pa, tc) = translate_on(sys, pid, cur, write)?;
         total += tc;
         let base = sys.base_mut();
         let c = op(base, domain, pa, done, n);
@@ -865,45 +917,7 @@ pub trait OsSystem {
         va: VirtAddr,
         write: bool,
     ) -> Result<(PhysAddr, Cycles), OsError> {
-        let (domain, tlb_hit) = {
-            let proc = self.base_mut().process_mut(pid)?;
-            let domain = proc.current;
-            let hit = proc.tlb_mut(domain).lookup(va).filter(|(_, f)| !write || f.writable);
-            (domain, hit)
-        };
-        if let Some((page_pa, _)) = tlb_hit {
-            self.base_mut().mem.note_tlb_hit(domain);
-            return Ok((page_pa.offset(va.page_offset()), Cycles::ZERO));
-        }
-        self.base_mut().mem.note_tlb_miss(domain);
-        let mut total = Cycles::ZERO;
-        for attempt in 0..2 {
-            let pt = {
-                let proc = self.base().process(pid)?;
-                proc.page_table(domain).copied()
-            };
-            if let Some(pt) = pt {
-                let base = self.base_mut();
-                let (res, cycles) = pt.walk(&mut base.mem, domain, va);
-                base.charge(domain, cycles);
-                total += cycles;
-                if let Some((pa, flags)) = res {
-                    if !write || flags.writable {
-                        let proc = base.process_mut(pid)?;
-                        proc.tlb_mut(domain).insert(va, pa.align_down(PAGE_SIZE), flags);
-                        return Ok((pa, total));
-                    }
-                }
-            }
-            if attempt == 0 {
-                let fault_cost = self.handle_fault(pid, va, write)?;
-                total += fault_cost;
-                let base = self.base();
-                base.emit(TraceEvent::PageFault { domain, va: va.raw(), write, cost: fault_cost });
-                base.observe(HIST_FAULT_SERVICE, fault_cost);
-            }
-        }
-        Err(OsError::Segfault { pid, va })
+        translate_on(self, pid, va, write).map(|(_, pa, cycles)| (pa, cycles))
     }
 
     /// Revalidates a batch's [`AccessSession`] against the process's
@@ -981,8 +995,7 @@ pub trait OsSystem {
     ///
     /// Translation errors.
     fn load_u64(&mut self, pid: Pid, va: VirtAddr) -> Result<u64, OsError> {
-        let domain = self.base().process(pid)?.current;
-        let (pa, _) = self.translate(pid, va, false)?;
+        let (domain, pa, _) = translate_on(self, pid, va, false)?;
         let base = self.base_mut();
         let (v, c) = base.mem.read_u64(domain, pa);
         base.charge(domain, c);
@@ -995,8 +1008,7 @@ pub trait OsSystem {
     ///
     /// Translation errors.
     fn store_u64(&mut self, pid: Pid, va: VirtAddr, value: u64) -> Result<(), OsError> {
-        let domain = self.base().process(pid)?.current;
-        let (pa, _) = self.translate(pid, va, true)?;
+        let (domain, pa, _) = translate_on(self, pid, va, true)?;
         let base = self.base_mut();
         let c = base.mem.write_u64(domain, pa, value);
         base.charge(domain, c);

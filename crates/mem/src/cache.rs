@@ -49,11 +49,11 @@ fn mesi_from_code(b: u8) -> Result<Mesi, stramash_sim::checkpoint::CheckpointErr
 /// A single set-associative, LRU cache level.
 ///
 /// Structure-of-arrays layout: power-of-two set masking, packed tags
-/// per set, a packed-nibble LRU permutation per set, an MRU-first way
-/// check and an L0 "same line again" short circuit. Exact LRU — the
-/// unit tests hold every observable (hits, evictions, per-set
-/// residency, MESI state) against the independently written exact-LRU
-/// cache in [`crate::reference`].
+/// per set and a packed-nibble LRU permutation per set. Every set walk
+/// is one branch-free tag compare ([`match_ways`]) that yields a mask
+/// of the matching ways. Exact LRU — the unit tests hold every
+/// observable (hits, evictions, per-set residency, MESI state) against
+/// the independently written exact-LRU cache in [`crate::reference`].
 #[derive(Debug, Clone)]
 pub struct Cache {
     geo: CacheGeometry,
@@ -61,8 +61,8 @@ pub struct Cache {
     /// (enforced by `SimConfig::validate` / `CacheGeometry::new`).
     set_mask: u64,
     /// Each way's line address (`addr / line_bytes`, [`EMPTY`] when
-    /// free), densely packed so a set's tags share one host cache line
-    /// and the match scan vectorises.
+    /// free), densely packed so a set's tags are contiguous for the way
+    /// match.
     tags: Vec<u64>,
     /// Each way's coherence state: full MESI at the L3, the
     /// write-ownership bit (`Modified` vs `Shared`) at the L1D and L2.
@@ -71,14 +71,6 @@ pub struct Cache {
     /// way index at recency rank `r` (0 = MRU, `ways-1` = LRU/victim).
     /// Every touch is a move-to-front register permutation update.
     perms: Vec<u64>,
-    /// Per-set resident-way count. Full sets — the steady state — skip
-    /// empty-way tracking in the miss scans entirely.
-    occ: Vec<u8>,
-    /// L0 hint: the line of the last probe hit and the slot/set it
-    /// lives in. Self-validating — the tag is re-checked before use, so
-    /// no invalidation bookkeeping is needed on eviction.
-    last_line: u64,
-    last_slot: usize,
 }
 
 /// Identity LRU permutation (nibble `r` = way `r`); ranks at and above
@@ -119,61 +111,8 @@ fn perm_promote_at(perm: u64, way: u64, idx: u32) -> u64 {
 /// Moves `way` to the MRU (rank-0) nibble, shifting the ranks it
 /// overtakes down by one. No-op if it is already MRU.
 #[inline]
-fn perm_promote(perm: u64, way: usize) -> u64 {
-    let way = way as u64;
+fn perm_promote(perm: u64, way: u64) -> u64 {
     perm_promote_at(perm, way, perm_find(perm, way))
-}
-
-/// Scans a set's ways in LRU-recency order, starting at rank 1 (the
-/// caller has already checked the MRU way). On a hit, returns the way
-/// index and its bit offset in the permutation, so the promote needs
-/// no find. Hit/miss and the found slot are identical to a slot-order
-/// scan — a line is resident in at most one way — but temporal
-/// locality lands hits at the low ranks, where this order exits first.
-#[inline]
-fn scan_recency(
-    tags: &[u64],
-    base: usize,
-    perm: u64,
-    ways: usize,
-    line: u64,
-) -> Option<(usize, u32)> {
-    let mut p = perm >> 4;
-    for r in 1..ways as u32 {
-        let w = (p & 0xF) as usize;
-        if tags[base + w] == line {
-            return Some((w, 4 * r));
-        }
-        p >>= 4;
-    }
-    None
-}
-
-/// Branchless presence test over one fixed-width set: `|`-accumulated
-/// compares with no early exit, which the backend turns into SIMD
-/// compares — a *miss* (the case that must scan everything anyway)
-/// costs a couple of vector ops instead of `ways` compare-and-branch
-/// iterations.
-#[inline]
-fn contain_fixed<const N: usize>(t: &[u64], line: u64) -> bool {
-    let t: &[u64; N] = t.try_into().expect("slice length equals the way count");
-    let mut hit = false;
-    for &x in t {
-        hit |= x == line;
-    }
-    hit
-}
-
-/// Presence test over a set's packed tags, specialised for the common
-/// associativities so the compare chain vectorises.
-#[inline]
-fn tags_contain(t: &[u64], line: u64) -> bool {
-    match t.len() {
-        4 => contain_fixed::<4>(t, line),
-        8 => contain_fixed::<8>(t, line),
-        16 => contain_fixed::<16>(t, line),
-        _ => t.contains(&line),
-    }
 }
 
 /// Moves `way` to the LRU (rank `ways-1`) nibble — used when a way is
@@ -192,6 +131,34 @@ fn perm_demote(perm: u64, way: usize, ways: u32) -> u64 {
     (res & !(0xFu64 << (4 * last))) | (way64 << (4 * last))
 }
 
+/// Bit `w` set for every way `w` of `tags` equal to `line`: compares
+/// `|`-accumulated with no early exit, so the exit branch is one
+/// `mask == 0` test however the hits fall across the ways.
+#[inline(always)]
+fn way_mask<'a>(tags: impl IntoIterator<Item = &'a u64>, line: u64) -> u32 {
+    let mut mask = 0;
+    for (w, &t) in tags.into_iter().enumerate() {
+        mask |= u32::from(t == line) << w;
+    }
+    mask
+}
+
+/// [`way_mask`] over one set's packed tags. Sets of 8 and 16 ways (the
+/// paper's L1s and L2/L3) are matched 8 fixed-width compares at a time,
+/// one pass or two; other widths take the generic loop.
+#[inline(always)]
+fn match_ways(tags: &[u64], line: u64) -> u32 {
+    if !tags.len().is_multiple_of(8) {
+        return way_mask(tags, line);
+    }
+    let mut mask = 0;
+    for (i, eight) in tags.chunks_exact(8).enumerate() {
+        let eight: &[u64; 8] = eight.try_into().expect("chunks of 8 tags");
+        mask |= way_mask(eight, line) << (8 * i);
+    }
+    mask
+}
+
 /// Result of inserting a line into a level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
@@ -202,14 +169,14 @@ pub struct Eviction {
 }
 
 /// Result of [`Cache::probe_or_plan`]: either a hit (identical to
-/// [`Cache::probe_slot`]) or a miss carrying the fill slot the insert
-/// scan would choose, computed in the same pass.
+/// [`Cache::probe_slot`]) or a miss carrying the fill slot
+/// [`Cache::insert`] would choose.
 #[derive(Debug, Clone, Copy)]
 pub enum ProbeFill {
     /// The line is resident in this slot; LRU was refreshed. The slot
     /// stays valid until the set is next edited, so the caller can read
     /// or set its state ([`Cache::state_at`], [`Cache::set_state_at`])
-    /// without another way scan.
+    /// without another way match.
     Hit(usize),
     /// The line is absent; `plan` pre-computes the fill.
     Miss(FillPlan),
@@ -219,17 +186,18 @@ pub enum ProbeFill {
 /// [`Cache::insert`] would pick (first empty way, else the LRU way).
 /// Only valid while the set is untouched between the probe and
 /// [`Cache::fill_planned`] — the caller guarantees that (upper-level
-/// fills on an L2/L3 hit; a full memory miss drops the plan because
-/// inclusive back-invalidation may edit the set).
+/// fills on an L2/L3 hit, and the LLC fill of a memory miss; a memory
+/// miss drops the L1 and L2 plans because inclusive back-invalidation
+/// may edit their sets).
 #[derive(Debug, Clone, Copy)]
 pub struct FillPlan {
     /// Global way index to fill.
     slot: usize,
-    /// The set index (for the MRU hint update).
+    /// The set index (whose permutation the fill promotes).
     set: usize,
-    /// The slot's current LRU rank, when the probe learned it (an LRU
-    /// victim is at rank `ways-1`); `u32::MAX` when unknown (empty-way
-    /// fills), in which case the fill falls back to the SWAR find.
+    /// The slot's current LRU rank, when the plan evicts (an LRU victim
+    /// is at rank `ways-1`); `u32::MAX` for empty-way fills, which
+    /// evict nothing and promote through the SWAR find.
     rank: u32,
 }
 
@@ -262,9 +230,6 @@ impl Cache {
             tags: vec![EMPTY; slots],
             states: vec![Mesi::Shared; slots],
             perms: vec![PERM_IDENTITY; set_count as usize],
-            occ: vec![0; set_count as usize],
-            last_line: EMPTY,
-            last_slot: 0,
         }
     }
 
@@ -274,11 +239,19 @@ impl Cache {
         &self.geo
     }
 
-    #[inline]
-    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
+    /// The set `line` maps to and the set's first slot.
+    #[inline(always)]
+    fn set_base(&self, line: u64) -> (usize, usize) {
         let set = (line & self.set_mask) as usize;
-        let ways = self.geo.ways as usize;
-        set * ways..(set + 1) * ways
+        (set, set * self.geo.ways as usize)
+    }
+
+    /// The set `line` maps to, its first slot, and the mask of its ways
+    /// holding `line` (at most one bit: a line sits in at most one way).
+    #[inline(always)]
+    fn lookup(&self, line: u64) -> (usize, usize, u32) {
+        let (set, base) = self.set_base(line);
+        (set, base, match_ways(&self.tags[base..base + self.geo.ways as usize], line))
     }
 
     /// Probes for a line; on hit, refreshes LRU and returns its state.
@@ -288,117 +261,84 @@ impl Cache {
     }
 
     /// Probes for a line; on hit, refreshes LRU and returns the slot it
-    /// lives in (see [`ProbeFill::Hit`]). The one way walk behind every
-    /// probe.
-    #[inline]
+    /// lives in (see [`ProbeFill::Hit`]).
+    #[inline(always)]
     pub fn probe_slot(&mut self, line: u64) -> Option<usize> {
-        // L0: the same line probed again. The tag re-check makes the
-        // hint self-validating, so eviction needs no bookkeeping here.
-        if line == self.last_line && line != EMPTY && self.tags[self.last_slot] == line {
-            let set = (line & self.set_mask) as usize;
-            let way = self.last_slot - set * self.geo.ways as usize;
-            // Already-MRU promotes are the common case here and are
-            // identity — skipping them keeps the L0 hit store-free.
-            if (self.perms[set] & 0xF) as usize != way {
-                self.perms[set] = perm_promote(self.perms[set], way);
-            }
-            return Some(self.last_slot);
+        let (set, base, hits) = self.lookup(line);
+        if hits == 0 {
+            return None;
         }
-        let set = (line & self.set_mask) as usize;
-        let ways = self.geo.ways as usize;
-        let base = set * ways;
+        let way = u64::from(hits.trailing_zeros());
         let perm = self.perms[set];
-        // MRU-first: the way that hit or filled last usually hits again
-        // (and then the permutation needs no update at all).
-        let mru_slot = base + (perm & 0xF) as usize;
-        if self.tags[mru_slot] == line {
-            self.last_line = line;
-            self.last_slot = mru_slot;
-            return Some(mru_slot);
+        // A re-hit on the MRU way is an identity promote: skipping its
+        // store keeps runs of hits on one line free of a store-to-load
+        // chain through the permutation.
+        if perm & 0xF != way {
+            self.perms[set] = perm_promote(perm, way);
         }
-        // Rank-1 next: alternating two-line sets hit here every time,
-        // with the promote offset known statically.
-        let w1 = ((perm >> 4) & 0xF) as usize;
-        if ways > 1 && self.tags[base + w1] == line {
-            self.perms[set] = perm_promote_at(perm, w1 as u64, 4);
-            // No hint update: the line is MRU now, so a repeat access
-            // hits the MRU check (which sets the hint) — scan hits stay
-            // store-light.
-            return Some(base + w1);
-        }
-        if tags_contain(&self.tags[base..base + ways], line) {
-            let (w, idx) = scan_recency(&self.tags, base, perm, ways, line)
-                .expect("contained line is found by the recency scan");
-            self.perms[set] = perm_promote_at(perm, w as u64, idx);
-            return Some(base + w);
-        }
-        None
+        Some(base + way as usize)
     }
 
     /// Probes for a line like [`Cache::probe_slot`], but on a miss also
-    /// returns the fill slot the subsequent insert scan would choose —
-    /// from the same set state, so the hot L1-miss/L2-hit pattern scans
-    /// the set once instead of twice. Consuming the plan via
-    /// [`Cache::fill_planned`] is state-identical to calling
-    /// [`Cache::insert`] — provided the set is untouched in between,
-    /// which the `MemorySystem` call sites guarantee.
-    #[inline]
+    /// returns the fill slot the subsequent insert would choose, so the
+    /// hot L1-miss/L2-hit pattern fills without re-matching the set.
+    /// Consuming the plan via [`Cache::fill_planned`] is state-identical
+    /// to calling [`Cache::insert`] — provided the set is untouched in
+    /// between, which the `MemorySystem` call sites guarantee.
+    #[inline(always)]
     pub fn probe_or_plan(&mut self, line: u64) -> ProbeFill {
-        if let Some(slot) = self.probe_slot(line) {
-            return ProbeFill::Hit(slot);
+        match self.probe_slot(line) {
+            Some(slot) => ProbeFill::Hit(slot),
+            None => ProbeFill::Miss(self.plan_fill(line)),
         }
-        let set = (line & self.set_mask) as usize;
-        let ways = self.geo.ways as usize;
-        let base = set * ways;
-        // The victim is the LRU rank of the packed permutation; its
-        // rank rides along so the fill can promote without re-finding
-        // the way. Full sets (the steady state, tracked in `occ`) skip
-        // the empty-way search.
-        let (slot, rank) = if self.occ[set] == ways as u8 {
-            let last = self.geo.ways - 1;
-            (base + perm_way_at(self.perms[set], last), last)
-        } else {
-            let first_empty = self.tags[base..base + ways]
-                .iter()
-                .position(|&t| t == EMPTY)
-                .expect("occ < ways implies an empty way");
-            (base + first_empty, u32::MAX)
-        };
-        ProbeFill::Miss(FillPlan { slot, set, rank })
+    }
+
+    /// The fill slot for an absent `line`: its set's LRU way, whose rank
+    /// rides along so the fill can promote without a find, unless that
+    /// way is empty. Empty ways sit at the LRU end of a set (fills take
+    /// one, invalidations demote to it), so only then does the set have
+    /// one, and the fill takes the first empty way — the same way match,
+    /// against [`EMPTY`].
+    #[inline(always)]
+    fn plan_fill(&self, line: u64) -> FillPlan {
+        let (set, base) = self.set_base(line);
+        let last = self.geo.ways - 1;
+        let victim = base + perm_way_at(self.perms[set], last);
+        if self.tags[victim] != EMPTY {
+            return FillPlan { slot: victim, set, rank: last };
+        }
+        let empty = match_ways(&self.tags[base..base + self.geo.ways as usize], EMPTY);
+        FillPlan { slot: base + empty.trailing_zeros() as usize, set, rank: u32::MAX }
     }
 
     /// Consumes a [`FillPlan`] from [`Cache::probe_or_plan`], filling
-    /// the planned slot. Equivalent to `insert(line, state)` under the
-    /// plan's validity condition (set untouched since the probe); the
-    /// eviction, if any, is the one upper-level fills discard anyway.
-    #[inline]
-    pub fn fill_planned(&mut self, plan: FillPlan, line: u64, state: Mesi) {
+    /// the planned slot and returning its eviction, if any. Equivalent
+    /// to `insert(line, state)` under the plan's validity condition (set
+    /// untouched since the probe).
+    #[inline(always)]
+    pub fn fill_planned(&mut self, plan: FillPlan, line: u64, state: Mesi) -> Option<Eviction> {
+        let evicted = (plan.rank != u32::MAX)
+            .then(|| Eviction { line: self.tags[plan.slot], state: self.states[plan.slot] });
         let way = (plan.slot - plan.set * self.geo.ways as usize) as u64;
         self.tags[plan.slot] = line;
         self.states[plan.slot] = state;
         let perm = self.perms[plan.set];
-        let idx = if plan.rank != u32::MAX {
-            4 * plan.rank
-        } else {
-            // An empty way was planned: it joins the residents.
-            self.occ[plan.set] += 1;
-            perm_find(perm, way)
-        };
+        let idx = if plan.rank == u32::MAX { perm_find(perm, way) } else { 4 * plan.rank };
         self.perms[plan.set] = perm_promote_at(perm, way, idx);
+        evicted
     }
 
     /// Whether the line is present, without disturbing LRU.
     #[must_use]
     pub fn contains(&self, line: u64) -> bool {
-        self.tags[self.set_range(line)].contains(&line)
+        self.lookup(line).2 != 0
     }
 
     /// The slot holding `line`, if resident, without disturbing LRU.
     #[inline]
     pub(crate) fn slot_of(&self, line: u64) -> Option<usize> {
-        let range = self.set_range(line);
-        let base = range.start;
-        self.tags[range].iter().position(|&t| t == line).map(|i| base + i)
+        let (_, base, hits) = self.lookup(line);
+        (hits != 0).then(|| base + hits.trailing_zeros() as usize)
     }
 
     /// Reads a line's state without disturbing LRU.
@@ -432,44 +372,11 @@ impl Cache {
     /// eviction. If the line is already resident its state is updated.
     #[inline]
     pub fn insert(&mut self, line: u64, state: Mesi) -> Option<Eviction> {
-        // One pass over the packed tags finds the matching way and the
-        // first empty way; the victim is the permutation's LRU rank.
-        let set = (line & self.set_mask) as usize;
-        let ways = self.geo.ways as usize;
-        let base = set * ways;
-        let perm = self.perms[set];
-        let mru_slot = base + (perm & 0xF) as usize;
-        if self.tags[mru_slot] == line {
-            self.states[mru_slot] = state;
-            self.last_line = line;
-            self.last_slot = mru_slot;
+        if let Some(slot) = self.probe_slot(line) {
+            self.states[slot] = state;
             return None;
         }
-        if tags_contain(&self.tags[base..base + ways], line) {
-            let (w, idx) = scan_recency(&self.tags, base, perm, ways, line)
-                .expect("contained line is found by the recency scan");
-            self.states[base + w] = state;
-            self.perms[set] = perm_promote_at(perm, w as u64, idx);
-            return None;
-        }
-        let (slot, evicted, idx) = if self.occ[set] == ways as u8 {
-            let last = self.geo.ways - 1;
-            let slot = base + perm_way_at(perm, last);
-            let ev = Eviction { line: self.tags[slot], state: self.states[slot] };
-            (slot, Some(ev), 4 * last)
-        } else {
-            let first_empty = self.tags[base..base + ways]
-                .iter()
-                .position(|&t| t == EMPTY)
-                .expect("occ < ways implies an empty way");
-            self.occ[set] += 1;
-            let way = first_empty as u64;
-            (base + first_empty, None, perm_find(perm, way))
-        };
-        self.tags[slot] = line;
-        self.states[slot] = state;
-        self.perms[set] = perm_promote_at(perm, (slot - base) as u64, idx);
-        evicted
+        self.fill_planned(self.plan_fill(line), line, state)
     }
 
     /// Removes a line; returns its state if it was present.
@@ -480,7 +387,6 @@ impl Cache {
         self.tags[slot] = EMPTY;
         // The emptied way drops to the LRU rank.
         self.perms[set] = perm_demote(self.perms[set], slot - set * ways, self.geo.ways);
-        self.occ[set] -= 1;
         Some(self.states[slot])
     }
 
@@ -488,9 +394,6 @@ impl Cache {
     pub fn flush(&mut self) {
         self.tags.fill(EMPTY);
         self.perms.fill(PERM_IDENTITY);
-        self.occ.fill(0);
-        self.last_line = EMPTY;
-        self.last_slot = 0;
     }
 
     /// Number of resident lines (for tests and occupancy metrics).
@@ -500,16 +403,13 @@ impl Cache {
     }
 
     /// Serializes the mutable cache state into a checkpoint section:
-    /// tags, states, LRU permutations, occupancy and the L0 hint.
+    /// tags, states and LRU permutations.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x4343_4845); // "CCHE"
         e.u64s(&self.tags);
         let states: Vec<u8> = self.states.iter().map(|&s| mesi_code(s)).collect();
         e.bytes(&states);
         e.u64s(&self.perms);
-        e.bytes(&self.occ);
-        e.u64(self.last_line);
-        e.u64(self.last_slot as u64);
     }
 
     /// Restores the cache from a checkpoint section taken on an
@@ -517,10 +417,15 @@ impl Cache {
     ///
     /// # Errors
     ///
-    /// Decoding errors, or [`CheckpointError::ConfigMismatch`] when the
-    /// artifact's slot count does not match this cache's geometry.
+    /// Decoding errors, [`CheckpointError::ConfigMismatch`] when the
+    /// artifact's slot count does not match this cache's geometry, and
+    /// [`CheckpointError::Malformed`] for a set that holds a line twice,
+    /// holds a line of another set, whose LRU order is not a permutation
+    /// of its ways, or that ranks an empty way above a resident one —
+    /// states no sequence of cache operations produces.
     ///
     /// [`CheckpointError::ConfigMismatch`]: stramash_sim::checkpoint::CheckpointError::ConfigMismatch
+    /// [`CheckpointError::Malformed`]: stramash_sim::checkpoint::CheckpointError::Malformed
     pub fn load_state(
         &mut self,
         d: &mut stramash_sim::checkpoint::Decoder<'_>,
@@ -531,30 +436,43 @@ impl Cache {
         if tags.len() != self.tags.len() {
             return Err(CheckpointError::ConfigMismatch);
         }
-        self.tags = tags;
         let states = d.bytes()?;
         if states.len() != self.states.len() {
             return Err(CheckpointError::ConfigMismatch);
-        }
-        for (dst, &b) in self.states.iter_mut().zip(states) {
-            *dst = mesi_from_code(b)?;
         }
         let perms = d.u64s()?;
         if perms.len() != self.perms.len() {
             return Err(CheckpointError::ConfigMismatch);
         }
+        let ways = self.geo.ways as usize;
+        let all_ways = (1u32 << ways) - 1;
+        for (set, (set_tags, &perm)) in tags.chunks_exact(ways).zip(&perms).enumerate() {
+            for &t in set_tags.iter().filter(|&&t| t != EMPTY) {
+                if (t & self.set_mask) as usize != set {
+                    return Err(CheckpointError::Malformed("cache line in the wrong set"));
+                }
+                if match_ways(set_tags, t).count_ones() != 1 {
+                    return Err(CheckpointError::Malformed("cache line in two ways"));
+                }
+            }
+            let ranked = (0..self.geo.ways).fold(0u32, |m, r| m | 1 << perm_way_at(perm, r));
+            if ranked != all_ways {
+                return Err(CheckpointError::Malformed("cache LRU order"));
+            }
+            let mut seen_empty = false;
+            for r in 0..self.geo.ways {
+                let empty = set_tags[perm_way_at(perm, r)] == EMPTY;
+                if seen_empty && !empty {
+                    return Err(CheckpointError::Malformed("cache empty way above a resident one"));
+                }
+                seen_empty |= empty;
+            }
+        }
+        for (dst, &b) in self.states.iter_mut().zip(states) {
+            *dst = mesi_from_code(b)?;
+        }
+        self.tags = tags;
         self.perms = perms;
-        let occ = d.bytes()?;
-        if occ.len() != self.occ.len() {
-            return Err(CheckpointError::ConfigMismatch);
-        }
-        self.occ.copy_from_slice(occ);
-        self.last_line = d.u64()?;
-        self.last_slot = d.u64()? as usize;
-        if self.last_slot >= self.tags.len() && self.last_line != EMPTY {
-            return Err(CheckpointError::Malformed("cache MRU hint slot"));
-        }
-        self.last_slot = self.last_slot.min(self.tags.len().saturating_sub(1));
         Ok(())
     }
 
@@ -614,8 +532,8 @@ impl CacheHierarchy {
         self.l3.invalidate(line)
     }
 
-    /// Whether a line is present in a level above the L3 (used to price
-    /// back-invalidations on inclusive evictions).
+    /// Whether a line is present in a level above the L3 (the ownership
+    /// check and the coherence audit).
     #[must_use]
     pub fn in_upper_levels(&self, line: u64) -> bool {
         self.l1i.contains(line) || self.l1d.contains(line) || self.l2.contains(line)
@@ -629,11 +547,13 @@ impl CacheHierarchy {
         self.l2.set_state(line, Mesi::Shared);
     }
 
-    /// Drops the line from the upper levels only (back-invalidation).
-    pub fn back_invalidate_upper(&mut self, line: u64) {
-        self.l1i.invalidate(line);
-        self.l1d.invalidate(line);
-        self.l2.invalidate(line);
+    /// Drops the line from the upper levels only (back-invalidation);
+    /// returns whether any of them held a copy.
+    pub fn back_invalidate_upper(&mut self, line: u64) -> bool {
+        let l1i = self.l1i.invalidate(line).is_some();
+        let l1d = self.l1d.invalidate(line).is_some();
+        let l2 = self.l2.invalidate(line).is_some();
+        l1i || l1d || l2
     }
 
     /// Flushes every level.
@@ -771,8 +691,9 @@ mod tests {
         h.l1d.insert(100, Mesi::Exclusive);
         assert!(h.contains(100));
         assert!(h.in_upper_levels(100));
-        h.back_invalidate_upper(100);
+        assert!(h.back_invalidate_upper(100));
         assert!(!h.in_upper_levels(100));
+        assert!(!h.back_invalidate_upper(100), "no copy left to drop");
         assert!(h.contains(100), "back-invalidation keeps the L3 copy");
         assert_eq!(h.invalidate(100), Some(Mesi::Exclusive));
         assert!(!h.contains(100));
@@ -785,14 +706,22 @@ mod tests {
     /// op mix drives every mutating entry point (including the fused
     /// probe/fill pair) over a line universe larger than the cache, so
     /// hits, conflicts, evictions and refills of invalidated ways all
-    /// occur at every tested associativity.
+    /// occur at every associativity from 1 to [`MAX_CACHE_WAYS`] — the
+    /// generic way-match arm and both fixed-width arms.
     #[test]
     fn matches_exact_lru_reference_on_random_ops() {
         use crate::reference::PlruCache;
         use std::collections::BTreeMap;
         use stramash_sim::rng::SimRng;
 
-        for (ways, sets) in [(2u32, 16u64), (4, 16), (8, 8), (12, 4), (16, 4)] {
+        for ways in 1..=MAX_CACHE_WAYS {
+            let sets = if ways <= 4 {
+                16u64
+            } else if ways <= 8 {
+                8
+            } else {
+                4
+            };
             let geo = CacheGeometry::new(sets * u64::from(ways) * 64, ways, 64);
             let mut c = Cache::new(geo);
             let mut r = PlruCache::new_lru(geo);
@@ -801,6 +730,10 @@ mod tests {
             let universe = sets * u64::from(ways) * 3 / 2;
             for step in 0..20_000u32 {
                 let ctx = format!("{ways}-way, step {step}");
+                if step % 997 == 0 {
+                    // Every reachable state survives a checkpoint.
+                    assert_eq!(restore_forged(c.clone(), |_| {}), Ok(()), "{ctx}");
+                }
                 let line = rng.gen_range(universe);
                 let state =
                     [Mesi::Modified, Mesi::Exclusive, Mesi::Shared][rng.gen_range(3) as usize];
@@ -826,10 +759,19 @@ mod tests {
                         }
                         ProbeFill::Miss(plan) => {
                             assert!(!r.probe(line), "planned miss, {ctx}");
-                            c.fill_planned(plan, line, state);
-                            if let Some(ev) = r.insert(line) {
-                                assert!(!c.contains(ev), "planned fill kept the victim, {ctx}");
-                                assert!(mesi.remove(&ev).is_some(), "victim was resident, {ctx}");
+                            let ev = c.fill_planned(plan, line, state);
+                            assert_eq!(
+                                ev.map(|e| e.line),
+                                r.insert(line),
+                                "planned eviction, {ctx}"
+                            );
+                            if let Some(e) = ev {
+                                assert!(!c.contains(e.line), "planned fill kept the victim, {ctx}");
+                                assert_eq!(
+                                    Some(e.state),
+                                    mesi.remove(&e.line),
+                                    "victim state, {ctx}"
+                                );
                             }
                             mesi.insert(line, state);
                         }
@@ -874,6 +816,69 @@ mod tests {
             want.sort_unstable_by_key(|&(l, _)| l);
             assert_eq!(got, want, "{ways}-way: final contents and states");
         }
+    }
+
+    /// Saves `c`, lets `forge` edit the cache it was saved from, and
+    /// restores the forged section into a fresh cache.
+    fn restore_forged(
+        mut c: Cache,
+        forge: impl FnOnce(&mut Cache),
+    ) -> Result<(), stramash_sim::checkpoint::CheckpointError> {
+        use stramash_sim::checkpoint::{Decoder, Encoder};
+        forge(&mut c);
+        let mut e = Encoder::new();
+        c.save_state(&mut e);
+        let bytes = e.into_bytes();
+        Cache::new(*c.geometry()).load_state(&mut Decoder::new(&bytes))
+    }
+
+    fn two_lines() -> Cache {
+        let mut c = tiny();
+        c.insert(0, Mesi::Shared);
+        c.insert(2, Mesi::Modified);
+        c
+    }
+
+    #[test]
+    fn checkpoint_round_trips_a_valid_cache() {
+        assert_eq!(restore_forged(two_lines(), |_| {}), Ok(()));
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_line_held_twice() {
+        use stramash_sim::checkpoint::CheckpointError;
+        let got = restore_forged(two_lines(), |c| c.tags[1] = c.tags[0]);
+        assert_eq!(got, Err(CheckpointError::Malformed("cache line in two ways")));
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_line_in_the_wrong_set() {
+        use stramash_sim::checkpoint::CheckpointError;
+        // Line 3 maps to set 1; ways 0 and 1 are set 0's.
+        let got = restore_forged(two_lines(), |c| c.tags[1] = 3);
+        assert_eq!(got, Err(CheckpointError::Malformed("cache line in the wrong set")));
+    }
+
+    #[test]
+    fn checkpoint_rejects_an_lru_order_that_is_not_a_permutation() {
+        use stramash_sim::checkpoint::CheckpointError;
+        // Rank 1 names way 0 again: way 1 has no rank.
+        let dup = restore_forged(two_lines(), |c| c.perms[0] = 0x00);
+        assert_eq!(dup, Err(CheckpointError::Malformed("cache LRU order")));
+        // Rank 0 names way 2 of a 2-way set.
+        let wide = restore_forged(two_lines(), |c| c.perms[1] = 0x02);
+        assert_eq!(wide, Err(CheckpointError::Malformed("cache LRU order")));
+    }
+
+    #[test]
+    fn checkpoint_rejects_an_empty_way_ranked_above_a_resident_one() {
+        use stramash_sim::checkpoint::CheckpointError;
+        let mut c = tiny();
+        c.insert(0, Mesi::Shared);
+        // Set 0 holds line 0 in way 0 and nothing in way 1; swap their
+        // ranks so the empty way is MRU.
+        let got = restore_forged(c, |c| c.perms[0] = 0x01);
+        assert_eq!(got, Err(CheckpointError::Malformed("cache empty way above a resident one")));
     }
 
     #[test]

@@ -524,7 +524,7 @@ impl MemorySystem {
     /// and then drive the hierarchy line by line through this entry
     /// point. Timing, stats and tracing are identical to
     /// [`MemorySystem::access`].
-    #[inline]
+    #[inline(always)]
     pub fn access_line(
         &mut self,
         domain: DomainId,
@@ -534,25 +534,39 @@ impl MemorySystem {
     ) -> AccessOutcome {
         let out = self.access_line_inner(domain, addr, access, kind);
         if self.tracer.is_some() {
-            // Sub-events (snoops, evictions, MESI transitions) were
-            // emitted inside the pipeline; the summarising access event
-            // comes last, keyed to the line-aligned address.
-            self.emit(TraceEvent::CacheAccess {
-                domain,
-                addr: (addr.raw() >> self.line_shift) << self.line_shift,
-                write: access == Access::Write,
-                ifetch: kind == AccessKind::Instruction,
-                level: trace_level(out.level),
-                class: out.class.map(trace_class),
-                snooped: out.snooped,
-                cost: out.cycles,
-            });
+            self.emit_access(domain, addr, access, kind, out);
         }
         out
     }
 
-    /// The untraced access pipeline behind [`MemorySystem::access_line`].
-    #[inline]
+    /// Emits the summarising event of one access. Sub-events (snoops,
+    /// evictions, MESI transitions) were emitted inside the pipeline;
+    /// this one comes last, keyed to the line-aligned address.
+    #[inline(never)]
+    fn emit_access(
+        &self,
+        domain: DomainId,
+        addr: PhysAddr,
+        access: Access,
+        kind: AccessKind,
+        out: AccessOutcome,
+    ) {
+        self.emit(TraceEvent::CacheAccess {
+            domain,
+            addr: (addr.raw() >> self.line_shift) << self.line_shift,
+            write: access == Access::Write,
+            ifetch: kind == AccessKind::Instruction,
+            level: trace_level(out.level),
+            class: out.class.map(trace_class),
+            snooped: out.snooped,
+            cost: out.cycles,
+        });
+    }
+
+    /// The untraced access pipeline behind [`MemorySystem::access_line`]:
+    /// the L1 probe and the L1-hit return, inlined into every caller;
+    /// everything below the L1 is [`MemorySystem::access_below_l1`].
+    #[inline(always)]
     fn access_line_inner(
         &mut self,
         domain: DomainId,
@@ -562,7 +576,6 @@ impl MemorySystem {
     ) -> AccessOutcome {
         let line = addr.raw() >> self.line_shift;
         let di = domain.index();
-        let lat = self.cfg.domains[di].latency;
         let is_write = access == Access::Write;
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEntry { domain, addr, access, kind });
@@ -572,7 +585,7 @@ impl MemorySystem {
         }
 
         // L1 probe, fused with the fill plan an upper-level hit will
-        // consume (one way scan instead of probe + insert scans).
+        // consume (one way match instead of probe + insert matches).
         let probe = match kind {
             AccessKind::Data => self.hierarchies[di].l1d.probe_or_plan(line),
             AccessKind::Instruction => self.hierarchies[di].l1i.probe_or_plan(line),
@@ -582,67 +595,92 @@ impl MemorySystem {
             AccessKind::Data => self.stats[di].l1d.record(l1_hit),
             AccessKind::Instruction => self.stats[di].l1i.record(l1_hit),
         }
-        let plan = match probe {
+        match probe {
             ProbeFill::Hit(slot) => {
-                let mut cycles = Cycles::new(lat.l1 as u64);
+                let mut cycles = Cycles::new(self.cfg.domains[di].latency.l1 as u64);
                 let snooped = is_write && self.write_l1_hit(domain, line, kind, slot, &mut cycles);
-                return AccessOutcome { cycles, level: HitLevel::L1, class: None, snooped };
+                AccessOutcome { cycles, level: HitLevel::L1, class: None, snooped }
             }
-            ProbeFill::Miss(plan) => plan,
-        };
+            ProbeFill::Miss(plan) => self.access_below_l1(domain, addr, line, is_write, kind, plan),
+        }
+    }
+
+    /// The access pipeline after an L1 miss: L2, L3, then memory. `plan`
+    /// is the L1 fill the missed probe computed.
+    #[inline(never)]
+    fn access_below_l1(
+        &mut self,
+        domain: DomainId,
+        addr: PhysAddr,
+        line: u64,
+        is_write: bool,
+        kind: AccessKind,
+        plan: FillPlan,
+    ) -> AccessOutcome {
+        let di = domain.index();
+        let lat = self.cfg.domains[di].latency;
 
         // L2 probe. An owned (Modified) L2 line needs no write upgrade
         // and hands its ownership to the L1D fill.
-        let l2_slot = self.hierarchies[di].l2.probe_slot(line);
-        self.stats[di].l2.record(l2_slot.is_some());
-        if let Some(slot) = l2_slot {
-            let mut cycles = Cycles::new(lat.l2 as u64);
-            let owned = self.hierarchies[di].l2.state_at(slot) == Mesi::Modified;
-            debug_assert!(
-                !owned || self.owns(di, line),
-                "L2 Modified line {:#x} is not owned",
-                line << self.line_shift
-            );
-            let mut snooped = false;
-            if is_write && !owned {
-                snooped = self.ensure_writable(domain, line, &mut cycles);
-                self.hierarchies[di].l2.set_state_at(slot, Mesi::Modified);
+        let l2_plan = match self.hierarchies[di].l2.probe_or_plan(line) {
+            ProbeFill::Hit(slot) => {
+                self.stats[di].l2.record(true);
+                let mut cycles = Cycles::new(lat.l2 as u64);
+                let owned = self.hierarchies[di].l2.state_at(slot) == Mesi::Modified;
+                debug_assert!(
+                    !owned || self.owns(di, line),
+                    "L2 Modified line {:#x} is not owned",
+                    line << self.line_shift
+                );
+                let mut snooped = false;
+                if is_write && !owned {
+                    snooped = self.ensure_writable(domain, line, &mut cycles);
+                    self.hierarchies[di].l2.set_state_at(slot, Mesi::Modified);
+                }
+                self.fill_l1_planned(di, line, kind, plan, owned || is_write);
+                return AccessOutcome { cycles, level: HitLevel::L2, class: None, snooped };
             }
-            self.fill_l1_planned(di, line, kind, plan, owned || is_write);
-            return AccessOutcome { cycles, level: HitLevel::L2, class: None, snooped };
-        }
+            ProbeFill::Miss(l2_plan) => l2_plan,
+        };
+        self.stats[di].l2.record(false);
 
         // L3 probe (private or shared).
-        let l3_hit = match &mut self.shared_l3 {
-            Some(l3) => match l3.probe_slot(line) {
-                Some(slot) => {
-                    // The peer may own a Modified line of the shared LLC;
-                    // once this domain holds a copy it no longer does. (A
-                    // write's upgrade drops the peer's copy outright.)
+        let l3_probe = match &mut self.shared_l3 {
+            Some(l3) => {
+                let probe = l3.probe_or_plan(line);
+                // The peer may own a Modified line of the shared LLC;
+                // once this domain holds a copy it no longer does. (A
+                // write's upgrade drops the peer's copy outright.)
+                if let ProbeFill::Hit(slot) = probe {
                     if !is_write && l3.state_at(slot) == Mesi::Modified {
                         self.hierarchies[di ^ 1].demote_upper(line);
                     }
-                    true
                 }
-                None => false,
-            },
-            None => self.hierarchies[di].l3.probe_slot(line).is_some(),
+                probe
+            }
+            None => self.hierarchies[di].l3.probe_or_plan(line),
         };
-        self.stats[di].l3.record(l3_hit);
-        if l3_hit {
-            let mut cycles = Cycles::new(lat.l3 as u64);
-            // Same order as `fill_upper`: L2 first, then the L1 plan. A
-            // write fills as Modified: the upgrade below makes it owned.
-            self.hierarchies[di].l2.insert(line, upper_state(is_write));
-            self.fill_l1_planned(di, line, kind, plan, is_write);
-            let snooped = is_write && self.ensure_writable(domain, line, &mut cycles);
-            return AccessOutcome { cycles, level: HitLevel::L3, class: None, snooped };
-        }
+        let l3_plan = match l3_probe {
+            ProbeFill::Hit(_) => {
+                self.stats[di].l3.record(true);
+                let mut cycles = Cycles::new(lat.l3 as u64);
+                // Same order as `fill_upper`: L2 first, then L1. A write
+                // fills as Modified: the upgrade below makes it owned.
+                self.hierarchies[di].l2.fill_planned(l2_plan, line, upper_state(is_write));
+                self.fill_l1_planned(di, line, kind, plan, is_write);
+                let snooped = is_write && self.ensure_writable(domain, line, &mut cycles);
+                return AccessOutcome { cycles, level: HitLevel::L3, class: None, snooped };
+            }
+            ProbeFill::Miss(l3_plan) => l3_plan,
+        };
+        self.stats[di].l3.record(false);
 
-        // Miss everywhere: go to memory. The fill plan is dropped here
-        // on purpose — an inclusive L3 eviction back-invalidates the
-        // upper levels, which may edit the planned set first.
-        self.miss_to_memory(domain, addr, line, is_write, kind, lat)
+        // Miss everywhere: go to memory. The L1 and L2 plans are dropped
+        // here on purpose — an inclusive L3 eviction back-invalidates
+        // the upper levels, which may edit the planned sets first. The
+        // snoops before the LLC fill edit only the peer's hierarchy, so
+        // the L3 plan holds.
+        self.miss_to_memory(domain, addr, line, is_write, kind, l3_plan)
     }
 
     /// Handles a full miss: peer snoop, DRAM latency, fills and evictions.
@@ -653,10 +691,11 @@ impl MemorySystem {
         line: u64,
         is_write: bool,
         kind: AccessKind,
-        lat: stramash_sim::LatencyTable,
+        l3_plan: FillPlan,
     ) -> AccessOutcome {
         let di = domain.index();
         let oi = domain.other().index();
+        let lat = self.cfg.domains[di].latency;
         let line_addr = line << self.line_shift;
         let class = self.map.classify(domain, addr);
         let mut cycles = self.map.dram_latency(&lat, class);
@@ -671,7 +710,8 @@ impl MemorySystem {
 
         if self.shared_l3.is_none() {
             // Private LLCs: consult the peer's hierarchy (CXL snoops §7.3).
-            if self.hierarchies[oi].contains(line) {
+            // (Its L3 is inclusive: the L3 slot decides presence.)
+            if let Some(slot) = self.hierarchies[oi].l3.slot_of(line) {
                 snooped = true;
                 if is_write {
                     cycles += Cycles::new(self.cfg.cxl.snoop_invalidate as u64);
@@ -683,41 +723,37 @@ impl MemorySystem {
                 } else {
                     cycles += Cycles::new(self.cfg.cxl.snoop_data as u64);
                     // Demote the peer's copy Exclusive/Modified → Shared.
-                    if self.hierarchies[oi].state_of(line) == Some(Mesi::Modified) {
+                    let old = self.hierarchies[oi].l3.state_at(slot);
+                    self.hierarchies[oi].l3.set_state_at(slot, Mesi::Shared);
+                    if old == Mesi::Modified {
                         self.writebacks[oi] += 1;
-                    }
-                    let old = self.hierarchies[oi].l3.set_state(line, Mesi::Shared);
-                    if old == Some(Mesi::Modified) {
                         self.hierarchies[oi].demote_upper(line);
                     }
                     self.stats[di].snoop_data_hits += 1;
                     new_state = Mesi::Shared;
                     self.emit(TraceEvent::Snoop { domain, addr: line_addr, invalidate: false });
-                    if let Some(old) = old {
-                        if old != Mesi::Shared {
-                            self.emit(TraceEvent::MesiTransition {
-                                domain: domain.other(),
-                                addr: line_addr,
-                                from: trace_mesi(old),
-                                to: TraceMesi::Shared,
-                            });
-                        }
+                    if old != Mesi::Shared {
+                        self.emit(TraceEvent::MesiTransition {
+                            domain: domain.other(),
+                            addr: line_addr,
+                            from: trace_mesi(old),
+                            to: TraceMesi::Shared,
+                        });
                     }
                 }
             }
-        } else if is_write && self.hierarchies[oi].in_upper_levels(line) {
+        } else if is_write && self.hierarchies[oi].back_invalidate_upper(line) {
             // Shared LLC: only the peer's private L1/L2 can hold a copy.
             snooped = true;
             cycles += Cycles::new(self.cfg.cxl.onchip_snoop as u64);
-            self.hierarchies[oi].back_invalidate_upper(line);
             self.stats[di].snoop_invalidations += 1;
             self.emit(TraceEvent::Snoop { domain, addr: line_addr, invalidate: true });
         }
 
         // Fill the LLC, handling inclusive evictions.
         let eviction = match &mut self.shared_l3 {
-            Some(l3) => l3.insert(line, new_state),
-            None => self.hierarchies[di].l3.insert(line, new_state),
+            Some(l3) => l3.fill_planned(l3_plan, line, new_state),
+            None => self.hierarchies[di].l3.fill_planned(l3_plan, line, new_state),
         };
         // The fill itself is an Invalid → new-state transition at the
         // coherence point (the line just missed the LLC probe).
@@ -744,9 +780,8 @@ impl MemorySystem {
             let mut back = false;
             for h in 0..2 {
                 if (h == di || self.shared_l3.is_some())
-                    && self.hierarchies[h].in_upper_levels(ev.line)
+                    && self.hierarchies[h].back_invalidate_upper(ev.line)
                 {
-                    self.hierarchies[h].back_invalidate_upper(ev.line);
                     back = true;
                 }
             }
@@ -839,9 +874,8 @@ impl MemorySystem {
             Some(l3) => {
                 let old = l3.set_state(line, Mesi::Modified);
                 self.emit_upgrade(domain, line, old);
-                if self.hierarchies[oi].in_upper_levels(line) {
+                if self.hierarchies[oi].back_invalidate_upper(line) {
                     *cycles += Cycles::new(self.cfg.cxl.onchip_snoop as u64);
-                    self.hierarchies[oi].back_invalidate_upper(line);
                     self.stats[di].snoop_invalidations += 1;
                     self.emit(TraceEvent::Snoop {
                         domain,

@@ -34,9 +34,11 @@ pub const MAGIC: u32 = 0x5354_524d;
 /// the `BASE` section and dropped the IPI fabric's delivery counts.
 /// Version 4 writes each VMA tree as its areas in address order (the
 /// `VMAS` section, validated on restore) instead of a red-black tree
-/// arena, and dropped the MMIO device registers. Older artifacts are
+/// arena, and dropped the MMIO device registers. Version 5 dropped each
+/// cache level's probe hint and per-set occupancy counts from the `CCHE`
+/// section, which the restore now validates. Older artifacts are
 /// rejected with [`CheckpointError::BadVersion`].
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// Errors raised while decoding a checkpoint artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
