@@ -83,7 +83,6 @@ struct Block {
 /// )?;
 /// let block = galloc.request(DomainId::ARM)?;
 /// assert_eq!(galloc.owner(block)?, Some(DomainId::ARM));
-/// galloc.release(block)?;
 /// # Ok(())
 /// # }
 /// ```
@@ -222,21 +221,6 @@ impl GlobalAllocator {
             .ok_or(GallocError::Exhausted)
     }
 
-    /// Returns a block to the free pool.
-    ///
-    /// # Errors
-    ///
-    /// [`GallocError::NoSuchBlock`].
-    pub fn release(&mut self, start: PhysAddr) -> Result<(), GallocError> {
-        let block = self
-            .blocks
-            .iter_mut()
-            .find(|b| b.start == start)
-            .ok_or(GallocError::NoSuchBlock(start))?;
-        block.owner = None;
-        Ok(())
-    }
-
     /// Transfers ownership directly (eviction completion).
     ///
     /// # Errors
@@ -316,7 +300,7 @@ mod tests {
     fn request_until_exhausted_then_evict() {
         let mut g = galloc(1 << 30); // ~3.87 GB pool → 3 blocks
         assert_eq!(g.free_blocks(), 3);
-        let b1 = g.request(DomainId::X86).unwrap();
+        let _b1 = g.request(DomainId::X86).unwrap();
         let _b2 = g.request(DomainId::X86).unwrap();
         let _b3 = g.request(DomainId::ARM).unwrap();
         assert_eq!(g.free_blocks(), 0);
@@ -327,9 +311,6 @@ mod tests {
         assert_eq!(g.owner(victim).unwrap(), Some(DomainId::X86));
         g.transfer(victim, DomainId::ARM).unwrap();
         assert_eq!(g.owned_by(DomainId::ARM), 2);
-        // Release returns to the pool.
-        g.release(b1).unwrap();
-        assert_eq!(g.free_blocks(), 1);
     }
 
     #[test]
@@ -343,7 +324,6 @@ mod tests {
     fn no_such_block_errors() {
         let mut g = galloc(1 << 30);
         assert!(matches!(g.owner(PhysAddr::new(0)), Err(GallocError::NoSuchBlock(_))));
-        assert!(matches!(g.release(PhysAddr::new(0)), Err(GallocError::NoSuchBlock(_))));
         assert!(matches!(
             g.transfer(PhysAddr::new(0), DomainId::X86),
             Err(GallocError::NoSuchBlock(_))

@@ -163,11 +163,6 @@ impl StramashSystem {
         &self.galloc
     }
 
-    /// Mutable global allocator access.
-    pub fn global_allocator_mut(&mut self) -> &mut GlobalAllocator {
-        &mut self.galloc
-    }
-
     /// Replicated-page count (Table 3): only origin-handled faults
     /// replicate under Stramash.
     #[must_use]
@@ -539,59 +534,6 @@ impl StramashSystem {
         let cycles = self.base.mem.write_u64(writer, pa, value);
         self.base.charge(writer, cycles);
         Ok(())
-    }
-
-    /// Returns fully evacuated pool blocks to the global allocator —
-    /// §5's *Minimal Resource Provisioning*: kernels "return resources
-    /// to global allocators when no longer needed". A block is released
-    /// when it has no live allocations and the kernel's pressure stays
-    /// below the threshold without it. Returns the number released.
-    ///
-    /// # Errors
-    ///
-    /// Propagates frame-allocator inconsistencies.
-    pub fn release_unused_blocks(&mut self, domain: DomainId) -> Result<usize, OsError> {
-        let block_size = self.galloc.block_size();
-        let mut released = 0;
-        loop {
-            // Find an owned, empty pool block.
-            let candidate = {
-                let frames = &self.base.kernels[domain.index()].frames;
-                let mut found = None;
-                for i in 0.. {
-                    let start = self.base.pool_start.offset(i * block_size);
-                    if start.raw() + block_size > self.base.pool_end.raw() {
-                        break;
-                    }
-                    if self.galloc.owner(start) == Ok(Some(domain))
-                        && frames.region_allocated(start) == Some(0)
-                    {
-                        found = Some(start);
-                        break;
-                    }
-                }
-                found
-            };
-            let Some(start) = candidate else { break };
-            // Keep the block if losing it would push pressure back over
-            // the threshold.
-            let frames = &self.base.kernels[domain.index()].frames;
-            let remaining = frames.total_frames() - block_size / PAGE_SIZE;
-            if remaining == 0
-                || frames.allocated_frames() as f64 / remaining as f64 > PRESSURE_THRESHOLD
-            {
-                break;
-            }
-            self.base.kernels[domain.index()].frames.remove_region(start)?;
-            let pages = block_size / PAGE_SIZE;
-            let c = self.galloc.offline_cost(&mut self.base.mem, domain, pages);
-            self.base.charge(domain, c);
-            self.galloc
-                .release(start)
-                .map_err(|_| OsError::InvariantViolation("released block is not a pool block"))?;
-            released += 1;
-        }
-        Ok(released)
     }
 
     /// Rewrites one origin-side leaf entry from the remote ISA's format
@@ -1209,36 +1151,6 @@ mod tests {
         assert_eq!(sys.kernel_read_u64(DomainId::ARM, kva).unwrap(), 0x5A5A);
         // Unmapped KVAs fail.
         assert!(sys.kernel_read_u64(DomainId::X86, crate::fused_vas::KernelVa(0x1000)).is_err());
-    }
-
-    #[test]
-    fn unused_blocks_return_to_the_pool() {
-        // §5: resources go back to the global allocator when no longer
-        // needed. Grow under pressure, free everything, release.
-        let cfg = SimConfig::big_pair().with_hw_model(HardwareModel::Shared);
-        let mut sys = StramashSystem::with_block_size(cfg, 32 << 20).unwrap();
-        let pid = sys.spawn(DomainId::X86).unwrap();
-        // Drain private memory over the threshold, forcing a pool grant.
-        let mut hoard = Vec::new();
-        while sys.base().kernels[0].frames.pressure() < 0.71 {
-            hoard.push(sys.base_mut().kernels[0].frames.alloc().unwrap());
-        }
-        let va = sys.mmap(pid, 4096, VmaProt::rw()).unwrap();
-        sys.store_u64(pid, va, 1).unwrap();
-        assert!(sys.counters().blocks_granted >= 1);
-        let owned_before = sys.global_allocator().owned_by(DomainId::X86);
-        assert!(owned_before >= 1);
-        // Drop the hoard: pressure collapses, the pool block (empty —
-        // the user page came from private memory first) is returned.
-        for f in hoard {
-            sys.base_mut().kernels[0].frames.free(f).unwrap();
-        }
-        let released = sys.release_unused_blocks(DomainId::X86).unwrap();
-        assert!(released >= 1, "an empty block must be released");
-        assert_eq!(sys.global_allocator().owned_by(DomainId::X86), owned_before - released);
-        // Idempotent once pressure is low and nothing is left to give.
-        let again = sys.release_unused_blocks(DomainId::X86).unwrap();
-        assert_eq!(again, 0);
     }
 
     #[test]

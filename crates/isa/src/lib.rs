@@ -20,7 +20,7 @@
 //!   kernel interpret another ISA's structures in shared memory.
 //! * [`consistency`] — the §3 memory-consistency assumption (everyone
 //!   runs the strongest model; Arm in TSO mode).
-//! * [`regs`] — per-ISA register files and the Popcorn-toolchain state
+//! * [`regs`] — the cost of the Popcorn-toolchain register-state
 //!   transformation executed at migration equivalence points (§5).
 
 #![warn(missing_docs)]
@@ -37,4 +37,4 @@ pub use consistency::MemoryOrder;
 pub use driver::RemoteCpuDriver;
 pub use format::{IsaKind, PageTableFormat};
 pub use pte::{PteFlags, RawPte};
-pub use regs::{ArmRegFile, MachineState, MigrationCostModel, RegFile, X86RegFile};
+pub use regs::MigrationCostModel;

@@ -115,90 +115,6 @@ pub fn boot_pair(cfg: &SimConfig, layout: &PhysLayout, boot: &BootConfig) -> Boo
     }
 }
 
-/// One stage of a kernel instance's boot sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BootStage {
-    /// Stage name.
-    pub name: &'static str,
-    /// Cycles the stage takes on each domain.
-    pub cycles: [u64; 2],
-}
-
-/// The §6.1/§7 boot timing model: both QEMU instances boot **in
-/// parallel** (a Stramash-QEMU mechanism), then rendezvous to establish
-/// the communication channel. Under §5's *Minimal Resource
-/// Provisioning*, each kernel initialises only its private memory —
-/// discovery covers everything, initialisation does not.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BootTimeline {
-    stages: Vec<BootStage>,
-}
-
-impl BootTimeline {
-    /// Derives the timeline from the platform configuration.
-    #[must_use]
-    pub fn model(cfg: &SimConfig, layout: &PhysLayout, boot: &BootConfig) -> Self {
-        // Firmware/BIOS table parsing: fixed per kernel.
-        let firmware = BootStage { name: "firmware tables", cycles: [180_000, 150_000] };
-        // Discovery walks the full memory map (§5: "all resources are
-        // discovered ... at boot") — proportional to region count, not
-        // size.
-        let regions = layout.regions().len() as u64;
-        let discovery = BootStage { name: "resource discovery", cycles: [regions * 40_000; 2] };
-        // Initialisation touches only the kernel's PRIVATE memory
-        // (struct-page setup ~ cycles per frame).
-        let init = DomainId::ALL.map(|d| {
-            // One cycle per frame of batched struct-page initialisation.
-            (layout.private_region(d).len - boot.kernel_reserve) / 4096
-        });
-        let init = BootStage { name: "minimal memory init", cycles: init };
-        // Channel establishment: ring setup + IPI handshake (§6.1
-        // "kernel instances establish a communication channel").
-        let ipi = cfg.ipi_latency.raw();
-        let channel = BootStage { name: "channel handshake", cycles: [ipi * 2 + 50_000; 2] };
-        BootTimeline { stages: vec![firmware, discovery, init, channel] }
-    }
-
-    /// The stages.
-    #[must_use]
-    pub fn stages(&self) -> &[BootStage] {
-        &self.stages
-    }
-
-    /// Boot-to-ready time with **parallel bootup** (both instances boot
-    /// concurrently; each stage gates on the slower instance).
-    #[must_use]
-    pub fn parallel_cycles(&self) -> u64 {
-        self.stages.iter().map(|s| *s.cycles.iter().max().expect("two domains")).sum()
-    }
-
-    /// Boot-to-ready time if the instances booted serially (the naive
-    /// alternative the fused simulator avoids).
-    #[must_use]
-    pub fn serial_cycles(&self) -> u64 {
-        self.stages.iter().map(|s| s.cycles.iter().sum::<u64>()).sum()
-    }
-
-    /// What full (non-minimal) provisioning would cost: initialising
-    /// the whole machine's memory on every kernel instead of only the
-    /// private region — quantifies §5's *Minimal Resource Provisioning*.
-    #[must_use]
-    pub fn full_provisioning_cycles(&self, layout: &PhysLayout) -> u64 {
-        let all_frames: u64 = layout.regions().iter().map(|r| r.len / 4096).sum();
-        let extra = all_frames;
-        self.stages
-            .iter()
-            .map(|s| {
-                if s.name == "minimal memory init" {
-                    extra
-                } else {
-                    *s.cycles.iter().max().expect("two domains")
-                }
-            })
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,34 +149,6 @@ mod tests {
         let p = boot_pair(&cfg, &PhysLayout::paper_default(), &BootConfig::paper_default());
         assert_eq!(p.pool_start.raw(), (4u64 << 30) + (128 << 20));
         assert_eq!(p.pool_end.raw(), 8u64 << 30);
-    }
-
-    #[test]
-    fn parallel_bootup_beats_serial() {
-        let cfg = SimConfig::big_pair();
-        let layout = PhysLayout::paper_default();
-        let t = BootTimeline::model(&cfg, &layout, &BootConfig::paper_default());
-        assert_eq!(t.stages().len(), 4);
-        assert!(
-            t.parallel_cycles() < t.serial_cycles(),
-            "fused parallel bootup must beat serial bring-up"
-        );
-        // Roughly 2x: the two instances overlap almost completely.
-        let ratio = t.serial_cycles() as f64 / t.parallel_cycles() as f64;
-        assert!((1.5..2.1).contains(&ratio), "overlap ratio {ratio:.2}");
-    }
-
-    #[test]
-    fn minimal_provisioning_pays_off_at_boot() {
-        // §5: initialising only the private memory beats initialising
-        // the whole 8 GB machine on every kernel.
-        let cfg = SimConfig::big_pair();
-        let layout = PhysLayout::paper_default();
-        let t = BootTimeline::model(&cfg, &layout, &BootConfig::paper_default());
-        assert!(
-            t.full_provisioning_cycles(&layout) > 2 * t.parallel_cycles(),
-            "full provisioning should cost far more than minimal"
-        );
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! A binary buddy allocator — the engine behind each kernel's physical
 //! frame allocation, as in Linux (whose buddy/LRU lists the §6.3 hotplug
-//! offline path walks).
+//! offline path walks). Frames are handed out one page at a time: an
+//! allocation splits the smallest free block down to one page, and a
+//! free coalesces the page with its free buddies.
 
 use crate::addr::PAGE_SIZE;
 use std::collections::BTreeSet;
 use std::fmt;
-use stramash_sim::IntMap;
+use stramash_sim::IntSet;
 
 /// Largest block order (2¹⁰ pages = 4 MiB), matching Linux's MAX_ORDER
 /// neighbourhood.
@@ -14,13 +16,8 @@ pub const MAX_ORDER: u32 = 10;
 /// Errors from the buddy allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuddyError {
-    /// No free block of the requested (or any larger) order.
-    OutOfMemory {
-        /// The order that could not be satisfied.
-        order: u32,
-    },
-    /// The order exceeds [`MAX_ORDER`].
-    OrderTooLarge(u32),
+    /// No free page left.
+    OutOfMemory,
     /// The address was not allocated by this allocator.
     NotAllocated,
 }
@@ -28,10 +25,7 @@ pub enum BuddyError {
 impl fmt::Display for BuddyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BuddyError::OutOfMemory { order } => {
-                write!(f, "no free block of order {order} or above")
-            }
-            BuddyError::OrderTooLarge(o) => write!(f, "order {o} exceeds MAX_ORDER"),
+            BuddyError::OutOfMemory => f.write_str("no free page left"),
             BuddyError::NotAllocated => f.write_str("address was not allocated here"),
         }
     }
@@ -49,9 +43,9 @@ impl std::error::Error for BuddyError {}
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut buddy = BuddyAllocator::new(PhysAddr::new(0x10_0000), 1 << 20);
-/// let a = buddy.alloc(0)?; // one 4 KiB frame
-/// let b = buddy.alloc(4)?; // 16 contiguous frames (64 KiB)
-/// assert!(b.is_aligned(16 * 4096), "buddy blocks are naturally aligned");
+/// let a = buddy.alloc()?; // one 4 KiB frame
+/// let b = buddy.alloc()?;
+/// assert_eq!(b.raw(), a.raw() + 4096, "the split hands out the low half first");
 /// buddy.free(a)?;
 /// buddy.free(b)?;
 /// assert_eq!(buddy.allocated_pages(), 0);
@@ -64,9 +58,8 @@ pub struct BuddyAllocator {
     total_pages: u64,
     /// Free blocks per order, as page indices relative to `base`.
     free_lists: Vec<BTreeSet<u64>>,
-    /// Allocated block order per starting page index.
-    allocated: IntMap<u64, u32>,
-    allocated_pages: u64,
+    /// Allocated pages, as page indices relative to `base`.
+    allocated: IntSet<u64>,
 }
 
 impl BuddyAllocator {
@@ -84,8 +77,7 @@ impl BuddyAllocator {
             base: base.raw(),
             total_pages,
             free_lists: vec![BTreeSet::new(); (MAX_ORDER + 1) as usize],
-            allocated: IntMap::default(),
-            allocated_pages: 0,
+            allocated: IntSet::default(),
         };
         // Greedy seeding: carve the region into naturally aligned
         // power-of-two blocks (alignment relative to the region base).
@@ -110,7 +102,7 @@ impl BuddyAllocator {
     /// Pages currently allocated.
     #[must_use]
     pub fn allocated_pages(&self) -> u64 {
-        self.allocated_pages
+        self.allocated.len() as u64
     }
 
     /// Whether `pa` lies inside this allocator's region.
@@ -119,38 +111,24 @@ impl BuddyAllocator {
         pa.raw() >= self.base && pa.raw() < self.base + self.total_pages * PAGE_SIZE
     }
 
-    /// Allocates a naturally aligned block of `2^order` pages.
+    /// Allocates one page: the lowest block of the smallest non-empty
+    /// order is split down to a page, freeing the upper halves.
     ///
     /// # Errors
     ///
-    /// [`BuddyError::OrderTooLarge`] or [`BuddyError::OutOfMemory`].
-    pub fn alloc(&mut self, order: u32) -> Result<stramash_mem::PhysAddr, BuddyError> {
-        if order > MAX_ORDER {
-            return Err(BuddyError::OrderTooLarge(order));
+    /// [`BuddyError::OutOfMemory`] when no page is free.
+    pub fn alloc(&mut self) -> Result<stramash_mem::PhysAddr, BuddyError> {
+        let from =
+            self.free_lists.iter().position(|l| !l.is_empty()).ok_or(BuddyError::OutOfMemory)?;
+        let idx = self.free_lists[from].pop_first().expect("non-empty");
+        for cur in (0..from).rev() {
+            self.free_lists[cur].insert(idx + (1 << cur));
         }
-        // Find the smallest order with a free block.
-        let mut from = order;
-        while from <= MAX_ORDER && self.free_lists[from as usize].is_empty() {
-            from += 1;
-        }
-        if from > MAX_ORDER {
-            return Err(BuddyError::OutOfMemory { order });
-        }
-        let idx = *self.free_lists[from as usize].iter().next().expect("non-empty");
-        self.free_lists[from as usize].remove(&idx);
-        // Split down to the requested order, freeing the upper halves.
-        let mut cur = from;
-        while cur > order {
-            cur -= 1;
-            let buddy = idx + (1 << cur);
-            self.free_lists[cur as usize].insert(buddy);
-        }
-        self.allocated.insert(idx, order);
-        self.allocated_pages += 1 << order;
+        self.allocated.insert(idx);
         Ok(stramash_mem::PhysAddr::new(self.base + idx * PAGE_SIZE))
     }
 
-    /// Frees a previously allocated block, coalescing with free buddies.
+    /// Frees a previously allocated page, coalescing with free buddies.
     ///
     /// # Errors
     ///
@@ -160,9 +138,11 @@ impl BuddyAllocator {
             return Err(BuddyError::NotAllocated);
         }
         let mut idx = (pa.raw() - self.base) / PAGE_SIZE;
-        let mut order = self.allocated.remove(&idx).ok_or(BuddyError::NotAllocated)?;
-        self.allocated_pages -= 1 << order;
+        if !self.allocated.remove(&idx) {
+            return Err(BuddyError::NotAllocated);
+        }
         // Coalesce while the buddy is free at the same order.
+        let mut order = 0;
         while order < MAX_ORDER {
             let buddy = idx ^ (1 << order);
             if buddy + (1 << order) > self.total_pages
@@ -193,7 +173,11 @@ impl BuddyAllocator {
     pub fn assert_invariants(&self) {
         let free_pages: u64 =
             self.free_lists.iter().enumerate().map(|(o, l)| (l.len() as u64) << o).sum();
-        assert_eq!(free_pages + self.allocated_pages, self.total_pages, "pages must be conserved");
+        assert_eq!(
+            free_pages + self.allocated_pages(),
+            self.total_pages,
+            "pages must be conserved"
+        );
         // Disjointness: collect every block (free + allocated) and check
         // for overlaps.
         let mut blocks: Vec<(u64, u64)> = Vec::new();
@@ -202,9 +186,7 @@ impl BuddyAllocator {
                 blocks.push((idx, 1u64 << o));
             }
         }
-        for (&idx, &o) in &self.allocated {
-            blocks.push((idx, 1u64 << o));
-        }
+        blocks.extend(self.allocated.iter().map(|&idx| (idx, 1)));
         blocks.sort_unstable();
         for w in blocks.windows(2) {
             assert!(w[0].0 + w[0].1 <= w[1].0, "blocks overlap: {:?} and {:?}", w[0], w[1]);
@@ -213,9 +195,9 @@ impl BuddyAllocator {
         assert_eq!(covered, self.total_pages, "blocks must tile the region");
     }
 
-    /// Serializes the allocator's mutable state (free lists, allocated
-    /// map, allocation count) into a checkpoint section. `BTreeSet` and
-    /// the sorted allocated map give a canonical byte stream.
+    /// Serializes the allocator's mutable state (free lists and the
+    /// allocated pages) into a checkpoint section. `BTreeSet` and the
+    /// sorted allocated list give a canonical byte stream.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x4244_4459); // "BDDY"
         e.u64(self.base);
@@ -224,14 +206,9 @@ impl BuddyAllocator {
             let v: Vec<u64> = list.iter().copied().collect();
             e.u64s(&v);
         }
-        let mut allocs: Vec<(u64, u32)> = self.allocated.iter().map(|(&i, &o)| (i, o)).collect();
-        allocs.sort_unstable();
-        e.u64(allocs.len() as u64);
-        for (idx, order) in allocs {
-            e.u64(idx);
-            e.u32(order);
-        }
-        e.u64(self.allocated_pages);
+        let mut allocated: Vec<u64> = self.allocated.iter().copied().collect();
+        allocated.sort_unstable();
+        e.u64s(&allocated);
     }
 
     /// Restores mutable state written by [`BuddyAllocator::save_state`]
@@ -254,27 +231,14 @@ impl BuddyAllocator {
         for _ in 0..=MAX_ORDER {
             free_lists.push(d.u64s()?.into_iter().collect::<BTreeSet<u64>>());
         }
-        let n = d.len()?;
-        let mut allocated = IntMap::with_capacity_and_hasher(n, Default::default());
-        for _ in 0..n {
-            let idx = d.u64()?;
-            let order = d.u32()?;
-            if order > MAX_ORDER || idx >= self.total_pages {
-                return Err(CheckpointError::Malformed("buddy allocation out of range"));
-            }
-            allocated.insert(idx, order);
+        let allocated = d.u64s()?;
+        if allocated.iter().any(|&idx| idx >= self.total_pages) {
+            return Err(CheckpointError::Malformed("buddy allocation out of range"));
         }
         self.free_lists = free_lists;
-        self.allocated = allocated;
-        self.allocated_pages = d.u64()?;
+        self.allocated = allocated.into_iter().collect();
         Ok(())
     }
-}
-
-/// The smallest order whose block covers `pages` pages.
-#[must_use]
-pub fn order_for_pages(pages: u64) -> u32 {
-    pages.next_power_of_two().trailing_zeros()
 }
 
 #[cfg(test)]
@@ -290,7 +254,7 @@ mod tests {
     #[test]
     fn single_frame_alloc_free() {
         let mut b = buddy(16);
-        let f = b.alloc(0).unwrap();
+        let f = b.alloc().unwrap();
         assert!(b.contains(f));
         assert_eq!(b.allocated_pages(), 1);
         b.free(f).unwrap();
@@ -302,40 +266,46 @@ mod tests {
 
     #[test]
     fn natural_alignment() {
-        let mut b = buddy(64);
-        for order in 0..=5u32 {
-            let blk = b.alloc(order).unwrap();
-            assert!(
-                blk.is_aligned((1 << order) * PAGE_SIZE),
-                "order-{order} block must be naturally aligned"
-            );
-            b.assert_invariants();
+        // Every free block stays naturally aligned relative to the base
+        // through splits and coalescing: the buddy of a block is found
+        // by flipping one index bit, which relies on it.
+        let mut rng = SimRng::new(0xA11C);
+        let mut b = buddy(100);
+        let mut live = Vec::new();
+        for _ in 0..2_000 {
+            if live.is_empty() || rng.gen_range(2) == 0 {
+                live.extend(b.alloc());
+            } else {
+                let i = rng.gen_range(live.len() as u64) as usize;
+                b.free(live.swap_remove(i)).unwrap();
+            }
+            for (order, list) in b.free_lists.iter().enumerate() {
+                assert!(list.iter().all(|idx| idx % (1 << order) == 0), "order-{order} block");
+            }
         }
     }
 
     #[test]
     fn split_and_coalesce_roundtrip() {
         let mut b = buddy(8);
-        let blocks: Vec<_> = (0..8).map(|_| b.alloc(0).unwrap()).collect();
+        let blocks: Vec<_> = (0..8).map(|_| b.alloc().unwrap()).collect();
         assert_eq!(b.allocated_pages(), 8);
-        assert!(matches!(b.alloc(0), Err(BuddyError::OutOfMemory { .. })));
+        assert_eq!(b.alloc(), Err(BuddyError::OutOfMemory));
         for blk in &blocks {
             b.free(*blk).unwrap();
         }
         b.assert_invariants();
         // Fully coalesced: a single order-3 block again.
         assert_eq!(b.free_list_lengths()[3], 1);
-        assert!(b.alloc(3).is_ok());
     }
 
     #[test]
     fn double_free_and_foreign_free_rejected() {
         let mut b = buddy(8);
-        let f = b.alloc(0).unwrap();
+        let f = b.alloc().unwrap();
         b.free(f).unwrap();
         assert_eq!(b.free(f), Err(BuddyError::NotAllocated));
         assert_eq!(b.free(PhysAddr::new(0x9999_0000)), Err(BuddyError::NotAllocated));
-        assert_eq!(b.alloc(MAX_ORDER + 1), Err(BuddyError::OrderTooLarge(MAX_ORDER + 1)));
     }
 
     #[test]
@@ -344,53 +314,61 @@ mod tests {
         let mut b = buddy(13);
         b.assert_invariants();
         let mut got = 0;
-        while b.alloc(0).is_ok() {
+        while b.alloc().is_ok() {
             got += 1;
         }
         assert_eq!(got, 13, "every page must be allocatable");
     }
 
     #[test]
-    fn order_for_pages_helper() {
-        assert_eq!(order_for_pages(1), 0);
-        assert_eq!(order_for_pages(2), 1);
-        assert_eq!(order_for_pages(3), 2);
-        assert_eq!(order_for_pages(16), 4);
-        assert_eq!(order_for_pages(17), 5);
-    }
-
-    #[test]
     fn randomized_against_model() {
         let mut rng = SimRng::new(0xBDD7);
         let mut b = buddy(256);
-        let mut live: Vec<(PhysAddr, u32)> = Vec::new();
+        let mut live: Vec<PhysAddr> = Vec::new();
         for step in 0..5_000u32 {
             if rng.gen_range(2) == 0 || live.is_empty() {
-                let order = rng.gen_range(4) as u32;
-                if let Ok(blk) = b.alloc(order) {
-                    // No overlap with any live block.
-                    for &(other, oo) in &live {
-                        let a0 = blk.raw();
-                        let a1 = a0 + (PAGE_SIZE << order);
-                        let b0 = other.raw();
-                        let b1 = b0 + (PAGE_SIZE << oo);
-                        assert!(a1 <= b0 || b1 <= a0, "overlap at step {step}");
-                    }
-                    live.push((blk, order));
+                if let Ok(page) = b.alloc() {
+                    assert!(!live.contains(&page), "page handed out twice at step {step}");
+                    live.push(page);
                 }
             } else {
                 let i = rng.gen_range(live.len() as u64) as usize;
-                let (blk, _) = live.swap_remove(i);
-                b.free(blk).unwrap();
+                b.free(live.swap_remove(i)).unwrap();
             }
             if step % 256 == 0 {
                 b.assert_invariants();
             }
         }
-        for (blk, _) in live {
-            b.free(blk).unwrap();
+        for page in live {
+            b.free(page).unwrap();
         }
         b.assert_invariants();
         assert_eq!(b.allocated_pages(), 0);
+    }
+
+    /// Frame addresses feed the cache model, so the page sequence of a
+    /// seeded alloc/free interleaving is pinned: filling and draining
+    /// phases exercise exhaustion, splits and coalescing.
+    #[test]
+    fn seeded_address_sequence_is_pinned() {
+        let mut rng = SimRng::new(0xB0DD_7E57);
+        let mut b = buddy(300);
+        let mut live: Vec<PhysAddr> = Vec::new();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for step in 0..20_000u32 {
+            let alloc_in_5 = if (step / 2000) % 2 == 0 { 4 } else { 1 };
+            if live.is_empty() || rng.gen_range(5) < alloc_in_5 {
+                let pa = b.alloc().map_or(u64::MAX, |pa| {
+                    live.push(pa);
+                    pa.raw()
+                });
+                hash = (hash ^ pa).wrapping_mul(0x100_0000_01b3);
+            } else {
+                let i = rng.gen_range(live.len() as u64) as usize;
+                b.free(live.swap_remove(i)).unwrap();
+            }
+        }
+        b.assert_invariants();
+        assert_eq!(hash, 0x1f17_80eb_02d7_9547);
     }
 }

@@ -10,7 +10,7 @@
 //! managed by a [`crate::buddy::BuddyAllocator`].
 
 use crate::addr::PAGE_SIZE;
-use crate::buddy::{BuddyAllocator, BuddyError};
+use crate::buddy::BuddyAllocator;
 use std::fmt;
 use stramash_mem::PhysAddr;
 
@@ -20,8 +20,6 @@ struct Region {
     start: u64,
     len: u64,
     buddy: BuddyAllocator,
-    /// Offlined regions refuse new allocations.
-    online: bool,
 }
 
 impl Region {
@@ -33,7 +31,7 @@ impl Region {
 /// Errors returned by the frame allocator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
-    /// No free frame in any online region.
+    /// No free frame in any region.
     OutOfMemory,
     /// The address does not belong to any owned region.
     NotOwned(PhysAddr),
@@ -116,12 +114,7 @@ impl FrameAllocator {
                 return Err(FrameError::Overlap);
             }
         }
-        self.regions.push(Region {
-            start: s,
-            len,
-            buddy: BuddyAllocator::new(start, len),
-            online: true,
-        });
+        self.regions.push(Region { start: s, len, buddy: BuddyAllocator::new(start, len) });
         Ok(())
     }
 
@@ -129,17 +122,9 @@ impl FrameAllocator {
     ///
     /// # Errors
     ///
-    /// [`FrameError::OutOfMemory`] when every online region is full.
+    /// [`FrameError::OutOfMemory`] when every region is full.
     pub fn alloc(&mut self) -> Result<PhysAddr, FrameError> {
-        for r in &mut self.regions {
-            if !r.online {
-                continue;
-            }
-            if let Ok(pa) = r.buddy.alloc(0) {
-                return Ok(pa);
-            }
-        }
-        Err(FrameError::OutOfMemory)
+        self.regions.iter_mut().find_map(|r| r.buddy.alloc().ok()).ok_or(FrameError::OutOfMemory)
     }
 
     /// Returns a frame to its region.
@@ -151,31 +136,10 @@ impl FrameAllocator {
         let pa = PhysAddr::new(frame.raw() & !(PAGE_SIZE - 1));
         for r in &mut self.regions {
             if pa.raw() >= r.start && pa.raw() < r.start + r.len {
-                return match r.buddy.free(pa) {
-                    Ok(()) => Ok(()),
-                    Err(BuddyError::NotAllocated) => Err(FrameError::NotAllocated(pa)),
-                    Err(_) => Err(FrameError::NotAllocated(pa)),
-                };
+                return r.buddy.free(pa).map_err(|_| FrameError::NotAllocated(pa));
             }
         }
         Err(FrameError::NotOwned(frame))
-    }
-
-    /// Marks the region starting at `start` offline: it accepts no new
-    /// allocations (§6.3: "it first evacuates the memory block and then
-    /// isolates the pages").
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError::NoSuchRegion`] if no region starts there.
-    pub fn set_online(&mut self, start: PhysAddr, online: bool) -> Result<(), FrameError> {
-        let r = self
-            .regions
-            .iter_mut()
-            .find(|r| r.start == start.raw())
-            .ok_or(FrameError::NoSuchRegion(start))?;
-        r.online = online;
-        Ok(())
     }
 
     /// Removes a fully evacuated region, returning its length.
@@ -203,10 +167,10 @@ impl FrameAllocator {
         self.regions.iter().map(|r| r.buddy.allocated_pages()).sum()
     }
 
-    /// Total frames across online regions.
+    /// Total frames across all regions.
     #[must_use]
     pub fn total_frames(&self) -> u64 {
-        self.regions.iter().filter(|r| r.online).map(Region::frames).sum()
+        self.regions.iter().map(Region::frames).sum()
     }
 
     /// Memory pressure in `[0, 1]`: allocated / total. The §6.3 global
@@ -232,17 +196,16 @@ impl FrameAllocator {
         self.regions.iter().any(|r| pa.raw() >= r.start && pa.raw() < r.start + r.len)
     }
 
-    /// Serializes the full region list (bounds, online flag and buddy
-    /// state) into a checkpoint section. The whole list is written —
-    /// not just per-region deltas — because the §6.3 grow/evict paths
-    /// add and remove regions at runtime.
+    /// Serializes the full region list (bounds and buddy state) into a
+    /// checkpoint section. The whole list is written — not just
+    /// per-region deltas — because the §6.3 grow/evict paths add and
+    /// remove regions at runtime.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x4652_4d53); // "FRMS"
         e.u64(self.regions.len() as u64);
         for r in &self.regions {
             e.u64(r.start);
             e.u64(r.len);
-            e.bool(r.online);
             r.buddy.save_state(e);
         }
     }
@@ -263,13 +226,12 @@ impl FrameAllocator {
         for _ in 0..n {
             let start = d.u64()?;
             let len = d.u64()?;
-            let online = d.bool()?;
             if start % PAGE_SIZE != 0 || len == 0 || len % PAGE_SIZE != 0 {
                 return Err(CheckpointError::Malformed("frame region bounds unaligned"));
             }
             let mut buddy = BuddyAllocator::new(PhysAddr::new(start), len);
             buddy.load_state(d)?;
-            regions.push(Region { start, len, buddy, online });
+            regions.push(Region { start, len, buddy });
         }
         self.regions = regions;
         Ok(())
@@ -337,17 +299,6 @@ mod tests {
             a.alloc().unwrap();
         }
         assert!((a.pressure() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn offline_region_refuses_allocation() {
-        let mut a = alloc_with(0, 2 * PAGE_SIZE);
-        a.add_region(PhysAddr::new(0x10_0000), 2 * PAGE_SIZE).unwrap();
-        a.set_online(PhysAddr::new(0), false).unwrap();
-        let f = a.alloc().unwrap();
-        assert!(f.raw() >= 0x10_0000, "offline region must not serve frames");
-        // Total frames excludes offline regions.
-        assert_eq!(a.total_frames(), 2);
     }
 
     #[test]

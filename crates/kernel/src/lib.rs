@@ -54,7 +54,7 @@ pub mod vma;
 pub mod watchdog;
 
 pub use addr::{VirtAddr, PAGE_SIZE};
-pub use boot::{boot_pair, BootConfig, BootStage, BootTimeline, BootedPlatform};
+pub use boot::{boot_pair, BootConfig, BootedPlatform};
 pub use buddy::{BuddyAllocator, BuddyError};
 pub use frame::{FrameAllocator, FrameError};
 pub use futex::{FutexTable, ThreadId, Waiter};

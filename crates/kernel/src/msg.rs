@@ -167,23 +167,10 @@ impl MsgCounters {
         self.by_type.get(&ty).copied().unwrap_or(0)
     }
 
-    /// Retransmissions performed by `domain` after a timeout.
-    #[must_use]
-    pub fn retransmits_by(&self, domain: DomainId) -> u64 {
-        self.retransmits[domain.index()]
-    }
-
     /// Total retransmissions in both directions.
     #[must_use]
     pub fn retransmits(&self) -> u64 {
         self.retransmits.iter().sum()
-    }
-
-    /// Ack timeouts `domain` waited out (each is followed by a
-    /// retransmission charged real simulated cycles).
-    #[must_use]
-    pub fn timeouts_by(&self, domain: DomainId) -> u64 {
-        self.timeouts[domain.index()]
     }
 
     /// Total ack timeouts in both directions.

@@ -516,13 +516,6 @@ impl BaseSystem {
         &mut self.watchdog
     }
 
-    /// Whether `domain`'s kernel is still running (not halted by an
-    /// injected fail-stop and not declared dead).
-    #[must_use]
-    pub fn domain_alive(&self, domain: DomainId) -> bool {
-        !self.watchdog.is_halted(domain)
-    }
-
     /// One supervisor step of the failure protocol: fires any injected
     /// fail-stop that is due at `step`, runs the heartbeat round (each
     /// live kernel beacons its peer over the messaging layer), and —

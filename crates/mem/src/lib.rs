@@ -50,6 +50,5 @@ pub use hwmodel::{AddressMap, MemClass};
 pub use phys::{MemRegion, PhysAddr, PhysLayout, RegionKind, SparseMemory};
 pub use reference::ReferenceSystem;
 pub use system::{
-    Access, AccessKind, AccessOutcome, AccessPlan, EccFault, EccScrubReport, HitLevel,
-    MemorySystem, PlanOp, TraceEntry,
+    Access, AccessKind, AccessOutcome, AccessPlan, HitLevel, MemorySystem, PlanOp, TraceEntry,
 };

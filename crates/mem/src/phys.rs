@@ -165,12 +165,6 @@ impl PhysLayout {
         }
     }
 
-    /// All regions in address order.
-    #[must_use]
-    pub fn regions(&self) -> &[MemRegion] {
-        &self.regions
-    }
-
     /// The region containing `addr`, if any (the 3–4 GB hole has none).
     #[must_use]
     pub fn region_of(&self, addr: PhysAddr) -> Option<&MemRegion> {
@@ -469,15 +463,6 @@ impl SparseMemory {
         let mut buf = vec![0u8; len as usize];
         self.read(src, &mut buf);
         self.write(dst, &buf);
-    }
-
-    /// XORs the 64-bit word at `addr` with `mask` — the bit-flip
-    /// primitive of the fault injector. Applying the same mask twice
-    /// restores the original value, which is exactly how the ECC
-    /// scrubber repairs a journalled single-bit flip.
-    pub fn flip_bits(&mut self, addr: PhysAddr, mask: u64) {
-        let word = self.read_u64(addr);
-        self.write_u64(addr, word ^ mask);
     }
 
     /// Serializes every materialised chunk into a checkpoint section,
@@ -809,7 +794,7 @@ mod tests {
             };
             for step in 0..2_000u32 {
                 let ctx = format!("seed {seed}, step {step}");
-                match rng.gen_range(9) {
+                match rng.gen_range(8) {
                     0 => {
                         let len = 1 + rng.gen_range(300);
                         let addr = pick(&mut rng, len);
@@ -864,21 +849,13 @@ mod tests {
                         m.fill(PhysAddr::new(addr), len, byte);
                         model_write(&mut model, addr, &vec![byte; len as usize]);
                     }
-                    7 => {
+                    _ => {
                         let len = rng.gen_range(2_000);
                         let src = pick(&mut rng, len);
                         let dst = pick(&mut rng, len);
                         m.copy(PhysAddr::new(src), PhysAddr::new(dst), len);
                         let bytes = model_read(&model, src, len as usize);
                         model_write(&mut model, dst, &bytes);
-                    }
-                    _ => {
-                        let addr = pick(&mut rng, 8);
-                        let mask = rng.next_u64();
-                        m.flip_bits(PhysAddr::new(addr), mask);
-                        let old = model_read(&model, addr, 8);
-                        let new = u64::from_le_bytes(old.try_into().unwrap()) ^ mask;
-                        model_write(&mut model, addr, &new.to_le_bytes());
                     }
                 }
                 assert_eq!(m.resident_chunks(), model.chunks.len(), "{ctx}");

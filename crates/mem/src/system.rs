@@ -114,29 +114,6 @@ pub struct AccessOutcome {
     pub snooped: bool,
 }
 
-/// One journalled ECC fault: the XOR mask a fault injector applied to
-/// the 64-bit word at `addr`. DRAM SEC-DED ECC corrects single-bit
-/// flips and detects (but cannot repair) double-bit flips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EccFault {
-    /// 8-byte-aligned physical address of the flipped word.
-    pub addr: PhysAddr,
-    /// XOR mask applied — one set bit for a correctable fault, two
-    /// adjacent bits for an uncorrectable one.
-    pub mask: u64,
-    /// Whether the fault exceeds SEC-DED correction capability.
-    pub double: bool,
-}
-
-/// Outcome of one [`MemorySystem::ecc_scrub`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EccScrubReport {
-    /// Single-bit faults detected and repaired in place.
-    pub corrected: u64,
-    /// Double-bit faults detected but left corrupted.
-    pub uncorrectable: u64,
-}
-
 /// The shared, coherent memory system of the simulated platform.
 #[derive(Debug)]
 pub struct MemorySystem {
@@ -154,28 +131,11 @@ pub struct MemorySystem {
     /// division, on the per-access hot path.
     line_shift: u32,
     trace: Option<Vec<TraceEntry>>,
-    /// Per-domain alias windows (§7: the fused simulator supports
-    /// "memory remapping" — the single shared memory "may be mapped to
-    /// different addresses" on each processor, as on OpenPiton).
-    aliases: Vec<AliasWindow>,
-    /// Injected-but-unscrubbed ECC faults.
-    ecc_journal: Vec<EccFault>,
     /// Observability sink: every timed access, snoop, eviction and MESI
     /// transition is mirrored here as a typed event. Emission is
     /// passive — it never costs a simulated cycle, so the golden
     /// fingerprints are identical with tracing on or off.
     tracer: Option<SharedTracer>,
-}
-
-/// One per-domain physical alias: `domain` sees
-/// `[alias_start, alias_start + len)` as
-/// `[canon_start, canon_start + len)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AliasWindow {
-    domain: DomainId,
-    alias_start: u64,
-    len: u64,
-    canon_start: u64,
 }
 
 impl MemorySystem {
@@ -219,8 +179,6 @@ impl MemorySystem {
             line_bytes,
             line_shift,
             trace: None,
-            aliases: Vec::new(),
-            ecc_journal: Vec::new(),
             tracer: None,
         })
     }
@@ -244,12 +202,6 @@ impl MemorySystem {
     #[must_use]
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// The address map (layout + hardware model).
-    #[must_use]
-    pub fn address_map(&self) -> &AddressMap {
-        &self.map
     }
 
     /// Cache line size in bytes.
@@ -320,54 +272,6 @@ impl MemorySystem {
         }
     }
 
-    /// Installs a per-domain physical alias (§7 "memory remapping"):
-    /// accesses by `domain` to `[alias_start, alias_start+len)` resolve
-    /// to `[canon_start, canon_start+len)`. Coherence and data are
-    /// shared with every other path to the canonical range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alias range overlaps the canonical range.
-    pub fn add_alias(
-        &mut self,
-        domain: DomainId,
-        alias_start: PhysAddr,
-        len: u64,
-        canon_start: PhysAddr,
-    ) {
-        assert!(
-            alias_start.raw() + len <= canon_start.raw()
-                || canon_start.raw() + len <= alias_start.raw(),
-            "alias must not overlap its canonical range"
-        );
-        self.aliases.push(AliasWindow {
-            domain,
-            alias_start: alias_start.raw(),
-            len,
-            canon_start: canon_start.raw(),
-        });
-    }
-
-    /// Resolves `addr` through `domain`'s alias windows.
-    #[must_use]
-    #[inline]
-    pub fn canonicalize(&self, domain: DomainId, addr: PhysAddr) -> PhysAddr {
-        // Almost every system runs without remapping; skip the window
-        // scan entirely in that case.
-        if self.aliases.is_empty() {
-            return addr;
-        }
-        for w in &self.aliases {
-            if w.domain == domain
-                && addr.raw() >= w.alias_start
-                && addr.raw() < w.alias_start + w.len
-            {
-                return PhysAddr::new(w.canon_start + (addr.raw() - w.alias_start));
-            }
-        }
-        addr
-    }
-
     /// Starts recording every timed access (clears any prior trace).
     pub fn enable_trace(&mut self) {
         self.trace = Some(Vec::new());
@@ -390,50 +294,7 @@ impl MemorySystem {
         &mut self.store
     }
 
-    // ---- fault injection & auditing ----------------------------------------
-
-    /// Injects a transient bit flip into the word containing `addr`
-    /// (aligned down to 8 bytes) and journals it for the ECC scrubber.
-    /// A single-bit flip is SEC-correctable; `double` flips two adjacent
-    /// bits, which SEC-DED detects but cannot repair.
-    pub fn inject_bit_flip(&mut self, addr: PhysAddr, bit: u32, double: bool) -> EccFault {
-        let addr = PhysAddr::new(addr.raw() & !7);
-        let bit = bit % 64;
-        let mask = if double { (1u64 << bit) | (1u64 << ((bit + 1) % 64)) } else { 1u64 << bit };
-        self.store.flip_bits(addr, mask);
-        let fault = EccFault { addr, mask, double };
-        self.ecc_journal.push(fault);
-        fault
-    }
-
-    /// The journalled faults awaiting a scrub pass.
-    #[must_use]
-    pub fn ecc_pending(&self) -> &[EccFault] {
-        &self.ecc_journal
-    }
-
-    /// One ECC scrub pass, performed by `domain`'s memory controller:
-    /// every journalled single-bit fault is repaired in place (the XOR
-    /// mask is involutive), double-bit faults are detected but the data
-    /// stays corrupt. Repairs and fatalities are reflected in the
-    /// scrubbing domain's fault statistics.
-    pub fn ecc_scrub(&mut self, domain: DomainId) -> EccScrubReport {
-        let mut report = EccScrubReport::default();
-        let faults = std::mem::take(&mut self.ecc_journal);
-        for f in &faults {
-            if f.double {
-                report.uncorrectable += 1;
-            } else {
-                self.store.flip_bits(f.addr, f.mask);
-                report.corrected += 1;
-            }
-        }
-        let s = &mut self.stats[domain.index()];
-        s.faults_injected += report.corrected + report.uncorrectable;
-        s.faults_recovered += report.corrected;
-        s.faults_fatal += report.uncorrectable;
-        report
-    }
+    // ---- auditing ----------------------------------------------------------
 
     /// Whether domain `di` owns `line` for writing: the line is
     /// `Modified` at the domain's coherence point and, under a shared
@@ -505,7 +366,7 @@ impl MemorySystem {
     /// This is the plugin's per-memory-instruction feedback path: the
     /// returned latency is what the caller adds to the issuing domain's
     /// icount clock.
-    #[inline]
+    #[inline(always)]
     pub fn access(
         &mut self,
         domain: DomainId,
@@ -513,26 +374,7 @@ impl MemorySystem {
         access: Access,
         kind: AccessKind,
     ) -> AccessOutcome {
-        let addr = self.canonicalize(domain, addr);
-        self.access_line(domain, addr, access, kind)
-    }
-
-    /// Performs one timed access of at most a cache line on an address
-    /// that is **already canonical** (alias windows resolved).
-    ///
-    /// This is the streaming fast path: bulk transfers canonicalize once
-    /// and then drive the hierarchy line by line through this entry
-    /// point. Timing, stats and tracing are identical to
-    /// [`MemorySystem::access`].
-    #[inline(always)]
-    pub fn access_line(
-        &mut self,
-        domain: DomainId,
-        addr: PhysAddr,
-        access: Access,
-        kind: AccessKind,
-    ) -> AccessOutcome {
-        let out = self.access_line_inner(domain, addr, access, kind);
+        let out = self.access_inner(domain, addr, access, kind);
         if self.tracer.is_some() {
             self.emit_access(domain, addr, access, kind, out);
         }
@@ -563,11 +405,11 @@ impl MemorySystem {
         });
     }
 
-    /// The untraced access pipeline behind [`MemorySystem::access_line`]:
+    /// The untraced access pipeline behind [`MemorySystem::access`]:
     /// the L1 probe and the L1-hit return, inlined into every caller;
     /// everything below the L1 is [`MemorySystem::access_below_l1`].
     #[inline(always)]
-    fn access_line_inner(
+    fn access_inner(
         &mut self,
         domain: DomainId,
         addr: PhysAddr,
@@ -944,7 +786,6 @@ impl MemorySystem {
     /// Timed read of `buf.len()` bytes: charges one access per cache line
     /// touched and copies the data out of the backing store.
     pub fn read_bytes(&mut self, domain: DomainId, addr: PhysAddr, buf: &mut [u8]) -> Cycles {
-        let addr = self.canonicalize(domain, addr);
         let cycles = self.access_range(domain, addr, buf.len() as u64, Access::Read);
         self.store.read(addr, buf);
         cycles
@@ -953,7 +794,6 @@ impl MemorySystem {
     /// Timed write of `data`: charges one access per line and stores the
     /// bytes (visible to both domains immediately — §7.1).
     pub fn write_bytes(&mut self, domain: DomainId, addr: PhysAddr, data: &[u8]) -> Cycles {
-        let addr = self.canonicalize(domain, addr);
         let cycles = self.access_range(domain, addr, data.len() as u64, Access::Write);
         self.store.write(addr, data);
         cycles
@@ -961,14 +801,12 @@ impl MemorySystem {
 
     /// Timed read of a little-endian `u64`.
     pub fn read_u64(&mut self, domain: DomainId, addr: PhysAddr) -> (u64, Cycles) {
-        let addr = self.canonicalize(domain, addr);
         let cycles = self.access_range(domain, addr, 8, Access::Read);
         (self.store.read_u64(addr), cycles)
     }
 
     /// Timed write of a little-endian `u64`.
     pub fn write_u64(&mut self, domain: DomainId, addr: PhysAddr, value: u64) -> Cycles {
-        let addr = self.canonicalize(domain, addr);
         let cycles = self.access_range(domain, addr, 8, Access::Write);
         self.store.write_u64(addr, value);
         cycles
@@ -987,8 +825,7 @@ impl MemorySystem {
         new: u64,
         penalty: Cycles,
     ) -> (Result<u64, u64>, Cycles) {
-        let addr = self.canonicalize(domain, addr);
-        let out = self.access_line(domain, addr, Access::Write, AccessKind::Data);
+        let out = self.access(domain, addr, Access::Write, AccessKind::Data);
         let cycles = out.cycles + penalty;
         let current = self.store.read_u64(addr);
         if current == expected {
@@ -999,43 +836,9 @@ impl MemorySystem {
         }
     }
 
-    /// Timed fetch-add on a `u64`.
-    pub fn fetch_add_u64(
-        &mut self,
-        domain: DomainId,
-        addr: PhysAddr,
-        delta: u64,
-        penalty: Cycles,
-    ) -> (u64, Cycles) {
-        let addr = self.canonicalize(domain, addr);
-        let out = self.access_line(domain, addr, Access::Write, AccessKind::Data);
-        let old = self.store.read_u64(addr);
-        self.store.write_u64(addr, old.wrapping_add(delta));
-        (old, out.cycles + penalty)
-    }
-
-    /// Timed copy (e.g. DSM page replication): reads from `src`, writes
-    /// to `dst`, charging both sides' line accesses to `domain`.
-    pub fn copy_bytes(
-        &mut self,
-        domain: DomainId,
-        src: PhysAddr,
-        dst: PhysAddr,
-        len: u64,
-    ) -> Cycles {
-        let src = self.canonicalize(domain, src);
-        let dst = self.canonicalize(domain, dst);
-        let mut cycles = self.access_range(domain, src, len, Access::Read);
-        cycles += self.access_range(domain, dst, len, Access::Write);
-        self.store.copy(src, dst, len);
-        cycles
-    }
-
-    /// Charges one timed access per cache line in `[addr, addr+len)`.
-    ///
-    /// `addr` must already be canonical — this is the bulk entry point
-    /// the timed transfers (and the kernel's streaming `read_mem` /
-    /// `write_mem` path) use after canonicalizing once.
+    /// Charges one timed access per cache line in `[addr, addr+len)`:
+    /// the bulk entry point of the timed transfers and the kernel's
+    /// streaming `read_mem` / `write_mem` path.
     pub fn access_range(
         &mut self,
         domain: DomainId,
@@ -1051,22 +854,22 @@ impl MemorySystem {
         let mut cycles = Cycles::ZERO;
         for line in first..=last {
             let line_addr = PhysAddr::new(line << self.line_shift);
-            cycles += self.access_line(domain, line_addr, access, AccessKind::Data).cycles;
+            cycles += self.access(domain, line_addr, access, AccessKind::Data).cycles;
         }
         cycles
     }
 
-    /// Charges `count` identical timed accesses to the single cache line
-    /// at `line_addr` (already canonical, line-aligned).
+    /// Charges `count` identical timed accesses to the single
+    /// line-aligned cache line at `line_addr`.
     ///
-    /// Cycle-identical to calling [`MemorySystem::access_line`] `count`
+    /// Cycle-identical to calling [`MemorySystem::access`] `count`
     /// times: the first access runs the full pipeline (it may miss, fill
     /// and snoop); the repeats are guaranteed L1 hits — every access
     /// path fills the L1, a write leaves the line Modified with the peer
     /// already snooped out, and re-touching the MRU line is idempotent —
     /// so they are accounted in bulk (`n` L1 hits at L1 latency, `n`
     /// trace entries) in O(1) instead of `n` pipeline walks.
-    pub fn access_line_run(
+    fn access_repeated(
         &mut self,
         domain: DomainId,
         line_addr: PhysAddr,
@@ -1077,7 +880,7 @@ impl MemorySystem {
         if count == 0 {
             return Cycles::ZERO;
         }
-        let cycles = self.access_line(domain, line_addr, access, kind).cycles;
+        let cycles = self.access(domain, line_addr, access, kind).cycles;
         let n = count - 1;
         if n == 0 {
             return cycles;
@@ -1134,9 +937,8 @@ impl MemorySystem {
     /// (an aligned word never straddles a line).
     pub fn read_u64_aligned(&mut self, domain: DomainId, addr: PhysAddr) -> (u64, Cycles) {
         debug_assert!(addr.is_aligned(8), "fused element reads must be 8-byte aligned");
-        let addr = self.canonicalize(domain, addr);
         let line_addr = addr.align_down(self.line_bytes);
-        let out = self.access_line(domain, line_addr, Access::Read, AccessKind::Data);
+        let out = self.access(domain, line_addr, Access::Read, AccessKind::Data);
         (self.store.read_u64(addr), out.cycles)
     }
 
@@ -1144,15 +946,14 @@ impl MemorySystem {
     /// [`MemorySystem::read_u64_aligned`].
     pub fn write_u64_aligned(&mut self, domain: DomainId, addr: PhysAddr, value: u64) -> Cycles {
         debug_assert!(addr.is_aligned(8), "fused element writes must be 8-byte aligned");
-        let addr = self.canonicalize(domain, addr);
         let line_addr = addr.align_down(self.line_bytes);
-        let out = self.access_line(domain, line_addr, Access::Write, AccessKind::Data);
+        let out = self.access(domain, line_addr, Access::Write, AccessKind::Data);
         self.store.write_u64(addr, value);
         out.cycles
     }
 
-    /// Timed read of `out.len()` consecutive aligned `u64`s: canonicalize
-    /// once, charge each touched line as a run of repeats, and pull the
+    /// Timed read of `out.len()` consecutive aligned `u64`s: charge each
+    /// touched line as a run of repeats, and pull the
     /// payload out of the arena a chunk at a time. Access order (and so
     /// every counter) matches a per-word [`MemorySystem::read_u64`] loop.
     pub fn read_u64_run(&mut self, domain: DomainId, addr: PhysAddr, out: &mut [u64]) -> Cycles {
@@ -1160,7 +961,6 @@ impl MemorySystem {
         if out.is_empty() {
             return Cycles::ZERO;
         }
-        let addr = self.canonicalize(domain, addr);
         let cycles = self.run_lines(domain, addr, out.len() as u64, Access::Read);
         self.store.read_words(addr, out);
         cycles
@@ -1173,15 +973,14 @@ impl MemorySystem {
         if words.is_empty() {
             return Cycles::ZERO;
         }
-        let addr = self.canonicalize(domain, addr);
         let cycles = self.run_lines(domain, addr, words.len() as u64, Access::Write);
         self.store.write_words(addr, words);
         cycles
     }
 
     /// Charges the line accesses of a `words`-long aligned word run
-    /// starting at canonical `addr`: per line touched, one
-    /// [`MemorySystem::access_line_run`] of however many of the run's
+    /// starting at `addr`: per line touched, one
+    /// [`MemorySystem::access_repeated`] of however many of the run's
     /// words fall in that line — exactly the per-word access sequence.
     fn run_lines(
         &mut self,
@@ -1197,7 +996,7 @@ impl MemorySystem {
             let line = pos >> self.line_shift;
             let line_end = (line + 1) << self.line_shift;
             let n = ((line_end - pos) / 8).min(left);
-            cycles += self.access_line_run(
+            cycles += self.access_repeated(
                 domain,
                 PhysAddr::new(line << self.line_shift),
                 access,
@@ -1213,8 +1012,7 @@ impl MemorySystem {
     // ---- compiled access plans ---------------------------------------------
 
     /// Replays the plan's ops in `range` as timed data accesses: one
-    /// [`MemorySystem::access_line`] per op, in order, on the op's line.
-    /// Plan addresses must be canonical.
+    /// [`MemorySystem::access`] per op, in order, on the op's line.
     pub fn run_plan(
         &mut self,
         domain: DomainId,
@@ -1226,15 +1024,15 @@ impl MemorySystem {
         for i in range {
             let access = if plan.write_at(i) { Access::Write } else { Access::Read };
             let addr = PhysAddr::new(plan.addrs[i] & mask);
-            cycles += self.access_line(domain, addr, access, AccessKind::Data).cycles;
+            cycles += self.access(domain, addr, access, AccessKind::Data).cycles;
         }
         cycles
     }
 
     /// Serializes the mutable memory-system state into a checkpoint
     /// section: both hierarchies, the shared LLC (if the model has one),
-    /// the backing store, per-domain stats, writeback counters, alias
-    /// windows and the ECC journal. Config-derived structure (geometry,
+    /// the backing store, per-domain stats and writeback counters.
+    /// Config-derived structure (geometry,
     /// address map, latencies) is never written; the debug access trace
     /// and the tracer handle are host-side and excluded.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
@@ -1255,19 +1053,6 @@ impl MemorySystem {
         }
         e.u64(self.writebacks[0]);
         e.u64(self.writebacks[1]);
-        e.u64(self.aliases.len() as u64);
-        for w in &self.aliases {
-            e.u8(w.domain.index() as u8);
-            e.u64(w.alias_start);
-            e.u64(w.len);
-            e.u64(w.canon_start);
-        }
-        e.u64(self.ecc_journal.len() as u64);
-        for f in &self.ecc_journal {
-            e.u64(f.addr.raw());
-            e.u64(f.mask);
-            e.bool(f.double);
-        }
     }
 
     /// Restores the mutable memory-system state from a checkpoint
@@ -1302,30 +1087,6 @@ impl MemorySystem {
         }
         self.writebacks[0] = d.u64()?;
         self.writebacks[1] = d.u64()?;
-        let n = d.len()?;
-        self.aliases.clear();
-        for _ in 0..n {
-            let domain = match d.u8()? {
-                0 => DomainId::X86,
-                1 => DomainId::ARM,
-                _ => return Err(CheckpointError::Malformed("alias domain")),
-            };
-            self.aliases.push(AliasWindow {
-                domain,
-                alias_start: d.u64()?,
-                len: d.u64()?,
-                canon_start: d.u64()?,
-            });
-        }
-        let n = d.len()?;
-        self.ecc_journal.clear();
-        for _ in 0..n {
-            self.ecc_journal.push(EccFault {
-                addr: PhysAddr::new(d.u64()?),
-                mask: d.u64()?,
-                double: d.bool()?,
-            });
-        }
         // The caches must restore to a coherent state, and in particular
         // every upper-level `Modified` line must be owned: the store fast
         // path trusts that bit instead of re-checking the coherence point.
@@ -1358,12 +1119,12 @@ impl MemorySystem {
 
 // ---- compiled access plans --------------------------------------------------
 
-/// One compiled access-plan operation: a canonical physical address and
-/// a direction. The line mapping happens at replay time against the
+/// One compiled access-plan operation: a physical address and a
+/// direction. The line mapping happens at replay time against the
 /// replaying system's geometry, so a plan survives checkpoint/restore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOp {
-    /// Canonical physical address of the word touched.
+    /// Physical address of the word touched.
     pub addr: u64,
     /// Store (`true`) or load (`false`).
     pub write: bool,
@@ -1371,11 +1132,11 @@ pub struct PlanOp {
 
 /// A compiled access plan: the exact data-access sequence of one loop
 /// iteration (or iteration chunk), precomputed once and replayed via
-/// [`MemorySystem::run_plan`] as one [`MemorySystem::access_line`] per
+/// [`MemorySystem::run_plan`] as one [`MemorySystem::access`] per
 /// op, in order.
 #[derive(Debug, Clone, Default)]
 pub struct AccessPlan {
-    /// Canonical physical addresses in element order.
+    /// Physical addresses in element order.
     addrs: Vec<u64>,
     /// Direction bitset: bit `i % 64` of word `i / 64` is set when op
     /// `i` is a store.
@@ -1413,7 +1174,7 @@ impl AccessPlan {
         self.writes.clear();
     }
 
-    /// The canonical addresses, one per op in element order.
+    /// The addresses, one per op in element order.
     #[must_use]
     pub fn addrs(&self) -> &[u64] {
         &self.addrs
@@ -1600,28 +1361,6 @@ mod tests {
     }
 
     #[test]
-    fn fetch_add_returns_old() {
-        let mut m = sys(HardwareModel::Shared);
-        let (old, _) = m.fetch_add_u64(DomainId::X86, POOL, 3, Cycles::new(20));
-        assert_eq!(old, 0);
-        let (old, _) = m.fetch_add_u64(DomainId::ARM, POOL, 4, Cycles::new(20));
-        assert_eq!(old, 3);
-        assert_eq!(m.store().read_u64(POOL), 7);
-    }
-
-    #[test]
-    fn copy_bytes_moves_data_and_charges_both_sides() {
-        let mut m = sys(HardwareModel::Separated);
-        m.store_mut().write(X86_LOCAL, &[7u8; 4096]);
-        let c = m.copy_bytes(DomainId::ARM, X86_LOCAL, ARM_LOCAL, 4096);
-        // 64 line reads from remote (x86) memory + 64 line writes local.
-        assert!(c.raw() >= 64 * (640 + 300) - 64 * 300, "copy cost too low: {c}");
-        let mut buf = [0u8; 8];
-        m.store().read(ARM_LOCAL, &mut buf);
-        assert_eq!(buf, [7u8; 8]);
-    }
-
-    #[test]
     fn llc_eviction_back_invalidates_upper_levels() {
         // Tiny caches to force evictions quickly.
         let mut cfg = SimConfig::big_pair().with_hw_model(HardwareModel::Separated);
@@ -1670,81 +1409,6 @@ mod tests {
             );
         }
         assert!(m.writebacks(DomainId::X86) >= 1);
-    }
-
-    #[test]
-    fn aliases_remap_per_domain_and_stay_coherent() {
-        // §7 "memory remapping": the Arm instance maps the pool at a
-        // different physical base (as OpenPiton-style platforms do);
-        // both views are the same coherent memory.
-        let mut m = sys(HardwareModel::FullyShared);
-        let arm_view = PhysAddr::new(0x7_0000_0000);
-        let canon = PhysAddr::new(5 << 30);
-        m.add_alias(DomainId::ARM, arm_view, 1 << 20, canon);
-        // Arm writes through its alias…
-        m.write_u64(DomainId::ARM, arm_view.offset(0x40), 0xfade);
-        // …and x86 reads the canonical address coherently.
-        let (v, _) = m.read_u64(DomainId::X86, canon.offset(0x40));
-        assert_eq!(v, 0xfade);
-        // Writes the other way are visible through the alias.
-        m.write_u64(DomainId::X86, canon.offset(0x80), 7);
-        let (v, _) = m.read_u64(DomainId::ARM, arm_view.offset(0x80));
-        assert_eq!(v, 7);
-        // The alias does not apply to the other domain.
-        assert_eq!(m.canonicalize(DomainId::X86, arm_view), arm_view);
-        assert_eq!(m.canonicalize(DomainId::ARM, arm_view), canon);
-    }
-
-    #[test]
-    fn alias_views_share_cache_lines() {
-        // Cache coherence must key on the canonical address: an aliased
-        // write invalidates the peer's canonically-cached copy.
-        let mut m = sys(HardwareModel::Shared);
-        let arm_view = PhysAddr::new(0x7_0000_0000);
-        let canon = PhysAddr::new(5 << 30);
-        m.add_alias(DomainId::ARM, arm_view, 1 << 20, canon);
-        m.access(DomainId::X86, canon, Access::Read, AccessKind::Data);
-        assert!(m.caches_line(DomainId::X86, canon));
-        let out = m.access(DomainId::ARM, arm_view, Access::Write, AccessKind::Data);
-        assert!(out.snooped, "aliased write must snoop the canonical copy");
-        assert!(!m.caches_line(DomainId::X86, canon));
-    }
-
-    #[test]
-    #[should_panic(expected = "must not overlap")]
-    fn alias_overlap_rejected() {
-        let mut m = sys(HardwareModel::Shared);
-        m.add_alias(DomainId::ARM, PhysAddr::new(0x1000), 0x2000, PhysAddr::new(0x2000));
-    }
-
-    #[test]
-    fn ecc_single_bit_flip_is_corrected_by_scrub() {
-        let mut m = sys(HardwareModel::Shared);
-        m.store_mut().write_u64(POOL, 0xdead_beef);
-        let f = m.inject_bit_flip(POOL.offset(3), 5, false);
-        assert_eq!(f.addr, POOL, "flip aligns down to the word");
-        assert_eq!(f.mask.count_ones(), 1);
-        assert_ne!(m.store().read_u64(POOL), 0xdead_beef, "fault visible before scrub");
-        assert_eq!(m.ecc_pending().len(), 1);
-        let report = m.ecc_scrub(DomainId::X86);
-        assert_eq!(report, EccScrubReport { corrected: 1, uncorrectable: 0 });
-        assert_eq!(m.store().read_u64(POOL), 0xdead_beef, "SEC repairs the word");
-        assert!(m.ecc_pending().is_empty());
-        assert_eq!(m.stats(DomainId::X86).faults_recovered, 1);
-        assert_eq!(m.stats(DomainId::X86).faults_fatal, 0);
-    }
-
-    #[test]
-    fn ecc_double_bit_flip_is_detected_but_fatal() {
-        let mut m = sys(HardwareModel::Shared);
-        m.store_mut().write_u64(POOL, 77);
-        let f = m.inject_bit_flip(POOL, 63, true);
-        assert_eq!(f.mask.count_ones(), 2);
-        let report = m.ecc_scrub(DomainId::ARM);
-        assert_eq!(report, EccScrubReport { corrected: 0, uncorrectable: 1 });
-        assert_ne!(m.store().read_u64(POOL), 77, "DED cannot repair the data");
-        assert_eq!(m.stats(DomainId::ARM).faults_fatal, 1);
-        assert_eq!(m.stats(DomainId::ARM).faults_recovered, 0);
     }
 
     #[test]
@@ -2032,15 +1696,14 @@ mod tests {
     fn checkpoint_round_trip_resumes_bit_identically() {
         for model in [HardwareModel::Separated, HardwareModel::Shared, HardwareModel::FullyShared] {
             let mut m = sys(model);
-            // Warm up with mixed cross-domain traffic and a pending
-            // ECC fault so every serialized section is non-trivial.
+            // Warm up with mixed cross-domain traffic so every serialized
+            // section is non-trivial.
             for i in 0..96u64 {
                 m.access(DomainId::X86, POOL.offset(i * 64), Access::Write, AccessKind::Data);
                 m.access(DomainId::ARM, POOL.offset(i * 32), Access::Read, AccessKind::Data);
                 m.access(DomainId::ARM, X86_LOCAL.offset(i * 48), Access::Write, AccessKind::Data);
             }
             m.write_bytes(DomainId::X86, X86_LOCAL, b"checkpointed payload");
-            m.inject_bit_flip(POOL, 9, false);
 
             let mut e = stramash_sim::Encoder::new();
             m.save_state(&mut e);
@@ -2067,7 +1730,6 @@ mod tests {
             }
             assert_eq!(m.stats(DomainId::X86), r.stats(DomainId::X86));
             assert_eq!(m.stats(DomainId::ARM), r.stats(DomainId::ARM));
-            assert_eq!(m.ecc_scrub(DomainId::X86), r.ecc_scrub(DomainId::X86));
             let mut buf = [0u8; 20];
             r.store().read(X86_LOCAL, &mut buf);
             assert_eq!(&buf, b"checkpointed payload");
@@ -2138,10 +1800,10 @@ mod tests {
         plan
     }
 
-    /// `run_plan` is pinned to one `access_line` per op on every model,
+    /// `run_plan` is pinned to one `access` per op on every model,
     /// traced or not: each plan is replayed in 256-op turns that
     /// alternate between the domains, through `run_plan` on one system
-    /// and an `access_line` loop on another. Cycles per turn, both
+    /// and an `access` loop on another. Cycles per turn, both
     /// domains' stats and writebacks, the debug access trace and the
     /// full event stream must all match.
     #[test]
@@ -2173,8 +1835,7 @@ mod tests {
                             for op in plan.iter().skip(lo).take(hi - lo) {
                                 let access = if op.write { Access::Write } else { Access::Read };
                                 let addr = PhysAddr::new(op.addr & line_mask);
-                                want +=
-                                    slow.access_line(domain, addr, access, AccessKind::Data).cycles;
+                                want += slow.access(domain, addr, access, AccessKind::Data).cycles;
                             }
                             let ctx = format!("{model:?} traced={traced} round {round} plan {p}");
                             assert_eq!(got, want, "{ctx} turn {turn}: plan cycles");

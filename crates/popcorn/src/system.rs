@@ -393,8 +393,7 @@ impl PopcornSystem {
         let holder = requester.other();
         let base = &mut self.base;
         // Holder reads the page out of its frame (into the ring).
-        let src = base.mem.canonicalize(holder, src_frame);
-        let c_read = base.mem.access_range(holder, src, PAGE_SIZE, Access::Read);
+        let c_read = base.mem.access_range(holder, src_frame, PAGE_SIZE, Access::Read);
         base.charge(holder, c_read);
         // Message round-trip with the page payload on the response.
         let total = protocol_round_trip(
@@ -406,10 +405,9 @@ impl PopcornSystem {
         // Requester stores the payload into its local frame; the bytes
         // move once, so later reads see real data.
         let base = &mut self.base;
-        let dst = base.mem.canonicalize(requester, dst_frame);
-        let c_write = base.mem.access_range(requester, dst, PAGE_SIZE, Access::Write);
+        let c_write = base.mem.access_range(requester, dst_frame, PAGE_SIZE, Access::Write);
         base.charge(requester, c_write);
-        base.mem.store_mut().copy(src, dst, PAGE_SIZE);
+        base.mem.store_mut().copy(src_frame, dst_frame, PAGE_SIZE);
         let cost = c_read + c_write + total;
         self.base.emit(TraceEvent::DsmTransfer {
             from: holder,

@@ -36,9 +36,12 @@ pub const MAGIC: u32 = 0x5354_524d;
 /// `VMAS` section, validated on restore) instead of a red-black tree
 /// arena, and dropped the MMIO device registers. Version 5 dropped each
 /// cache level's probe hint and per-set occupancy counts from the `CCHE`
-/// section, which the restore now validates. Older artifacts are
-/// rejected with [`CheckpointError::BadVersion`].
-pub const VERSION: u32 = 5;
+/// section, which the restore now validates. Version 6 dropped the
+/// memory system's alias windows and ECC journal, the fault plan's
+/// double-bit fraction and retired fault site, and each frame region's
+/// online flag. Older artifacts are rejected with
+/// [`CheckpointError::BadVersion`].
+pub const VERSION: u32 = 6;
 
 /// Errors raised while decoding a checkpoint artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

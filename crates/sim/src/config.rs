@@ -49,18 +49,6 @@ impl LatencyTable {
     pub const XEON_GOLD: LatencyTable =
         LatencyTable { l1: 4, l2: 14, l3: 50, mem: 300, remote_mem: 640 };
 
-    /// Latency of an access that misses every cache and hits local memory.
-    #[must_use]
-    pub fn local_miss(&self) -> Cycles {
-        Cycles::new(self.mem as u64)
-    }
-
-    /// Latency of an access that misses every cache and hits remote memory.
-    #[must_use]
-    pub fn remote_miss(&self) -> Cycles {
-        Cycles::new(self.remote_mem as u64)
-    }
-
     /// The artifact's remote-vs-local differential ratio:
     /// `(remote - local) / remote`. For the AE constants (660 remote,
     /// 360 local) this is ≈ 0.455 and is used to derive Fully-Shared

@@ -32,10 +32,6 @@ pub enum FaultKind {
     AckDrop,
     /// An inter-processor interrupt was lost in the fabric.
     IpiLoss,
-    /// A single-bit memory flip (ECC-correctable).
-    BitFlipSingle,
-    /// A double-bit memory flip (ECC-detectable but uncorrectable).
-    BitFlipDouble,
     /// A transient frame-allocation failure.
     AllocFail,
     /// The global allocator refused a block grant (forced exhaustion).
@@ -59,8 +55,6 @@ pub enum FaultSite {
     Msg,
     /// `IpiFabric::send`.
     Ipi,
-    /// Physical memory (bit flips).
-    Mem,
     /// Frame / global allocation paths.
     Alloc,
     /// Cross-ISA page-table lock.
@@ -69,16 +63,15 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, in stream order.
-    pub const ALL: [FaultSite; 5] =
-        [FaultSite::Msg, FaultSite::Ipi, FaultSite::Mem, FaultSite::Alloc, FaultSite::Lock];
+    pub const ALL: [FaultSite; 4] =
+        [FaultSite::Msg, FaultSite::Ipi, FaultSite::Alloc, FaultSite::Lock];
 
     fn index(self) -> usize {
         match self {
             FaultSite::Msg => 0,
             FaultSite::Ipi => 1,
-            FaultSite::Mem => 2,
-            FaultSite::Alloc => 3,
-            FaultSite::Lock => 4,
+            FaultSite::Alloc => 2,
+            FaultSite::Lock => 3,
         }
     }
 }
@@ -118,9 +111,6 @@ pub struct FaultPlan {
     pub alloc_fail: f64,
     /// Probability a PTL acquisition finds the lock held by the peer.
     pub lock_contention: f64,
-    /// Of injected bit flips, the fraction that are double-bit
-    /// (uncorrectable) rather than single-bit (ECC-correctable).
-    pub double_bit: f64,
     /// Inclusive-exclusive site-local op window `[start, end)` outside of
     /// which nothing is injected. `None` means always armed.
     pub window: Option<(u64, u64)>,
@@ -146,7 +136,6 @@ impl FaultPlan {
             ipi_loss: 0.0,
             alloc_fail: 0.0,
             lock_contention: 0.0,
-            double_bit: 0.0,
             window: None,
             galloc_exhaust_at: None,
             crash: None,
@@ -250,7 +239,6 @@ impl FaultPlan {
             self.ipi_loss,
             self.alloc_fail,
             self.lock_contention,
-            self.double_bit,
         ] {
             e.f64(p);
         }
@@ -291,7 +279,6 @@ impl FaultPlan {
         plan.ipi_loss = d.f64()?;
         plan.alloc_fail = d.f64()?;
         plan.lock_contention = d.f64()?;
-        plan.double_bit = d.f64()?;
         plan.msg_delay_cycles = d.u64()?;
         plan.window = if d.bool()? { Some((d.u64()?, d.u64()?)) } else { None };
         plan.galloc_exhaust_at = d.opt_u64()?;
@@ -316,7 +303,8 @@ pub struct FaultCounters {
     pub retried: u64,
     /// Faults the stack fully recovered from.
     pub recovered: u64,
-    /// Faults that were not recoverable (e.g. double-bit flips).
+    /// Faults that were not recoverable (a message whose retransmission
+    /// cap ran out).
     pub fatal: u64,
 }
 
@@ -326,8 +314,8 @@ pub struct FaultCounters {
 pub struct FaultInjector {
     plan: FaultPlan,
     seed: u64,
-    streams: [SimRng; 5],
-    ops: [u64; 5],
+    streams: [SimRng; 4],
+    ops: [u64; 4],
     /// Grant requests observed by [`FaultInjector::galloc_exhausted`] —
     /// deliberately separate from the Alloc stream so the one-shot index
     /// counts grant requests, not every Alloc-site roll.
@@ -344,16 +332,20 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Builds an injector for `plan`, splitting one stream per site off
-    /// the root `seed`.
+    /// the root `seed`. The third split is drawn and dropped: it
+    /// belonged to a retired site, and skipping it keeps the Alloc and
+    /// Lock streams — so every seeded fault schedule — unchanged.
     #[must_use]
     pub fn new(plan: FaultPlan, seed: u64) -> Self {
         let mut root = SimRng::new(seed);
-        let streams = [root.split(), root.split(), root.split(), root.split(), root.split()];
+        let (msg, ipi) = (root.split(), root.split());
+        let _retired = root.split();
+        let streams = [msg, ipi, root.split(), root.split()];
         FaultInjector {
             plan,
             seed,
             streams,
-            ops: [0; 5],
+            ops: [0; 4],
             galloc_ops: 0,
             counters: FaultCounters::default(),
             log: Vec::new(),
@@ -511,20 +503,6 @@ impl FaultInjector {
         }
     }
 
-    /// Draws a bit-flip description from the Mem site: the bit index
-    /// within a 64-bit word and whether the flip is double-bit.
-    /// Callers apply the flip to the backing store and journal it.
-    pub fn bit_flip(&mut self) -> (u32, bool) {
-        let i = FaultSite::Mem.index();
-        let op = self.ops[i];
-        self.ops[i] += 1;
-        let bit = (self.streams[i].next_u64() % 64) as u32;
-        let double = self.streams[i].gen_f64() < self.plan.double_bit;
-        let kind = if double { FaultKind::BitFlipDouble } else { FaultKind::BitFlipSingle };
-        self.fire(kind, FaultSite::Mem, op);
-        (bit, double)
-    }
-
     /// Records `n` recovery attempts (retransmits, retries).
     pub fn note_retried(&mut self, n: u64) {
         self.counters.retried += n;
@@ -673,13 +651,11 @@ fn fault_kind_code(kind: FaultKind) -> u8 {
         FaultKind::MsgDelay => 2,
         FaultKind::AckDrop => 3,
         FaultKind::IpiLoss => 4,
-        FaultKind::BitFlipSingle => 5,
-        FaultKind::BitFlipDouble => 6,
-        FaultKind::AllocFail => 7,
-        FaultKind::GallocExhausted => 8,
-        FaultKind::LockContention => 9,
-        FaultKind::RingBackpressure => 10,
-        FaultKind::DomainCrash => 11,
+        FaultKind::AllocFail => 5,
+        FaultKind::GallocExhausted => 6,
+        FaultKind::LockContention => 7,
+        FaultKind::RingBackpressure => 8,
+        FaultKind::DomainCrash => 9,
     }
 }
 
@@ -690,13 +666,11 @@ fn fault_kind_from_code(code: u8) -> Option<FaultKind> {
         2 => FaultKind::MsgDelay,
         3 => FaultKind::AckDrop,
         4 => FaultKind::IpiLoss,
-        5 => FaultKind::BitFlipSingle,
-        6 => FaultKind::BitFlipDouble,
-        7 => FaultKind::AllocFail,
-        8 => FaultKind::GallocExhausted,
-        9 => FaultKind::LockContention,
-        10 => FaultKind::RingBackpressure,
-        11 => FaultKind::DomainCrash,
+        5 => FaultKind::AllocFail,
+        6 => FaultKind::GallocExhausted,
+        7 => FaultKind::LockContention,
+        8 => FaultKind::RingBackpressure,
+        9 => FaultKind::DomainCrash,
         _ => return None,
     })
 }
@@ -863,17 +837,13 @@ mod tests {
     }
 
     #[test]
-    fn bit_flip_draws_bit_and_severity() {
-        let mut plan = FaultPlan::none();
-        plan.double_bit = 1.0;
-        let mut inj = FaultInjector::new(plan, 4);
-        let (bit, double) = inj.bit_flip();
-        assert!(bit < 64);
-        assert!(double);
-        assert_eq!(inj.log()[0].kind, FaultKind::BitFlipDouble);
-        plan.double_bit = 0.0;
-        let mut inj = FaultInjector::new(plan, 4);
-        let (_, double) = inj.bit_flip();
-        assert!(!double);
+    fn site_streams_skip_the_retired_third_split() {
+        // The Alloc and Lock streams are the root's fourth and fifth
+        // splits, so seeded fault replays survive the retired site.
+        let mut root = SimRng::new(0x5eed);
+        let splits: Vec<u64> = (0..5).map(|_| root.split().state()).collect();
+        let inj = FaultInjector::new(FaultPlan::none(), 0x5eed);
+        let streams: Vec<u64> = inj.streams.iter().map(SimRng::state).collect();
+        assert_eq!(streams, [splits[0], splits[1], splits[3], splits[4]]);
     }
 }

@@ -18,7 +18,7 @@
 //!   (§7.2) and the IPI-latency characterisation of Figures 5 and 6,
 //! * a deterministic [`rng`] so every experiment is reproducible,
 //! * a [`fault`] module scheduling deterministic, replayable fault
-//!   injection (message loss, IPI loss, bit flips, allocation failures)
+//!   injection (message loss, IPI loss, allocation failures, lock contention)
 //!   for the robustness harness,
 //! * a [`trace`] module with the deterministic observability layer: a
 //!   bounded typed-event ring and latency histograms wired through

@@ -159,7 +159,8 @@ pub struct DomainStats {
     pub faults_retried: u64,
     /// Injected faults this domain fully recovered from.
     pub faults_recovered: u64,
-    /// Injected faults that were unrecoverable (e.g. double-bit flips).
+    /// Injected faults that were unrecoverable (a message whose
+    /// retransmission cap ran out).
     pub faults_fatal: u64,
     /// Accumulated runtime (icount + memory feedback).
     pub runtime: Cycles,

@@ -175,15 +175,6 @@ impl<'a, S: OsSystem> MemoryClient<'a, S> {
         Ok(ArrayU64 { base, len })
     }
 
-    /// Allocates raw bytes.
-    ///
-    /// # Errors
-    ///
-    /// VMA errors.
-    pub fn alloc_bytes(&mut self, len: u64) -> Result<VirtAddr, OsError> {
-        self.sys.mmap(self.pid, len, VmaProt::rw())
-    }
-
     /// Loads `a[i]`.
     ///
     /// # Errors
@@ -691,7 +682,7 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
     }
 
     /// Resolves every op of element `i` through the session without
-    /// committing any: canonical addresses land in `pas` and read values
+    /// committing any: physical addresses land in `pas` and read values
     /// in `rv`. Returns `false` on the first session miss, which sends
     /// the whole element down the session element path.
     fn resolve_element(
@@ -704,19 +695,17 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         pas: &mut [u64],
     ) -> bool {
         let session = &self.c.session;
-        let domain = session.domain();
         let mem = &self.c.sys.base().mem;
         for j in 0..reads.len() {
             let va = reads[j].at(reads[j].resolve(i, idx, &rv[..j]));
             let Some(pa) = session.lookup(va, false) else { return false };
-            let pa = mem.canonicalize(domain, pa);
             pas[j] = pa.raw();
             rv[j] = mem.store().read_u64(pa);
         }
         for (j, c) in writes.iter().enumerate() {
             let va = c.at(c.resolve(i, idx, rv));
             let Some(pa) = session.lookup(va, true) else { return false };
-            pas[reads.len() + j] = mem.canonicalize(domain, pa).raw();
+            pas[reads.len() + j] = pa.raw();
         }
         true
     }
@@ -761,7 +750,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
                 self.c.sys.session_translate(&mut self.c.session, reads[j].at(e), false)?;
             let domain = self.c.session.domain();
             let base = self.c.sys.base_mut();
-            let pa = base.mem.canonicalize(domain, pa);
             let (bits, cyc) = base.mem.read_u64_aligned(domain, pa);
             base.charge(domain, cyc);
             rv[j] = bits;
@@ -773,7 +761,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
             let (pa, _) = self.c.sys.session_translate(&mut self.c.session, c.at(e), true)?;
             let domain = self.c.session.domain();
             let base = self.c.sys.base_mut();
-            let pa = base.mem.canonicalize(domain, pa);
             let cyc = base.mem.write_u64_aligned(domain, pa, wv[j]);
             base.charge(domain, cyc);
         }

@@ -458,92 +458,118 @@ pub fn run_kv(
     requests: u64,
     payload_len: u32,
 ) -> Result<KvRunResult, OsError> {
-    let pid = sys.spawn(DomainId::X86)?;
-    // Heap sized for the worst case (mset: 5 entries per request).
-    let heap = (requests * 6 + 1024) * (ENTRY_HEADER + u64::from(payload_len) + 64);
-    let mut server = KvServer::setup(sys, pid, heap)?;
-    let payload = vec![0xabu8; payload_len as usize];
-
-    // The server migrates to the remote kernel "during the processing of
-    // the time_event" (§9.2.8).
-    if sys.kind().migrates() {
-        sys.migrate(pid, DomainId::ARM)?;
-    }
-
-    // Pre-populate for read-side operations.
-    match op {
-        KvOp::Get => {
-            for r in 0..requests {
-                server.insert_string(sys, pid, key_of(r), &payload)?;
-            }
-        }
-        KvOp::Lpop | KvOp::Rpop => {
-            for _ in 0..requests {
-                server.process(sys, pid, KvOp::Lpush, 0, &payload)?;
-            }
-        }
-        _ => {}
-    }
-
-    let server_domain = sys.current_domain(pid)?;
-    let client_domain = DomainId::X86;
-    let before = sys.runtime();
-    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    let mut run = KvRun::setup(sys, op, requests, payload_len)?;
     for r in 0..requests {
-        // Client → server request over the messaging layer.
-        let req = Message { ty: MsgType::KvRequest, payload: payload_len };
-        let (send_c, recv_c) = {
-            let base = sys.base_mut();
-            let send_c = {
-                let (msg, mem, ipi) = (&mut base.msg, &mut base.mem, &mut base.ipi);
-                msg.send(mem, ipi, client_domain, req)
-            };
-            let recv_c = {
-                let (msg, mem) = (&mut base.msg, &mut base.mem);
-                msg.receive(mem, server_domain, req)
-            };
-            base.charge(client_domain, send_c);
-            base.charge(server_domain, recv_c);
-            (send_c, recv_c)
-        };
-        let _ = (send_c, recv_c);
-        // Server processes the operation.
-        let resp_len = server.process(sys, pid, op, key_of(r), &payload)?;
+        run.request(sys, r)?;
+    }
+    run.sweep(sys)
+}
+
+/// One Figure 14 run between requests: the server process, its store
+/// and domain, and the running fingerprint. [`run_kv`] serves every
+/// request in one loop; the crash-recovery supervisor
+/// ([`crate::recovery`]) serves one request per step.
+#[derive(Debug)]
+pub(crate) struct KvRun {
+    pub(crate) pid: Pid,
+    pub(crate) server: KvServer,
+    pub(crate) op: KvOp,
+    pub(crate) requests: u64,
+    pub(crate) payload: Vec<u8>,
+    pub(crate) server_domain: DomainId,
+    pub(crate) checksum: u64,
+    /// The runtime when the timed requests began.
+    pub(crate) before: Cycles,
+}
+
+impl KvRun {
+    /// Spawns the server on x86 with a heap sized for the worst case
+    /// (mset: 5 entries per request), migrates it to the remote kernel
+    /// "during the processing of the time_event" (§9.2.8), and
+    /// pre-populates the store for the read-side operations.
+    pub(crate) fn setup(
+        sys: &mut TargetSystem,
+        op: KvOp,
+        requests: u64,
+        payload_len: u32,
+    ) -> Result<Self, OsError> {
+        let pid = sys.spawn(DomainId::X86)?;
+        let heap = (requests * 6 + 1024) * (ENTRY_HEADER + u64::from(payload_len) + 64);
+        let mut server = KvServer::setup(sys, pid, heap)?;
+        let payload = vec![0xabu8; payload_len as usize];
+        if sys.kind().migrates() {
+            sys.migrate(pid, DomainId::ARM)?;
+        }
+        match op {
+            KvOp::Get => {
+                for r in 0..requests {
+                    server.insert_string(sys, pid, key_of(r), &payload)?;
+                }
+            }
+            KvOp::Lpop | KvOp::Rpop => {
+                for _ in 0..requests {
+                    server.process(sys, pid, KvOp::Lpush, 0, &payload)?;
+                }
+            }
+            _ => {}
+        }
+        Ok(KvRun {
+            pid,
+            server,
+            op,
+            requests,
+            payload,
+            server_domain: sys.current_domain(pid)?,
+            checksum: 0xcbf2_9ce4_8422_2325,
+            before: sys.runtime(),
+        })
+    }
+
+    /// Serves request `r`: the client's request crosses the messaging
+    /// layer, the server processes it, its response length is folded
+    /// into the fingerprint, and the response crosses back.
+    pub(crate) fn request(&mut self, sys: &mut TargetSystem, r: u64) -> Result<(), OsError> {
+        let req = Message { ty: MsgType::KvRequest, payload: self.payload.len() as u32 };
+        Self::deliver(sys, DomainId::X86, self.server_domain, req);
+        let resp_len = self.server.process(sys, self.pid, self.op, key_of(r), &self.payload)?;
         for b in resp_len.to_le_bytes() {
-            checksum = fnv(checksum, b);
+            self.checksum = fnv(self.checksum, b);
         }
-        // Server → client response.
         let resp = Message { ty: MsgType::KvResponse, payload: resp_len };
-        let base = sys.base_mut();
-        let send_c = {
-            let (msg, mem, ipi) = (&mut base.msg, &mut base.mem, &mut base.ipi);
-            msg.send(mem, ipi, server_domain, resp)
-        };
-        let recv_c = {
-            let (msg, mem) = (&mut base.msg, &mut base.mem);
-            msg.receive(mem, client_domain, resp)
-        };
-        base.charge(server_domain, send_c);
-        base.charge(client_domain, recv_c);
+        Self::deliver(sys, self.server_domain, DomainId::X86, resp);
+        Ok(())
     }
-    let total = sys.runtime() - before;
-    // Functional sweep (untimed as far as the reported total goes):
-    // fold every stored string payload into the fingerprint so silent
-    // data corruption — not just wrong response lengths — is caught.
-    for r in 0..requests {
-        if let Some(stored) = server.fetch_string(sys, pid, key_of(r))? {
-            for b in stored {
-                checksum = fnv(checksum, b);
+
+    /// Sends `m` from `from` and receives it on `to`, charging each side.
+    fn deliver(sys: &mut TargetSystem, from: DomainId, to: DomainId, m: Message) {
+        let base = sys.base_mut();
+        let send_c = base.msg.send(&mut base.mem, &mut base.ipi, from, m);
+        let recv_c = base.msg.receive(&mut base.mem, to, m);
+        base.charge(from, send_c);
+        base.charge(to, recv_c);
+    }
+
+    /// Ends the run. The functional sweep after the timed total folds
+    /// every stored string payload into the fingerprint, so silent data
+    /// corruption — not just wrong response lengths — is caught.
+    pub(crate) fn sweep(&self, sys: &mut TargetSystem) -> Result<KvRunResult, OsError> {
+        let total = sys.runtime() - self.before;
+        let mut checksum = self.checksum;
+        for r in 0..self.requests {
+            if let Some(stored) = self.server.fetch_string(sys, self.pid, key_of(r))? {
+                for b in stored {
+                    checksum = fnv(checksum, b);
+                }
             }
         }
+        Ok(KvRunResult {
+            op: self.op,
+            requests: self.requests,
+            total,
+            per_request: total.raw() as f64 / self.requests as f64,
+            checksum,
+        })
     }
-    Ok(KvRunResult {
-        op,
-        requests,
-        total,
-        per_request: total.raw() as f64 / requests as f64,
-        checksum,
-    })
 }
 
 pub(crate) fn key_of(r: u64) -> u64 {

@@ -10,7 +10,7 @@
 //!   continuously locks while the remote continuously unlocks.
 
 use crate::target::TargetSystem;
-use stramash_kernel::addr::{VirtAddr, PAGE_SIZE};
+use stramash_kernel::addr::PAGE_SIZE;
 use stramash_kernel::system::{OsError, OsSystem};
 use stramash_kernel::vma::VmaProt;
 use stramash_sim::{Cycles, DomainId};
@@ -215,13 +215,6 @@ pub fn futex_pingpong(sys: &mut TargetSystem, loops: u64) -> Result<FutexResult,
     let counted = sys.load_u64(pid, counter)?;
     debug_assert_eq!(counted, loops, "every loop increments once");
     Ok(FutexResult { loops, total })
-}
-
-/// Convenience: the futex word VA used by [`futex_pingpong`] (for tests
-/// that inspect state).
-#[must_use]
-pub fn futex_word_va() -> VirtAddr {
-    VirtAddr::new(stramash_kernel::process::MMAP_BASE)
 }
 
 #[cfg(test)]

@@ -21,11 +21,10 @@
 //! [`FaultPlan`]: stramash_sim::FaultPlan
 
 use crate::client::{ArrayU64, MemoryClient};
-use crate::kvstore::{fnv, KvOp, KvRunResult, KvServer};
+use crate::kvstore::{KvOp, KvRun, KvRunResult, KvServer};
 use crate::npb::is::{self, IsArrays};
 use crate::npb::{offload, Class, NpbOutcome};
 use crate::target::TargetSystem;
-use stramash_kernel::msg::{Message, MsgType};
 use stramash_kernel::process::Pid;
 use stramash_kernel::system::{OsError, OsSystem};
 use stramash_kernel::watchdog::DEFAULT_THRESHOLD;
@@ -199,17 +198,6 @@ fn supervise<W: Stepped>(
 // Stepped KV store (one request per step)
 // ---------------------------------------------------------------------
 
-struct SteppedKv {
-    pid: Pid,
-    server: KvServer,
-    op: KvOp,
-    requests: u64,
-    payload: Vec<u8>,
-    server_domain: DomainId,
-    checksum: u64,
-    before: stramash_sim::Cycles,
-}
-
 fn op_code(op: KvOp) -> u8 {
     KvOp::ALL.iter().position(|&o| o == op).unwrap_or(0) as u8
 }
@@ -218,11 +206,7 @@ fn op_from_code(code: u8) -> Result<KvOp, CheckpointError> {
     KvOp::ALL.get(code as usize).copied().ok_or(CheckpointError::Malformed("unknown KV op code"))
 }
 
-fn key_of(r: u64) -> u64 {
-    r.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 16
-}
-
-impl Stepped for SteppedKv {
+impl Stepped for KvRun {
     type Output = KvRunResult;
 
     fn save(&self, e: &mut Encoder) {
@@ -252,38 +236,7 @@ impl Stepped for SteppedKv {
     }
 
     fn step(&mut self, sys: &mut TargetSystem, step: u64) -> Result<(), OsError> {
-        let client_domain = DomainId::X86;
-        let req = Message { ty: MsgType::KvRequest, payload: self.payload.len() as u32 };
-        {
-            let base = sys.base_mut();
-            let send_c = {
-                let (msg, mem, ipi) = (&mut base.msg, &mut base.mem, &mut base.ipi);
-                msg.send(mem, ipi, client_domain, req)
-            };
-            let recv_c = {
-                let (msg, mem) = (&mut base.msg, &mut base.mem);
-                msg.receive(mem, self.server_domain, req)
-            };
-            base.charge(client_domain, send_c);
-            base.charge(self.server_domain, recv_c);
-        }
-        let resp_len = self.server.process(sys, self.pid, self.op, key_of(step), &self.payload)?;
-        for b in resp_len.to_le_bytes() {
-            self.checksum = fnv(self.checksum, b);
-        }
-        let resp = Message { ty: MsgType::KvResponse, payload: resp_len };
-        let base = sys.base_mut();
-        let send_c = {
-            let (msg, mem, ipi) = (&mut base.msg, &mut base.mem, &mut base.ipi);
-            msg.send(mem, ipi, self.server_domain, resp)
-        };
-        let recv_c = {
-            let (msg, mem) = (&mut base.msg, &mut base.mem);
-            msg.receive(mem, client_domain, resp)
-        };
-        base.charge(self.server_domain, send_c);
-        base.charge(client_domain, recv_c);
-        Ok(())
+        self.request(sys, step)
     }
 
     fn adopt(&mut self, sys: &mut TargetSystem, survivor: DomainId) -> Result<(), OsError> {
@@ -302,22 +255,7 @@ impl Stepped for SteppedKv {
     }
 
     fn finish(&mut self, sys: &mut TargetSystem) -> Result<KvRunResult, OsError> {
-        let total = sys.runtime() - self.before;
-        let mut checksum = self.checksum;
-        for r in 0..self.requests {
-            if let Some(stored) = self.server.fetch_string(sys, self.pid, key_of(r))? {
-                for b in stored {
-                    checksum = fnv(checksum, b);
-                }
-            }
-        }
-        Ok(KvRunResult {
-            op: self.op,
-            requests: self.requests,
-            total,
-            per_request: total.raw() as f64 / self.requests as f64,
-            checksum,
-        })
+        self.sweep(sys)
     }
 }
 
@@ -338,39 +276,8 @@ pub fn run_kv_recovered(
     payload_len: u32,
     rc: &RecoveryConfig,
 ) -> Result<Recovered<KvRunResult>, OsError> {
-    let pid = sys.spawn(DomainId::X86)?;
-    let heap = (requests * 6 + 1024) * (24 + u64::from(payload_len) + 64);
-    let mut server = KvServer::setup(&mut sys, pid, heap)?;
-    let payload = vec![0xabu8; payload_len as usize];
-    if sys.kind().migrates() {
-        sys.migrate(pid, DomainId::ARM)?;
-    }
-    match op {
-        KvOp::Get => {
-            for r in 0..requests {
-                server.process(&mut sys, pid, KvOp::Set, key_of(r), &payload)?;
-            }
-        }
-        KvOp::Lpop | KvOp::Rpop => {
-            for _ in 0..requests {
-                server.process(&mut sys, pid, KvOp::Lpush, 0, &payload)?;
-            }
-        }
-        _ => {}
-    }
-    let server_domain = sys.current_domain(pid)?;
-    let before = sys.runtime();
-    let w = SteppedKv {
-        pid,
-        server,
-        op,
-        requests,
-        payload,
-        server_domain,
-        checksum: 0xcbf2_9ce4_8422_2325,
-        before,
-    };
-    supervise(sys, w, requests, rc)
+    let run = KvRun::setup(&mut sys, op, requests, payload_len)?;
+    supervise(sys, run, requests, rc)
 }
 
 // ---------------------------------------------------------------------

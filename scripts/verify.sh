@@ -33,4 +33,8 @@ echo "==> chaos-smoke: seeded sweep (must stay green)"
 echo "==> chaos-smoke: injected regression (must be found and shrunk)"
 ./target/release/stramash-cli chaos --seed 0x5eed --stages 4 --inject-regression
 
+# Informational, not a gate: the non-test line count the change log
+# quotes.
+echo "==> non-test Rust lines: $(./scripts/loc.sh)"
+
 echo "==> verify: OK"

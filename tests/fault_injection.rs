@@ -163,21 +163,6 @@ fn corruption_and_delay_are_recovered_transparently() {
 }
 
 #[test]
-fn ecc_scrub_recovers_injected_single_bit_flip_end_to_end() {
-    let mut sys = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
-    let pid = sys.spawn(DomainId::X86).unwrap();
-    let va = sys.mmap(pid, 4096, VmaProt::rw()).unwrap();
-    sys.store_u64(pid, va, 0xdead_beef).unwrap();
-    let (pa, _) = sys.translate(pid, va, false).unwrap();
-    sys.base_mut().mem.inject_bit_flip(pa, 17, false);
-    let report = sys.base_mut().mem.ecc_scrub(DomainId::X86);
-    assert_eq!(report.corrected, 1);
-    assert_eq!(report.uncorrectable, 0);
-    assert_eq!(sys.load_u64(pid, va).unwrap(), 0xdead_beef, "scrub must repair the word");
-    assert_eq!(sys.base().mem.stats(DomainId::X86).faults_recovered, 1);
-}
-
-#[test]
 fn fault_free_plan_changes_nothing() {
     // Installing a no-op plan must not consume RNG or change a single
     // cycle of the cost model.
