@@ -310,15 +310,7 @@ impl StramashSystem {
             // The first buddy attempt is discarded and immediately
             // retried; only the retry overhead is observable.
             self.base.charge(domain, ALLOC_RETRY_COST);
-            if let Some(inj) = self.base.fault_injector() {
-                let mut inj = inj.borrow_mut();
-                inj.note_retried(1);
-                inj.note_recovered(1);
-            }
-            let s = self.base.mem.stats_mut(domain);
-            s.faults_injected += 1;
-            s.faults_retried += 1;
-            s.faults_recovered += 1;
+            self.base.mem.stats_mut(domain).note_retried_fault();
         }
         if forced_exhaust {
             self.base.mem.stats_mut(domain).faults_injected += 1;
@@ -335,9 +327,6 @@ impl StramashSystem {
                 if forced_exhaust {
                     // Grant denied, but the local free list still had a
                     // frame: graceful degradation, no grow needed.
-                    if let Some(inj) = self.base.fault_injector() {
-                        inj.borrow_mut().note_recovered(1);
-                    }
                     self.base.mem.stats_mut(domain).faults_recovered += 1;
                 }
                 f
@@ -346,17 +335,11 @@ impl StramashSystem {
                 // Eviction retry: grow (possibly evicting a peer block)
                 // and allocate again before surfacing a typed error.
                 if forced_exhaust {
-                    if let Some(inj) = self.base.fault_injector() {
-                        inj.borrow_mut().note_retried(1);
-                    }
                     self.base.mem.stats_mut(domain).faults_retried += 1;
                 }
                 self.grow(domain)?;
                 let f = self.base.kernels[domain.index()].frames.alloc()?;
                 if forced_exhaust {
-                    if let Some(inj) = self.base.fault_injector() {
-                        inj.borrow_mut().note_recovered(1);
-                    }
                     self.base.mem.stats_mut(domain).faults_recovered += 1;
                 }
                 f
@@ -453,9 +436,6 @@ impl StramashSystem {
             total += c;
             if res.is_ok() && !contended {
                 if attempt > 1 {
-                    if let Some(inj) = self.base.fault_injector() {
-                        inj.borrow_mut().note_recovered(1);
-                    }
                     self.base.mem.stats_mut(domain).faults_recovered += 1;
                 }
                 self.counters.ptl_acquisitions += 1;
@@ -467,9 +447,6 @@ impl StramashSystem {
                 let c_undo = self.base.mem.write_u64(domain, ptl, 0);
                 self.base.charge(domain, c_undo);
                 total += c_undo;
-            }
-            if let Some(inj) = self.base.fault_injector() {
-                inj.borrow_mut().note_retried(1);
             }
             let s = self.base.mem.stats_mut(domain);
             s.faults_injected += u64::from(contended);
@@ -923,8 +900,7 @@ impl OsSystem for StramashSystem {
             });
             if w.domain != domain {
                 // One cross-ISA IPI wakes the waiter (§6.5).
-                let c = self.base.ipi.send(domain);
-                self.base.mem.stats_mut(domain).ipi += 1;
+                let c = self.base.ipi.send(domain, self.base.mem.stats_mut(domain));
                 self.base.charge(domain, c);
                 total += c;
                 self.counters.futex_wake_ipis += 1;

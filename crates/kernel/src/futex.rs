@@ -145,7 +145,7 @@ impl FutexTable {
             e.u64(q.len() as u64);
             for w in q {
                 e.u64(w.thread.0);
-                e.u8(w.domain.index() as u8);
+                e.domain(w.domain);
             }
         }
         e.u64(self.waits);
@@ -161,7 +161,6 @@ impl FutexTable {
         &mut self,
         d: &mut stramash_sim::checkpoint::Decoder<'_>,
     ) -> Result<(), stramash_sim::checkpoint::CheckpointError> {
-        use stramash_sim::checkpoint::CheckpointError;
         d.tag(0x4654_5851)?;
         let n = d.len()?;
         let mut queues = IntMap::with_capacity_and_hasher(n, Default::default());
@@ -171,12 +170,7 @@ impl FutexTable {
             let mut q = VecDeque::with_capacity(m);
             for _ in 0..m {
                 let thread = ThreadId(d.u64()?);
-                let domain = match d.u8()? {
-                    0 => DomainId::X86,
-                    1 => DomainId::ARM,
-                    _ => return Err(CheckpointError::Malformed("bad futex waiter domain")),
-                };
-                q.push_back(Waiter { thread, domain });
+                q.push_back(Waiter { thread, domain: d.domain()? });
             }
             queues.insert(uaddr, q);
         }

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use stramash_mem::{MemorySystem, PhysAddr};
+use stramash_mem::{Access, MemorySystem, PhysAddr};
 use stramash_sim::ipi::{IpiFabric, NotifyMode};
 pub use stramash_sim::trace::MsgType;
 use stramash_sim::trace::TraceEvent;
@@ -136,7 +136,6 @@ pub struct MsgCounters {
     bytes: [u64; 2],
     by_type: BTreeMap<MsgType, u64>,
     retransmits: [u64; 2],
-    timeouts: [u64; 2],
     dup_delivered: [u64; 2],
     backpressure_stalls: [u64; 2],
 }
@@ -171,12 +170,6 @@ impl MsgCounters {
     #[must_use]
     pub fn retransmits(&self) -> u64 {
         self.retransmits.iter().sum()
-    }
-
-    /// Total ack timeouts in both directions.
-    #[must_use]
-    pub fn timeouts(&self) -> u64 {
-        self.timeouts.iter().sum()
     }
 
     /// Duplicate deliveries `domain` received and discarded by sequence
@@ -626,8 +619,8 @@ impl MessagingLayer {
     /// corrupts the transmission (or its ack), the sender waits out a
     /// capped-exponential timeout and retransmits — every retry pays the
     /// real ring-write (or TCP half-RTT) cost again, the receiver dedups
-    /// re-deliveries by sequence number, and all of it lands in
-    /// [`MsgCounters`] and the per-domain fault statistics. With no
+    /// re-deliveries by sequence number, and each fault lands once in the
+    /// sender's [`DomainStats`](stramash_sim::DomainStats). With no
     /// injector installed the fast path is byte- and cycle-identical to
     /// the fault-free model.
     pub fn send(
@@ -652,15 +645,13 @@ impl MessagingLayer {
         // so it adds no bytes and no extra timed accesses).
         self.next_seq[from.index()] += 1;
 
-        // Mirrored into the per-domain fault statistics at the end.
-        let mut injected = 0u64;
-        let mut retried = 0u64;
-        let mut recovered = 0u64;
-        let mut fatal = 0u64;
-
-        let cycles = match self.transport {
+        // The transports differ only in the attempt cost (a ring write
+        // vs half the measured 75 µs round trip), the ack timeout (two
+        // IPI latencies vs one RTT), and the notify step and ack leg,
+        // which only the ring has.
+        let mut cycles = Cycles::ZERO;
+        let (notify, timeout_base) = match self.transport {
             Transport::Shm { notify } => {
-                let mut cycles = Cycles::ZERO;
                 // Ring-overflow backpressure: never overwrite unread
                 // messages. The sender stalls (~one notify round trip)
                 // for the receiver to drain its ring, then restarts at
@@ -668,200 +659,89 @@ impl MessagingLayer {
                 if self.outstanding[to.index()] + wire > self.ring_len {
                     cycles += Cycles::new(ipi.latency().raw() * 2);
                     self.counters.backpressure_stalls[from.index()] += 1;
-                    if let Some(inj) = &self.injector {
-                        inj.borrow_mut().note_backpressure();
-                    }
                     self.outstanding[to.index()] = 0;
                     self.cursor[to.index()] = 0;
                     self.emit(TraceEvent::MsgBackpressure { from });
                 }
-                let timeout_base = Cycles::new(ipi.latency().raw() * 2);
-                let mut attempt = 0u32;
-                loop {
-                    attempt += 1;
-                    if attempt > 1 {
-                        self.emit(TraceEvent::MsgRetransmit { from, ty: msg.ty, attempt });
-                    }
-                    let addr = self.slot(to, wire);
-                    let payload = vec![0u8; wire_len(wire)];
-                    cycles += mem.write_bytes(from, addr, &payload);
-                    let fault = match &self.injector {
-                        Some(inj) => inj.borrow_mut().msg_fault(),
-                        None => None,
-                    };
-                    match fault {
-                        Some(FaultKind::MsgDrop | FaultKind::MsgCorrupt)
-                            if attempt < MAX_SEND_ATTEMPTS =>
-                        {
-                            // Lost in the channel (a corrupt message is
-                            // checksum-rejected by the receiver): the ack
-                            // never comes, so wait out the timeout and
-                            // retransmit.
-                            cycles += Self::backoff(timeout_base, attempt);
-                            self.counters.timeouts[from.index()] += 1;
-                            self.counters.retransmits[from.index()] += 1;
-                            injected += 1;
-                            retried += 1;
-                            recovered += 1;
-                            if let Some(inj) = &self.injector {
-                                let mut inj = inj.borrow_mut();
-                                inj.note_retried(1);
-                                inj.note_recovered(1);
-                            }
-                            continue;
-                        }
-                        Some(FaultKind::MsgDrop | FaultKind::MsgCorrupt) => {
-                            // Retransmission cap reached: deliver the
-                            // final attempt but record the protocol gave
-                            // up retrying (unreachable under sane plans).
-                            injected += 1;
-                            fatal += 1;
-                            if let Some(inj) = &self.injector {
-                                inj.borrow_mut().note_fatal(1);
-                            }
-                        }
-                        Some(FaultKind::MsgDelay) => {
-                            // Delivered late: pure added latency.
-                            let delay = match &self.injector {
-                                Some(inj) => inj.borrow().plan().msg_delay_cycles,
-                                None => 0,
-                            };
-                            cycles += Cycles::new(delay);
-                            injected += 1;
-                            recovered += 1;
-                            if let Some(inj) = &self.injector {
-                                inj.borrow_mut().note_recovered(1);
-                            }
-                        }
-                        _ => {}
-                    }
-                    // Delivered: notify the receiver. The fabric itself
-                    // retries injected IPI losses; fold its retry count
-                    // into this domain's fault statistics.
-                    match notify {
-                        NotifyMode::Interrupt => {
-                            let fabric_retries = ipi.retries();
-                            cycles += ipi.send(from);
-                            mem.stats_mut(from).ipi += 1;
-                            let lost = ipi.retries() - fabric_retries;
-                            injected += lost;
-                            retried += lost;
-                            recovered += lost;
-                        }
-                        NotifyMode::Polling => {}
-                    }
-                    break;
-                }
-                // Ack leg: a delivered message whose ack is lost looks
-                // like a drop to the sender — it retransmits, and the
-                // receiver discards the duplicate by sequence number.
-                if self.injector.is_some() {
-                    let mut ack_attempt = 1u32;
-                    loop {
-                        let dropped = match &self.injector {
-                            Some(inj) => inj.borrow_mut().ack_dropped(),
-                            None => false,
-                        };
-                        if !dropped || ack_attempt >= MAX_SEND_ATTEMPTS {
-                            break;
-                        }
-                        ack_attempt += 1;
-                        self.emit(TraceEvent::MsgRetransmit {
-                            from,
-                            ty: msg.ty,
-                            attempt: ack_attempt,
-                        });
-                        cycles += Self::backoff(timeout_base, ack_attempt);
-                        let addr = self.slot(to, wire);
-                        let payload = vec![0u8; wire_len(wire)];
-                        cycles += mem.write_bytes(from, addr, &payload);
-                        if let NotifyMode::Interrupt = notify {
-                            cycles += ipi.send(from);
-                            mem.stats_mut(from).ipi += 1;
-                        }
-                        self.counters.timeouts[from.index()] += 1;
-                        self.counters.retransmits[from.index()] += 1;
-                        self.counters.dup_delivered[to.index()] += 1;
-                        injected += 1;
-                        retried += 1;
-                        recovered += 1;
-                        if let Some(inj) = &self.injector {
-                            let mut inj = inj.borrow_mut();
-                            inj.note_retried(1);
-                            inj.note_recovered(1);
-                        }
-                    }
-                }
-                self.outstanding[to.index()] += wire;
-                cycles
+                (Some(notify), Cycles::new(ipi.latency().raw() * 2))
             }
-            // One way is half the measured 75 µs round trip; a protocol
-            // request/response pair thus costs one full RTT. A dropped
-            // segment costs a full-RTT timeout plus the retransmitted
-            // half-RTT.
-            Transport::Tcp => {
-                let mut cycles = Cycles::ZERO;
-                let mut attempt = 0u32;
-                loop {
-                    attempt += 1;
-                    if attempt > 1 {
-                        self.emit(TraceEvent::MsgRetransmit { from, ty: msg.ty, attempt });
-                    }
-                    cycles += self.tcp_rtt / 2;
-                    let fault = match &self.injector {
-                        Some(inj) => inj.borrow_mut().msg_fault(),
-                        None => None,
-                    };
-                    match fault {
-                        Some(FaultKind::MsgDrop | FaultKind::MsgCorrupt)
-                            if attempt < MAX_SEND_ATTEMPTS =>
-                        {
-                            cycles += Self::backoff(self.tcp_rtt, attempt);
-                            self.counters.timeouts[from.index()] += 1;
-                            self.counters.retransmits[from.index()] += 1;
-                            injected += 1;
-                            retried += 1;
-                            recovered += 1;
-                            if let Some(inj) = &self.injector {
-                                let mut inj = inj.borrow_mut();
-                                inj.note_retried(1);
-                                inj.note_recovered(1);
-                            }
-                            continue;
-                        }
-                        Some(FaultKind::MsgDrop | FaultKind::MsgCorrupt) => {
-                            injected += 1;
-                            fatal += 1;
-                            if let Some(inj) = &self.injector {
-                                inj.borrow_mut().note_fatal(1);
-                            }
-                        }
-                        Some(FaultKind::MsgDelay) => {
-                            let delay = match &self.injector {
-                                Some(inj) => inj.borrow().plan().msg_delay_cycles,
-                                None => 0,
-                            };
-                            cycles += Cycles::new(delay);
-                            injected += 1;
-                            recovered += 1;
-                            if let Some(inj) = &self.injector {
-                                inj.borrow_mut().note_recovered(1);
-                            }
-                        }
-                        _ => {}
-                    }
-                    break;
-                }
-                cycles
-            }
+            Transport::Tcp => (None, self.tcp_rtt),
         };
-
-        if injected + retried + recovered + fatal > 0 {
-            let stats = mem.stats_mut(from);
-            stats.faults_injected += injected;
-            stats.faults_retried += retried;
-            stats.faults_recovered += recovered;
-            stats.faults_fatal += fatal;
+        // One transmission per pass. Until the receiver holds the
+        // message an attempt may be dropped, corrupted (checksum-rejected
+        // by the receiver) or delayed; after that only its ack can be
+        // lost, which forces a retransmission the receiver discards by
+        // sequence number. Each leg numbers its attempts from 1.
+        let mut attempt = 1u32;
+        let mut delivered = false;
+        loop {
+            if attempt > 1 {
+                self.emit(TraceEvent::MsgRetransmit { from, ty: msg.ty, attempt });
+            }
+            cycles += match notify {
+                Some(_) => {
+                    let addr = self.slot(to, wire);
+                    let c = mem.access_range(from, addr, wire, Access::Write);
+                    mem.store_mut().fill(addr, wire, 0);
+                    c
+                }
+                None => self.tcp_rtt / 2,
+            };
+            if !delivered {
+                match self.injector.as_ref().and_then(|inj| inj.borrow_mut().msg_fault()) {
+                    Some(FaultKind::MsgDrop | FaultKind::MsgCorrupt)
+                        if attempt < MAX_SEND_ATTEMPTS =>
+                    {
+                        // The ack never comes: wait out the timeout and
+                        // retransmit.
+                        cycles += Self::backoff(timeout_base, attempt);
+                        self.counters.retransmits[from.index()] += 1;
+                        mem.stats_mut(from).note_retried_fault();
+                        attempt += 1;
+                        continue;
+                    }
+                    // Retransmission cap reached: deliver the final
+                    // attempt but record that the protocol gave up
+                    // retrying (unreachable under sane plans).
+                    Some(FaultKind::MsgDrop | FaultKind::MsgCorrupt) => {
+                        mem.stats_mut(from).note_fatal_fault();
+                    }
+                    Some(_) => {
+                        // A delay: delivered late, pure added latency.
+                        let delay = self
+                            .injector
+                            .as_ref()
+                            .map_or(0, |i| i.borrow().plan().msg_delay_cycles);
+                        cycles += Cycles::new(delay);
+                        let s = mem.stats_mut(from);
+                        s.faults_injected += 1;
+                        s.faults_recovered += 1;
+                    }
+                    None => {}
+                }
+                delivered = true;
+                attempt = 1;
+            }
+            // TCP has neither a notify step nor an ack leg.
+            let Some(notify) = notify else { break };
+            if notify == NotifyMode::Interrupt {
+                cycles += ipi.send(from, mem.stats_mut(from));
+            }
+            if !self.injector.as_ref().is_some_and(|inj| inj.borrow_mut().ack_dropped()) {
+                break;
+            }
+            if attempt == MAX_SEND_ATTEMPTS {
+                mem.stats_mut(from).note_fatal_fault();
+                break;
+            }
+            attempt += 1;
+            cycles += Self::backoff(timeout_base, attempt);
+            self.counters.retransmits[from.index()] += 1;
+            self.counters.dup_delivered[to.index()] += 1;
+            mem.stats_mut(from).note_retried_fault();
+        }
+        if notify.is_some() {
+            self.outstanding[to.index()] += wire;
         }
         self.emit(TraceEvent::MsgSend { from, ty: msg.ty, bytes: total, cost: cycles });
         cycles
@@ -886,8 +766,7 @@ impl MessagingLayer {
                 self.outstanding[to.index()] = self.outstanding[to.index()].saturating_sub(wire);
                 // Re-read the most recent slot of our ring.
                 let addr = self.peek_slot(to, wire);
-                let mut buf = vec![0u8; wire_len(wire)];
-                cycles + mem.read_bytes(to, addr, &mut buf)
+                cycles + mem.access_range(to, addr, wire, Access::Read)
             }
             // Receive-side copy out of the NIC; folded into the RTT.
             Transport::Tcp => Cycles::ZERO,
@@ -956,7 +835,6 @@ impl MessagingLayer {
             e.u64(n);
         }
         e.u64s(&self.counters.retransmits);
-        e.u64s(&self.counters.timeouts);
         e.u64s(&self.counters.dup_delivered);
         e.u64s(&self.counters.backpressure_stalls);
     }
@@ -994,7 +872,6 @@ impl MessagingLayer {
         }
         self.counters.by_type = by_type;
         self.counters.retransmits = pair(d.u64s()?)?;
-        self.counters.timeouts = pair(d.u64s()?)?;
         self.counters.dup_delivered = pair(d.u64s()?)?;
         self.counters.backpressure_stalls = pair(d.u64s()?)?;
         // Streams are run-scoped serving state, deliberately outside the
@@ -1004,12 +881,6 @@ impl MessagingLayer {
         self.next_stream = 0;
         Ok(())
     }
-}
-
-/// Host-side buffer length for an on-wire byte count (already clamped
-/// to the ring length, which on any supported host fits `usize`).
-fn wire_len(bytes: u64) -> usize {
-    usize::try_from(bytes).expect("ring length exceeds the host address space")
 }
 
 #[cfg(test)]
@@ -1267,21 +1138,80 @@ mod tests {
         let c = ml.counters();
         assert_eq!(c.total(), sends, "retransmits must not inflate the logical count");
         assert!(c.retransmits() > 0, "40% drop over 200 sends must retransmit");
-        assert_eq!(c.retransmits(), c.timeouts());
         assert!(
             total.raw() > sends * baseline,
             "retries must cost real cycles: {total} vs {}",
             sends * baseline
         );
-        let fc = inj.borrow().counters();
-        assert_eq!(fc.retried, c.retransmits());
-        assert_eq!(fc.recovered, fc.injected, "every drop must be recovered");
-        assert_eq!(fc.fatal, 0);
-        // Recoveries are visible in the per-domain stats block.
+        // Each drop is one fault in the sender's stats, retried once.
         let s = mem.stats(DomainId::X86);
-        assert_eq!(s.faults_injected, fc.injected);
-        assert_eq!(s.faults_recovered, fc.recovered);
-        assert!(s.faults_retried > 0);
+        assert_eq!(s.faults_injected, inj.borrow().log().len() as u64);
+        assert_eq!(s.faults_retried, c.retransmits());
+        assert_eq!(s.faults_recovered, s.faults_injected, "every drop must be recovered");
+        assert_eq!(s.faults_fatal, 0);
+    }
+
+    #[test]
+    fn every_fault_lands_once_in_the_senders_stats() {
+        use stramash_sim::{shared_injector, FaultPlan};
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Shared, Transport::Shm { notify: NotifyMode::Interrupt });
+        let plan = FaultPlan::none()
+            .with_msg_drop(0.2)
+            .with_msg_corrupt(0.1)
+            .with_msg_delay(0.1, 777)
+            .with_ack_drop(0.2)
+            .with_ipi_loss(0.3);
+        let inj = shared_injector(plan, 0x1ed9e5);
+        ml.set_fault_injector(inj.clone());
+        ipi.set_fault_injector(inj.clone());
+        for i in 0..300u64 {
+            let from = if i % 3 == 0 { DomainId::ARM } else { DomainId::X86 };
+            ml.send(&mut mem, &mut ipi, from, Message::control(MsgType::PageRequest));
+        }
+        let [x86, arm] = DomainId::ALL.map(|d| *mem.stats(d));
+        let log = inj.borrow().log().to_vec();
+        let count =
+            |kinds: &[FaultKind]| log.iter().filter(|e| kinds.contains(&e.kind)).count() as u64;
+        let lost = count(&[FaultKind::MsgDrop, FaultKind::MsgCorrupt]);
+        let acks = count(&[FaultKind::AckDrop]);
+        let ipis = count(&[FaultKind::IpiLoss]);
+        assert!(lost > 0 && acks > 0 && ipis > 0 && count(&[FaultKind::MsgDelay]) > 0);
+        assert_eq!(x86.faults_injected + arm.faults_injected, log.len() as u64);
+        assert_eq!(x86.faults_retried + arm.faults_retried, lost + acks + ipis);
+        assert_eq!(x86.faults_fatal + arm.faults_fatal, 0);
+        assert_eq!(ml.counters().retransmits(), lost + acks);
+        // One IPI per delivery, plus one per retransmission after a lost
+        // ack (a lost or corrupt attempt is never notified).
+        assert_eq!(x86.ipi + arm.ipi, 300 + acks);
+    }
+
+    #[test]
+    fn certain_loss_is_fatal_at_the_attempt_cap() {
+        use stramash_sim::{shared_injector, FaultPlan};
+        // TCP, every segment dropped: 16 half-RTT attempts and 15
+        // timeouts of RTT × (1 + 2 + 4 + 8 × 12), then the final attempt
+        // is delivered as fatal.
+        let (mut mem, mut ipi, mut ml) = setup(HardwareModel::Shared, Transport::Tcp);
+        let inj = shared_injector(FaultPlan::none().with_msg_drop(1.0), 3);
+        ml.set_fault_injector(inj.clone());
+        let c = ml.send(&mut mem, &mut ipi, DomainId::X86, Message::control(MsgType::VmaRequest));
+        assert_eq!(c.raw(), 16 * (157_500 / 2) + 103 * 157_500);
+        let s = *mem.stats(DomainId::X86);
+        assert_eq!((s.faults_injected, s.faults_retried, s.faults_fatal), (16, 15, 1));
+        assert_eq!(inj.borrow().log().len(), 16);
+
+        // SHM, every ack lost: 15 retransmissions, then the 16th loss
+        // is fatal.
+        let (mut mem, mut ipi, mut ml) =
+            setup(HardwareModel::Shared, Transport::Shm { notify: NotifyMode::Polling });
+        let inj = shared_injector(FaultPlan::none().with_ack_drop(1.0), 3);
+        ml.set_fault_injector(inj.clone());
+        ml.send(&mut mem, &mut ipi, DomainId::X86, Message::control(MsgType::VmaRequest));
+        let s = *mem.stats(DomainId::X86);
+        assert_eq!((s.faults_injected, s.faults_retried, s.faults_fatal), (16, 15, 1));
+        assert_eq!(ml.counters().dup_delivered(), 15);
+        assert_eq!(inj.borrow().log().len(), 16);
     }
 
     #[test]

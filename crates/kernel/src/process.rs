@@ -261,8 +261,8 @@ impl Process {
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x5052_4f43); // "PROC"
         e.u32(self.pid.0);
-        e.u8(self.origin.index() as u8);
-        e.u8(self.current.index() as u8);
+        e.domain(self.origin);
+        e.domain(self.current);
         self.vmas.save_state(e);
         for pt in &self.page_tables {
             match pt {
@@ -294,15 +294,10 @@ impl Process {
         d: &mut stramash_sim::checkpoint::Decoder<'_>,
     ) -> Result<Self, stramash_sim::checkpoint::CheckpointError> {
         use stramash_sim::checkpoint::CheckpointError;
-        let domain = |code: u8| match code {
-            0 => Ok(DomainId::X86),
-            1 => Ok(DomainId::ARM),
-            _ => Err(CheckpointError::Malformed("bad domain code")),
-        };
         d.tag(0x5052_4f43)?;
         let pid = Pid(d.u32()?);
-        let origin = domain(d.u8()?)?;
-        let current = domain(d.u8()?)?;
+        let origin = d.domain()?;
+        let current = d.domain()?;
         let vmas = VmaTree::load_state(d)?;
         let mut page_tables = [None, None];
         for slot in &mut page_tables {

@@ -536,6 +536,7 @@ impl BaseSystem {
             if let Some(idx) = due {
                 let d = if idx == 0 { DomainId::X86 } else { DomainId::ARM };
                 self.watchdog.mark_crashed(d);
+                self.mem.stats_mut(d).faults_injected += 1;
             }
         }
         let mut beat = [false; 2];
@@ -565,17 +566,16 @@ impl BaseSystem {
     }
 
     /// Serializes every piece of mutable machine state — simulated
-    /// memory, clocks, IPI fabric, message rings, migration snapshots,
-    /// both kernels, the process table, the watchdog, and (when
-    /// installed) the fault injector's stream positions — into a
+    /// memory, clocks, message rings, migration snapshots, both
+    /// kernels, the process table, the watchdog, and (when installed)
+    /// the fault injector's stream positions — into a
     /// checkpoint section. Structure derived from the boot
-    /// configuration (layout, transports, namespaces, code regions) is
-    /// rebuilt by [`BaseSystem::new`], not stored.
+    /// configuration (layout, transports, IPI latency, namespaces, code
+    /// regions) is rebuilt by [`BaseSystem::new`], not stored.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x4241_5345); // "BASE"
         self.mem.save_state(e);
         self.timebase.save_state(e);
-        self.ipi.save_state(e);
         self.msg.save_state(e);
         e.u64(self.migrations.len() as u64);
         for stats in self.migrations.iter().flatten() {
@@ -618,7 +618,6 @@ impl BaseSystem {
         d.tag(0x4241_5345)?;
         self.mem.load_state(d)?;
         self.timebase.load_state(d)?;
-        self.ipi.load_state(d)?;
         self.msg.load_state(d)?;
         self.migrations.clear();
         for _ in 0..d.len()? {
@@ -1331,8 +1330,10 @@ mod tests {
         let va = sys.mmap(pid, 4096, VmaProt::rw()).unwrap();
         sys.store_u64(pid, va, 1).unwrap();
         let base = sys.base_mut();
-        let c = base.ipi.send(DomainId::X86);
+        let c = base.ipi.send(DomainId::X86, base.mem.stats_mut(DomainId::X86));
         base.charge(DomainId::X86, c);
-        assert!(inj.borrow().counters().recovered > 0, "lost IPIs were retried");
+        let s = base.mem.stats(DomainId::X86);
+        assert!(s.faults_recovered > 0, "lost IPIs were retried");
+        assert_eq!(s.faults_injected, inj.borrow().log().len() as u64);
     }
 }

@@ -444,25 +444,37 @@ impl SparseMemory {
         }
     }
 
-    /// Fills `len` bytes starting at `addr` with `byte`.
+    /// Fills `len` bytes starting at `addr` with `byte`, chunk by chunk
+    /// straight into the arena.
     pub fn fill(&mut self, addr: PhysAddr, len: u64, byte: u8) {
-        // Chunk-at-a-time to avoid a giant temporary.
         let mut pos = addr.raw();
-        let end = addr.raw() + len;
-        let buf = [byte; 4096];
+        let end = pos + len;
         while pos < end {
-            let n = ((end - pos) as usize).min(buf.len());
-            self.write(PhysAddr::new(pos), &buf[..n]);
+            let off = (pos as usize) & (CHUNK_SIZE - 1);
+            let n = ((CHUNK_SIZE - off) as u64).min(end - pos) as usize;
+            let slot = self.slot_of_mut(pos >> CHUNK_SHIFT);
+            self.arena[slot as usize][off..off + n].fill(byte);
             pos += n as u64;
         }
     }
 
     /// Copies `len` bytes from `src` to `dst` (the page-replication
-    /// primitive used by the Popcorn DSM model).
+    /// primitive used by the Popcorn DSM model) through a page-sized
+    /// stack buffer. Overlapping ranges copy as `memmove` does: a copy
+    /// to a higher address runs back to front, so every piece is read
+    /// before it is overwritten.
     pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr, len: u64) {
-        let mut buf = vec![0u8; len as usize];
-        self.read(src, &mut buf);
-        self.write(dst, &buf);
+        let mut buf = [0u8; 4096];
+        let backward = dst.raw() > src.raw() && dst.raw() - src.raw() < len;
+        let mut done = 0u64;
+        while done < len {
+            let n = (len - done).min(buf.len() as u64);
+            let off = if backward { len - done - n } else { done };
+            let piece = &mut buf[..n as usize];
+            self.read(src.offset(off), piece);
+            self.write(dst.offset(off), piece);
+            done += n;
+        }
     }
 
     /// Serializes every materialised chunk into a checkpoint section,

@@ -865,7 +865,9 @@ mod tests {
         }
         let c = sys.base().msg.counters();
         assert!(c.retransmits() > 0, "a 40% drop rate must force retransmissions");
-        assert!(inj.borrow().counters().recovered > 0);
+        let recovered: u64 =
+            DomainId::ALL.iter().map(|&d| sys.base().mem.stats(d).faults_recovered).sum();
+        assert_eq!(recovered, inj.borrow().log().len() as u64, "every drop is recovered");
         let violations = sys.audit();
         assert!(violations.is_empty(), "unexpected violations: {violations:?}");
     }

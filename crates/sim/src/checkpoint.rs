@@ -23,6 +23,7 @@
 //! * **Tagged sections.** Every `save_state` writes a section tag first;
 //!   a mismatched tag on load points at the exact layer that drifted.
 
+use crate::time::DomainId;
 use std::fmt;
 
 /// Artifact magic: `STRM`.
@@ -39,9 +40,12 @@ pub const MAGIC: u32 = 0x5354_524d;
 /// section, which the restore now validates. Version 6 dropped the
 /// memory system's alias windows and ECC journal, the fault plan's
 /// double-bit fraction and retired fault site, and each frame region's
-/// online flag. Older artifacts are rejected with
+/// online flag. Version 7 dropped the fault injector's outcome counters
+/// from `FINJ`, the IPI fabric's `IPIF` section and the messaging
+/// layer's ack-timeout counts from `MSGL`: fault outcomes live only in
+/// the `DSTA` counters. Older artifacts are rejected with
 /// [`CheckpointError::BadVersion`].
-pub const VERSION: u32 = 6;
+pub const VERSION: u32 = 7;
 
 /// Errors raised while decoding a checkpoint artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,6 +150,11 @@ impl Encoder {
     /// Writes a bool as one byte.
     pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
+    }
+
+    /// Writes a domain as its one-byte code (its index).
+    pub fn domain(&mut self, d: DomainId) {
+        self.u8(d.index() as u8);
     }
 
     /// Writes a little-endian `u32`.
@@ -292,6 +301,17 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Reads a domain code written by [`Encoder::domain`].
+    ///
+    /// # Errors
+    ///
+    /// Truncation, or [`CheckpointError::Malformed`] on a code that
+    /// names no domain.
+    pub fn domain(&mut self) -> Result<DomainId, CheckpointError> {
+        let code = self.u8()?;
+        DomainId::ALL.get(code as usize).copied().ok_or(CheckpointError::Malformed("domain code"))
+    }
+
     /// Reads a little-endian `u32`.
     ///
     /// # Errors
@@ -407,6 +427,7 @@ mod tests {
         e.u8(7);
         e.bool(true);
         e.u32(0xdead_beef);
+        e.domain(DomainId::ARM);
         e.u64(u64::MAX - 3);
         e.f64(-1234.5678);
         e.bytes(b"hello");
@@ -421,6 +442,7 @@ mod tests {
         assert_eq!(d.u8().unwrap(), 7);
         assert!(d.bool().unwrap());
         assert_eq!(d.u32().unwrap(), 0xdead_beef);
+        assert_eq!(d.domain().unwrap(), DomainId::ARM);
         assert_eq!(d.u64().unwrap(), u64::MAX - 3);
         assert_eq!(d.f64().unwrap(), -1234.5678);
         assert_eq!(d.bytes().unwrap(), b"hello");
@@ -429,6 +451,12 @@ mod tests {
         assert_eq!(d.opt_u64().unwrap(), Some(9));
         assert_eq!(d.opt_u64().unwrap(), None);
         assert_eq!(d.remaining(), 0);
+    }
+
+    #[test]
+    fn unknown_domain_code_is_malformed() {
+        let mut d = Decoder::new(&[2]);
+        assert_eq!(d.domain().unwrap_err(), CheckpointError::Malformed("domain code"));
     }
 
     #[test]

@@ -38,13 +38,26 @@ pub enum FaultKind {
     GallocExhausted,
     /// A cross-ISA page-table-lock acquisition found the lock held.
     LockContention,
-    /// A message ring filled up and the sender had to stall.
-    RingBackpressure,
     /// A whole domain fail-stopped (kernel crash): its cores halt and it
     /// goes silent on the heartbeat channel. Memory contents survive —
     /// the platform's DRAM is cache-coherent and shared, so a kernel
     /// crash does not lose the pool (see DESIGN.md §10).
     DomainCrash,
+}
+
+impl FaultKind {
+    /// All kinds, in checkpoint-code order.
+    const ALL: [FaultKind; 9] = [
+        FaultKind::MsgDrop,
+        FaultKind::MsgCorrupt,
+        FaultKind::MsgDelay,
+        FaultKind::AckDrop,
+        FaultKind::IpiLoss,
+        FaultKind::AllocFail,
+        FaultKind::GallocExhausted,
+        FaultKind::LockContention,
+        FaultKind::DomainCrash,
+    ];
 }
 
 /// The subsystem at which a fault was injected. Each site owns an
@@ -282,7 +295,7 @@ impl FaultPlan {
         plan.msg_delay_cycles = d.u64()?;
         plan.window = if d.bool()? { Some((d.u64()?, d.u64()?)) } else { None };
         plan.galloc_exhaust_at = d.opt_u64()?;
-        plan.crash = if d.bool()? { Some((d.u8()?, d.u64()?)) } else { None };
+        plan.crash = if d.bool()? { Some((d.domain()?.index() as u8, d.u64()?)) } else { None };
         Ok(plan)
     }
 }
@@ -293,23 +306,12 @@ impl Default for FaultPlan {
     }
 }
 
-/// Aggregate fault/recovery counters (the injector-side mirror of the
-/// per-domain [`DomainStats`](crate::stats::DomainStats) fields).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Faults the injector fired.
-    pub injected: u64,
-    /// Recovery attempts (retransmits, re-acquisitions, re-allocations).
-    pub retried: u64,
-    /// Faults the stack fully recovered from.
-    pub recovered: u64,
-    /// Faults that were not recoverable (a message whose retransmission
-    /// cap ran out).
-    pub fatal: u64,
-}
-
 /// The per-run fault scheduler: one RNG stream and op counter per
-/// [`FaultSite`], a replay log, and aggregate counters.
+/// [`FaultSite`], a replay log, and the one-shot crash latch. It decides
+/// faults and does not count their outcomes: the layer that takes a
+/// fault records it, and its recovery, in the acting domain's
+/// [`DomainStats`](crate::stats::DomainStats), so the summed
+/// `faults_injected` equals `log().len()`.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -320,7 +322,6 @@ pub struct FaultInjector {
     /// deliberately separate from the Alloc stream so the one-shot index
     /// counts grant requests, not every Alloc-site roll.
     galloc_ops: u64,
-    counters: FaultCounters,
     log: Vec<FaultEvent>,
     /// One-shot latch: the plan's crash already fired.
     crash_fired: bool,
@@ -347,7 +348,6 @@ impl FaultInjector {
             streams,
             ops: [0; 4],
             galloc_ops: 0,
-            counters: FaultCounters::default(),
             log: Vec::new(),
             crash_fired: false,
             crash_disarmed: false,
@@ -364,12 +364,6 @@ impl FaultInjector {
     #[must_use]
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Aggregate counters.
-    #[must_use]
-    pub fn counters(&self) -> FaultCounters {
-        self.counters
     }
 
     /// The replay log of every fault fired so far, in firing order per
@@ -408,7 +402,6 @@ impl FaultInjector {
     }
 
     fn fire(&mut self, kind: FaultKind, site: FaultSite, op: u64) {
-        self.counters.injected += 1;
         self.log.push(FaultEvent { kind, site, op });
     }
 
@@ -503,29 +496,6 @@ impl FaultInjector {
         }
     }
 
-    /// Records `n` recovery attempts (retransmits, retries).
-    pub fn note_retried(&mut self, n: u64) {
-        self.counters.retried += n;
-    }
-
-    /// Records `n` completed recoveries.
-    pub fn note_recovered(&mut self, n: u64) {
-        self.counters.recovered += n;
-    }
-
-    /// Records `n` unrecoverable faults.
-    pub fn note_fatal(&mut self, n: u64) {
-        self.counters.fatal += n;
-    }
-
-    /// Records a ring-backpressure event (injected + recovered in one:
-    /// the stall *is* the recovery).
-    pub fn note_backpressure(&mut self) {
-        let op = self.ops[FaultSite::Msg.index()];
-        self.fire(FaultKind::RingBackpressure, FaultSite::Msg, op);
-        self.counters.recovered += 1;
-    }
-
     /// One-shot check driven by the watchdog: does the plan fail-stop a
     /// domain at (or before) watchdog tick `tick`? Fires at most once
     /// per run and never after [`FaultInjector::disarm_crash`]. No RNG
@@ -557,7 +527,7 @@ impl FaultInjector {
     }
 
     /// Serializes the injector — plan, seed, per-site stream positions,
-    /// op counters, aggregate counters and the replay log — so a restored
+    /// op counters, the crash latch and the replay log — so a restored
     /// run continues the exact fault schedule. The disarm flag is
     /// deliberately *not* serialized (see [`FaultInjector::disarm_crash`]).
     pub fn save_state(&self, e: &mut crate::checkpoint::Encoder) {
@@ -571,18 +541,11 @@ impl FaultInjector {
             e.u64(op);
         }
         e.u64(self.galloc_ops);
-        for c in [
-            self.counters.injected,
-            self.counters.retried,
-            self.counters.recovered,
-            self.counters.fatal,
-        ] {
-            e.u64(c);
-        }
         e.bool(self.crash_fired);
         e.u64(self.log.len() as u64);
         for ev in &self.log {
-            e.u8(fault_kind_code(ev.kind));
+            let code = FaultKind::ALL.iter().position(|&k| k == ev.kind);
+            e.u8(code.expect("ALL is exhaustive") as u8);
             e.u8(ev.site.index() as u8);
             e.u64(ev.op);
         }
@@ -608,15 +571,12 @@ impl FaultInjector {
             *op = d.u64()?;
         }
         inj.galloc_ops = d.u64()?;
-        inj.counters.injected = d.u64()?;
-        inj.counters.retried = d.u64()?;
-        inj.counters.recovered = d.u64()?;
-        inj.counters.fatal = d.u64()?;
         inj.crash_fired = d.bool()?;
         let n = d.len()?;
         inj.log.clear();
         for _ in 0..n {
-            let kind = fault_kind_from_code(d.u8()?)
+            let kind = *FaultKind::ALL
+                .get(d.u8()? as usize)
                 .ok_or(CheckpointError::Malformed("fault kind code"))?;
             let site = *FaultSite::ALL
                 .get(d.u8()? as usize)
@@ -644,37 +604,6 @@ impl FaultInjector {
     }
 }
 
-fn fault_kind_code(kind: FaultKind) -> u8 {
-    match kind {
-        FaultKind::MsgDrop => 0,
-        FaultKind::MsgCorrupt => 1,
-        FaultKind::MsgDelay => 2,
-        FaultKind::AckDrop => 3,
-        FaultKind::IpiLoss => 4,
-        FaultKind::AllocFail => 5,
-        FaultKind::GallocExhausted => 6,
-        FaultKind::LockContention => 7,
-        FaultKind::RingBackpressure => 8,
-        FaultKind::DomainCrash => 9,
-    }
-}
-
-fn fault_kind_from_code(code: u8) -> Option<FaultKind> {
-    Some(match code {
-        0 => FaultKind::MsgDrop,
-        1 => FaultKind::MsgCorrupt,
-        2 => FaultKind::MsgDelay,
-        3 => FaultKind::AckDrop,
-        4 => FaultKind::IpiLoss,
-        5 => FaultKind::AllocFail,
-        6 => FaultKind::GallocExhausted,
-        7 => FaultKind::LockContention,
-        8 => FaultKind::RingBackpressure,
-        9 => FaultKind::DomainCrash,
-        _ => return None,
-    })
-}
-
 /// The shared handle installed into the messaging layer, IPI fabric and
 /// OS kernels. The simulator is single-threaded, so `Rc<RefCell<…>>`
 /// suffices; borrows are short (one decision per call).
@@ -700,7 +629,6 @@ mod tests {
             assert!(!inj.lock_contended());
             assert!(!inj.galloc_exhausted());
         }
-        assert_eq!(inj.counters().injected, 0);
         assert!(inj.log().is_empty());
     }
 
@@ -730,7 +658,7 @@ mod tests {
             b.ipi_lost();
         }
         assert_eq!(a.log(), b.log());
-        assert!(a.counters().injected > 0, "plan should have fired");
+        assert!(!a.log().is_empty(), "plan should have fired");
     }
 
     #[test]
@@ -750,7 +678,7 @@ mod tests {
             let fired = inj.msg_fault().is_some();
             assert_eq!(fired, (10..20).contains(&op), "op {op}");
         }
-        assert_eq!(inj.counters().injected, 10);
+        assert_eq!(inj.log().len(), 10);
         assert!(inj.log().iter().all(|e| (10..20).contains(&e.op)));
     }
 
@@ -760,7 +688,7 @@ mod tests {
         let mut inj = FaultInjector::new(plan, 9);
         let fires: Vec<bool> = (0..5).map(|_| inj.galloc_exhausted()).collect();
         assert_eq!(fires, [false, false, true, false, false]);
-        assert_eq!(inj.counters().injected, 1);
+        assert_eq!(inj.log().len(), 1);
         assert_eq!(inj.log()[0].kind, FaultKind::GallocExhausted);
     }
 
@@ -816,8 +744,6 @@ mod tests {
             a.ipi_lost();
             a.galloc_exhausted();
         }
-        a.note_retried(3);
-        a.note_recovered(2);
 
         let mut e = crate::checkpoint::Encoder::new();
         a.save_state(&mut e);
@@ -827,8 +753,14 @@ mod tests {
         assert_eq!(d.remaining(), 0);
 
         assert_eq!(a.log(), b.log());
-        assert_eq!(a.counters(), b.counters());
         assert_eq!(a.plan(), b.plan());
+        // A crash domain code that names no domain is malformed.
+        let mut forged = bytes.clone();
+        let crash_domain_at = 4 + 4 + 7 * 8 + 8 + (1 + 2 * 8) + (1 + 8) + 1;
+        assert_eq!(forged[crash_domain_at], 0);
+        forged[crash_domain_at] = 2;
+        let err = FaultInjector::load_state(&mut crate::checkpoint::Decoder::new(&forged));
+        assert_eq!(err.unwrap_err(), crate::checkpoint::CheckpointError::Malformed("domain code"));
         // The restored streams continue bit-identically.
         for i in 0..200 {
             assert_eq!(a.msg_fault(), b.msg_fault(), "post-restore msg op {i}");

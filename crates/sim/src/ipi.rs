@@ -9,8 +9,8 @@
 //! This module provides both sides of that methodology:
 //!
 //! * [`IpiFabric`] — the *simulated platform's* IPI delivery, a
-//!   configurable fixed cost (2 µs by default) plus a retransmission
-//!   counter (the senders count IPIs in their `DomainStats`),
+//!   configurable fixed cost (2 µs by default) that counts each IPI and
+//!   each lost delivery in the sender's `DomainStats`,
 //! * [`IpiCharacterization`] — the *measurement experiment*: a per-core-
 //!   pair latency model reproducing the structure seen in Figures 5 and 6
 //!   (cheap within a socket/cluster, more expensive across sockets, with
@@ -18,6 +18,7 @@
 
 use crate::fault::SharedFaultInjector;
 use crate::rng::SimRng;
+use crate::stats::DomainStats;
 use crate::time::{Cycles, DomainId};
 use crate::trace::{SharedTracer, TraceEvent};
 
@@ -42,7 +43,6 @@ pub enum NotifyMode {
 pub struct IpiFabric {
     latency: Cycles,
     injector: Option<SharedFaultInjector>,
-    retries: u64,
     tracer: Option<SharedTracer>,
 }
 
@@ -50,7 +50,7 @@ impl IpiFabric {
     /// Creates a fabric with the given one-way delivery latency.
     #[must_use]
     pub fn new(latency: Cycles) -> Self {
-        IpiFabric { latency, injector: None, retries: 0, tracer: None }
+        IpiFabric { latency, injector: None, tracer: None }
     }
 
     /// One-way delivery latency.
@@ -71,60 +71,37 @@ impl IpiFabric {
         self.tracer = Some(tracer);
     }
 
-    /// Cumulative retransmissions caused by injected IPI loss.
-    #[must_use]
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Sends an IPI from `from` to the other domain, returning its cost.
-    /// The cost is charged to the *sender* (the receiver's handler cost
-    /// is modelled by the kernel code it runs on receipt).
+    /// Sends an IPI from `from` to the other domain, returning its cost
+    /// and counting it in `stats`, the sender's statistics. The cost is
+    /// charged to the *sender* (the receiver's handler cost is modelled
+    /// by the kernel code it runs on receipt).
     ///
     /// If an injected fault loses the delivery, the sender's interrupt
     /// controller re-raises it (the doorbell register stays set until
     /// acknowledged), paying the fabric latency again per attempt until
-    /// the IPI lands.
-    pub fn send(&mut self, from: DomainId) -> Cycles {
+    /// the IPI lands. Each loss is one injected fault in `stats`: one
+    /// retried and recovered, or fatal once the attempt cap runs out
+    /// (the final attempt is delivered anyway).
+    pub fn send(&mut self, from: DomainId, stats: &mut DomainStats) -> Cycles {
         let mut cost = self.latency;
         if let Some(inj) = &self.injector {
+            let mut inj = inj.borrow_mut();
             let mut attempts = 1u32;
-            while inj.borrow_mut().ipi_lost() && attempts < MAX_IPI_ATTEMPTS {
+            while inj.ipi_lost() {
+                if attempts == MAX_IPI_ATTEMPTS {
+                    stats.note_fatal_fault();
+                    break;
+                }
                 attempts += 1;
                 cost += self.latency;
-            }
-            if attempts > 1 {
-                let extra = u64::from(attempts - 1);
-                self.retries += extra;
-                let mut inj = inj.borrow_mut();
-                inj.note_retried(extra);
-                inj.note_recovered(extra);
+                stats.note_retried_fault();
             }
         }
+        stats.ipi += 1;
         if let Some(t) = &self.tracer {
             t.borrow_mut().record(TraceEvent::Ipi { from, cost });
         }
         cost
-    }
-
-    /// Serializes the fabric's retransmission counter (latency is config).
-    pub fn save_state(&self, e: &mut crate::checkpoint::Encoder) {
-        e.tag(0x49_504946); // "IPIF"
-        e.u64(self.retries);
-    }
-
-    /// Restores the fabric's retransmission counter.
-    ///
-    /// # Errors
-    ///
-    /// Decoding errors.
-    pub fn load_state(
-        &mut self,
-        d: &mut crate::checkpoint::Decoder<'_>,
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        d.tag(0x49_504946)?;
-        self.retries = d.u64()?;
-        Ok(())
     }
 }
 
@@ -313,9 +290,10 @@ mod tests {
     #[test]
     fn fabric_counts_and_charges() {
         let mut fabric = IpiFabric::new(Cycles::new(4200));
-        let c = fabric.send(DomainId::X86);
+        let mut stats = DomainStats::new();
+        let c = fabric.send(DomainId::X86, &mut stats);
         assert_eq!(c.raw(), 4200);
-        assert_eq!(fabric.retries(), 0);
+        assert_eq!(stats, DomainStats { ipi: 1, ..DomainStats::new() });
         assert_eq!(fabric.latency().raw(), 4200);
     }
 
@@ -325,26 +303,44 @@ mod tests {
         let mut fabric = IpiFabric::new(Cycles::new(4200));
         let inj = shared_injector(FaultPlan::none().with_ipi_loss(0.5), 0xbeef);
         fabric.set_fault_injector(inj.clone());
+        let mut stats = DomainStats::new();
         let mut total = Cycles::ZERO;
         for _ in 0..200 {
-            total += fabric.send(DomainId::X86);
+            total += fabric.send(DomainId::X86, &mut stats);
         }
-        // Every IPI lands despite losses: retransmissions happened and
-        // were charged real latency.
-        assert!(fabric.retries() > 0, "50% loss must force retries");
-        assert_eq!(total.raw(), (200 + fabric.retries()) * 4200);
-        let c = inj.borrow().counters();
-        assert_eq!(c.injected, fabric.retries());
-        assert_eq!(c.recovered, fabric.retries());
+        // Every IPI lands despite losses: retransmissions happened, were
+        // charged real latency, and each loss is one recovered fault.
+        assert_eq!(stats.ipi, 200);
+        assert!(stats.faults_retried > 0, "50% loss must force retries");
+        assert_eq!(total.raw(), (200 + stats.faults_retried) * 4200);
+        assert_eq!(stats.faults_injected, inj.borrow().log().len() as u64);
+        assert_eq!(stats.faults_recovered, stats.faults_injected);
+        assert_eq!(stats.faults_fatal, 0);
+    }
+
+    #[test]
+    fn certain_loss_is_fatal_at_the_attempt_cap() {
+        use crate::fault::{shared_injector, FaultPlan};
+        let mut fabric = IpiFabric::new(Cycles::new(10));
+        let inj = shared_injector(FaultPlan::none().with_ipi_loss(1.0), 1);
+        fabric.set_fault_injector(inj.clone());
+        let mut stats = DomainStats::new();
+        let c = fabric.send(DomainId::ARM, &mut stats);
+        assert_eq!(c.raw(), u64::from(MAX_IPI_ATTEMPTS) * 10);
+        assert_eq!(stats.faults_injected, u64::from(MAX_IPI_ATTEMPTS));
+        assert_eq!(stats.faults_injected, inj.borrow().log().len() as u64);
+        assert_eq!(stats.faults_retried, u64::from(MAX_IPI_ATTEMPTS) - 1);
+        assert_eq!(stats.faults_fatal, 1);
     }
 
     #[test]
     fn fabric_without_injector_is_cost_identical() {
         let mut fabric = IpiFabric::new(Cycles::new(4200));
+        let mut stats = DomainStats::new();
         for _ in 0..10 {
-            assert_eq!(fabric.send(DomainId::ARM).raw(), 4200);
+            assert_eq!(fabric.send(DomainId::ARM, &mut stats).raw(), 4200);
         }
-        assert_eq!(fabric.retries(), 0);
+        assert_eq!(stats, DomainStats { ipi: 10, ..DomainStats::new() });
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use config::{
     SimConfig,
 };
 pub use fault::{
-    shared_injector, FaultCounters, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSite,
+    shared_injector, FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSite,
     SharedFaultInjector,
 };
 pub use intmap::{IntMap, IntSet};

@@ -152,15 +152,17 @@ pub struct DomainStats {
     pub tlb_hits: u64,
     /// Software-TLB lookups that missed and took a page-table walk.
     pub tlb_misses: u64,
-    /// Faults injected while this domain was the acting side.
+    /// Faults injected while this domain was the acting side. Every
+    /// fault the injector fires lands in exactly one domain, so the sum
+    /// over both domains equals the injector's log length.
     pub faults_injected: u64,
     /// Recovery attempts (retransmits, lock re-acquisitions, allocation
     /// retries) this domain performed.
     pub faults_retried: u64,
     /// Injected faults this domain fully recovered from.
     pub faults_recovered: u64,
-    /// Injected faults that were unrecoverable (a message whose
-    /// retransmission cap ran out).
+    /// Injected faults that were unrecoverable (a message, ack or IPI
+    /// whose retransmission cap ran out).
     pub faults_fatal: u64,
     /// Accumulated runtime (icount + memory feedback).
     pub runtime: Cycles,
@@ -188,6 +190,20 @@ impl DomainStats {
     #[must_use]
     pub fn memory_hits(&self) -> u64 {
         self.local_mem_hits + self.remote_mem_hits + self.remote_shared_mem_hits
+    }
+
+    /// Records one injected fault that a single retry recovered (a
+    /// retransmission, a re-raised IPI, a re-run allocation).
+    pub fn note_retried_fault(&mut self) {
+        self.faults_injected += 1;
+        self.faults_retried += 1;
+        self.faults_recovered += 1;
+    }
+
+    /// Records one injected fault whose retry cap ran out.
+    pub fn note_fatal_fault(&mut self) {
+        self.faults_injected += 1;
+        self.faults_fatal += 1;
     }
 
     /// Software-TLB hit rate in `[0, 1]`; zero before any lookup.

@@ -215,21 +215,25 @@ impl Stepped for KvRun {
         self.server.save_state(e);
         e.u8(op_code(self.op));
         e.u64(self.requests);
-        e.u64(self.payload.len() as u64);
-        e.u8(self.server_domain.index() as u8);
+        e.u32(self.payload.len() as u32);
+        e.domain(self.server_domain);
         e.u64(self.checksum);
         e.u64(self.before.raw());
     }
 
-    fn restore(&mut self, d: &mut Decoder<'_>, _sys: &TargetSystem) -> Result<(), CheckpointError> {
+    fn restore(&mut self, d: &mut Decoder<'_>, sys: &TargetSystem) -> Result<(), CheckpointError> {
         d.tag(0x534b_5653)?;
         self.pid = Pid(d.u32()?);
         self.server = KvServer::load_state(d)?;
         self.op = op_from_code(d.u8()?)?;
         self.requests = d.u64()?;
-        let payload_len = d.u64()? as usize;
-        self.payload = vec![0xab; payload_len];
-        self.server_domain = if d.u8()? == 0 { DomainId::X86 } else { DomainId::ARM };
+        // Checked before the allocation: a request must fit one message.
+        let payload_len = d.u32()?;
+        if u64::from(payload_len) > sys.base().msg.max_message_bytes() {
+            return Err(CheckpointError::Malformed("KV payload longer than a message"));
+        }
+        self.payload = vec![0xab; payload_len as usize];
+        self.server_domain = d.domain()?;
         self.checksum = d.u64()?;
         self.before = stramash_sim::Cycles::new(d.u64()?);
         Ok(())
@@ -453,6 +457,32 @@ mod tests {
         assert_eq!(out.restarts, 0);
         assert_eq!(out.degraded, Some(DomainId::ARM));
         assert_eq!(out.result.requests, 60);
+    }
+
+    #[test]
+    fn forged_skvs_fields_are_malformed() {
+        let mut sys = build(SystemKind::Stramash);
+        let mut run = KvRun::setup(&mut sys, KvOp::Set, 4, 64).unwrap();
+        let mut e = Encoder::new();
+        run.save(&mut e);
+        let good = e.into_bytes();
+        // The section ends with the payload length (u32), the server
+        // domain (u8), the checksum and the start runtime (u64 each).
+        let domain_at = good.len() - 17;
+        let len_at = domain_at - 4;
+        let restore = |bytes: &[u8], run: &mut KvRun| run.restore(&mut Decoder::new(bytes), &sys);
+        restore(&good, &mut run).unwrap();
+        assert_eq!((run.payload.len(), run.server_domain), (64, DomainId::ARM));
+
+        let mut bad = good.clone();
+        bad[domain_at] = 2;
+        assert_eq!(restore(&bad, &mut run), Err(CheckpointError::Malformed("domain code")));
+        let mut bad = good;
+        bad[len_at..domain_at].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            restore(&bad, &mut run),
+            Err(CheckpointError::Malformed("KV payload longer than a message"))
+        );
     }
 
     #[test]

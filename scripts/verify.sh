@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification gate, fully offline: formatting, release build,
-# the whole test suite, and warning-free clippy. CI runs exactly this
-# script, so a green local run means a green pipeline.
+# the whole test suite, warning-free clippy, the chaos smoke runs and
+# the fault-injection example. CI runs exactly this script, so a green
+# local run means a green pipeline.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -32,6 +33,12 @@ echo "==> chaos-smoke: seeded sweep (must stay green)"
 
 echo "==> chaos-smoke: injected regression (must be found and shrunk)"
 ./target/release/stramash-cli chaos --seed 0x5eed --stages 4 --inject-regression
+
+# Examples are compiled by the test run but not executed; this one
+# asserts identical checksums under a fault plan, one fault ledger and
+# a clean invariant audit.
+echo "==> example: fault_injection"
+cargo run --release --example fault_injection
 
 # Informational, not a gate: the non-test line count the change log
 # quotes.

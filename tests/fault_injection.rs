@@ -1,17 +1,17 @@
 //! Deterministic fault injection, end to end: workloads run under a
 //! seeded fault schedule must produce *byte-identical functional
 //! results* to a fault-free run — only the cycle accounting may differ
-//! — every recovery must be visible in the stats counters, the
-//! invariant auditors must stay silent, and the same seed must replay
-//! the identical fault sequence.
+//! — every fault the injector fires must be counted exactly once in
+//! the per-domain `DomainStats`, the invariant auditors must stay
+//! silent, and the same seed must replay the identical fault sequence.
 
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::kernel::vma::VmaProt;
 use stramash_repro::prelude::*;
-use stramash_repro::sim::FaultPlan;
+use stramash_repro::sim::{FaultKind, FaultPlan};
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
-use stramash_repro::workloads::recovery::{run_kv_recovered, RecoveryConfig};
+use stramash_repro::workloads::recovery::{run_kv_recovered, RecoveryConfig, RecoveryPolicy};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
 
 /// The ISSUE acceptance schedule: ≥1 % message drop, ≥0.1 % IPI loss,
@@ -23,6 +23,80 @@ fn acceptance_plan() -> FaultPlan {
 }
 
 const SEED: u64 = 0xfa57_135d;
+
+/// Both domains' fault counters, summed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FaultTotals {
+    injected: u64,
+    retried: u64,
+    recovered: u64,
+    fatal: u64,
+}
+
+/// Checks the one fault ledger: every fault the injector fired is
+/// counted once, in some domain's `DomainStats`, and none was fatal.
+/// Returns the summed counters.
+fn assert_ledger(sys: &TargetSystem, ctx: &str) -> FaultTotals {
+    let [x86, arm] = DomainId::ALL.map(|d| *sys.base().mem.stats(d));
+    let totals = FaultTotals {
+        injected: x86.faults_injected + arm.faults_injected,
+        retried: x86.faults_retried + arm.faults_retried,
+        recovered: x86.faults_recovered + arm.faults_recovered,
+        fatal: x86.faults_fatal + arm.faults_fatal,
+    };
+    let fired = sys.fault_injector().unwrap().borrow().log().len() as u64;
+    assert_eq!(totals.injected, fired, "{ctx}: Σ faults_injected must equal the injector log");
+    assert_eq!(totals.fatal, 0, "{ctx}: every injected fault must be survivable");
+    totals
+}
+
+#[test]
+fn each_fired_fault_is_counted_once_in_domain_stats() {
+    // The acceptance plan on all four designs.
+    for kind in SystemKind::ALL {
+        let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
+        sys.install_fault_plan(acceptance_plan(), SEED);
+        let pid = sys.spawn(DomainId::X86).unwrap();
+        run_npb(NpbKind::Is, &mut sys, pid, Class::Tiny, kind.migrates()).unwrap();
+        assert_ledger(&sys, &format!("{kind} IS"));
+    }
+
+    // A watchdog crash under the degrade policy stays in the log (a
+    // restart rewinds log and counters together), so it must be
+    // counted too: in the crashed domain.
+    let mut plan = acceptance_plan();
+    plan.crash = Some((1, 100));
+    let mut sys = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
+    sys.install_fault_plan(plan, SEED);
+    let rc = RecoveryConfig { policy: RecoveryPolicy::Degrade, ..RecoveryConfig::default() };
+    let out = run_kv_recovered(sys, KvOp::Set, 300, 64, &rc).unwrap();
+    assert_eq!(out.degraded, Some(DomainId::ARM));
+    let log = out.sys.fault_injector().unwrap().borrow().log().to_vec();
+    assert_eq!(log.iter().filter(|e| e.kind == FaultKind::DomainCrash).count(), 1);
+    assert_ledger(&out.sys, "degraded KV");
+
+    // A Stramash futex ping-pong under IPI loss: every wake is one
+    // cross-ISA IPI, and each lost delivery is re-raised by the fabric.
+    let mut sys = TargetSystem::build(SystemKind::Stramash, HardwareModel::Shared).unwrap();
+    sys.install_fault_plan(FaultPlan::none().with_ipi_loss(0.3), SEED);
+    let pid = sys.spawn(DomainId::X86).unwrap();
+    let word = sys.mmap(pid, 4096, VmaProt::rw()).unwrap();
+    sys.store_u64(pid, word, 0).unwrap();
+    for i in 0..100 {
+        let (owner, peer) = if i % 2 == 0 {
+            (DomainId::X86, DomainId::ARM)
+        } else {
+            (DomainId::ARM, DomainId::X86)
+        };
+        sys.futex_lock(pid, owner, word).unwrap();
+        sys.futex_lock(pid, peer, word).unwrap(); // contended: queues
+        sys.futex_unlock(pid, owner, word).unwrap(); // one wake IPI
+    }
+    assert_eq!(sys.stramash_counters().unwrap().futex_wake_ipis, 100);
+    let totals = assert_ledger(&sys, "futex ping-pong");
+    assert!(totals.injected > 0, "30% IPI loss over 100 wakes must fire");
+    assert_eq!(totals.retried, totals.injected, "each lost IPI is re-raised once");
+}
 
 #[test]
 fn npb_is_functional_results_survive_fault_schedule() {
@@ -38,9 +112,8 @@ fn npb_is_functional_results_survive_fault_schedule() {
         let got = run_npb(NpbKind::Is, &mut faulty, pid, Class::Tiny, true).unwrap();
 
         assert_eq!(got, want, "{kind}: faults changed the functional outcome");
-        let c = faulty.fault_injector().unwrap().borrow().counters();
-        assert!(c.injected > 0, "{kind}: the schedule must actually fire");
-        assert_eq!(c.fatal, 0, "{kind}: every injected fault must be survivable");
+        let totals = assert_ledger(&faulty, &kind.to_string());
+        assert!(totals.injected > 0, "{kind}: the schedule must actually fire");
         let violations = faulty.audit();
         assert!(violations.is_empty(), "{kind}: {violations:?}");
     }
@@ -60,16 +133,10 @@ fn kv_store_10k_requests_identical_under_fault_schedule() {
 
     // Every recovery is visible: the injector fired, the messaging
     // layer retransmitted, and nothing was fatal.
-    let c = faulty.fault_injector().unwrap().borrow().counters();
-    assert!(c.injected > 0);
-    assert!(c.recovered > 0);
-    assert_eq!(c.fatal, 0);
+    let totals = assert_ledger(&faulty, "KV");
+    assert!(totals.injected > 0);
+    assert!(totals.recovered > 0, "recoveries must surface in DomainStats");
     assert!(faulty.base().msg.counters().retransmits() > 0);
-    let recovered: u64 = [DomainId::X86, DomainId::ARM]
-        .iter()
-        .map(|&d| faulty.base().mem.stats(d).faults_recovered)
-        .sum();
-    assert!(recovered > 0, "recoveries must surface in DomainStats");
     let violations = faulty.audit();
     assert!(violations.is_empty(), "{violations:?}");
 }
@@ -106,8 +173,8 @@ fn kv_responses_identical_after_mid_stream_domain_crash() {
         hurt.result.checksum, clean.result.checksum,
         "KV responses must be byte-identical after watchdog recovery"
     );
-    let c = hurt.sys.fault_injector().unwrap().borrow().counters();
-    assert!(c.injected > 0, "the transient schedule must keep firing alongside the crash");
+    let totals = assert_ledger(&hurt.sys, "restarted KV");
+    assert!(totals.injected > 0, "the transient schedule must keep firing alongside the crash");
     let violations = hurt.sys.audit();
     assert!(violations.is_empty(), "{violations:?}");
 }
@@ -130,14 +197,14 @@ fn same_seed_replays_identical_fault_sequence() {
             assert_eq!(sys.load_u64(pid, va.offset(i * 4096)).unwrap(), i);
         }
         sys.migrate(pid, DomainId::X86).unwrap();
-        let inj = sys.fault_injector().unwrap().borrow();
-        (inj.log().to_vec(), inj.counters())
+        let log = sys.fault_injector().unwrap().borrow().log().to_vec();
+        (log, assert_ledger(&sys, "replay"))
     };
-    let (log_a, counters_a) = run();
-    let (log_b, counters_b) = run();
+    let (log_a, totals_a) = run();
+    let (log_b, totals_b) = run();
     assert!(!log_a.is_empty(), "schedule must fire at least once");
     assert_eq!(log_a, log_b, "same seed must replay the identical fault sequence");
-    assert_eq!(counters_a, counters_b);
+    assert_eq!(totals_a, totals_b);
 }
 
 #[test]
@@ -159,6 +226,7 @@ fn corruption_and_delay_are_recovered_transparently() {
     }
     let c = sys.base().msg.counters();
     assert!(c.retransmits() > 0, "corrupt/dropped-ack messages must be retransmitted");
+    assert_ledger(&sys, "corrupt/delay/ack");
     assert!(sys.audit().is_empty());
 }
 

@@ -121,9 +121,16 @@ fn stress_with_plan(kind: SystemKind, seed: u64, steps: u32, plan: Option<FaultP
     assert!(violations.is_empty(), "{kind:?} seed {seed}: {violations:?}");
     if let Some(plan) = plan {
         if !plan.is_noop() {
-            let c = sys.fault_injector().unwrap().borrow().counters();
-            assert!(c.injected > 0, "{kind:?} seed {seed}: fault schedule never fired");
-            assert_eq!(c.fatal, 0, "{kind:?} seed {seed}: injected faults must be survivable");
+            let [x86, arm] = DomainId::ALL.map(|d| *sys.base().mem.stats(d));
+            let injected = x86.faults_injected + arm.faults_injected;
+            assert!(injected > 0, "{kind:?} seed {seed}: fault schedule never fired");
+            let fired = sys.fault_injector().unwrap().borrow().log().len() as u64;
+            assert_eq!(injected, fired, "{kind:?} seed {seed}: each fault counted once");
+            assert_eq!(
+                x86.faults_fatal + arm.faults_fatal,
+                0,
+                "{kind:?} seed {seed}: injected faults must be survivable"
+            );
         }
     }
 }
