@@ -6,6 +6,8 @@
 //! * IPI-notified vs polling message delivery (§6.2),
 //! * CAS (LSE) vs translated LL/SC atomics (§6.5/§7.1).
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, render_table};
 use stramash_isa::atomic::AtomicModel;
 use stramash_isa::{IsaKind, PteFlags};

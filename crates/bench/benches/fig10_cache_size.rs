@@ -7,6 +7,8 @@
 //! advantage narrows from ≈ 2.1× to ≈ 1.6× as Popcorn benefits from
 //! fewer write-backs.
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, parallel_map, render_table};
 use stramash_sim::HardwareModel;
 use stramash_workloads::driver::{run_benchmark_with, Configuration};

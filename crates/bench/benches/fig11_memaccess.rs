@@ -8,6 +8,8 @@
 //! approaches Vanilla — up to 2.5× (Shared) and 4.5× (Fully Shared)
 //! faster than SHM on the cold pass, but *slower* on warm re-access.
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, parallel_map, render_table};
 use stramash_sim::HardwareModel;
 use stramash_workloads::micro::{memory_access, AccessScenario};

@@ -7,6 +7,8 @@
 //! The paper reports DSM overhead exceeding 300× at one cacheline and
 //! ≈ 2× at a full page.
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, render_table};
 use stramash_sim::HardwareModel;
 use stramash_workloads::micro::granularity;

@@ -7,6 +7,8 @@
 //! IPI per wake); the regular path forwards every remote operation to
 //! the origin kernel over the full message protocol.
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, render_table};
 use stramash_sim::HardwareModel;
 use stramash_workloads::micro::futex_pingpong;

@@ -7,6 +7,8 @@
 //! origin-kernel page-allocation round-trips for the server's
 //! allocations) reaches up to ≈ 12×.
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, render_table};
 use stramash_sim::HardwareModel;
 use stramash_workloads::kvstore::{run_kv, KvOp};

@@ -6,6 +6,8 @@
 //! This harness runs the same all-pairs experiment on the topology
 //! models and prints the per-regime averages and histogram.
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, render_table};
 use stramash_sim::ipi::{IpiCharacterization, IpiTopology};
 use stramash_sim::rng::SimRng;

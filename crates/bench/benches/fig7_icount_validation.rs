@@ -10,6 +10,8 @@
 //! stand-in), and the relative cycle error is reported per benchmark on
 //! both machine configurations (small pair `*_s`, big pair `*_b`).
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{
     banner, capture_npb_trace, relative_error, render_table, replay_primary, replay_reference,
 };

@@ -8,6 +8,8 @@
 //! structured reference model (tree-PLRU + directory coherence) and
 //! prints both sets of hit rates.
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, capture_npb_trace, render_table, replay_primary, replay_reference};
 use stramash_sim::{DomainId, SimConfig};
 use stramash_workloads::npb::{Class, NpbKind};

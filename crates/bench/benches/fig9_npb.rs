@@ -9,6 +9,8 @@
 //! matches Vanilla; CG favours Popcorn's replication on the Shared and
 //! Separated models.
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, parallel_map, render_table};
 use stramash_sim::HardwareModel;
 use stramash_workloads::driver::{run_benchmark, Configuration};

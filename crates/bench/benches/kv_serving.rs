@@ -14,6 +14,8 @@
 //! leg asserts the whole table against pinned values: any drift means
 //! the timing model changed.
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, render_table};
 use stramash_sim::HardwareModel;
 use stramash_workloads::serve::{run_serve_curve, ServeConfig, ServeResult};

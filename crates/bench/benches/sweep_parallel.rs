@@ -9,6 +9,8 @@
 //! more workers it also requires a multi-core host and a fan-out that
 //! beats the serial sweep.
 
+#![deny(unsafe_code)]
+
 use std::time::Instant;
 use stramash_bench::{banner, host_cores, parallel_map, sweep_workers};
 use stramash_workloads::driver::{run_benchmark, Configuration};

@@ -6,6 +6,8 @@
 //! ≈ 99 %+ and nearly eliminates replication (the residue being the
 //! §9.2.3 origin-handled faults on missing upper-level page tables).
 
+#![deny(unsafe_code)]
+
 use stramash_bench::{banner, render_table};
 use stramash_kernel::msg::MsgType;
 use stramash_sim::DomainId;

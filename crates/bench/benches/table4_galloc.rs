@@ -5,6 +5,8 @@
 //! QEMU instances and reports milliseconds; the reproduction runs the
 //! same sweep through the simulated memory system.
 
+#![deny(unsafe_code)]
+
 use stramash::StramashSystem;
 use stramash_bench::{banner, render_table};
 use stramash_kernel::system::OsSystem as _;

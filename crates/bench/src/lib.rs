@@ -6,6 +6,8 @@
 //! trace-replay plumbing used by the Figure 7/8 validations.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 use stramash_kernel::system::{OsError, OsSystem, VanillaSystem};
 use stramash_mem::{MemorySystem, ReferenceSystem, TraceEntry};

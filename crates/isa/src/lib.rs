@@ -24,6 +24,8 @@
 //!   transformation executed at migration equivalence points (§5).
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod atomic;
 pub mod consistency;

@@ -24,8 +24,77 @@ pub enum Mesi {
     Shared,
 }
 
-/// Tag of an empty way.
-const EMPTY: u64 = u64::MAX;
+/// Tag of an empty way, and of every padding lane past a set's ways.
+const EMPTY: u32 = u32::MAX;
+
+/// Tag lanes per set: every set is padded to the widest associativity.
+const LANES: usize = MAX_CACHE_WAYS as usize;
+
+/// One set's tags: each way's line number ([`EMPTY`] when free),
+/// padded with [`EMPTY`] to [`LANES`] lanes and aligned so a set is
+/// exactly one 64-byte host cache line, whatever its associativity.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct TagSet([u32; LANES]);
+
+const _: () = assert!(std::mem::size_of::<TagSet>() == 64);
+
+/// An empty set.
+const EMPTY_SET: TagSet = TagSet([EMPTY; LANES]);
+
+/// The tag of `line`. Line numbers sit below [`EMPTY`]:
+/// `MemorySystem::with_layout` rejects a layout with more lines.
+#[inline(always)]
+fn tag_of(line: u64) -> u32 {
+    debug_assert!(line < u64::from(EMPTY), "line {line:#x} does not fit a 32-bit tag");
+    line as u32
+}
+
+/// Bit `l` set for every lane `l` of `set` equal to `tag`, one compare
+/// per lane `|`-accumulated with no early exit. The match on targets
+/// other than x86-64, and the oracle the SSE2 match is tested against.
+#[cfg(any(test, not(target_arch = "x86_64")))]
+#[inline(always)]
+fn match_lanes_scalar(set: &TagSet, tag: u32) -> u32 {
+    let mut mask = 0;
+    for (lane, &t) in set.0.iter().enumerate() {
+        mask |= u32::from(t == tag) << lane;
+    }
+    mask
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn match_lanes(set: &TagSet, tag: u32) -> u32 {
+    match_lanes_scalar(set, tag)
+}
+
+/// [`match_lanes_scalar`] in SSE2: four 4-lane compares, narrowed by
+/// saturating packs (each all-ones or all-zero lane stays so) to 16
+/// bytes in lane order, then one `movemask` to the 16-bit mask.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline(always)]
+fn match_lanes(set: &TagSet, tag: u32) -> u32 {
+    use std::arch::x86_64::{
+        __m128i, _mm_cmpeq_epi32, _mm_load_si128, _mm_movemask_epi8, _mm_packs_epi16,
+        _mm_packs_epi32, _mm_set1_epi32,
+    };
+    let quads = set.0.as_ptr().cast::<__m128i>();
+    // SAFETY: a `TagSet` is 64-byte aligned and exactly 64 bytes (16
+    // `u32` lanes, checked at compile time above), so `quads.add(q)`
+    // for `q` in 0..4 is an in-bounds, 16-byte-aligned pointer to four
+    // lanes of `set`, as `_mm_load_si128` requires. Every intrinsic
+    // here is SSE2, which the x86-64 baseline always provides.
+    let mask = unsafe {
+        let needle = _mm_set1_epi32(tag as i32);
+        let eq = |q: usize| _mm_cmpeq_epi32(_mm_load_si128(quads.add(q)), needle);
+        let low = _mm_packs_epi32(eq(0), eq(1));
+        let high = _mm_packs_epi32(eq(2), eq(3));
+        _mm_movemask_epi8(_mm_packs_epi16(low, high))
+    };
+    mask as u32
+}
 
 /// Checkpoint wire code for a MESI state.
 fn mesi_code(m: Mesi) -> u8 {
@@ -48,10 +117,11 @@ fn mesi_from_code(b: u8) -> Result<Mesi, stramash_sim::checkpoint::CheckpointErr
 
 /// A single set-associative, LRU cache level.
 ///
-/// Structure-of-arrays layout: power-of-two set masking, packed tags
-/// per set and a packed-nibble LRU permutation per set. Every set walk
-/// is one branch-free tag compare ([`match_ways`]) that yields a mask
-/// of the matching ways. Exact LRU — the unit tests hold every
+/// Structure-of-arrays layout: power-of-two set masking, one 64-byte
+/// block of 32-bit tags per set and a packed-nibble LRU permutation
+/// per set. Every set walk is one branch-free compare of all 16 tag
+/// lanes ([`match_lanes`]) that yields a mask of the matching ways.
+/// A slot is `set * 16 + way`. Exact LRU — the unit tests hold every
 /// observable (hits, evictions, per-set residency, MESI state) against
 /// the independently written exact-LRU cache in [`crate::reference`].
 #[derive(Debug, Clone)]
@@ -60,12 +130,15 @@ pub struct Cache {
     /// `set count - 1`; valid because set counts are power-of-two
     /// (enforced by `SimConfig::validate` / `CacheGeometry::new`).
     set_mask: u64,
-    /// Each way's line address (`addr / line_bytes`, [`EMPTY`] when
-    /// free), densely packed so a set's tags are contiguous for the way
-    /// match.
-    tags: Vec<u64>,
-    /// Each way's coherence state: full MESI at the L3, the
+    /// `(1 << ways) - 1`: the lanes of a set that are real ways.
+    way_bits: u32,
+    /// Each set's tags: each way's line number (`addr / line_bytes`,
+    /// [`EMPTY`] when free), padded to one host cache line.
+    tags: Vec<TagSet>,
+    /// Each slot's coherence state: full MESI at the L3, the
     /// write-ownership bit (`Modified` vs `Shared`) at the L1D and L2.
+    /// Same `set * 16 + way` stride as the tags; padding slots are
+    /// never read.
     states: Vec<Mesi>,
     /// Per-set LRU order, packed 4 bits per way: nibble `r` holds the
     /// way index at recency rank `r` (0 = MRU, `ways-1` = LRU/victim).
@@ -131,35 +204,7 @@ fn perm_demote(perm: u64, way: usize, ways: u32) -> u64 {
     (res & !(0xFu64 << (4 * last))) | (way64 << (4 * last))
 }
 
-/// Bit `w` set for every way `w` of `tags` equal to `line`: compares
-/// `|`-accumulated with no early exit, so the exit branch is one
-/// `mask == 0` test however the hits fall across the ways.
-#[inline(always)]
-fn way_mask<'a>(tags: impl IntoIterator<Item = &'a u64>, line: u64) -> u32 {
-    let mut mask = 0;
-    for (w, &t) in tags.into_iter().enumerate() {
-        mask |= u32::from(t == line) << w;
-    }
-    mask
-}
-
-/// [`way_mask`] over one set's packed tags. Sets of 8 and 16 ways (the
-/// paper's L1s and L2/L3) are matched 8 fixed-width compares at a time,
-/// one pass or two; other widths take the generic loop.
-#[inline(always)]
-fn match_ways(tags: &[u64], line: u64) -> u32 {
-    if !tags.len().is_multiple_of(8) {
-        return way_mask(tags, line);
-    }
-    let mut mask = 0;
-    for (i, eight) in tags.chunks_exact(8).enumerate() {
-        let eight: &[u64; 8] = eight.try_into().expect("chunks of 8 tags");
-        mask |= way_mask(eight, line) << (8 * i);
-    }
-    mask
-}
-
-/// Result of inserting a line into a level.
+/// Result of filling a line into a level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
     /// The evicted line address.
@@ -170,7 +215,7 @@ pub struct Eviction {
 
 /// Result of [`Cache::probe_or_plan`]: either a hit (identical to
 /// [`Cache::probe_slot`]) or a miss carrying the fill slot
-/// [`Cache::insert`] would choose.
+/// [`Cache::plan_fill`] chooses.
 #[derive(Debug, Clone, Copy)]
 pub enum ProbeFill {
     /// The line is resident in this slot; LRU was refreshed. The slot
@@ -182,8 +227,8 @@ pub enum ProbeFill {
     Miss(FillPlan),
 }
 
-/// A pre-computed fill decision for a line that just missed: the slot
-/// [`Cache::insert`] would pick (first empty way, else the LRU way).
+/// A pre-computed fill decision for an absent line: the first empty
+/// way, else the LRU way.
 /// Only valid while the set is untouched between the probe and
 /// [`Cache::fill_planned`] — the caller guarantees that (upper-level
 /// fills on an L2/L3 hit, and the LLC fill of a memory miss; a memory
@@ -191,7 +236,7 @@ pub enum ProbeFill {
 /// may edit their sets).
 #[derive(Debug, Clone, Copy)]
 pub struct FillPlan {
-    /// Global way index to fill.
+    /// Slot (`set * 16 + way`) to fill.
     slot: usize,
     /// The set index (whose permutation the fill promotes).
     set: usize,
@@ -223,12 +268,12 @@ impl Cache {
              SimConfig::validate reports this as ConfigError::TooManyWays",
             geo.ways
         );
-        let slots = set_count as usize * geo.ways as usize;
         Cache {
             geo,
             set_mask: set_count - 1,
-            tags: vec![EMPTY; slots],
-            states: vec![Mesi::Shared; slots],
+            way_bits: (1 << geo.ways) - 1,
+            tags: vec![EMPTY_SET; set_count as usize],
+            states: vec![Mesi::Shared; set_count as usize * LANES],
             perms: vec![PERM_IDENTITY; set_count as usize],
         }
     }
@@ -239,19 +284,19 @@ impl Cache {
         &self.geo
     }
 
-    /// The set `line` maps to and the set's first slot.
+    /// The set `line` maps to.
     #[inline(always)]
-    fn set_base(&self, line: u64) -> (usize, usize) {
-        let set = (line & self.set_mask) as usize;
-        (set, set * self.geo.ways as usize)
+    fn set_of(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize
     }
 
-    /// The set `line` maps to, its first slot, and the mask of its ways
-    /// holding `line` (at most one bit: a line sits in at most one way).
+    /// The set `line` maps to and the mask of its ways holding `line`
+    /// (at most one bit: a line sits in at most one way, and padding
+    /// lanes hold [`EMPTY`], which no line's tag equals).
     #[inline(always)]
-    fn lookup(&self, line: u64) -> (usize, usize, u32) {
-        let (set, base) = self.set_base(line);
-        (set, base, match_ways(&self.tags[base..base + self.geo.ways as usize], line))
+    fn lookup(&self, line: u64) -> (usize, u32) {
+        let set = self.set_of(line);
+        (set, match_lanes(&self.tags[set], tag_of(line)))
     }
 
     /// Probes for a line; on hit, refreshes LRU and returns its state.
@@ -264,7 +309,7 @@ impl Cache {
     /// lives in (see [`ProbeFill::Hit`]).
     #[inline(always)]
     pub fn probe_slot(&mut self, line: u64) -> Option<usize> {
-        let (set, base, hits) = self.lookup(line);
+        let (set, hits) = self.lookup(line);
         if hits == 0 {
             return None;
         }
@@ -276,15 +321,14 @@ impl Cache {
         if perm & 0xF != way {
             self.perms[set] = perm_promote(perm, way);
         }
-        Some(base + way as usize)
+        Some(set * LANES + way as usize)
     }
 
     /// Probes for a line like [`Cache::probe_slot`], but on a miss also
-    /// returns the fill slot the subsequent insert would choose, so the
-    /// hot L1-miss/L2-hit pattern fills without re-matching the set.
-    /// Consuming the plan via [`Cache::fill_planned`] is state-identical
-    /// to calling [`Cache::insert`] — provided the set is untouched in
-    /// between, which the `MemorySystem` call sites guarantee.
+    /// returns the fill slot [`Cache::plan_fill`] chooses, so the hot
+    /// L1-miss/L2-hit pattern fills without re-matching the set. The
+    /// plan holds while the set is untouched, which the `MemorySystem`
+    /// call sites guarantee.
     #[inline(always)]
     pub fn probe_or_plan(&mut self, line: u64) -> ProbeFill {
         match self.probe_slot(line) {
@@ -293,35 +337,39 @@ impl Cache {
         }
     }
 
-    /// The fill slot for an absent `line`: its set's LRU way, whose rank
-    /// rides along so the fill can promote without a find, unless that
-    /// way is empty. Empty ways sit at the LRU end of a set (fills take
-    /// one, invalidations demote to it), so only then does the set have
-    /// one, and the fill takes the first empty way — the same way match,
-    /// against [`EMPTY`].
+    /// The fill slot for `line`, which must be absent: its set's LRU
+    /// way, whose rank rides along so the fill can promote without a
+    /// find, unless that way is empty. Empty ways sit at the LRU end of
+    /// a set (fills take one, invalidations demote to it), so only then
+    /// does the set have one, and the fill takes the first empty way —
+    /// the same lane match, against [`EMPTY`], masked to the real ways
+    /// so a padding lane is never chosen.
     #[inline(always)]
-    fn plan_fill(&self, line: u64) -> FillPlan {
-        let (set, base) = self.set_base(line);
+    #[must_use]
+    pub fn plan_fill(&self, line: u64) -> FillPlan {
+        let set = self.set_of(line);
         let last = self.geo.ways - 1;
-        let victim = base + perm_way_at(self.perms[set], last);
-        if self.tags[victim] != EMPTY {
-            return FillPlan { slot: victim, set, rank: last };
+        let victim = perm_way_at(self.perms[set], last);
+        if self.tags[set].0[victim] != EMPTY {
+            return FillPlan { slot: set * LANES + victim, set, rank: last };
         }
-        let empty = match_ways(&self.tags[base..base + self.geo.ways as usize], EMPTY);
-        FillPlan { slot: base + empty.trailing_zeros() as usize, set, rank: u32::MAX }
+        let empty = match_lanes(&self.tags[set], EMPTY) & self.way_bits;
+        FillPlan { slot: set * LANES + empty.trailing_zeros() as usize, set, rank: u32::MAX }
     }
 
-    /// Consumes a [`FillPlan`] from [`Cache::probe_or_plan`], filling
-    /// the planned slot and returning its eviction, if any. Equivalent
-    /// to `insert(line, state)` under the plan's validity condition (set
-    /// untouched since the probe).
+    /// Consumes a [`FillPlan`] from [`Cache::probe_or_plan`] or
+    /// [`Cache::plan_fill`], filling the planned slot and returning its
+    /// eviction, if any. The set must be untouched since the plan was
+    /// made.
     #[inline(always)]
     pub fn fill_planned(&mut self, plan: FillPlan, line: u64, state: Mesi) -> Option<Eviction> {
+        let way = plan.slot % LANES;
+        let tag = &mut self.tags[plan.set].0[way];
         let evicted = (plan.rank != u32::MAX)
-            .then(|| Eviction { line: self.tags[plan.slot], state: self.states[plan.slot] });
-        let way = (plan.slot - plan.set * self.geo.ways as usize) as u64;
-        self.tags[plan.slot] = line;
+            .then(|| Eviction { line: u64::from(*tag), state: self.states[plan.slot] });
+        *tag = tag_of(line);
         self.states[plan.slot] = state;
+        let way = way as u64;
         let perm = self.perms[plan.set];
         let idx = if plan.rank == u32::MAX { perm_find(perm, way) } else { 4 * plan.rank };
         self.perms[plan.set] = perm_promote_at(perm, way, idx);
@@ -331,14 +379,14 @@ impl Cache {
     /// Whether the line is present, without disturbing LRU.
     #[must_use]
     pub fn contains(&self, line: u64) -> bool {
-        self.lookup(line).2 != 0
+        self.lookup(line).1 != 0
     }
 
     /// The slot holding `line`, if resident, without disturbing LRU.
     #[inline]
     pub(crate) fn slot_of(&self, line: u64) -> Option<usize> {
-        let (_, base, hits) = self.lookup(line);
-        (hits != 0).then(|| base + hits.trailing_zeros() as usize)
+        let (set, hits) = self.lookup(line);
+        (hits != 0).then(|| set * LANES + hits.trailing_zeros() as usize)
     }
 
     /// Reads a line's state without disturbing LRU.
@@ -368,46 +416,48 @@ impl Cache {
         Some(std::mem::replace(&mut self.states[slot], state))
     }
 
-    /// Inserts a line (replacing LRU if the set is full), returning any
-    /// eviction. If the line is already resident its state is updated.
-    #[inline]
-    pub fn insert(&mut self, line: u64, state: Mesi) -> Option<Eviction> {
-        if let Some(slot) = self.probe_slot(line) {
-            self.states[slot] = state;
-            return None;
-        }
-        self.fill_planned(self.plan_fill(line), line, state)
-    }
-
     /// Removes a line; returns its state if it was present.
     pub fn invalidate(&mut self, line: u64) -> Option<Mesi> {
         let slot = self.slot_of(line)?;
-        let ways = self.geo.ways as usize;
-        let set = slot / ways;
-        self.tags[slot] = EMPTY;
+        let (set, way) = (slot / LANES, slot % LANES);
+        self.tags[set].0[way] = EMPTY;
         // The emptied way drops to the LRU rank.
-        self.perms[set] = perm_demote(self.perms[set], slot - set * ways, self.geo.ways);
+        self.perms[set] = perm_demote(self.perms[set], way, self.geo.ways);
         Some(self.states[slot])
     }
 
     /// Drops every line (e.g. between experiment phases).
     pub fn flush(&mut self) {
-        self.tags.fill(EMPTY);
+        self.tags.fill(EMPTY_SET);
         self.perms.fill(PERM_IDENTITY);
     }
 
     /// Number of resident lines (for tests and occupancy metrics).
     #[must_use]
     pub fn resident(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != EMPTY).count()
+        self.tags.iter().flat_map(|set| set.0).filter(|&t| t != EMPTY).count()
     }
 
     /// Serializes the mutable cache state into a checkpoint section:
-    /// tags, states and LRU permutations.
+    /// each real way's tag as a `u64` (`u64::MAX` when empty) and state,
+    /// set by set, then the LRU permutations. Padding lanes are not
+    /// written.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x4343_4845); // "CCHE"
-        e.u64s(&self.tags);
-        let states: Vec<u8> = self.states.iter().map(|&s| mesi_code(s)).collect();
+        let ways = self.geo.ways as usize;
+        let tags: Vec<u64> = self
+            .tags
+            .iter()
+            .flat_map(|set| &set.0[..ways])
+            .map(|&t| if t == EMPTY { u64::MAX } else { u64::from(t) })
+            .collect();
+        e.u64s(&tags);
+        let states: Vec<u8> = self
+            .states
+            .chunks_exact(LANES)
+            .flat_map(|set| &set[..ways])
+            .map(|&s| mesi_code(s))
+            .collect();
         e.bytes(&states);
         e.u64s(&self.perms);
     }
@@ -419,7 +469,8 @@ impl Cache {
     ///
     /// Decoding errors, [`CheckpointError::ConfigMismatch`] when the
     /// artifact's slot count does not match this cache's geometry, and
-    /// [`CheckpointError::Malformed`] for a set that holds a line twice,
+    /// [`CheckpointError::Malformed`] for a tag that is neither empty
+    /// (`u64::MAX`) nor below `u32::MAX`, a set that holds a line twice,
     /// holds a line of another set, whose LRU order is not a permutation
     /// of its ways, or that ranks an empty way above a resident one —
     /// states no sequence of cache operations produces.
@@ -432,46 +483,60 @@ impl Cache {
     ) -> Result<(), stramash_sim::checkpoint::CheckpointError> {
         use stramash_sim::checkpoint::CheckpointError;
         d.tag(0x4343_4845)?;
-        let tags = d.u64s()?;
-        if tags.len() != self.tags.len() {
+        let ways = self.geo.ways as usize;
+        let slots = self.tags.len() * ways;
+        let wire_tags = d.u64s()?;
+        if wire_tags.len() != slots {
             return Err(CheckpointError::ConfigMismatch);
         }
-        let states = d.bytes()?;
-        if states.len() != self.states.len() {
+        let wire_states = d.bytes()?;
+        if wire_states.len() != slots {
             return Err(CheckpointError::ConfigMismatch);
         }
         let perms = d.u64s()?;
         if perms.len() != self.perms.len() {
             return Err(CheckpointError::ConfigMismatch);
         }
-        let ways = self.geo.ways as usize;
-        let all_ways = (1u32 << ways) - 1;
-        for (set, (set_tags, &perm)) in tags.chunks_exact(ways).zip(&perms).enumerate() {
-            for &t in set_tags.iter().filter(|&&t| t != EMPTY) {
-                if (t & self.set_mask) as usize != set {
+        let mut tags = vec![EMPTY_SET; self.tags.len()];
+        for (set, wire) in tags.iter_mut().zip(wire_tags.chunks_exact(ways)) {
+            for (lane, &t) in set.0.iter_mut().zip(wire) {
+                *lane = match t {
+                    u64::MAX => EMPTY,
+                    t if t < u64::from(EMPTY) => t as u32,
+                    _ => return Err(CheckpointError::Malformed("cache tag wider than 32 bits")),
+                };
+            }
+        }
+        for (set, (set_tags, &perm)) in tags.iter().zip(&perms).enumerate() {
+            for &t in set_tags.0.iter().filter(|&&t| t != EMPTY) {
+                if (u64::from(t) & self.set_mask) as usize != set {
                     return Err(CheckpointError::Malformed("cache line in the wrong set"));
                 }
-                if match_ways(set_tags, t).count_ones() != 1 {
+                if match_lanes(set_tags, t).count_ones() != 1 {
                     return Err(CheckpointError::Malformed("cache line in two ways"));
                 }
             }
             let ranked = (0..self.geo.ways).fold(0u32, |m, r| m | 1 << perm_way_at(perm, r));
-            if ranked != all_ways {
+            if ranked != self.way_bits {
                 return Err(CheckpointError::Malformed("cache LRU order"));
             }
             let mut seen_empty = false;
             for r in 0..self.geo.ways {
-                let empty = set_tags[perm_way_at(perm, r)] == EMPTY;
+                let empty = set_tags.0[perm_way_at(perm, r)] == EMPTY;
                 if seen_empty && !empty {
                     return Err(CheckpointError::Malformed("cache empty way above a resident one"));
                 }
                 seen_empty |= empty;
             }
         }
-        for (dst, &b) in self.states.iter_mut().zip(states) {
-            *dst = mesi_from_code(b)?;
+        let mut states = vec![Mesi::Shared; self.states.len()];
+        for (set, wire) in states.chunks_exact_mut(LANES).zip(wire_states.chunks_exact(ways)) {
+            for (dst, &b) in set.iter_mut().zip(wire) {
+                *dst = mesi_from_code(b)?;
+            }
         }
         self.tags = tags;
+        self.states = states;
         self.perms = perms;
         Ok(())
     }
@@ -481,9 +546,10 @@ impl Cache {
     pub fn lines(&self) -> impl Iterator<Item = (u64, Mesi)> + '_ {
         self.tags
             .iter()
-            .zip(&self.states)
-            .filter(|(&line, _)| line != EMPTY)
-            .map(|(&line, &state)| (line, state))
+            .zip(self.states.chunks_exact(LANES))
+            .flat_map(|(set, states)| set.0.iter().zip(states))
+            .filter(|(&tag, _)| tag != EMPTY)
+            .map(|(&tag, &state)| (u64::from(tag), state))
     }
 }
 
@@ -601,11 +667,23 @@ mod tests {
         Cache::new(CacheGeometry::new(256, 2, 64))
     }
 
+    /// Probes `line`; sets its state on a hit and fills it through the
+    /// probe's plan on a miss, returning the eviction.
+    fn fill(c: &mut Cache, line: u64, state: Mesi) -> Option<Eviction> {
+        match c.probe_or_plan(line) {
+            ProbeFill::Hit(slot) => {
+                c.set_state_at(slot, state);
+                None
+            }
+            ProbeFill::Miss(plan) => c.fill_planned(plan, line, state),
+        }
+    }
+
     #[test]
     fn miss_then_hit() {
         let mut c = tiny();
         assert_eq!(c.probe(10), None);
-        assert_eq!(c.insert(10, Mesi::Exclusive), None);
+        assert_eq!(fill(&mut c, 10, Mesi::Exclusive), None);
         assert_eq!(c.probe(10), Some(Mesi::Exclusive));
         assert!(c.contains(10));
         assert_eq!(c.resident(), 1);
@@ -615,10 +693,10 @@ mod tests {
     fn lru_evicts_least_recent() {
         let mut c = tiny();
         // Lines 0, 2, 4 map to set 0 (2 sets → even lines share set 0).
-        c.insert(0, Mesi::Shared);
-        c.insert(2, Mesi::Shared);
+        fill(&mut c, 0, Mesi::Shared);
+        fill(&mut c, 2, Mesi::Shared);
         c.probe(0); // refresh 0, so 2 is LRU
-        let ev = c.insert(4, Mesi::Shared).expect("set full, must evict");
+        let ev = fill(&mut c, 4, Mesi::Shared).expect("set full, must evict");
         assert_eq!(ev.line, 2);
         assert!(c.contains(0));
         assert!(c.contains(4));
@@ -628,8 +706,8 @@ mod tests {
     #[test]
     fn insert_existing_updates_state_without_eviction() {
         let mut c = tiny();
-        c.insert(8, Mesi::Shared);
-        assert_eq!(c.insert(8, Mesi::Modified), None);
+        fill(&mut c, 8, Mesi::Shared);
+        assert_eq!(fill(&mut c, 8, Mesi::Modified), None);
         assert_eq!(c.state_of(8), Some(Mesi::Modified));
         assert_eq!(c.resident(), 1);
     }
@@ -637,18 +715,18 @@ mod tests {
     #[test]
     fn eviction_reports_modified_state() {
         let mut c = tiny();
-        c.insert(0, Mesi::Modified);
-        c.insert(2, Mesi::Shared);
+        fill(&mut c, 0, Mesi::Modified);
+        fill(&mut c, 2, Mesi::Shared);
         c.probe(2);
         // Refresh 2; 0 is LRU and dirty.
-        let ev = c.insert(4, Mesi::Shared).unwrap();
+        let ev = fill(&mut c, 4, Mesi::Shared).unwrap();
         assert_eq!(ev, Eviction { line: 0, state: Mesi::Modified });
     }
 
     #[test]
     fn invalidate_removes_line() {
         let mut c = tiny();
-        c.insert(6, Mesi::Exclusive);
+        fill(&mut c, 6, Mesi::Exclusive);
         assert_eq!(c.invalidate(6), Some(Mesi::Exclusive));
         assert_eq!(c.invalidate(6), None);
         assert!(!c.contains(6));
@@ -658,7 +736,7 @@ mod tests {
     fn set_state_on_missing_line_is_none() {
         let mut c = tiny();
         assert_eq!(c.set_state(1, Mesi::Shared), None);
-        c.insert(1, Mesi::Exclusive);
+        fill(&mut c, 1, Mesi::Exclusive);
         assert_eq!(c.set_state(1, Mesi::Shared), Some(Mesi::Exclusive));
         assert_eq!(c.state_of(1), Some(Mesi::Shared));
     }
@@ -666,8 +744,8 @@ mod tests {
     #[test]
     fn flush_empties_cache() {
         let mut c = tiny();
-        c.insert(0, Mesi::Shared);
-        c.insert(1, Mesi::Shared);
+        fill(&mut c, 0, Mesi::Shared);
+        fill(&mut c, 1, Mesi::Shared);
         c.flush();
         assert_eq!(c.resident(), 0);
     }
@@ -676,19 +754,19 @@ mod tests {
     fn different_sets_do_not_conflict() {
         let mut c = tiny();
         // Lines 0,2 → set 0; lines 1,3 → set 1.
-        c.insert(0, Mesi::Shared);
-        c.insert(2, Mesi::Shared);
-        c.insert(1, Mesi::Shared);
-        c.insert(3, Mesi::Shared);
+        fill(&mut c, 0, Mesi::Shared);
+        fill(&mut c, 2, Mesi::Shared);
+        fill(&mut c, 1, Mesi::Shared);
+        fill(&mut c, 3, Mesi::Shared);
         assert_eq!(c.resident(), 4);
     }
 
     #[test]
     fn hierarchy_inclusive_queries() {
         let mut h = CacheHierarchy::new(&CacheConfig::paper_default());
-        h.l3.insert(100, Mesi::Exclusive);
-        h.l2.insert(100, Mesi::Exclusive);
-        h.l1d.insert(100, Mesi::Exclusive);
+        fill(&mut h.l3, 100, Mesi::Exclusive);
+        fill(&mut h.l2, 100, Mesi::Exclusive);
+        fill(&mut h.l1d, 100, Mesi::Exclusive);
         assert!(h.contains(100));
         assert!(h.in_upper_levels(100));
         assert!(h.back_invalidate_upper(100));
@@ -704,10 +782,11 @@ mod tests {
     /// the exact-LRU cache of [`crate::reference`] for replacement and
     /// residency, and a plain map for coherence state. A seeded random
     /// op mix drives every mutating entry point (including the fused
-    /// probe/fill pair) over a line universe larger than the cache, so
-    /// hits, conflicts, evictions and refills of invalidated ways all
-    /// occur at every associativity from 1 to [`MAX_CACHE_WAYS`] — the
-    /// generic way-match arm and both fixed-width arms.
+    /// probe/fill pair and the absent-line fill) over a line universe
+    /// larger than the cache, so hits, conflicts, evictions and refills
+    /// of invalidated ways all occur at every associativity from 1 to
+    /// [`MAX_CACHE_WAYS`] — every count of padding lanes, which must
+    /// stay empty.
     #[test]
     fn matches_exact_lru_reference_on_random_ops() {
         use crate::reference::PlruCache;
@@ -777,7 +856,11 @@ mod tests {
                         }
                     },
                     550..=749 => {
-                        let ev = c.insert(line, state);
+                        let ev = if mesi.contains_key(&line) {
+                            fill(&mut c, line, state)
+                        } else {
+                            c.fill_planned(c.plan_fill(line), line, state)
+                        };
                         assert_eq!(ev.map(|e| e.line), r.insert(line), "eviction, {ctx}");
                         if let Some(e) = ev {
                             assert_eq!(Some(e.state), mesi.remove(&e.line), "evicted state, {ctx}");
@@ -803,9 +886,10 @@ mod tests {
                     }
                 }
                 let set = (line % sets) as usize;
-                let range = set * ways as usize..(set + 1) * ways as usize;
+                let (real, padding) = c.tags[set].0.split_at(ways as usize);
+                assert!(padding.iter().all(|&t| t == EMPTY), "set {set} padding, {ctx}");
                 let mut got: Vec<u64> =
-                    c.tags[range].iter().copied().filter(|&t| t != EMPTY).collect();
+                    real.iter().filter(|&&t| t != EMPTY).map(|&t| u64::from(t)).collect();
                 got.sort_unstable();
                 assert_eq!(got, r.set_lines(set), "set {set} residency, {ctx}");
                 assert_eq!(c.resident(), mesi.len(), "resident count, {ctx}");
@@ -834,8 +918,8 @@ mod tests {
 
     fn two_lines() -> Cache {
         let mut c = tiny();
-        c.insert(0, Mesi::Shared);
-        c.insert(2, Mesi::Modified);
+        fill(&mut c, 0, Mesi::Shared);
+        fill(&mut c, 2, Mesi::Modified);
         c
     }
 
@@ -847,7 +931,7 @@ mod tests {
     #[test]
     fn checkpoint_rejects_a_line_held_twice() {
         use stramash_sim::checkpoint::CheckpointError;
-        let got = restore_forged(two_lines(), |c| c.tags[1] = c.tags[0]);
+        let got = restore_forged(two_lines(), |c| c.tags[0].0[1] = c.tags[0].0[0]);
         assert_eq!(got, Err(CheckpointError::Malformed("cache line in two ways")));
     }
 
@@ -855,7 +939,7 @@ mod tests {
     fn checkpoint_rejects_a_line_in_the_wrong_set() {
         use stramash_sim::checkpoint::CheckpointError;
         // Line 3 maps to set 1; ways 0 and 1 are set 0's.
-        let got = restore_forged(two_lines(), |c| c.tags[1] = 3);
+        let got = restore_forged(two_lines(), |c| c.tags[0].0[1] = 3);
         assert_eq!(got, Err(CheckpointError::Malformed("cache line in the wrong set")));
     }
 
@@ -874,7 +958,7 @@ mod tests {
     fn checkpoint_rejects_an_empty_way_ranked_above_a_resident_one() {
         use stramash_sim::checkpoint::CheckpointError;
         let mut c = tiny();
-        c.insert(0, Mesi::Shared);
+        fill(&mut c, 0, Mesi::Shared);
         // Set 0 holds line 0 in way 0 and nothing in way 1; swap their
         // ranks so the empty way is MRU.
         let got = restore_forged(c, |c| c.perms[0] = 0x01);
@@ -884,8 +968,134 @@ mod tests {
     #[test]
     fn hierarchy_flush() {
         let mut h = CacheHierarchy::new(&CacheConfig::paper_default());
-        h.l3.insert(5, Mesi::Shared);
+        fill(&mut h.l3, 5, Mesi::Shared);
         h.flush();
         assert!(!h.contains(5));
+    }
+
+    /// A small cache of `ways` ways, partly filled by a fixed mix of
+    /// planned fills, re-hits and invalidations, so its section holds
+    /// resident and empty ways, stale states and shuffled LRU orders.
+    fn partly_filled(ways: u32) -> Cache {
+        let sets = 4u64;
+        let mut c = Cache::new(CacheGeometry::new(sets * u64::from(ways) * 64, ways, 64));
+        let universe = sets * u64::from(ways);
+        for i in 0..universe * 2 {
+            let line = 0x0123_4500 + (i * 7) % universe;
+            let state = [Mesi::Modified, Mesi::Exclusive, Mesi::Shared][(i % 3) as usize];
+            if let ProbeFill::Miss(plan) = c.probe_or_plan(line) {
+                c.fill_planned(plan, line, state);
+            }
+            if i % 3 == 0 {
+                c.invalidate(0x0123_4500 + (i * 5) % universe);
+            }
+        }
+        c
+    }
+
+    /// The `CCHE` section of a 2-, 8- and 16-way cache, pinned by an
+    /// FNV-1a hash of its bytes: the on-disk format is one `u64` tag
+    /// per real way (`u64::MAX` when empty), whatever the in-memory
+    /// layout pads a set to.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        use stramash_sim::checkpoint::Encoder;
+        for (ways, pinned) in [
+            (2u32, 0xfeee_ccc8_0d6f_dbe0u64),
+            (8, 0x79d8_a178_4c0d_8f4c),
+            (16, 0xf94e_9f3c_0768_98e6),
+        ] {
+            let c = partly_filled(ways);
+            assert!(c.resident() > 0 && c.resident() < 4 * ways as usize, "{ways}-way fill");
+            let mut e = Encoder::new();
+            c.save_state(&mut e);
+            let hash = e.into_bytes().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+            assert_eq!(hash, pinned, "{ways}-way checkpoint bytes");
+        }
+    }
+
+    /// Restores a hand-encoded `CCHE` section of `tags` (one per real
+    /// way, `u64::MAX` when empty) into a fresh [`tiny`] cache, every
+    /// way `Shared` and every set in identity LRU order.
+    fn restore_wire(tags: [u64; 4]) -> Result<(), stramash_sim::checkpoint::CheckpointError> {
+        use stramash_sim::checkpoint::{Decoder, Encoder};
+        let mut e = Encoder::new();
+        e.tag(0x4343_4845);
+        e.u64s(&tags);
+        e.bytes(&[mesi_code(Mesi::Shared); 4]);
+        e.u64s(&[PERM_IDENTITY; 2]);
+        let bytes = e.into_bytes();
+        tiny().load_state(&mut Decoder::new(&bytes))
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_tag_wider_than_32_bits() {
+        use stramash_sim::checkpoint::CheckpointError;
+        let wide = Err(CheckpointError::Malformed("cache tag wider than 32 bits"));
+        // `u32::MAX` is the in-memory empty tag, so no line may use it.
+        assert_eq!(restore_wire([u64::MAX, u64::MAX, u64::from(u32::MAX), u64::MAX]), wide);
+        assert_eq!(restore_wire([1 << 32, u64::MAX, u64::MAX, u64::MAX]), wide);
+        assert_eq!(restore_wire([u64::from(u32::MAX) - 1, u64::MAX, 1, u64::MAX]), Ok(()));
+    }
+
+    /// The SSE2 lane match against the scalar oracle, bit for bit, on
+    /// seeded random sets (on other targets the two are one function).
+    /// Tags come from a small alphabet plus the full `u32` range, so no
+    /// match, one match, several matches and several [`EMPTY`] lanes
+    /// all occur, with the unused lanes left as padding.
+    #[test]
+    fn lane_match_equals_scalar_match_on_random_sets() {
+        use stramash_sim::rng::SimRng;
+        let mut rng = SimRng::new(0x1a4e_5eed);
+        let mut seen = [0u32; 3]; // sets with no, one and several matches
+        for _ in 0..50_000 {
+            let ways = 1 + rng.gen_range(u64::from(MAX_CACHE_WAYS)) as usize;
+            let mut set = EMPTY_SET;
+            for lane in &mut set.0[..ways] {
+                *lane = match rng.gen_range(4) {
+                    0 => EMPTY,
+                    1 => rng.next_u64() as u32,
+                    _ => rng.gen_range(6) as u32,
+                };
+            }
+            let tag = match rng.gen_range(4) {
+                0 => EMPTY,
+                1 => set.0[rng.gen_range(ways as u64) as usize],
+                2 => rng.next_u64() as u32,
+                _ => rng.gen_range(6) as u32,
+            };
+            let got = match_lanes(&set, tag);
+            assert_eq!(got, match_lanes_scalar(&set, tag), "{ways}-way set {set:?}, tag {tag:#x}");
+            seen[got.count_ones().min(2) as usize] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 1000), "match counts {seen:?}");
+    }
+
+    /// The [`EMPTY`] search masked to a level's real ways, at every
+    /// associativity and for every pattern of empty ways up to 8 wide
+    /// (then a seeded sample): the empty real ways, never a padding lane.
+    #[test]
+    fn empty_search_masked_to_real_ways_skips_padding() {
+        use stramash_sim::rng::SimRng;
+        let mut rng = SimRng::new(0xe3_5eed);
+        for ways in 1..=MAX_CACHE_WAYS {
+            let c = Cache::new(CacheGeometry::new(u64::from(ways) * 64, ways, 64));
+            let patterns: Vec<u32> = if ways <= 8 {
+                (0..1u32 << ways).collect()
+            } else {
+                (0..512).map(|_| rng.gen_range(1 << ways) as u32).collect()
+            };
+            for empties in patterns {
+                let mut set = EMPTY_SET;
+                for way in (0..ways as usize).filter(|w| empties & 1 << w == 0) {
+                    set.0[way] = way as u32;
+                }
+                let got = match_lanes(&set, EMPTY) & c.way_bits;
+                assert_eq!(got, match_lanes_scalar(&set, EMPTY) & c.way_bits, "{ways}-way");
+                assert_eq!(got, empties, "{ways}-way set, empty ways {empties:#b}");
+            }
+        }
     }
 }

@@ -165,6 +165,12 @@ impl PhysLayout {
         }
     }
 
+    /// A layout of the given regions (for tests of unusual spans).
+    #[cfg(test)]
+    pub(crate) fn from_regions(regions: Vec<MemRegion>) -> Self {
+        PhysLayout { regions }
+    }
+
     /// The region containing `addr`, if any (the 3–4 GB hole has none).
     #[must_use]
     pub fn region_of(&self, addr: PhysAddr) -> Option<&MemRegion> {

@@ -152,11 +152,17 @@ impl MemorySystem {
     ///
     /// # Errors
     ///
-    /// Returns the underlying [`ConfigError`] if `cfg` is inconsistent.
+    /// Returns the underlying [`ConfigError`] if `cfg` is inconsistent,
+    /// and [`ConfigError::TooManyLines`] if the layout has `u32::MAX`
+    /// lines or more, which the caches' 32-bit tags cannot name.
     pub fn with_layout(cfg: SimConfig, layout: PhysLayout) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let line_bytes = cfg.domains[0].cache.line_bytes() as u64;
         let line_shift = line_bytes.trailing_zeros();
+        let lines = layout.end().raw() >> line_shift;
+        if lines >= u64::from(u32::MAX) {
+            return Err(ConfigError::TooManyLines { lines });
+        }
         let hierarchies = [
             CacheHierarchy::new(&cfg.domains[0].cache),
             CacheHierarchy::new(&cfg.domains[1].cache),
@@ -663,14 +669,18 @@ impl MemorySystem {
     }
 
     /// Fills the L2 and the kind-matching L1 after a full miss, as
-    /// `Modified` when the domain now owns the line.
+    /// `Modified` when the domain now owns the line. Both levels just
+    /// missed it and the miss path only drops lines from them, so the
+    /// line is absent and each fill is planned without a probe.
     fn fill_upper(&mut self, di: usize, line: u64, kind: AccessKind, owned: bool) {
         let h = &mut self.hierarchies[di];
-        h.l2.insert(line, upper_state(owned));
-        match kind {
-            AccessKind::Data => h.l1d.insert(line, upper_state(owned)),
-            AccessKind::Instruction => h.l1i.insert(line, Mesi::Shared),
+        let (l1, l1_state) = match kind {
+            AccessKind::Data => (&mut h.l1d, upper_state(owned)),
+            AccessKind::Instruction => (&mut h.l1i, Mesi::Shared),
         };
+        debug_assert!(!h.l2.contains(line) && !l1.contains(line), "line {line:#x} refilled");
+        h.l2.fill_planned(h.l2.plan_fill(line), line, upper_state(owned));
+        l1.fill_planned(l1.plan_fill(line), line, l1_state);
     }
 
     /// The write upgrade of an L1 hit in `slot`. A data hit on an L1D
@@ -1425,12 +1435,28 @@ mod tests {
     }
 
     #[test]
+    fn layout_past_32_bit_line_numbers_is_a_typed_error() {
+        use crate::phys::{MemRegion, RegionKind, GB};
+        let local = |start: u64, domain| MemRegion {
+            start: PhysAddr::new(start),
+            len: GB,
+            kind: RegionKind::DomainLocal(domain),
+        };
+        // Ends at 257 GiB: 2^32 + 2^24 lines of 64 B.
+        let layout =
+            PhysLayout::from_regions(vec![local(0, DomainId::X86), local(256 * GB, DomainId::ARM)]);
+        let got = MemorySystem::with_layout(SimConfig::big_pair(), layout).err();
+        assert_eq!(got, Some(ConfigError::TooManyLines { lines: 257 * GB / 64 }));
+    }
+
+    #[test]
     fn coherence_audit_flags_forged_double_owner() {
         let mut m = sys(HardwareModel::Shared);
         m.access(DomainId::X86, POOL, Access::Write, AccessKind::Data);
         // Forge an impossible state: the peer L3 also claims the line.
         let line = POOL.line(m.line_bytes());
-        m.hierarchies[1].l3.insert(line, Mesi::Exclusive);
+        let l3 = &mut m.hierarchies[1].l3;
+        l3.fill_planned(l3.plan_fill(line), line, Mesi::Exclusive);
         let violations = m.audit_coherence();
         assert!(
             violations.iter().any(|v| v.contains("peer L3")),

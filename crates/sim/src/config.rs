@@ -545,6 +545,13 @@ pub enum ConfigError {
         /// The offending associativity.
         ways: u32,
     },
+    /// The physical layout spans too many cache lines for the 32-bit
+    /// cache tags: every line number must sit below `u32::MAX`, the
+    /// empty-way tag.
+    TooManyLines {
+        /// The layout's span in cache lines.
+        lines: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -567,6 +574,13 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "machine {machine} {level} is {ways}-way; at most {MAX_CACHE_WAYS} ways are supported"
+                )
+            }
+            ConfigError::TooManyLines { lines } => {
+                write!(
+                    f,
+                    "physical layout spans {lines} cache lines; 32-bit cache tags name fewer than {}",
+                    u32::MAX
                 )
             }
         }

@@ -6,6 +6,8 @@
 //! cargo run --release --example fault_injection
 //! ```
 
+#![deny(unsafe_code)]
+
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
 use stramash_repro::sim::FaultPlan;

@@ -5,6 +5,8 @@
 //! cargo run --release --example kvstore_serving [requests]
 //! ```
 
+#![deny(unsafe_code)]
+
 use stramash_repro::prelude::*;
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};

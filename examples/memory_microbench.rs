@@ -8,6 +8,8 @@
 //! cargo run --release --example memory_microbench [buffer_kib]
 //! ```
 
+#![deny(unsafe_code)]
+
 use stramash_repro::prelude::*;
 use stramash_repro::workloads::micro::{memory_access, AccessScenario};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};

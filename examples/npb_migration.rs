@@ -9,6 +9,8 @@
 //! cargo run --release --example npb_migration [is|cg|mg|ft]
 //! ```
 
+#![deny(unsafe_code)]
+
 use stramash_repro::prelude::*;
 use stramash_repro::workloads::driver::{run_benchmark, Configuration};
 use stramash_repro::workloads::npb::{Class, NpbKind};

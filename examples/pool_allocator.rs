@@ -6,6 +6,8 @@
 //! cargo run --release --example pool_allocator
 //! ```
 
+#![deny(unsafe_code)]
+
 use stramash_repro::fused::StramashSystem;
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::kernel::vma::VmaProt;

@@ -5,6 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
+#![deny(unsafe_code)]
+
 use stramash_repro::fused::StramashSystem;
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::kernel::vma::VmaProt;

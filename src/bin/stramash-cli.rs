@@ -10,6 +10,9 @@
 //! stramash-cli trace is --system stramash --json /tmp/trace.json
 //! ```
 
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 use std::io::Write as _;
 use std::process::ExitCode;
 use stramash_repro::kernel::system::OsSystem;

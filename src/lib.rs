@@ -4,6 +4,8 @@
 //! examples, integration tests and benchmark harnesses.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub use popcorn_os as popcorn;
 pub use stramash as fused;

@@ -16,6 +16,8 @@
 //!    kind mismatch fails the typed decode, never a panic or a silently
 //!    wrong machine.
 
+#![deny(unsafe_code)]
+
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
 use stramash_repro::sim::trace::{shared_tracer, TraceEvent};

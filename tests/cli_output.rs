@@ -2,6 +2,8 @@
 //! `stramash-cli` panic. Every command's stdout goes through one helper
 //! that turns a broken pipe into a quiet exit with status 0.
 
+#![deny(unsafe_code)]
+
 use std::process::{Command, Stdio};
 
 /// Runs the binary with stdout connected to a pipe whose read end is

@@ -2,6 +2,8 @@
 //! substrate must compute identical results while exhibiting their
 //! characteristic costs.
 
+#![deny(unsafe_code)]
+
 use stramash_repro::kernel::addr::PAGE_SIZE;
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::kernel::vma::VmaProt;

@@ -5,6 +5,8 @@
 //! the per-domain `DomainStats`, the invariant auditors must stay
 //! silent, and the same seed must replay the identical fault sequence.
 
+#![deny(unsafe_code)]
+
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::kernel::vma::VmaProt;
 use stramash_repro::prelude::*;

@@ -17,6 +17,8 @@
 //! To regenerate the goldens after an *intentional* timing-model change:
 //! `cargo test --test golden_stats -- --ignored --nocapture print_goldens`
 
+#![deny(unsafe_code)]
+
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};

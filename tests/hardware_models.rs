@@ -1,6 +1,8 @@
 //! Hardware-model semantics end to end (§8.1/§9.2.1): which designs are
 //! sensitive to the Figure 3 memory configuration, and which are not.
 
+#![deny(unsafe_code)]
+
 use stramash_repro::prelude::*;
 use stramash_repro::workloads::driver::{run_benchmark, Configuration};
 use stramash_repro::workloads::micro::{memory_access, AccessScenario};

@@ -14,6 +14,8 @@
 //! change: `cargo test --test kv_serving -- --ignored --nocapture
 //! print_serve_goldens`
 
+#![deny(unsafe_code)]
+
 use stramash_repro::prelude::*;
 use stramash_repro::workloads::serve::{
     generate_schedule, run_serve, schedule_fingerprint, ServeConfig,

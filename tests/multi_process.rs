@@ -1,6 +1,8 @@
 //! Multiple processes on one platform: isolation between address
 //! spaces, independent migration, and per-process accounting.
 
+#![deny(unsafe_code)]
+
 use stramash_repro::kernel::addr::PAGE_SIZE;
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::kernel::vma::VmaProt;

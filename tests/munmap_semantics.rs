@@ -1,6 +1,8 @@
 //! `munmap` under every OS design: mappings disappear, frames return to
 //! their owners, and the design-specific ownership disciplines hold.
 
+#![deny(unsafe_code)]
+
 use stramash_repro::kernel::addr::PAGE_SIZE;
 use stramash_repro::kernel::system::{OsError, OsSystem};
 use stramash_repro::kernel::vma::VmaProt;

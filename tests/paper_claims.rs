@@ -2,6 +2,8 @@
 //! (the benchmark harness regenerates the full tables; these run at
 //! test-friendly sizes and check the *shape* of each result).
 
+#![deny(unsafe_code)]
+
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
 use stramash_repro::workloads::driver::{run_benchmark, Configuration};

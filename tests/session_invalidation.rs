@@ -11,6 +11,8 @@
 //! bite immediately, and a migration-heavy batched workload stays
 //! cycle-identical to its scalar twin.
 
+#![deny(unsafe_code)]
+
 use stramash_repro::kernel::addr::PAGE_SIZE;
 use stramash_repro::kernel::session::AccessSession;
 use stramash_repro::kernel::system::{OsError, OsSystem};

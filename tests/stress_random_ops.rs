@@ -3,6 +3,8 @@
 //! against a flat reference model of the address space. Any coherence,
 //! replication, or teardown bug shows up as a value mismatch.
 
+#![deny(unsafe_code)]
+
 use std::collections::BTreeMap;
 use stramash_repro::kernel::addr::{VirtAddr, PAGE_SIZE};
 use stramash_repro::kernel::system::OsSystem;

@@ -2,6 +2,8 @@
 //! perf+icount tool, messaging polling mode, and the charged cost of
 //! the register-state transformation.
 
+#![deny(unsafe_code)]
+
 use stramash_repro::isa::regs;
 use stramash_repro::kernel::msg::{Message, MsgType, Transport};
 use stramash_repro::kernel::system::{protocol_round_trip, BaseSystem, OsSystem};

@@ -20,6 +20,8 @@
 //! 5. `chrome_trace_json` prints byte for byte what the `write!`-based
 //!    exporter it replaced printed, kept here as its oracle.
 
+#![deny(unsafe_code)]
+
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
 use stramash_repro::sim::render_phases;
