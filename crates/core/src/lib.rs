@@ -13,7 +13,6 @@
 //!   fault handler with direct remote PTE insertion under the cross-ISA
 //!   Stramash-PTL, remote VMA walking, fused futexes, migration with
 //!   PTE reconfiguration, and process-exit recycling (§6.4, §6.5).
-//! * [`fused_vas`] — the fused kernel virtual address space (§6.4).
 //! * [`galloc`] — the global memory allocator over the shared pool with
 //!   hotplug-style offline/online (§6.3, Table 4).
 //!
@@ -42,10 +41,8 @@
 #![deny(unsafe_code)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
-pub mod fused_vas;
 pub mod galloc;
 pub mod system;
 
-pub use fused_vas::{FusedKernelVas, KernelVa, VasError};
 pub use galloc::{GallocError, GlobalAllocator, MAX_BLOCK, MIN_BLOCK, PRESSURE_THRESHOLD};
 pub use system::{StramashCounters, StramashSystem, DEFAULT_BLOCK_SIZE};

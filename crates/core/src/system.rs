@@ -10,8 +10,7 @@
 //!   and walks the tree in shared memory.
 //! * **Software remote page-table walker** (§6.4): the remote kernel
 //!   reads the origin's table levels directly (paying remote-memory
-//!   latency), using the origin ISA's masks via a
-//!   [`stramash_isa::RemoteCpuDriver`].
+//!   latency), using the origin ISA's masks.
 //! * **Stramash page-fault handler** (§6.4): the remote kernel allocates
 //!   anonymous pages from its *own* memory without notifying the origin,
 //!   inserts them into both page tables under the cross-ISA
@@ -27,9 +26,8 @@
 //!   granted on memory pressure and evicted from the peer when the pool
 //!   runs dry (hotplug-style offline/online, Table 4).
 
-use crate::fused_vas::FusedKernelVas;
 use crate::galloc::{GallocError, GlobalAllocator, PRESSURE_THRESHOLD};
-use stramash_isa::{PteFlags, RawPte, RemoteCpuDriver};
+use stramash_isa::{PteFlags, RawPte};
 use stramash_kernel::addr::{VirtAddr, PAGE_SIZE};
 use stramash_kernel::futex::{ThreadId, Waiter};
 use stramash_kernel::msg::{Message, MsgType};
@@ -40,6 +38,7 @@ use stramash_kernel::system::{
 };
 use stramash_kernel::BootConfig;
 use stramash_mem::PhysAddr;
+use stramash_sim::config::ConfigError;
 use stramash_sim::trace::{FutexOp, TraceEvent, HIST_FUTEX_WAIT};
 use stramash_sim::{Cycles, DomainId, IntMap, SharedTracer, SimConfig};
 
@@ -82,7 +81,6 @@ pub struct StramashCounters {
 pub struct StramashSystem {
     base: BaseSystem,
     galloc: GlobalAllocator,
-    vas: FusedKernelVas,
     counters: StramashCounters,
     /// Origin-side PTEs currently encoded in the remote ISA's format
     /// (pid → virtual page numbers). Converted in bulk at migrate-back,
@@ -105,25 +103,21 @@ impl StramashSystem {
     ///
     /// # Errors
     ///
-    /// Configuration errors, including an out-of-range block size.
+    /// Configuration errors, including [`ConfigError::PoolBlockSize`] for
+    /// a block size the global allocator cannot tile the pool with.
     pub fn with_block_size(cfg: SimConfig, block_size: u64) -> Result<Self, OsError> {
         let base = BaseSystem::new(cfg, &BootConfig::paper_default())?;
         let vmemmap = [PhysAddr::new(32 << 20), PhysAddr::new((3u64 << 29) + (32 << 20))];
+        // Construction fails only on a bad block size or a pool smaller
+        // than one block; both are this one configuration error.
         let galloc = GlobalAllocator::new(base.pool_start, base.pool_end, block_size, vmemmap)
-            .map_err(|e| match e {
-                GallocError::BadBlockSize(_) | GallocError::PoolTooSmall => {
-                    OsError::Config(stramash_sim::config::ConfigError::ZeroFrequency(format!(
-                        "global allocator: {e}"
-                    )))
-                }
-                _ => unreachable!("construction only fails on size/pool errors"),
+            .map_err(|_| ConfigError::PoolBlockSize {
+                block_size,
+                pool_bytes: base.pool_end.raw() - base.pool_start.raw(),
             })?;
-        let vas = FusedKernelVas::new(false)
-            .map_err(|_| OsError::InvariantViolation("fused kernel VAS windows overlap"))?;
         Ok(StramashSystem {
             base,
             galloc,
-            vas,
             counters: StramashCounters::default(),
             remote_fmt_ptes: IntMap::default(),
         })
@@ -151,12 +145,6 @@ impl StramashSystem {
         self.base.install_tracer(tracer);
     }
 
-    /// The fused kernel virtual address space.
-    #[must_use]
-    pub fn fused_vas(&self) -> &FusedKernelVas {
-        &self.vas
-    }
-
     /// The global allocator (Table 4 benches drive it directly).
     #[must_use]
     pub fn global_allocator(&self) -> &GlobalAllocator {
@@ -172,8 +160,7 @@ impl StramashSystem {
 
     /// Serializes the whole system — base machine, global-allocator
     /// ownership, fused-OS counters and the pending remote-format PTE
-    /// sets — into a checkpoint section. The fused VAS windows are boot
-    /// configuration and are rebuilt, not stored.
+    /// sets — into a checkpoint section.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x5354_524d); // "STRM"
         self.base.save_state(e);
@@ -464,55 +451,6 @@ impl StramashSystem {
         c
     }
 
-    /// Reads a `u64` through the **fused kernel virtual address space**
-    /// (§6.4): `kva` may point into either kernel's direct-map window;
-    /// the access resolves to the owner's physical memory and is charged
-    /// to the reading kernel — remote-window reads pay remote latency.
-    /// This is the accessor-function primitive that lets one kernel
-    /// chase pointers in the other's data structures.
-    ///
-    /// # Errors
-    ///
-    /// [`OsError::Segfault`] (with a null pid) when the KVA resolves to
-    /// no window.
-    pub fn kernel_read_u64(
-        &mut self,
-        reader: DomainId,
-        kva: crate::fused_vas::KernelVa,
-    ) -> Result<u64, OsError> {
-        let Some((_, pa)) = self.vas.resolve(kva) else {
-            return Err(OsError::Segfault {
-                pid: stramash_kernel::process::Pid(0),
-                va: VirtAddr::new(kva.0),
-            });
-        };
-        let (value, cycles) = self.base.mem.read_u64(reader, pa);
-        self.base.charge(reader, cycles);
-        Ok(value)
-    }
-
-    /// Writes a `u64` through the fused kernel virtual address space.
-    ///
-    /// # Errors
-    ///
-    /// As [`StramashSystem::kernel_read_u64`].
-    pub fn kernel_write_u64(
-        &mut self,
-        writer: DomainId,
-        kva: crate::fused_vas::KernelVa,
-        value: u64,
-    ) -> Result<(), OsError> {
-        let Some((_, pa)) = self.vas.resolve(kva) else {
-            return Err(OsError::Segfault {
-                pid: stramash_kernel::process::Pid(0),
-                va: VirtAddr::new(kva.0),
-            });
-        };
-        let cycles = self.base.mem.write_u64(writer, pa, value);
-        self.base.charge(writer, cycles);
-        Ok(())
-    }
-
     /// Rewrites one origin-side leaf entry from the remote ISA's format
     /// into the origin's own format (§6.4: "the origin kernel can simply
     /// reconfigure the PTE to its own format").
@@ -718,8 +656,7 @@ impl OsSystem for StramashSystem {
 
         // Software remote page-table walk: does the origin's chain reach
         // the PTE level? All reads are charged to the remote walker and
-        // use the origin ISA's masks (via its remote CPU driver).
-        let driver = RemoteCpuDriver::new(self.base.kernels[origin.index()].isa);
+        // use the origin ISA's masks.
         let (slot, walk_c) = origin_pt.leaf_slot(&mut self.base.mem, domain, va, true);
         self.base.charge(domain, walk_c);
         total += walk_c;
@@ -731,12 +668,11 @@ impl OsSystem for StramashSystem {
                 total += c_read;
                 let in_remote_fmt =
                     self.remote_fmt_ptes.get(&pid.0).is_some_and(|s| s.contains(&va.vpn()));
-                let decode_isa = if in_remote_fmt {
-                    self.base.kernels[domain.index()].isa
-                } else {
-                    driver.isa()
-                };
-                if let Some((pfn, _)) = (RawPte { raw, isa: decode_isa }).decode() {
+                // A remote-format entry is in our ISA's format, any
+                // other in the origin's.
+                let format_of = if in_remote_fmt { domain } else { origin };
+                let isa = self.base.kernels[format_of.index()].isa;
+                if let Some((pfn, _)) = (RawPte { raw, isa }).decode() {
                     // The origin already maps this page: map the SAME
                     // frame into our table — no copy, no messages. This
                     // is the fused no-replication property of §6.4.
@@ -1090,6 +1026,15 @@ mod tests {
     }
 
     #[test]
+    fn bad_block_size_is_a_typed_config_error() {
+        let cfg = SimConfig::big_pair().with_hw_model(HardwareModel::Shared);
+        let pool_bytes = (4u64 << 30) - (128 << 20);
+        let err = StramashSystem::with_block_size(cfg, 3).unwrap_err();
+        assert_eq!(err, OsError::Config(ConfigError::PoolBlockSize { block_size: 3, pool_bytes }));
+        assert!(err.to_string().contains("block size 3 is not a power of two"), "{err}");
+    }
+
+    #[test]
     fn pressure_growth_grants_pool_blocks() {
         // A tiny synthetic allocator state: drain the kernel's frames to
         // force galloc growth.
@@ -1103,30 +1048,6 @@ mod tests {
         let va = sys.mmap(pid, 4096, VmaProt::rw()).unwrap();
         sys.store_u64(pid, va, 1).unwrap();
         assert!(sys.counters().blocks_granted >= 1, "pressure must trigger a block grant");
-    }
-
-    #[test]
-    fn fused_kva_reaches_the_peer_kernels_memory() {
-        // §6.4: "the Arm's virtual address space becomes fully
-        // addressable to the x86 kernel instance, and vice versa".
-        let cfg = SimConfig::big_pair().with_hw_model(HardwareModel::Shared);
-        let mut sys = StramashSystem::new(cfg).unwrap();
-        // A word in the Arm kernel's private memory (2 GB)…
-        let pa = stramash_mem::PhysAddr::new(2 << 30);
-        sys.base_mut().mem.store_mut().write_u64(pa, 0xA5A5);
-        let vas = *sys.fused_vas();
-        let kva = vas.kva(DomainId::ARM, pa);
-        // …is readable by the x86 kernel through the fused KVA, at
-        // remote cost.
-        let t0 = sys.base().timebase.clock(DomainId::X86).cycles();
-        assert_eq!(sys.kernel_read_u64(DomainId::X86, kva).unwrap(), 0xA5A5);
-        let cost = sys.base().timebase.clock(DomainId::X86).cycles() - t0;
-        assert!(cost.raw() >= 640, "remote-window read pays remote DRAM: {cost}");
-        // And writable: the Arm kernel observes the update in place.
-        sys.kernel_write_u64(DomainId::X86, kva, 0x5A5A).unwrap();
-        assert_eq!(sys.kernel_read_u64(DomainId::ARM, kva).unwrap(), 0x5A5A);
-        // Unmapped KVAs fail.
-        assert!(sys.kernel_read_u64(DomainId::X86, crate::fused_vas::KernelVa(0x1000)).is_err());
     }
 
     #[test]

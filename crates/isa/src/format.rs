@@ -133,12 +133,6 @@ impl PageTableFormat {
         1 << self.index_bits
     }
 
-    /// Bytes per table (one 4 KiB frame).
-    #[must_use]
-    pub fn table_bytes(&self) -> u64 {
-        self.entries_per_table() * 8
-    }
-
     /// Total virtual-address bits translated (57 for 5-level).
     #[must_use]
     pub fn va_bits(&self) -> u32 {
@@ -205,7 +199,6 @@ mod tests {
             assert_eq!(f.levels, 5);
             assert_eq!(f.page_shift, 12);
             assert_eq!(f.entries_per_table(), 512);
-            assert_eq!(f.table_bytes(), 4096);
             assert_eq!(f.va_bits(), 57);
         }
     }

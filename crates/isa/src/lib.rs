@@ -15,11 +15,6 @@
 //!   simply reconfigure the PTE to its own format").
 //! * [`atomic`] — the cross-ISA atomicity model of §6.5/§7.1: AArch64
 //!   LSE CAS vs LL/SC, and the soundness condition for cross-ISA locks.
-//! * [`driver`] — [`driver::RemoteCpuDriver`], the paper's "collection
-//!   of accessor functions targeting a specific ISA" (§5) that lets one
-//!   kernel interpret another ISA's structures in shared memory.
-//! * [`consistency`] — the §3 memory-consistency assumption (everyone
-//!   runs the strongest model; Arm in TSO mode).
 //! * [`regs`] — the cost of the Popcorn-toolchain register-state
 //!   transformation executed at migration equivalence points (§5).
 
@@ -28,15 +23,11 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod atomic;
-pub mod consistency;
-pub mod driver;
 pub mod format;
 pub mod pte;
 pub mod regs;
 
 pub use atomic::{AtomicKind, AtomicModel};
-pub use consistency::MemoryOrder;
-pub use driver::RemoteCpuDriver;
 pub use format::{IsaKind, PageTableFormat};
 pub use pte::{PteFlags, RawPte};
 pub use regs::MigrationCostModel;

@@ -41,19 +41,6 @@ impl PteFlags {
         }
     }
 
-    /// Kernel read-write data mapping.
-    #[must_use]
-    pub fn kernel_data() -> Self {
-        PteFlags {
-            present: true,
-            writable: true,
-            user: false,
-            accessed: true,
-            dirty: false,
-            no_exec: true,
-        }
-    }
-
     /// A read-only variant (COW / replicated DSM pages are mapped
     /// read-only so that writes fault, §6.4).
     #[must_use]
@@ -190,7 +177,7 @@ mod tests {
     fn roundtrip_user_data_both_isas() {
         for isa in IsaKind::ALL {
             roundtrip(isa, PteFlags::user_data());
-            roundtrip(isa, PteFlags::kernel_data());
+            roundtrip(isa, PteFlags { user: false, ..PteFlags::user_data() });
             roundtrip(isa, PteFlags::user_data().read_only());
         }
     }

@@ -15,7 +15,6 @@
 
 use crate::kernel::KernelInstance;
 use crate::msg::{MessagingLayer, Transport};
-use crate::namespace::fused_cpu_list;
 use stramash_mem::{PhysAddr, PhysLayout};
 use stramash_sim::ipi::IpiFabric;
 use stramash_sim::{DomainId, SimConfig};
@@ -89,12 +88,6 @@ pub fn boot_pair(cfg: &SimConfig, layout: &PhysLayout, boot: &BootConfig) -> Boo
             .expect("boot regions are aligned and disjoint");
     }
 
-    // Fuse the namespaces and CPU topology (§6.6).
-    let cpus = fused_cpu_list(52, 64);
-    kernels[0].namespaces.set_cpus(cpus);
-    let x86_ns = kernels[0].namespaces.clone();
-    kernels[1].namespaces.fuse_with(&x86_ns);
-
     // Message rings at the start of the pool: local to x86 / remote to
     // Arm under Separated, remote-shared under Shared, local under
     // Fully Shared — exactly the §8.2 placements.
@@ -133,14 +126,6 @@ mod tests {
         // Neither kernel owns the other's memory.
         assert!(!x.owns(PhysAddr::new(2 << 30)));
         assert!(!a.owns(PhysAddr::new(0x10_0000 + (64 << 20))));
-    }
-
-    #[test]
-    fn boot_fuses_namespaces() {
-        let cfg = SimConfig::big_pair();
-        let p = boot_pair(&cfg, &PhysLayout::paper_default(), &BootConfig::paper_default());
-        assert!(p.kernels[0].namespaces.is_fused_with(&p.kernels[1].namespaces));
-        assert_eq!(p.kernels[1].namespaces.cpus().len(), 116);
     }
 
     #[test]

@@ -157,13 +157,6 @@ impl BuddyAllocator {
         Ok(())
     }
 
-    /// The number of free blocks at each order (diagnostics; the §6.3
-    /// offline path inspects exactly these lists).
-    #[must_use]
-    pub fn free_list_lengths(&self) -> Vec<usize> {
-        self.free_lists.iter().map(BTreeSet::len).collect()
-    }
-
     /// Verifies conservation and disjointness (for tests): allocated +
     /// free pages equals the total, and no two live blocks overlap.
     ///
@@ -261,7 +254,7 @@ mod tests {
         assert_eq!(b.allocated_pages(), 0);
         b.assert_invariants();
         // After freeing everything, coalescing restores one big block.
-        assert_eq!(b.free_list_lengths()[4], 1);
+        assert_eq!(b.free_lists[4].len(), 1);
     }
 
     #[test]
@@ -296,7 +289,7 @@ mod tests {
         }
         b.assert_invariants();
         // Fully coalesced: a single order-3 block again.
-        assert_eq!(b.free_list_lengths()[3], 1);
+        assert_eq!(b.free_lists[3].len(), 1);
     }
 
     #[test]

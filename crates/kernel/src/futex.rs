@@ -47,10 +47,6 @@ pub struct Waiter {
 #[derive(Debug, Clone, Default)]
 pub struct FutexTable {
     queues: IntMap<u64, VecDeque<Waiter>>,
-    /// Total wait operations ever enqueued (for experiment reporting).
-    waits: u64,
-    /// Total successful wakes.
-    wakes: u64,
 }
 
 impl FutexTable {
@@ -63,7 +59,6 @@ impl FutexTable {
     /// Enqueues `waiter` on the futex at user address `uaddr`.
     pub fn wait(&mut self, uaddr: VirtAddr, waiter: Waiter) {
         self.queues.entry(uaddr.raw()).or_default().push_back(waiter);
-        self.waits += 1;
     }
 
     /// Dequeues the longest-waiting thread on `uaddr`, if any.
@@ -73,9 +68,6 @@ impl FutexTable {
         if q.is_empty() {
             self.queues.remove(&uaddr.raw());
         }
-        if w.is_some() {
-            self.wakes += 1;
-        }
         w
     }
 
@@ -83,24 +75,6 @@ impl FutexTable {
     #[must_use]
     pub fn waiters(&self, uaddr: VirtAddr) -> usize {
         self.queues.get(&uaddr.raw()).map_or(0, VecDeque::len)
-    }
-
-    /// Number of distinct futexes with blocked threads.
-    #[must_use]
-    pub fn active_futexes(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Lifetime wait-operation count.
-    #[must_use]
-    pub fn total_waits(&self) -> u64 {
-        self.waits
-    }
-
-    /// Lifetime successful-wake count.
-    #[must_use]
-    pub fn total_wakes(&self) -> u64 {
-        self.wakes
     }
 
     /// Removes every waiter sleeping on the dead domain and returns the
@@ -132,8 +106,8 @@ impl FutexTable {
         orphaned
     }
 
-    /// Serializes the table (queues in futex-address order, counters)
-    /// into a checkpoint section.
+    /// Serializes the table (queues in futex-address order) into a
+    /// checkpoint section.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x4654_5851); // "FTXQ"
         let mut addrs: Vec<u64> = self.queues.keys().copied().collect();
@@ -148,8 +122,6 @@ impl FutexTable {
                 e.domain(w.domain);
             }
         }
-        e.u64(self.waits);
-        e.u64(self.wakes);
     }
 
     /// Restores a table written by [`FutexTable::save_state`].
@@ -175,8 +147,6 @@ impl FutexTable {
             queues.insert(uaddr, q);
         }
         self.queues = queues;
-        self.waits = d.u64()?;
-        self.wakes = d.u64()?;
         Ok(())
     }
 }
@@ -208,19 +178,9 @@ mod tests {
         let mut t = FutexTable::new();
         t.wait(UADDR, waiter(1, DomainId::X86));
         t.wait(VirtAddr::new(0x7000), waiter(2, DomainId::ARM));
-        assert_eq!(t.active_futexes(), 2);
         assert_eq!(t.wake_one(VirtAddr::new(0x7000)).unwrap().thread, ThreadId(2));
-        assert_eq!(t.active_futexes(), 1);
-    }
-
-    #[test]
-    fn counters() {
-        let mut t = FutexTable::new();
-        t.wait(UADDR, waiter(1, DomainId::X86));
-        t.wait(UADDR, waiter(2, DomainId::X86));
-        t.wake_one(UADDR);
-        assert_eq!(t.total_waits(), 2);
-        assert_eq!(t.total_wakes(), 1);
+        assert_eq!(t.waiters(VirtAddr::new(0x7000)), 0);
+        assert_eq!(t.waiters(UADDR), 1);
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! Kernel instances.
 //!
 //! One [`KernelInstance`] per ISA domain, each with its own frame
-//! allocator (its boot-time private memory, §6.1), futex table,
-//! namespaces, and atomic/consistency configuration.
+//! allocator (its boot-time private memory, §6.1), futex table and
+//! atomics configuration.
 
 use crate::frame::FrameAllocator;
 use crate::futex::FutexTable;
-use crate::namespace::NamespaceSet;
 use stramash_isa::atomic::AtomicModel;
-use stramash_isa::consistency::ConsistencyConfig;
 use stramash_isa::IsaKind;
 use stramash_sim::DomainId;
 
@@ -44,12 +42,8 @@ pub struct KernelInstance {
     pub frames: FrameAllocator,
     /// This kernel's futex table ("Futex locking list", §6.5).
     pub futexes: FutexTable,
-    /// Namespace view (fused after boot under Stramash, §6.6).
-    pub namespaces: NamespaceSet,
     /// Atomics configuration (LSE on, per the paper).
     pub atomics: AtomicModel,
-    /// Consistency configuration (TSO everywhere, §3).
-    pub consistency: ConsistencyConfig,
     /// Experiment counters.
     pub counters: KernelCounters,
 }
@@ -65,21 +59,14 @@ impl KernelInstance {
             isa,
             frames: FrameAllocator::new(),
             futexes: FutexTable::new(),
-            namespaces: NamespaceSet::private(domain.index() as u64 + 1),
             atomics: AtomicModel::paper_default(isa),
-            consistency: ConsistencyConfig::paper_default(isa),
             counters: KernelCounters::default(),
         }
     }
 
-    /// Resets the experiment counters (memory ownership is preserved).
-    pub fn reset_counters(&mut self) {
-        self.counters = KernelCounters::default();
-    }
-
     /// Serializes the kernel's mutable state (frames, futexes,
-    /// counters) into a checkpoint section. Namespaces, atomics and
-    /// consistency are boot configuration and are rebuilt, not restored.
+    /// counters) into a checkpoint section. The atomics model is boot
+    /// configuration and is rebuilt, not restored.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x4b52_4e4c); // "KRNL"
         e.u8(self.domain.index() as u8);
@@ -133,7 +120,6 @@ impl KernelInstance {
 mod tests {
     use super::*;
     use stramash_isa::atomic::cross_isa_atomics_sound;
-    use stramash_isa::consistency::models_compatible;
 
     #[test]
     fn kernels_get_their_domains_isa() {
@@ -144,25 +130,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_pair_is_lock_and_consistency_sound() {
+    fn paper_pair_is_lock_sound() {
         let x = KernelInstance::new(DomainId::X86);
         let a = KernelInstance::new(DomainId::ARM);
         assert!(cross_isa_atomics_sound(&x.atomics, &a.atomics));
-        assert!(models_compatible(&x.consistency, &a.consistency));
-    }
-
-    #[test]
-    fn fresh_kernels_have_private_namespaces() {
-        let x = KernelInstance::new(DomainId::X86);
-        let a = KernelInstance::new(DomainId::ARM);
-        assert!(!x.namespaces.is_fused_with(&a.namespaces));
-    }
-
-    #[test]
-    fn counters_reset() {
-        let mut k = KernelInstance::new(DomainId::X86);
-        k.counters.local_faults = 5;
-        k.reset_counters();
-        assert_eq!(k.counters, KernelCounters::default());
     }
 }

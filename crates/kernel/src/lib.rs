@@ -11,7 +11,6 @@
 //! * [`futex`] — futex tables with cross-domain waiters (§6.5),
 //! * [`msg`] — the ring-buffer + IPI messaging layer and the TCP
 //!   baseline transport (§6.2, §8.2),
-//! * [`namespace`] — fused namespaces (§6.6),
 //! * [`boot`] — the §6.1 boot partitioning over the Figure 4 layout,
 //! * [`process`] — migratable processes with per-domain page tables and
 //!   software TLBs,
@@ -47,7 +46,6 @@ pub mod frame;
 pub mod futex;
 pub mod kernel;
 pub mod msg;
-pub mod namespace;
 pub mod pagetable;
 pub mod process;
 pub mod session;

@@ -141,12 +141,6 @@ pub struct MsgCounters {
 }
 
 impl MsgCounters {
-    /// Messages sent by `domain`.
-    #[must_use]
-    pub fn sent_by(&self, domain: DomainId) -> u64 {
-        self.sent[domain.index()]
-    }
-
     /// Total messages in both directions. Counts *logical* messages: a
     /// message retransmitted five times is still one send.
     #[must_use]
@@ -172,35 +166,19 @@ impl MsgCounters {
         self.retransmits.iter().sum()
     }
 
-    /// Duplicate deliveries `domain` received and discarded by sequence
-    /// number (the sender's ack was lost, so it retransmitted).
-    #[must_use]
-    pub fn dup_delivered_to(&self, domain: DomainId) -> u64 {
-        self.dup_delivered[domain.index()]
-    }
-
-    /// Total duplicate deliveries (both receivers).
+    /// Total duplicate deliveries (both receivers): messages discarded
+    /// by sequence number because the sender's ack was lost and it
+    /// retransmitted.
     #[must_use]
     pub fn dup_delivered(&self) -> u64 {
         self.dup_delivered.iter().sum()
     }
 
-    /// Times `domain`'s sends found the peer ring full and had to stall
-    /// for the receiver to drain it (ring-overflow backpressure).
-    #[must_use]
-    pub fn backpressure_stalls_by(&self, domain: DomainId) -> u64 {
-        self.backpressure_stalls[domain.index()]
-    }
-
-    /// Total backpressure stalls in both directions.
+    /// Total backpressure stalls in both directions: sends that found
+    /// the peer ring full and stalled for the receiver to drain it.
     #[must_use]
     pub fn backpressure_stalls(&self) -> u64 {
         self.backpressure_stalls.iter().sum()
-    }
-
-    /// Resets all counters.
-    pub fn reset(&mut self) {
-        *self = MsgCounters::default();
     }
 }
 
@@ -369,11 +347,6 @@ impl MessagingLayer {
         &self.counters
     }
 
-    /// Resets the counters.
-    pub fn reset_counters(&mut self) {
-        self.counters.reset();
-    }
-
     /// Installs a fault injector; subsequent sends may be dropped,
     /// corrupted or delayed and recover via timeout + retransmission.
     /// Without an injector the layer consumes zero RNG and charges the
@@ -450,12 +423,6 @@ impl MessagingLayer {
         let stats = self.stream_stats(id);
         self.streams.remove(&id.0);
         stats
-    }
-
-    /// Number of currently open streams.
-    #[must_use]
-    pub fn streams_open(&self) -> usize {
-        self.streams.len()
     }
 
     /// Accounting snapshot for one stream.
@@ -856,8 +823,16 @@ impl MessagingLayer {
         let pair = |v: Vec<u64>| -> Result<[u64; 2], CheckpointError> {
             v.try_into().map_err(|_| CheckpointError::Malformed("expected a per-domain pair"))
         };
-        self.cursor = pair(d.u64s()?)?;
-        self.outstanding = pair(d.u64s()?)?;
+        let cursor = pair(d.u64s()?)?;
+        let outstanding = pair(d.u64s()?)?;
+        // The bounds `audit` checks: neither may pass the ring's end.
+        if cursor.iter().chain(&outstanding).any(|&v| v > self.ring_len) {
+            return Err(CheckpointError::Malformed(
+                "ring cursor or outstanding bytes past the ring",
+            ));
+        }
+        self.cursor = cursor;
+        self.outstanding = outstanding;
         self.next_seq = pair(d.u64s()?)?;
         self.counters.sent = pair(d.u64s()?)?;
         self.counters.bytes = pair(d.u64s()?)?;
@@ -976,11 +951,9 @@ mod tests {
         assert_eq!(c.of_type(MsgType::PageRequest), 3);
         assert_eq!(c.of_type(MsgType::PageResponse), 1);
         assert_eq!(c.of_type(MsgType::FutexWake), 0);
-        assert_eq!(c.sent_by(DomainId::X86), 3);
+        assert_eq!(c.sent, [3, 1]);
         assert_eq!(c.total(), 4);
         assert_eq!(c.total_bytes(), 3 * 64 + 64 + 4096);
-        ml.reset_counters();
-        assert_eq!(ml.counters().total(), 0);
     }
 
     #[test]
@@ -1004,7 +977,7 @@ mod tests {
         // Every send after the first found the ring full and stalled for
         // the receiver to drain it — no silent overwrite.
         assert_eq!(ml.counters().backpressure_stalls(), 4);
-        assert_eq!(ml.counters().backpressure_stalls_by(DomainId::X86), 4);
+        assert_eq!(ml.counters().backpressure_stalls, [4, 0]);
         assert!(ml.audit().is_empty(), "cursor must stay inside the ring");
     }
 
@@ -1226,7 +1199,7 @@ mod tests {
         }
         let c = ml.counters();
         assert!(c.dup_delivered() > 0, "lost acks must re-deliver");
-        assert_eq!(c.dup_delivered_to(DomainId::ARM), c.dup_delivered());
+        assert_eq!(c.dup_delivered[DomainId::ARM.index()], c.dup_delivered());
         assert_eq!(c.retransmits(), c.dup_delivered(), "each dup is one retransmit");
         assert_eq!(c.total(), 100, "dedup keeps the logical count exact");
     }
@@ -1282,7 +1255,7 @@ mod tests {
         assert!(st.bytes > 0);
         assert!(ml.audit().is_empty());
         assert_eq!(ml.close_stream(s).unwrap().requests, 1);
-        assert_eq!(ml.streams_open(), 0);
+        assert!(ml.streams.is_empty());
         assert!(matches!(
             ml.stream_request(&mut mem, &mut ipi, s, req),
             Err(MsgError::UnknownStream { .. })

@@ -264,40 +264,6 @@ impl PageTable {
         (Ok(slot), cycles)
     }
 
-    /// Writes a pre-encoded leaf entry into an existing slot (the remote
-    /// PTE-level insertion of §6.4, possibly "with the remote node ISA
-    /// format" — `raw.isa` must match this table's ISA).
-    ///
-    /// # Errors
-    ///
-    /// [`MapError::MissingTable`] if the chain is incomplete.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `raw` was encoded for a different ISA.
-    pub fn set_leaf(
-        &self,
-        mem: &mut MemorySystem,
-        walker: DomainId,
-        va: VirtAddr,
-        raw: RawPte,
-        timed: bool,
-    ) -> (Result<(), MapError>, Cycles) {
-        assert_eq!(raw.isa, self.isa, "leaf entry encoded for the wrong ISA");
-        let (slot, mut cycles) = self.leaf_slot(mem, walker, va, timed);
-        match slot {
-            Ok(slot) => {
-                if timed {
-                    cycles += mem.write_u64(walker, slot, raw.raw);
-                } else {
-                    mem.store_mut().write_u64(slot, raw.raw);
-                }
-                (Ok(()), cycles)
-            }
-            Err(e) => (Err(e), cycles),
-        }
-    }
-
     /// Clears the leaf entry for `va`, returning the old translation.
     pub fn unmap(
         &self,
@@ -450,11 +416,12 @@ mod tests {
             false,
         )
         .unwrap();
-        mem.reset_stats();
+        let before = *mem.stats(DomainId::X86);
         let (res, cycles) = pt.walk(&mut mem, DomainId::X86, va);
         assert!(res.is_some());
         // 5 levels → 5 entry reads, all data accesses.
-        assert_eq!(mem.stats(DomainId::X86).mem_accesses, 5);
+        let walk = mem.stats(DomainId::X86).checked_since(&before).unwrap();
+        assert_eq!(walk.mem_accesses, 5);
         assert!(cycles.raw() >= 5 * 4);
     }
 
@@ -476,9 +443,10 @@ mod tests {
         )
         .unwrap();
         mem.flush_caches();
-        mem.reset_stats();
+        let before = *mem.stats(DomainId::ARM);
         let (_, remote_cost) = pt.walk(&mut mem, DomainId::ARM, va);
-        assert_eq!(mem.stats(DomainId::ARM).remote_mem_hits, 5);
+        let walk = mem.stats(DomainId::ARM).checked_since(&before).unwrap();
+        assert_eq!(walk.remote_mem_hits, 5);
         // 5 remote DRAM reads at 620 cycles each (ThunderX2 row).
         assert!(remote_cost.raw() >= 5 * 620);
     }
@@ -489,44 +457,6 @@ mod tests {
         let pt = PageTable::new(&mut mem, &mut frames, IsaKind::X86_64).unwrap();
         let (res, _) = pt.leaf_slot(&mut mem, DomainId::X86, VirtAddr::new(0x5000), false);
         assert_eq!(res, Err(MapError::MissingTable { level: 0 }));
-    }
-
-    #[test]
-    fn set_leaf_into_existing_chain() {
-        let (mut mem, mut frames) = setup();
-        let pt = PageTable::new(&mut mem, &mut frames, IsaKind::X86_64).unwrap();
-        let va = VirtAddr::new(0xB000);
-        // Create the chain with one mapping, then insert a sibling page
-        // purely at the PTE level.
-        pt.map(
-            &mut mem,
-            &mut frames,
-            DomainId::X86,
-            va,
-            PhysAddr::new(0x70_0000),
-            PteFlags::user_data(),
-            false,
-        )
-        .unwrap();
-        let sibling = VirtAddr::new(0xC000);
-        let pte = stramash_isa::pte::encode_pte(
-            IsaKind::X86_64.format(),
-            0x70_1000 >> 12,
-            PteFlags::user_data(),
-        );
-        let (res, _) = pt.set_leaf(&mut mem, DomainId::ARM, sibling, pte, false);
-        res.unwrap();
-        assert_eq!(pt.walk_untimed(&mem, sibling).unwrap().0, PhysAddr::new(0x70_1000));
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong ISA")]
-    fn set_leaf_rejects_foreign_format() {
-        let (mut mem, mut frames) = setup();
-        let pt = PageTable::new(&mut mem, &mut frames, IsaKind::X86_64).unwrap();
-        let pte =
-            stramash_isa::pte::encode_pte(IsaKind::Aarch64.format(), 1, PteFlags::user_data());
-        let _ = pt.set_leaf(&mut mem, DomainId::X86, VirtAddr::new(0), pte, false);
     }
 
     #[test]

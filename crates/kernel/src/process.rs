@@ -30,8 +30,6 @@ impl fmt::Display for Pid {
 #[derive(Debug, Clone, Default)]
 pub struct SoftTlb {
     map: IntMap<u64, (PhysAddr, PteFlags)>,
-    lookups: u64,
-    misses: u64,
     /// Bumped on every invalidation/flush; translation caches layered
     /// above the TLB (the batched pipeline's [`AccessSession`]s) compare
     /// generations to detect that their entries may have gone stale.
@@ -47,20 +45,10 @@ impl SoftTlb {
         SoftTlb::default()
     }
 
-    /// Looks up the translation of the page containing `va`.
-    pub fn lookup(&mut self, va: VirtAddr) -> Option<(PhysAddr, PteFlags)> {
-        self.lookups += 1;
-        let hit = self.map.get(&va.vpn()).copied();
-        if hit.is_none() {
-            self.misses += 1;
-        }
-        hit
-    }
-
-    /// Looks up without touching the hit/miss counters (used by session
-    /// refills, which have already gone through the counted path).
+    /// Looks up the translation of the page containing `va`. Hits and
+    /// misses are counted by the caller, in `DomainStats`.
     #[must_use]
-    pub fn peek(&self, va: VirtAddr) -> Option<(PhysAddr, PteFlags)> {
+    pub fn lookup(&self, va: VirtAddr) -> Option<(PhysAddr, PteFlags)> {
         self.map.get(&va.vpn()).copied()
     }
 
@@ -87,23 +75,13 @@ impl SoftTlb {
         self.generation
     }
 
-    /// Lifetime miss ratio (diagnostics).
-    #[must_use]
-    pub fn miss_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.lookups as f64
-        }
-    }
-
     /// Number of cached translations.
     #[must_use]
     pub fn entries(&self) -> usize {
         self.map.len()
     }
 
-    /// Serializes the TLB (entries in VPN order, counters, generation)
+    /// Serializes the TLB (entries in VPN order, generation)
     /// into a checkpoint section.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
         e.tag(0x544c_4253); // "TLBS"
@@ -118,8 +96,6 @@ impl SoftTlb {
                 e.bool(b);
             }
         }
-        e.u64(self.lookups);
-        e.u64(self.misses);
         e.u64(self.generation);
     }
 
@@ -149,8 +125,6 @@ impl SoftTlb {
             map.insert(vpn, (pa, flags));
         }
         self.map = map;
-        self.lookups = d.u64()?;
-        self.misses = d.u64()?;
         self.generation = d.u64()?;
         Ok(())
     }
@@ -385,7 +359,6 @@ mod tests {
         assert_eq!(tlb.entries(), 1);
         tlb.flush();
         assert!(tlb.lookup(va).is_none());
-        assert!(tlb.miss_ratio() > 0.0);
     }
 
     #[test]
@@ -408,10 +381,6 @@ mod tests {
         assert_eq!(tlb.generation(), 1);
         tlb.flush();
         assert_eq!(tlb.generation(), 2);
-        // peek does not count as a lookup.
-        let before = (tlb.miss_ratio() * 1000.0) as u64;
-        assert!(tlb.peek(VirtAddr::new(0x1000)).is_none());
-        assert_eq!((tlb.miss_ratio() * 1000.0) as u64, before);
     }
 
     #[test]

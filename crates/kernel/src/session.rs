@@ -23,6 +23,8 @@
 //! back to the ordinary counted, timed `translate`.
 //!
 //! [`SoftTlb`]: crate::process::SoftTlb
+//! [`SoftTlb::invalidate`]: crate::process::SoftTlb::invalidate
+//! [`SoftTlb::flush`]: crate::process::SoftTlb::flush
 
 use crate::addr::{VirtAddr, PAGE_SIZE};
 use crate::process::{Pid, Process};

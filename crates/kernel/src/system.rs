@@ -687,9 +687,9 @@ fn translate_on<S: OsSystem + ?Sized>(
     write: bool,
 ) -> Result<(DomainId, PhysAddr, Cycles), OsError> {
     let (domain, tlb_hit) = {
-        let proc = sys.base_mut().process_mut(pid)?;
+        let proc = sys.base().process(pid)?;
         let domain = proc.current;
-        let hit = proc.tlb_mut(domain).lookup(va).filter(|(_, f)| !write || f.writable);
+        let hit = proc.tlb(domain).lookup(va).filter(|(_, f)| !write || f.writable);
         (domain, hit)
     };
     if let Some((page_pa, _)) = tlb_hit {
@@ -951,7 +951,7 @@ pub trait OsSystem {
         let (pa, cycles) = self.translate(pid, va, write)?;
         let proc = self.base().process(pid)?;
         let domain = session.revalidate(proc);
-        if let Some((page_pa, flags)) = proc.tlb(domain).peek(va) {
+        if let Some((page_pa, flags)) = proc.tlb(domain).lookup(va) {
             session.insert(va, page_pa, flags.writable);
         }
         Ok((pa, cycles))

@@ -31,12 +31,6 @@ impl VmaProt {
         VmaProt { read: true, write: true, exec: false }
     }
 
-    /// `r-x` — text.
-    #[must_use]
-    pub fn rx() -> Self {
-        VmaProt { read: true, write: false, exec: true }
-    }
-
     /// `r--`.
     #[must_use]
     pub fn ro() -> Self {
@@ -213,12 +207,6 @@ impl VmaTree {
         self.map.values()
     }
 
-    /// Total mapped bytes.
-    #[must_use]
-    pub fn mapped_bytes(&self) -> u64 {
-        self.map.values().map(Vma::len).sum()
-    }
-
     /// Serializes the tree into a checkpoint section: the area count,
     /// then each area in address order.
     pub fn save_state(&self, e: &mut stramash_sim::checkpoint::Encoder) {
@@ -320,11 +308,10 @@ mod tests {
         let mut t = VmaTree::new();
         t.insert(vma(0x1000, 0x3000)).unwrap();
         t.insert(vma(0x8000, 0xA000)).unwrap();
-        assert_eq!(t.mapped_bytes(), 0x4000);
         let removed = t.remove(VirtAddr::new(0x1000)).unwrap();
         assert_eq!(removed.pages(), 2);
         assert!(t.remove(VirtAddr::new(0x1000)).is_none());
-        assert_eq!(t.mapped_bytes(), 0x2000);
+        assert_eq!(t.iter().map(Vma::len).sum::<u64>(), 0x2000);
         assert!(!t.is_empty());
     }
 
@@ -343,7 +330,7 @@ mod tests {
         let v = Vma {
             start: VirtAddr::new(0x1000),
             end: VirtAddr::new(0x2000),
-            prot: VmaProt::rx(),
+            prot: VmaProt { read: true, write: false, exec: true },
             kind: VmaKind::Image,
         };
         let s = v.to_string();

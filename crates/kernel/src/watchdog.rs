@@ -87,12 +87,6 @@ impl Watchdog {
         self.crashed[domain.index()] || self.dead[domain.index()]
     }
 
-    /// Whether the domain has been *declared* dead by the detector.
-    #[must_use]
-    pub fn is_dead(&self, domain: DomainId) -> bool {
-        self.dead[domain.index()]
-    }
-
     /// Heartbeats observed from `domain`.
     #[must_use]
     pub fn beats(&self, domain: DomainId) -> u64 {
@@ -183,7 +177,7 @@ mod tests {
         let mut w = Watchdog::new();
         assert!(!w.is_armed());
         assert_eq!(w.observe([false, false]), None);
-        assert!(!w.is_dead(DomainId::ARM));
+        assert!(!w.dead[DomainId::ARM.index()]);
     }
 
     #[test]
@@ -192,12 +186,12 @@ mod tests {
         w.arm(3);
         w.mark_crashed(DomainId::ARM);
         assert!(w.is_halted(DomainId::ARM));
-        assert!(!w.is_dead(DomainId::ARM), "halt is silent until detected");
+        assert!(!w.dead[DomainId::ARM.index()], "halt is silent until detected");
         assert_eq!(w.observe([true, false]), None);
         assert_eq!(w.observe([true, false]), None);
         assert_eq!(w.observe([true, false]), Some((DomainId::ARM, 3)));
-        assert!(w.is_dead(DomainId::ARM));
-        assert!(!w.is_dead(DomainId::X86));
+        assert!(w.dead[DomainId::ARM.index()]);
+        assert!(!w.dead[DomainId::X86.index()]);
         // A dead domain is not re-declared.
         assert_eq!(w.observe([true, false]), None);
         assert_eq!(w.beats(DomainId::X86), 4);
@@ -222,7 +216,7 @@ mod tests {
         w.reset_after_recovery();
         assert!(w.is_armed());
         assert!(!w.is_halted(DomainId::X86));
-        assert!(!w.is_dead(DomainId::X86));
+        assert!(!w.dead[DomainId::X86.index()]);
     }
 
     #[test]

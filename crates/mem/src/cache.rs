@@ -120,7 +120,7 @@ fn mesi_from_code(b: u8) -> Result<Mesi, stramash_sim::checkpoint::CheckpointErr
 /// Structure-of-arrays layout: power-of-two set masking, one 64-byte
 /// block of 32-bit tags per set and a packed-nibble LRU permutation
 /// per set. Every set walk is one branch-free compare of all 16 tag
-/// lanes ([`match_lanes`]) that yields a mask of the matching ways.
+/// lanes (`match_lanes`) that yields a mask of the matching ways.
 /// A slot is `set * 16 + way`. Exact LRU — the unit tests hold every
 /// observable (hits, evictions, per-set residency, MESI state) against
 /// the independently written exact-LRU cache in [`crate::reference`].
@@ -342,7 +342,7 @@ impl Cache {
     /// find, unless that way is empty. Empty ways sit at the LRU end of
     /// a set (fills take one, invalidations demote to it), so only then
     /// does the set have one, and the fill takes the first empty way —
-    /// the same lane match, against [`EMPTY`], masked to the real ways
+    /// the same lane match, against `EMPTY`, masked to the real ways
     /// so a padding lane is never chosen.
     #[inline(always)]
     #[must_use]

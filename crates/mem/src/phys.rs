@@ -285,12 +285,6 @@ impl SparseMemory {
         }
     }
 
-    /// Number of 64 KiB chunks currently materialised.
-    #[must_use]
-    pub fn resident_chunks(&self) -> usize {
-        self.arena.len()
-    }
-
     /// The arena slot holding `chunk`, consulting the cursor first.
     #[inline]
     fn slot_of(&self, chunk: u64) -> Option<u32> {
@@ -585,7 +579,7 @@ mod tests {
         let mut buf = [0xffu8; 16];
         m.read(PhysAddr::new(0x5000), &mut buf);
         assert_eq!(buf, [0u8; 16]);
-        assert_eq!(m.resident_chunks(), 0);
+        assert_eq!(m.arena.len(), 0);
     }
 
     #[test]
@@ -606,7 +600,7 @@ mod tests {
         let mut buf = [0u8; 16];
         m.read(PhysAddr::new(boundary), &mut buf);
         assert_eq!(buf.as_slice(), data.as_slice());
-        assert_eq!(m.resident_chunks(), 2);
+        assert_eq!(m.arena.len(), 2);
     }
 
     #[test]
@@ -722,7 +716,7 @@ mod tests {
         let first = e.into_bytes();
         let mut back = SparseMemory::new();
         load(&mut back, &first).unwrap();
-        assert_eq!(back.resident_chunks(), m.resident_chunks());
+        assert_eq!(back.arena.len(), m.arena.len());
         let mut e = stramash_sim::checkpoint::Encoder::new();
         back.save_state(&mut e);
         assert_eq!(e.into_bytes(), first);
@@ -876,7 +870,7 @@ mod tests {
                         model_write(&mut model, dst, &bytes);
                     }
                 }
-                assert_eq!(m.resident_chunks(), model.chunks.len(), "{ctx}");
+                assert_eq!(m.arena.len(), model.chunks.len(), "{ctx}");
             }
         }
     }

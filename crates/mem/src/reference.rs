@@ -406,14 +406,6 @@ impl ReferenceSystem {
     }
 }
 
-/// Relative error between two hit rates, as the paper reports for
-/// Figure 8 (absolute difference in percentage points ÷ 100 works too;
-/// we use absolute difference of the rates, in `[0, 1]`).
-#[must_use]
-pub fn hit_rate_discrepancy(a: f64, b: f64) -> f64 {
-    (a - b).abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,13 +499,8 @@ mod tests {
         }
         let p = prim.stats(DomainId::X86);
         let r = refm.stats(DomainId::X86);
-        assert!(hit_rate_discrepancy(p.l1d.hit_rate(), r.l1d.hit_rate()) < 0.05);
-        assert!(hit_rate_discrepancy(p.l2.hit_rate(), r.l2.hit_rate()) < 0.05);
-        assert!(hit_rate_discrepancy(p.l3.hit_rate(), r.l3.hit_rate()) < 0.05);
-    }
-
-    #[test]
-    fn discrepancy_helper() {
-        assert!((hit_rate_discrepancy(0.93, 0.95) - 0.02).abs() < 1e-12);
+        assert!((p.l1d.hit_rate() - r.l1d.hit_rate()).abs() < 0.05);
+        assert!((p.l2.hit_rate() - r.l2.hit_rate()).abs() < 0.05);
+        assert!((p.l3.hit_rate() - r.l3.hit_rate()).abs() < 0.05);
     }
 }

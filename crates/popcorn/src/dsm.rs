@@ -96,21 +96,9 @@ impl DsmDirectory {
         self.invalidations
     }
 
-    /// Number of pages the directory tracks.
-    #[must_use]
-    pub fn tracked_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Iterates over every tracked page (used by the invariant auditor).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &DsmPage)> {
         self.pages.iter().map(|(vpn, page)| (*vpn, page))
-    }
-
-    /// Resets the event counters (page state is preserved).
-    pub fn reset_counters(&mut self) {
-        self.replications = 0;
-        self.invalidations = 0;
     }
 
     /// Fails the directory over after `dead`'s kernel died: every page
@@ -203,7 +191,7 @@ mod tests {
         assert_eq!(p.frames[0], Some(PhysAddr::new(0x4000)));
         assert_eq!(p.frames[1], None);
         assert!(d.page(6).is_none());
-        assert_eq!(d.tracked_pages(), 1);
+        assert_eq!(d.pages.len(), 1);
     }
 
     #[test]
@@ -214,8 +202,6 @@ mod tests {
         d.count_invalidation();
         assert_eq!(d.replications(), 2);
         assert_eq!(d.invalidations(), 1);
-        d.reset_counters();
-        assert_eq!(d.replications(), 0);
     }
 
     #[test]

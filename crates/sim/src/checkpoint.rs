@@ -43,9 +43,11 @@ pub const MAGIC: u32 = 0x5354_524d;
 /// online flag. Version 7 dropped the fault injector's outcome counters
 /// from `FINJ`, the IPI fabric's `IPIF` section and the messaging
 /// layer's ack-timeout counts from `MSGL`: fault outcomes live only in
-/// the `DSTA` counters. Older artifacts are rejected with
-/// [`CheckpointError::BadVersion`].
-pub const VERSION: u32 = 7;
+/// the `DSTA` counters. Version 8 dropped the futex tables' wait/wake
+/// totals from `FTXQ` and the software TLBs' lookup/miss totals from
+/// `TLBS`, which shadowed `DSTA`'s TLB counters. Older artifacts are
+/// rejected with [`CheckpointError::BadVersion`].
+pub const VERSION: u32 = 8;
 
 /// Errors raised while decoding a checkpoint artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -48,15 +48,6 @@ impl LatencyTable {
     /// Table 2, Xeon Gold row (big\_x86).
     pub const XEON_GOLD: LatencyTable =
         LatencyTable { l1: 4, l2: 14, l3: 50, mem: 300, remote_mem: 640 };
-
-    /// The artifact's remote-vs-local differential ratio:
-    /// `(remote - local) / remote`. For the AE constants (660 remote,
-    /// 360 local) this is ≈ 0.455 and is used to derive Fully-Shared
-    /// runtimes from Shared/Separated runs (Artifact Appendix A.5).
-    #[must_use]
-    pub fn remote_differential_ratio(&self) -> f64 {
-        (self.remote_mem as f64 - self.mem as f64) / self.remote_mem as f64
-    }
 }
 
 /// Geometry of one cache level.
@@ -155,13 +146,6 @@ impl CacheConfig {
             l2: CacheGeometry::new(1 << 20, 16, 64),
             l3: CacheGeometry::new(4 << 20, 16, 64),
         }
-    }
-
-    /// The enlarged-LLC configuration of §9.2.2 (32 MB L3, "similar to
-    /// recently released multi-core processors").
-    #[must_use]
-    pub fn large_llc() -> Self {
-        CacheConfig { l3: CacheGeometry::new(32 << 20, 16, 64), ..Self::paper_default() }
     }
 
     /// Returns a copy with the L3 capacity replaced.
@@ -552,6 +536,14 @@ pub enum ConfigError {
         /// The layout's span in cache lines.
         lines: u64,
     },
+    /// The global allocator's block size is not a power of two in
+    /// 32 MB – 4 GB, or is larger than the shared pool.
+    PoolBlockSize {
+        /// The requested block size in bytes.
+        block_size: u64,
+        /// The pool's size in bytes.
+        pool_bytes: u64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -581,6 +573,13 @@ impl fmt::Display for ConfigError {
                     f,
                     "physical layout spans {lines} cache lines; 32-bit cache tags name fewer than {}",
                     u32::MAX
+                )
+            }
+            ConfigError::PoolBlockSize { block_size, pool_bytes } => {
+                write!(
+                    f,
+                    "global allocator block size {block_size} is not a power of two in \
+                     32 MB – 4 GB that fits the {pool_bytes}-byte pool"
                 )
             }
         }
@@ -613,13 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn artifact_remote_ratio() {
-        // The artifact's plugin constants: local 360, remote 660 → 0.455.
-        let t = LatencyTable { l1: 4, l2: 14, l3: 50, mem: 360, remote_mem: 660 };
-        assert!((t.remote_differential_ratio() - 0.4545).abs() < 1e-3);
-    }
-
-    #[test]
     fn cache_geometry_sets_and_lines() {
         let g = CacheGeometry::new(32 << 10, 8, 64);
         assert_eq!(g.sets(), 64);
@@ -637,7 +629,6 @@ mod tests {
     fn paper_default_caches() {
         let c = CacheConfig::paper_default();
         assert_eq!(c.l3.size_bytes, 4 << 20);
-        assert_eq!(CacheConfig::large_llc().l3.size_bytes, 32 << 20);
         assert_eq!(c.line_bytes(), 64);
     }
 

@@ -4,7 +4,7 @@
 //! the reproduction's chaos harness. A [`FaultPlan`] describes *which*
 //! faults may fire and with what probability; a [`FaultInjector`] turns
 //! the plan into a replayable schedule by giving every injection site its
-//! own [`SimRng`](crate::rng::SimRng) stream split from one root seed.
+//! own [`SimRng`] stream split from one root seed.
 //! Because each site draws only from its own stream, the decision made at
 //! (site, op-index) depends solely on the seed and the plan — two runs
 //! with the same seed replay the identical fault sequence even if the
@@ -219,14 +219,6 @@ impl FaultPlan {
         self
     }
 
-    /// Fail-stops domain `domain` (0 = x86, 1 = Arm) at watchdog tick
-    /// `tick` (one-shot, deterministic).
-    #[must_use]
-    pub fn with_domain_crash(mut self, domain: u8, tick: u64) -> Self {
-        self.crash = Some((domain, tick));
-        self
-    }
-
     /// Whether the plan can inject anything at all.
     #[must_use]
     pub fn is_noop(&self) -> bool {
@@ -372,12 +364,6 @@ impl FaultInjector {
     #[must_use]
     pub fn log(&self) -> &[FaultEvent] {
         &self.log
-    }
-
-    /// Number of operations observed at `site`.
-    #[must_use]
-    pub fn ops_at(&self, site: FaultSite) -> u64 {
-        self.ops[site.index()]
     }
 
     /// Whether the window (if any) covers the *current* op at `site`.
@@ -654,7 +640,8 @@ mod tests {
             }
         }
         // Catch b's sites up to a's op counts before comparing logs.
-        while b.ops_at(FaultSite::Ipi) < a.ops_at(FaultSite::Ipi) {
+        let ipi = FaultSite::Ipi.index();
+        while b.ops[ipi] < a.ops[ipi] {
             b.ipi_lost();
         }
         assert_eq!(a.log(), b.log());
@@ -715,7 +702,7 @@ mod tests {
 
     #[test]
     fn crash_is_one_shot_and_disarmable() {
-        let plan = FaultPlan::none().with_domain_crash(1, 5);
+        let plan = FaultPlan { crash: Some((1, 5)), ..FaultPlan::none() };
         let mut inj = FaultInjector::new(plan, 11);
         assert_eq!(inj.crash_due(4), None);
         assert!(!inj.crash_fired());
@@ -732,12 +719,12 @@ mod tests {
 
     #[test]
     fn injector_state_round_trips_through_checkpoint() {
-        let plan = FaultPlan::none()
+        let mut plan = FaultPlan::none()
             .with_msg_drop(0.3)
             .with_ipi_loss(0.2)
             .with_window(0, 1 << 20)
-            .with_galloc_exhaust_at(7)
-            .with_domain_crash(0, 99);
+            .with_galloc_exhaust_at(7);
+        plan.crash = Some((0, 99));
         let mut a = FaultInjector::new(plan, 0x5eed);
         for _ in 0..500 {
             a.msg_fault();

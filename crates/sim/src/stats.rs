@@ -186,12 +186,6 @@ impl DomainStats {
         }
     }
 
-    /// Total misses that left the cache hierarchy.
-    #[must_use]
-    pub fn memory_hits(&self) -> u64 {
-        self.local_mem_hits + self.remote_mem_hits + self.remote_shared_mem_hits
-    }
-
     /// Records one injected fault that a single retry recovered (a
     /// retransmission, a re-raised IPI, a re-run allocation).
     pub fn note_retried_fault(&mut self) {
@@ -398,9 +392,6 @@ mod tests {
         // with a degenerate table (nothing is subtracted).
         let flat = LatencyTable { l1: 4, l2: 14, l3: 50, mem: 360, remote_mem: 360 };
         assert_eq!(fully_shared_estimate(Cycles::new(42), 0, &flat).unwrap(), Cycles::new(42));
-        // The AE constants give the paper's 0.455 ratio.
-        let ae = LatencyTable { l1: 4, l2: 14, l3: 50, mem: 360, remote_mem: 660 };
-        assert!((ae.remote_differential_ratio() - 0.455).abs() < 0.01);
     }
 
     #[test]
@@ -450,17 +441,6 @@ mod tests {
         s.l1i = LevelStats { accesses: 100, hits: 100 };
         s.l1d = LevelStats { accesses: 100, hits: 0 };
         assert!((s.l1_combined_hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn memory_hits_sums_all_classes() {
-        let s = DomainStats {
-            local_mem_hits: 3,
-            remote_mem_hits: 5,
-            remote_shared_mem_hits: 7,
-            ..DomainStats::default()
-        };
-        assert_eq!(s.memory_hits(), 15);
     }
 
     #[test]

@@ -130,12 +130,6 @@ impl Cycles {
         Cycles(cycles.round() as u64)
     }
 
-    /// Converts this cycle count to nanoseconds at the given frequency.
-    #[must_use]
-    pub fn to_nanos(self, freq_hz: u64) -> f64 {
-        self.0 as f64 * 1e9 / freq_hz as f64
-    }
-
     /// Converts this cycle count to milliseconds at the given frequency.
     #[must_use]
     pub fn to_millis(self, freq_hz: u64) -> f64 {
@@ -315,12 +309,6 @@ impl Timebase {
         }
     }
 
-    /// Total instructions retired across both domains.
-    #[must_use]
-    pub fn total_icount(&self) -> u64 {
-        self.clocks.iter().map(|c| c.icount()).sum()
-    }
-
     /// Resets both clocks.
     pub fn reset(&mut self) {
         for c in &mut self.clocks {
@@ -407,9 +395,9 @@ mod tests {
         // 2.1 GHz this is 4200 cycles.
         let ipi = Cycles::from_micros(2.0, 2_100_000_000);
         assert_eq!(ipi.raw(), 4200);
-        // Round trip back to nanoseconds.
-        let ns = ipi.to_nanos(2_100_000_000);
-        assert!((ns - 2000.0).abs() < 1e-6);
+        // Round trip back to milliseconds.
+        let ms = ipi.to_millis(2_100_000_000);
+        assert!((ms - 0.002).abs() < 1e-12);
     }
 
     #[test]
@@ -439,7 +427,6 @@ mod tests {
         tb.clock_mut(DomainId::ARM).add_memory(Cycles::new(100));
         assert_eq!(tb.total_runtime().raw(), 1500);
         assert_eq!(tb.skew().raw(), 500);
-        assert_eq!(tb.total_icount(), 1400);
     }
 
     #[test]

@@ -547,6 +547,7 @@ pub struct LatencyHistogram {
     sum: u64,
     min: u64,
     max: u64,
+    /// The running `sum` overflowed u64, so `mean()` is a lower bound.
     saturated: bool,
 }
 
@@ -627,14 +628,6 @@ impl LatencyHistogram {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// Whether the running `sum` overflowed u64. When set, `mean()` is a
-    /// lower bound (computed from the pinned `u64::MAX` sum), not the
-    /// true mean; percentiles and bucket counts remain exact.
-    #[must_use]
-    pub fn is_saturated(&self) -> bool {
-        self.saturated
     }
 
     /// Raw bucket counts; bucket `i` covers `[2^i, 2^(i+1))` cycles.
@@ -1292,11 +1285,11 @@ mod tests {
     fn sum_saturation_is_latched_and_rendered() {
         let mut h = LatencyHistogram::new();
         h.observe(Cycles::new(u64::MAX / 2));
-        assert!(!h.is_saturated());
+        assert!(!h.saturated);
         assert!(!h.render().contains("saturated"));
         h.observe(Cycles::new(u64::MAX / 2));
         h.observe(Cycles::new(u64::MAX / 2));
-        assert!(h.is_saturated());
+        assert!(h.saturated);
         assert_eq!(h.sum(), u64::MAX);
         // Count/min/max/percentiles stay exact; only the mean degrades
         // to a lower bound, and render says so.

@@ -479,29 +479,6 @@ impl<S: OsSystem> BatchScope<'_, '_, S> {
         Ok(())
     }
 
-    /// Stores `vals` into `a[start..]` (bit-for-bit `f64`s).
-    ///
-    /// # Errors
-    ///
-    /// Translation errors.
-    pub fn st_f64_slice(
-        &mut self,
-        a: ArrayF64,
-        start: u64,
-        vals: &[f64],
-        work_per: u64,
-    ) -> Result<(), OsError> {
-        if !vals.is_empty() {
-            let _ = a.at(start + vals.len() as u64 - 1); // bounds check
-        }
-        let bits: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
-        let mut k = 0usize;
-        while k < bits.len() {
-            k += self.st_run(a.at(start + k as u64), &bits[k..], work_per)?;
-        }
-        Ok(())
-    }
-
     /// Loads `out.len()` elements from `a[start..]`.
     ///
     /// # Errors
@@ -859,6 +836,12 @@ mod tests {
         (sys, pid)
     }
 
+    /// Stores `vals` into `a[0..]` bit for bit, as one `u64` slice store.
+    fn st_f64s(s: &mut BatchScope<'_, '_, VanillaSystem>, a: ArrayF64, vals: &[f64], work: u64) {
+        let bits: Vec<u64> = vals.iter().map(|v| v.to_bits()).collect();
+        s.st_u64_slice(ArrayU64::from_raw(a.base(), a.len()), 0, &bits, work).unwrap();
+    }
+
     #[test]
     fn typed_array_roundtrip() {
         let (mut sys, pid) = client_env();
@@ -910,7 +893,7 @@ mod tests {
             let kv: Vec<u64> = (0..600).map(|i| i * 7).collect();
             s.st_u64_slice(k, 0, &kv, 3).unwrap();
             let av: Vec<f64> = (0..600).map(|i| i as f64 * 0.25).collect();
-            s.st_f64_slice(a, 0, &av, 2).unwrap();
+            st_f64s(&mut s, a, &av, 2);
             s.fill_u64(k, 100, 200, 9, 1).unwrap();
             for i in 0..300 {
                 let v = s.ld_f64(a, i).unwrap();
@@ -1174,11 +1157,11 @@ mod tests {
         {
             let mut s = c.batch().unwrap();
             let xv: Vec<f64> = (0..700).map(|i| i as f64 * 0.5).collect();
-            s.st_f64_slice(x, 0, &xv, 2).unwrap();
+            st_f64s(&mut s, x, &xv, 2);
             let dv: Vec<f64> = (0..700).map(|i| 1.0 + i as f64 * 0.125).collect();
-            s.st_f64_slice(d, 0, &dv, 2).unwrap();
+            st_f64s(&mut s, d, &dv, 2);
             let rv: Vec<f64> = (0..700).map(|i| 2.0 - i as f64 * 0.0625).collect();
-            s.st_f64_slice(r, 0, &rv, 2).unwrap();
+            st_f64s(&mut s, r, &rv, 2);
             for round in 0..3 {
                 let alpha = 0.25 + f64::from(round);
                 let mut rho = 0.0f64;
@@ -1274,7 +1257,7 @@ mod tests {
         let b = c.alloc_f64(64).unwrap();
         {
             let mut s = c.batch().unwrap();
-            s.st_f64_slice(a, 0, &[3.0; 64], 1).unwrap();
+            st_f64s(&mut s, a, &[3.0; 64], 1);
             map_dense(&mut s, a, b, 64, |v| v * 2.0);
             // The first segment filled the session for both columns.
             assert!(s.c.session.lookup(a.at(5), false).is_some());

@@ -14,7 +14,6 @@
 //! procedure runs on the Arm domain and control returns to x86.
 
 pub mod cg;
-pub mod ep;
 pub mod ft;
 pub mod is;
 pub mod mg;
@@ -36,18 +35,11 @@ pub enum NpbKind {
     Mg,
     /// Fourier Transform — 3-D FFT with evolve steps.
     Ft,
-    /// Embarrassingly Parallel — the compute-bound control kernel
-    /// (listed in §8.3's NPB reference; not in the paper's figures).
-    Ep,
 }
 
 impl NpbKind {
     /// The four kernels the paper's figures evaluate, in their order.
     pub const ALL: [NpbKind; 4] = [NpbKind::Is, NpbKind::Cg, NpbKind::Mg, NpbKind::Ft];
-
-    /// The extended set including the compute-bound EP control.
-    pub const EXTENDED: [NpbKind; 5] =
-        [NpbKind::Is, NpbKind::Cg, NpbKind::Mg, NpbKind::Ft, NpbKind::Ep];
 }
 
 impl fmt::Display for NpbKind {
@@ -57,7 +49,6 @@ impl fmt::Display for NpbKind {
             NpbKind::Cg => f.write_str("CG"),
             NpbKind::Mg => f.write_str("MG"),
             NpbKind::Ft => f.write_str("FT"),
-            NpbKind::Ep => f.write_str("EP"),
         }
     }
 }
@@ -114,7 +105,6 @@ pub fn run_npb<S: OsSystem>(
         NpbKind::Cg => cg::run(sys, pid, class, migrate),
         NpbKind::Mg => mg::run(sys, pid, class, migrate),
         NpbKind::Ft => ft::run(sys, pid, class, migrate),
-        NpbKind::Ep => ep::run(sys, pid, class, migrate),
     }
 }
 

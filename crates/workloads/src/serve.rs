@@ -29,7 +29,7 @@
 //! schedule, costs, timeline — is a pure function of the seed and the
 //! config, so a same-seed replay is byte-identical on every platform
 //! (the generator deliberately avoids `ln`/`exp`/`powf` from libm; see
-//! [`det_ln`]).
+//! `det_ln`).
 //!
 //! Per-request latencies land in [`stramash_sim::trace::HIST_KVSERVE_REQUEST`]
 //! (and queueing in `HIST_KVSERVE_QUEUE`) so `stramash-cli trace` and

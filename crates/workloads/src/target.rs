@@ -509,6 +509,46 @@ mod tests {
         );
     }
 
+    /// A forged `MSGL` ring cursor or outstanding-byte count past the
+    /// ring's end restores as `Malformed`, never as a messaging layer
+    /// that `audit` would flag.
+    #[test]
+    fn restore_rejects_a_ring_cursor_past_the_ring() {
+        let build = || TargetSystem::build(SystemKind::PopcornShm, HardwareModel::Shared).unwrap();
+        let mut sys = build();
+        let pid = sys.spawn(DomainId::X86).unwrap();
+        let va = sys.mmap(pid, PAGE_SIZE, VmaProt::rw()).unwrap();
+        sys.store_u64(pid, va, 1).unwrap();
+        sys.migrate(pid, DomainId::ARM).unwrap();
+        let artifact = sys.checkpoint();
+        build().restore(&artifact).unwrap();
+
+        // The section: the "MSGL" tag, the ring length, then the cursor
+        // pair and the outstanding pair, each after its u64 length.
+        let ring_len = 64u64 << 20;
+        let mut head = 0x4d53_474cu32.to_le_bytes().to_vec();
+        head.extend(ring_len.to_le_bytes());
+        head.extend(2u64.to_le_bytes());
+        let at = artifact
+            .windows(head.len())
+            .position(|w| w == head)
+            .expect("the checkpoint holds the messaging layer's section")
+            + head.len();
+        let malformed =
+            Err(CheckpointError::Malformed("ring cursor or outstanding bytes past the ring"));
+        let past = (ring_len + 1).to_le_bytes();
+        // x86's cursor, Arm's cursor, x86's and Arm's outstanding bytes.
+        for field in [at, at + 8, at + 24, at + 32] {
+            let mut forged = artifact.clone();
+            forged[field..field + 8].copy_from_slice(&past);
+            assert_eq!(build().restore(&reseal(forged)), malformed, "field at {field}");
+        }
+        // At the ring's end exactly is still a valid artifact.
+        let mut edge = artifact.clone();
+        edge[at..at + 8].copy_from_slice(&ring_len.to_le_bytes());
+        build().restore(&reseal(edge)).unwrap();
+    }
+
     /// Migrating to the domain the thread already runs on costs nothing
     /// and changes nothing: no message, migration snapshot,
     /// `migrations_in` or PTE reconfiguration. On Stramash that includes

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verification gate, fully offline: formatting, release build,
-# the whole test suite, warning-free clippy, the chaos smoke runs and
-# the fault-injection example. CI runs exactly this script, so a green
+# the whole test suite, warning-free clippy and rustdoc, the chaos smoke
+# runs and the fault-injection example. CI runs exactly this script, so a green
 # local run means a green pipeline.
 set -eu
 
@@ -22,6 +22,11 @@ cargo test -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Broken or private intra-doc links fail here, e.g. a crate doc that
+# still names a deleted module.
+echo "==> cargo doc --no-deps --workspace (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # chaos-smoke: a fixed-seed escalating fault sweep across all four
 # system designs, with invariant audits after every recovery. Exits

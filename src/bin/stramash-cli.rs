@@ -64,13 +64,13 @@ macro_rules! outln {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:
-  stramash-cli npb <is|cg|mg|ft|ep> [--system <vanilla|popcorn-tcp|popcorn-shm|stramash>]
+  stramash-cli npb <is|cg|mg|ft> [--system <vanilla|popcorn-tcp|popcorn-shm|stramash>]
                                     [--model <separated|shared|fully-shared>]
                                     [--class <tiny|small|validation|large>] [--report]
-  stramash-cli sweep <is|cg|mg|ft|ep> [--class <...>] [--parallel]
+  stramash-cli sweep <is|cg|mg|ft> [--class <...>] [--parallel]
   stramash-cli kv <get|set|lpush|rpush|lpop|rpop|sadd|mset> [--requests N]
   stramash-cli ipi
-  stramash-cli trace <is|cg|mg|ft|ep> [--system <...>] [--model <...>] [--class <...>]
+  stramash-cli trace <is|cg|mg|ft> [--system <...>] [--model <...>] [--class <...>]
                                       [--json <path>]
   stramash-cli run <is|kv> [--system <...>] [--model <...>] [--class <...>] [--requests N]
                            [--seed N] [--stage S] [--policy <restart|degrade>]
@@ -114,7 +114,6 @@ fn parse_kind(s: &str) -> Option<NpbKind> {
         "cg" => Some(NpbKind::Cg),
         "mg" => Some(NpbKind::Mg),
         "ft" => Some(NpbKind::Ft),
-        "ep" => Some(NpbKind::Ep),
         _ => None,
     }
 }
@@ -592,7 +591,7 @@ mod tests {
     #[test]
     fn parses_kinds_systems_models() {
         assert_eq!(parse_kind("is"), Some(NpbKind::Is));
-        assert_eq!(parse_kind("ep"), Some(NpbKind::Ep));
+        assert_eq!(parse_kind("ep"), None);
         assert_eq!(parse_kind("nope"), None);
         assert_eq!(parse_system("popcorn-shm"), Some(SystemKind::PopcornShm));
         assert_eq!(parse_system("stramash"), Some(SystemKind::Stramash));

@@ -15,7 +15,7 @@ use stramash_repro::workloads::target::{SystemKind, TargetSystem};
 /// hardware model — OS policy must never change application results.
 #[test]
 fn npb_results_identical_across_designs_and_models() {
-    for kind in NpbKind::EXTENDED {
+    for kind in NpbKind::ALL {
         let mut reference = None;
         for sys_kind in SystemKind::ALL {
             for model in HardwareModel::ALL {
