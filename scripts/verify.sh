@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 verification gate, fully offline: formatting, release build,
 # the whole test suite, warning-free clippy and rustdoc, the chaos smoke
-# runs and the fault-injection example. CI runs exactly this script, so a green
-# local run means a green pipeline.
+# runs, the fault-injection example and the Small sweep reports. CI
+# runs exactly this script, so a green local run means a green pipeline.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,6 +16,19 @@ cargo fmt --check
 
 echo "==> cargo build --release"
 cargo build --release
+
+# Sweep identity: the Small Figure 9 sweep of every NPB kernel must
+# print exactly the committed report, byte for byte. After an
+# intentional change to the simulated model, regenerate the reports
+# with
+#   for k in is cg mg ft; do
+#     ./target/release/stramash-cli sweep $k --class small > tests/data/sweep_${k}_small.txt
+#   done
+# and say in the change log which numbers moved and why.
+echo "==> sweep identity: stramash-cli sweep is|cg|mg|ft --class small"
+for k in is cg mg ft; do
+    ./target/release/stramash-cli sweep "$k" --class small | diff -u "tests/data/sweep_${k}_small.txt" -
+done
 
 echo "==> cargo test -q"
 cargo test -q
