@@ -7,7 +7,8 @@
 //! happens once per batch, and page→frame translations are cached in a
 //! direct-mapped array that a loop refills at most once per page. It is
 //! the only translation cache above the TLB: batched element ops and
-//! the replayed plan segments of `plan_map_indexed` both look up here.
+//! the plan segments of `plan_map_indexed`, which time their
+//! session-hit elements in place, both look up here.
 //!
 //! Correctness leans on one invariant: **a session entry is always a
 //! copy of a live [`SoftTlb`] entry of the same `(process, domain)`**.
@@ -35,8 +36,8 @@ use stramash_sim::DomainId;
 /// cover 16 MiB of loop working set, so IS Small's ranking loop (keys
 /// and sorted arrays of 4 MiB each plus the histogram, about 2 050
 /// pages) never evicts its own translations. With 256 slots the keys
-/// and sorted pages alias and the replayed plan segments fall back to
-/// the element path on most pages (IS ran 25 % slower on the host).
+/// and sorted pages alias and the plan segments fall back to the
+/// element path on most pages (IS ran 25 % slower on the host).
 const SLOTS: usize = 4096;
 
 #[derive(Debug, Clone, Copy)]

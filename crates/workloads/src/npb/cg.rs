@@ -99,8 +99,8 @@ pub fn run<S: OsSystem>(
     let rho0 = rho;
 
     // The two dense update loops are plan segments over unit-stride
-    // columns: their accesses replay through the session's cached
-    // translations in flush-bounded batches.
+    // columns: their accesses resolve through the session's cached
+    // translations and are timed in place, charged per flush window.
     let dense = |a: ArrayF64| PlanCol::f64(a, ColSpec::Dense { stride: 1, offset: 0 });
 
     let mut procedures = 0;

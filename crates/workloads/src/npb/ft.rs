@@ -178,7 +178,7 @@ fn fft3d<S: OsSystem>(
 /// Iterative radix-2 Cooley–Tukey over the elements at `slots` (each
 /// slot is the re index; im follows at slot + 1). Every loop runs as a
 /// data-dependent plan segment: the pair targets move line to line and
-/// stage to stage, but the translations replay from the session.
+/// stage to stage, but the translations resolve from the session.
 fn fft1d<S: OsSystem>(
     c: &mut MemoryClient<'_, S>,
     data: ArrayF64,
@@ -187,7 +187,8 @@ fn fft1d<S: OsSystem>(
 ) -> Result<(), OsError> {
     let n = slots.len();
     debug_assert!(n.is_power_of_two());
-    let ab: Vec<PlanCol> = complex_cols(data, 0).into_iter().chain(complex_cols(data, 1)).collect();
+    let [a, b] = [0, 1].map(|sl| complex_cols(data, sl));
+    let ab = [a[0], a[1], b[0], b[1]];
     let mut s = c.batch()?;
     // Bit-reversal permutation: collect the swap pairs, then exchange
     // them through the pair segment.

@@ -74,7 +74,7 @@ pub(crate) fn setup<S: OsSystem>(
 /// prefix-sum the buckets and scatter every key to its rank. The loops
 /// are data-dependent plan segments: the bucket and rank targets are
 /// recomputed from the loaded key every call, while the page
-/// translations replay from the client's session.
+/// translations resolve from the client's session.
 ///
 /// # Errors
 ///

@@ -95,12 +95,14 @@ impl LevelAux {
     }
 }
 
-/// The 7-point stencil's read columns over `u`, all driven by the
-/// interior-cell index slice: center, ±x, ±y, ±z neighbours.
-fn stencil_cols(u: ArrayF64, n: u64) -> [PlanCol; 7] {
+/// The 7-point stencil's read columns over `u` followed by the cell's
+/// `v`, all driven by the interior-cell index slice: center, ±x, ±y,
+/// ±z neighbours, then the right-hand side.
+fn stencil_cols(u: ArrayF64, v: ArrayF64, n: u64) -> [PlanCol; 8] {
     let at = |off: i64| PlanCol::f64(u, ColSpec::Index { slice: 0, offset: off });
     let n = n as i64;
-    [at(0), at(-1), at(1), at(-n), at(n), at(-n * n), at(n * n)]
+    let rhs = PlanCol::f64(v, ColSpec::Index { slice: 0, offset: 0 });
+    [at(0), at(-1), at(1), at(-n), at(n), at(-n * n), at(n * n), rhs]
 }
 
 /// Runs MG. See [`super::run_npb`].
@@ -180,10 +182,8 @@ fn compute_residual<S: OsSystem>(
         0,
         |_, _, wv| wv[0] = 0.0f64.to_bits(),
     )?;
-    let mut reads: Vec<PlanCol> = stencil_cols(l.u, l.n).to_vec();
-    reads.push(PlanCol::f64(l.v, cell));
     s.plan_map_indexed(
-        &reads,
+        &stencil_cols(l.u, l.v, l.n),
         &[PlanCol::f64(l.r, cell)],
         &[&aux.interior],
         aux.interior.len() as u64,
@@ -214,8 +214,7 @@ fn smooth<S: OsSystem>(
     sweeps: u32,
 ) -> Result<(), OsError> {
     let omega = 0.8;
-    let mut reads: Vec<PlanCol> = stencil_cols(l.u, l.n).to_vec();
-    reads.push(PlanCol::f64(l.v, ColSpec::Index { slice: 0, offset: 0 }));
+    let reads = stencil_cols(l.u, l.v, l.n);
     let mut s = c.batch()?;
     for _ in 0..sweeps {
         s.plan_map_indexed(

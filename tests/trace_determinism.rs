@@ -15,8 +15,10 @@
 //!    snapshots need no ring: a wrapped one leaves them unchanged.
 //! 4. Data-dependent plan segments (the batched client pipeline) are
 //!    cycle-identical to the explicit scalar loop on randomised
-//!    gather/scatter cases, and their streams agree class by class with
-//!    the accounting totals conserved.
+//!    gather/scatter cases and on the edges of in-place timing (no read
+//!    column, FT's four-by-four butterfly, a fault that ends a flush
+//!    window), and their streams agree class by class with the
+//!    accounting totals conserved.
 //! 5. `chrome_trace_json` prints byte for byte what the `write!`-based
 //!    exporter it replaced printed, kept here as its oracle.
 
@@ -508,6 +510,31 @@ fn accounting_totals(events: &[TraceEvent]) -> ([u64; 2], [u64; 2]) {
     (insns, charged)
 }
 
+/// Asserts that a plan-segment run reproduces its scalar loop: the
+/// same fingerprint, every non-`Accounting` event class identical in
+/// order, and the accounting totals conserved (batching may coalesce
+/// `Charge`/`Retire` funnels).
+fn assert_segments_match_scalar(
+    ctx: &str,
+    (scalar_fp, scalar_ev): (Fingerprint, Vec<TraceEvent>),
+    (batched_fp, batched_ev): (Fingerprint, Vec<TraceEvent>),
+) {
+    assert_eq!(scalar_fp, batched_fp, "{ctx}: plan segments drifted from the scalar loop");
+    for class in EventClass::ALL {
+        if class == EventClass::Accounting {
+            continue;
+        }
+        let lhs: Vec<_> = batched_ev.iter().copied().filter(|e| e.class() == class).collect();
+        let rhs: Vec<_> = scalar_ev.iter().copied().filter(|e| e.class() == class).collect();
+        assert_streams_identical(&lhs, &rhs, &format!("{ctx}: segments vs scalar, {class:?}"));
+    }
+    assert_eq!(
+        accounting_totals(&batched_ev),
+        accounting_totals(&scalar_ev),
+        "{ctx}: accounting totals drifted"
+    );
+}
+
 /// Property: for randomized key/index distributions, data-dependent
 /// plan segments are cycle- and trace-identical to the scalar
 /// per-access loop, with the tracer on. Seeds are fixed so any failure
@@ -516,33 +543,171 @@ fn accounting_totals(events: &[TraceEvent]) -> ([u64; 2], [u64; 2]) {
 fn indexed_plan_segments_match_scalar_for_random_cases() {
     for kind in SystemKind::ALL {
         for seed in [0x1d0_5eed, 0x2d0_5eed, 0x3d0_5eed] {
-            let (scalar_fp, scalar_ev) = indexed_case(kind, Mode::Scalar, seed);
-            let (batched_fp, batched_ev) = indexed_case(kind, Mode::Batched, seed);
-            assert_eq!(
-                scalar_fp, batched_fp,
-                "{kind}/{seed:#x}: plan segments drifted from the scalar loop"
+            assert_segments_match_scalar(
+                &format!("{kind}/{seed:#x}"),
+                indexed_case(kind, Mode::Scalar, seed),
+                indexed_case(kind, Mode::Batched, seed),
             );
-            // Batching may coalesce Charge/Retire funnels; every other
-            // event class must match the scalar stream exactly, and the
-            // accounting totals must be conserved.
-            for class in EventClass::ALL {
-                if class == EventClass::Accounting {
-                    continue;
+        }
+    }
+}
+
+/// The segment shapes at the edges of in-place timing.
+#[derive(Debug, Clone, Copy)]
+enum Boundary {
+    /// No read column: MG's boundary-clear shape, `out[idx[i]] = c`
+    /// with no work per element.
+    NoReads,
+    /// Four reads and four writes through two index slices: FT's
+    /// butterfly over `(re, im)` pairs.
+    Butterfly,
+    /// A page fault on the last element of a flush window: the window's
+    /// pending cycles are charged before the element path runs, and
+    /// the exec flush falls on that element.
+    FaultEndsWindow,
+}
+
+/// Elements per segment in the [`Boundary`] cases.
+const BOUNDARY_ELEMS: u64 = 600;
+
+/// Instructions per element of [`Boundary::FaultEndsWindow`]: with no
+/// instructions pending, 64 elements of 64 reach the client's exec
+/// flush quantum (4096), so the flush window is elements `0..64`.
+const FAULT_WORK: u64 = 64;
+
+/// Runs one [`Boundary`] shape on a process per domain, as plan
+/// segments or as the scalar loop they stand for.
+fn boundary_case(kind: SystemKind, mode: Mode, shape: Boundary) -> (Fingerprint, Vec<TraceEvent>) {
+    let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
+    let tracer = shared_tracer(RING_CAPACITY);
+    sys.install_tracer(tracer.clone());
+    let mut rng = SimRng::new(0xb0_0dae);
+    let n = BOUNDARY_ELEMS;
+    let scatter: Vec<u64> = (0..n).map(|_| rng.gen_range(4 * n)).collect();
+    // Disjoint butterfly pairs: slot `2k` pairs with slot `2k + 2n`.
+    let pair_a: Vec<u64> = (0..n).map(|k| 2 * ((k * 7) % n)).collect();
+    let pair_b: Vec<u64> = pair_a.iter().map(|&a| a + 2 * n).collect();
+    let mut checksum = 0u64;
+    for d in DomainId::ALL {
+        let pid = sys.spawn(d).unwrap();
+        let mut c = MemoryClient::new(&mut sys, pid);
+        let data = c.alloc_u64(4 * n).unwrap();
+        let out = c.alloc_u64(4 * n).unwrap();
+        match shape {
+            Boundary::NoReads => {
+                let col = PlanCol::u64(out, ColSpec::Index { slice: 0, offset: 0 });
+                for pass in 0..2u64 {
+                    if mode == Mode::Scalar {
+                        for &e in &scatter {
+                            c.st_u64(out, e, pass + 7).unwrap();
+                            c.work(0).unwrap();
+                        }
+                    } else {
+                        let mut s = c.batch().unwrap();
+                        s.plan_map_indexed(&[], &[col], &[&scatter], n, 0, |_, _, wv| {
+                            wv[0] = pass + 7;
+                        })
+                        .unwrap();
+                    }
                 }
-                let lhs: Vec<_> =
-                    batched_ev.iter().copied().filter(|e| e.class() == class).collect();
-                let rhs: Vec<_> =
-                    scalar_ev.iter().copied().filter(|e| e.class() == class).collect();
-                assert_streams_identical(
-                    &lhs,
-                    &rhs,
-                    &format!("{kind}/{seed:#x}: segments vs scalar, {class:?}"),
+            }
+            Boundary::Butterfly => {
+                let at = |slice, offset| PlanCol::u64(data, ColSpec::Index { slice, offset });
+                let ab = [at(0, 0), at(0, 1), at(1, 0), at(1, 1)];
+                let butterfly = |rv: &[u64], wv: &mut [u64]| {
+                    wv[0] = rv[0].wrapping_add(rv[2]);
+                    wv[1] = rv[1].wrapping_add(rv[3]);
+                    wv[2] = rv[0].wrapping_sub(rv[2]);
+                    wv[3] = rv[1].wrapping_sub(rv[3]) ^ 5;
+                };
+                for pass in 0..2 {
+                    if mode == Mode::Scalar {
+                        for (&a, &b) in pair_a.iter().zip(&pair_b) {
+                            let slots = [a, a + 1, b, b + 1];
+                            let rv = slots.map(|e| c.ld_u64(data, e).unwrap());
+                            let mut wv = [0u64; 4];
+                            butterfly(&rv, &mut wv);
+                            for (e, v) in slots.into_iter().zip(wv) {
+                                c.st_u64(data, e, v).unwrap();
+                            }
+                            c.work(20 + pass).unwrap();
+                        }
+                    } else {
+                        let mut s = c.batch().unwrap();
+                        let idx: [&[u64]; 2] = [&pair_a, &pair_b];
+                        s.plan_map_indexed(&ab, &ab, &idx, n, 20 + pass, |_, rv, wv| {
+                            butterfly(rv, wv);
+                        })
+                        .unwrap();
+                    }
+                }
+                for e in 0..4 * n {
+                    checksum =
+                        checksum.wrapping_mul(1_000_003).wrapping_add(c.ld_u64(data, e).unwrap());
+                }
+            }
+            Boundary::FaultEndsWindow => {
+                // Element `i` reads `data[i]` and writes `out[i + 449]`:
+                // elements 0..63 write the tail of `out`'s first page,
+                // which the prefix faults in, and element 63 — the last
+                // of the first flush window — is the first to touch its
+                // second page.
+                let offset = 512 - (FAULT_WORK - 1);
+                let read = PlanCol::u64(data, ColSpec::Dense { stride: 1, offset: 0 });
+                let write = PlanCol::u64(out, ColSpec::Dense { stride: 1, offset });
+                if mode == Mode::Scalar {
+                    c.st_u64(data, 0, 3).unwrap();
+                    c.st_u64(out, offset, 0).unwrap();
+                    c.flush_work().unwrap();
+                    for i in 0..n {
+                        let v = c.ld_u64(data, i).unwrap();
+                        c.st_u64(out, i + offset, v * 3 + i).unwrap();
+                        c.work(FAULT_WORK).unwrap();
+                    }
+                } else {
+                    {
+                        let mut s = c.batch().unwrap();
+                        s.st_u64(data, 0, 3).unwrap();
+                        s.st_u64(out, offset, 0).unwrap();
+                    }
+                    c.flush_work().unwrap();
+                    let mut s = c.batch().unwrap();
+                    s.plan_map_indexed(&[read], &[write], &[], n, FAULT_WORK, |i, rv, wv| {
+                        wv[0] = rv[0] * 3 + i;
+                    })
+                    .unwrap();
+                }
+            }
+        }
+        for e in 0..4 * n {
+            checksum = checksum.wrapping_mul(1_000_003).wrapping_add(c.ld_u64(out, e).unwrap());
+        }
+        c.flush_work().unwrap();
+    }
+    let fp = fingerprint_of(&sys, checksum);
+    let t = tracer.borrow();
+    assert_eq!(t.dropped(), 0, "{kind}: the ring must be lossless for this workload");
+    (fp, t.events())
+}
+
+/// The edges of in-place timing — a segment with no read column, a
+/// four-read/four-write butterfly, and a page fault that ends a flush
+/// window — each match the scalar loop exactly like the random cases.
+#[test]
+fn plan_segment_boundaries_match_scalar() {
+    for kind in SystemKind::ALL {
+        for shape in [Boundary::NoReads, Boundary::Butterfly, Boundary::FaultEndsWindow] {
+            let (fp, events) = boundary_case(kind, Mode::Batched, shape);
+            if matches!(shape, Boundary::FaultEndsWindow) {
+                assert!(
+                    events.iter().any(|e| matches!(e, TraceEvent::PageFault { .. })),
+                    "{kind}: the window-ending element must fault"
                 );
             }
-            assert_eq!(
-                accounting_totals(&batched_ev),
-                accounting_totals(&scalar_ev),
-                "{kind}/{seed:#x}: accounting totals drifted"
+            assert_segments_match_scalar(
+                &format!("{kind}/{shape:?}"),
+                boundary_case(kind, Mode::Scalar, shape),
+                (fp, events),
             );
         }
     }
