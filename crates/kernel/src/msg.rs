@@ -128,16 +128,16 @@ pub enum Transport {
     Tcp,
 }
 
-/// Per-direction message counters (Table 3 reports these; the fault
-/// harness adds the reliability counters).
+/// Message counters over both directions (Table 3 reports these; the
+/// fault harness adds the reliability counters).
 #[derive(Debug, Clone, Default)]
 pub struct MsgCounters {
-    sent: [u64; 2],
-    bytes: [u64; 2],
+    sent: u64,
+    bytes: u64,
     by_type: BTreeMap<MsgType, u64>,
-    retransmits: [u64; 2],
-    dup_delivered: [u64; 2],
-    backpressure_stalls: [u64; 2],
+    retransmits: u64,
+    dup_delivered: u64,
+    backpressure_stalls: u64,
 }
 
 impl MsgCounters {
@@ -145,13 +145,13 @@ impl MsgCounters {
     /// message retransmitted five times is still one send.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.sent.iter().sum()
+        self.sent
     }
 
     /// Total payload+header bytes (logical, excluding retransmissions).
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
-        self.bytes.iter().sum()
+        self.bytes
     }
 
     /// Messages of one kind.
@@ -163,7 +163,7 @@ impl MsgCounters {
     /// Total retransmissions in both directions.
     #[must_use]
     pub fn retransmits(&self) -> u64 {
-        self.retransmits.iter().sum()
+        self.retransmits
     }
 
     /// Total duplicate deliveries (both receivers): messages discarded
@@ -171,14 +171,14 @@ impl MsgCounters {
     /// retransmitted.
     #[must_use]
     pub fn dup_delivered(&self) -> u64 {
-        self.dup_delivered.iter().sum()
+        self.dup_delivered
     }
 
     /// Total backpressure stalls in both directions: sends that found
     /// the peer ring full and stalled for the receiver to drain it.
     #[must_use]
     pub fn backpressure_stalls(&self) -> u64 {
-        self.backpressure_stalls.iter().sum()
+        self.backpressure_stalls
     }
 }
 
@@ -605,8 +605,8 @@ impl MessagingLayer {
         // bounded write instead of breaking the cursor invariants.
         let total = u64::from(MSG_HEADER_BYTES) + u64::from(msg.payload);
         let wire = total.min(self.ring_len);
-        self.counters.sent[from.index()] += 1;
-        self.counters.bytes[from.index()] += total;
+        self.counters.sent += 1;
+        self.counters.bytes += total;
         *self.counters.by_type.entry(msg.ty).or_insert(0) += 1;
         // Sequence-number the message (modelled inside the 64 B header,
         // so it adds no bytes and no extra timed accesses).
@@ -625,7 +625,7 @@ impl MessagingLayer {
                 // the ring base.
                 if self.outstanding[to.index()] + wire > self.ring_len {
                     cycles += Cycles::new(ipi.latency().raw() * 2);
-                    self.counters.backpressure_stalls[from.index()] += 1;
+                    self.counters.backpressure_stalls += 1;
                     self.outstanding[to.index()] = 0;
                     self.cursor[to.index()] = 0;
                     self.emit(TraceEvent::MsgBackpressure { from });
@@ -662,7 +662,7 @@ impl MessagingLayer {
                         // The ack never comes: wait out the timeout and
                         // retransmit.
                         cycles += Self::backoff(timeout_base, attempt);
-                        self.counters.retransmits[from.index()] += 1;
+                        self.counters.retransmits += 1;
                         mem.stats_mut(from).note_retried_fault();
                         attempt += 1;
                         continue;
@@ -703,8 +703,8 @@ impl MessagingLayer {
             }
             attempt += 1;
             cycles += Self::backoff(timeout_base, attempt);
-            self.counters.retransmits[from.index()] += 1;
-            self.counters.dup_delivered[to.index()] += 1;
+            self.counters.retransmits += 1;
+            self.counters.dup_delivered += 1;
             mem.stats_mut(from).note_retried_fault();
         }
         if notify.is_some() {
@@ -793,17 +793,17 @@ impl MessagingLayer {
         e.u64s(&self.cursor);
         e.u64s(&self.outstanding);
         e.u64s(&self.next_seq);
-        e.u64s(&self.counters.sent);
-        e.u64s(&self.counters.bytes);
+        e.u64(self.counters.sent);
+        e.u64(self.counters.bytes);
         e.u64(self.counters.by_type.len() as u64);
         for (&ty, &n) in &self.counters.by_type {
             let code = MsgType::ALL.iter().position(|&t| t == ty).expect("ALL is exhaustive");
             e.u8(code as u8);
             e.u64(n);
         }
-        e.u64s(&self.counters.retransmits);
-        e.u64s(&self.counters.dup_delivered);
-        e.u64s(&self.counters.backpressure_stalls);
+        e.u64(self.counters.retransmits);
+        e.u64(self.counters.dup_delivered);
+        e.u64(self.counters.backpressure_stalls);
     }
 
     /// Restores state written by [`MessagingLayer::save_state`].
@@ -834,8 +834,8 @@ impl MessagingLayer {
         self.cursor = cursor;
         self.outstanding = outstanding;
         self.next_seq = pair(d.u64s()?)?;
-        self.counters.sent = pair(d.u64s()?)?;
-        self.counters.bytes = pair(d.u64s()?)?;
+        self.counters.sent = d.u64()?;
+        self.counters.bytes = d.u64()?;
         let n = d.len()?;
         let mut by_type = BTreeMap::new();
         for _ in 0..n {
@@ -846,9 +846,9 @@ impl MessagingLayer {
             by_type.insert(ty, d.u64()?);
         }
         self.counters.by_type = by_type;
-        self.counters.retransmits = pair(d.u64s()?)?;
-        self.counters.dup_delivered = pair(d.u64s()?)?;
-        self.counters.backpressure_stalls = pair(d.u64s()?)?;
+        self.counters.retransmits = d.u64()?;
+        self.counters.dup_delivered = d.u64()?;
+        self.counters.backpressure_stalls = d.u64()?;
         // Streams are run-scoped serving state, deliberately outside the
         // checkpoint format: a restored machine starts with no logical
         // connections, exactly like a rebooted kernel pair.
@@ -951,7 +951,6 @@ mod tests {
         assert_eq!(c.of_type(MsgType::PageRequest), 3);
         assert_eq!(c.of_type(MsgType::PageResponse), 1);
         assert_eq!(c.of_type(MsgType::FutexWake), 0);
-        assert_eq!(c.sent, [3, 1]);
         assert_eq!(c.total(), 4);
         assert_eq!(c.total_bytes(), 3 * 64 + 64 + 4096);
     }
@@ -977,7 +976,6 @@ mod tests {
         // Every send after the first found the ring full and stalled for
         // the receiver to drain it — no silent overwrite.
         assert_eq!(ml.counters().backpressure_stalls(), 4);
-        assert_eq!(ml.counters().backpressure_stalls, [4, 0]);
         assert!(ml.audit().is_empty(), "cursor must stay inside the ring");
     }
 
@@ -1199,7 +1197,6 @@ mod tests {
         }
         let c = ml.counters();
         assert!(c.dup_delivered() > 0, "lost acks must re-deliver");
-        assert_eq!(c.dup_delivered[DomainId::ARM.index()], c.dup_delivered());
         assert_eq!(c.retransmits(), c.dup_delivered(), "each dup is one retransmit");
         assert_eq!(c.total(), 100, "dedup keeps the logical count exact");
     }

@@ -45,9 +45,12 @@ pub const MAGIC: u32 = 0x5354_524d;
 /// layer's ack-timeout counts from `MSGL`: fault outcomes live only in
 /// the `DSTA` counters. Version 8 dropped the futex tables' wait/wake
 /// totals from `FTXQ` and the software TLBs' lookup/miss totals from
-/// `TLBS`, which shadowed `DSTA`'s TLB counters. Older artifacts are
-/// rejected with [`CheckpointError::BadVersion`].
-pub const VERSION: u32 = 8;
+/// `TLBS`, which shadowed `DSTA`'s TLB counters. Version 9 writes the
+/// messaging layer's sent, byte, retransmit, duplicate-delivery and
+/// backpressure counters in `MSGL` as one total each instead of a
+/// per-direction pair. Older artifacts are rejected with
+/// [`CheckpointError::BadVersion`].
+pub const VERSION: u32 = 9;
 
 /// Errors raised while decoding a checkpoint artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

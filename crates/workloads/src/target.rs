@@ -448,9 +448,12 @@ mod tests {
         assert_eq!(sys.current_domain(pid).unwrap(), DomainId::X86);
     }
 
+    /// Every older format is refused, up to and including version 8,
+    /// whose `MSGL` section still carries per-direction counter pairs.
     #[test]
     fn restore_rejects_a_version_1_artifact() {
         use stramash_sim::checkpoint::VERSION;
+        const _: () = assert!(VERSION > 8, "version 8 must be among the rejected formats");
         let sys = TargetSystem::build(SystemKind::Vanilla, HardwareModel::Shared).unwrap();
         for old in 1..VERSION {
             let mut bytes = sys.checkpoint();
