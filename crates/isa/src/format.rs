@@ -153,18 +153,6 @@ impl PageTableFormat {
         (va >> low) & (self.entries_per_table() - 1)
     }
 
-    /// The page offset of a virtual address.
-    #[must_use]
-    pub fn page_offset(&self, va: u64) -> u64 {
-        va & ((1 << self.page_shift) - 1)
-    }
-
-    /// The virtual page number of a virtual address.
-    #[must_use]
-    pub fn vpn(&self, va: u64) -> u64 {
-        (va & ((1u64 << self.va_bits()) - 1)) >> self.page_shift
-    }
-
     /// Mask selecting the PFN field of an entry.
     #[must_use]
     pub fn pfn_mask(&self) -> u64 {
@@ -224,21 +212,12 @@ mod tests {
         assert_eq!(f.va_index(va, 2), 3);
         assert_eq!(f.va_index(va, 3), 4);
         assert_eq!(f.va_index(va, 4), 5);
-        assert_eq!(f.page_offset(va), 6);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn va_index_rejects_bad_level() {
         let _ = IsaKind::X86_64.format().va_index(0, 5);
-    }
-
-    #[test]
-    fn vpn_strips_offset() {
-        let f = IsaKind::Aarch64.format();
-        assert_eq!(f.vpn(0x5000), 5);
-        assert_eq!(f.vpn(0x5fff), 5);
-        assert_eq!(f.vpn(0x6000), 6);
     }
 
     #[test]
