@@ -30,6 +30,22 @@ for k in is cg mg ft; do
     ./target/release/stramash-cli sweep "$k" --class small | diff -u "tests/data/sweep_${k}_small.txt" -
 done
 
+# Report identity: the sweeps pin only totals, so the per-domain stats
+# block and the per-phase attribution table of each kernel's Small run
+# on one Stramash and one Popcorn design are pinned too. Regenerate
+# (after an intentional model change) with
+#   for k in is cg mg ft; do for s in stramash popcorn-shm; do
+#     ./target/release/stramash-cli npb $k --class small --report --system $s \
+#       > tests/data/npb_${k}_${s}_small_report.txt
+#   done; done
+echo "==> report identity: stramash-cli npb is|cg|mg|ft --class small --report"
+for k in is cg mg ft; do
+    for s in stramash popcorn-shm; do
+        ./target/release/stramash-cli npb "$k" --class small --report --system "$s" |
+            diff -u "tests/data/npb_${k}_${s}_small_report.txt" -
+    done
+done
+
 echo "==> cargo test -q"
 cargo test -q
 
