@@ -133,12 +133,6 @@ impl PageTableFormat {
         1 << self.index_bits
     }
 
-    /// Total virtual-address bits translated (57 for 5-level).
-    #[must_use]
-    pub fn va_bits(&self) -> u32 {
-        self.page_shift as u32 + self.levels as u32 * self.index_bits as u32
-    }
-
     /// The table index used at translation `level` (0 = root, walking
     /// down to `levels - 1` = leaf).
     ///
@@ -187,7 +181,6 @@ mod tests {
             assert_eq!(f.levels, 5);
             assert_eq!(f.page_shift, 12);
             assert_eq!(f.entries_per_table(), 512);
-            assert_eq!(f.va_bits(), 57);
         }
     }
 

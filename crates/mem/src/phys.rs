@@ -399,51 +399,6 @@ impl SparseMemory {
         self.write(addr, &value.to_le_bytes());
     }
 
-    /// Reads `words.len()` consecutive little-endian `u64`s starting at
-    /// `addr` (8-byte aligned): the chunk is resolved once per run, not
-    /// once per word. A run never crosses a chunk boundary when the
-    /// caller keeps it inside one page, but split handling is kept for
-    /// safety.
-    pub fn read_words(&self, addr: PhysAddr, words: &mut [u64]) {
-        debug_assert!(addr.is_aligned(8), "word run must be 8-byte aligned");
-        let mut pos = addr.raw();
-        let mut done = 0usize;
-        while done < words.len() {
-            let off = (pos as usize) & (CHUNK_SIZE - 1);
-            let n = ((CHUNK_SIZE - off) / 8).min(words.len() - done);
-            match self.slot_of(pos >> CHUNK_SHIFT) {
-                Some(s) => {
-                    let src = &self.arena[s as usize][off..off + n * 8];
-                    for (w, c) in words[done..done + n].iter_mut().zip(src.chunks_exact(8)) {
-                        *w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-                    }
-                }
-                None => words[done..done + n].fill(0),
-            }
-            done += n;
-            pos += (n * 8) as u64;
-        }
-    }
-
-    /// Writes `words` as consecutive little-endian `u64`s starting at
-    /// `addr` (8-byte aligned), resolving the chunk once per run.
-    pub fn write_words(&mut self, addr: PhysAddr, words: &[u64]) {
-        debug_assert!(addr.is_aligned(8), "word run must be 8-byte aligned");
-        let mut pos = addr.raw();
-        let mut done = 0usize;
-        while done < words.len() {
-            let off = (pos as usize) & (CHUNK_SIZE - 1);
-            let n = ((CHUNK_SIZE - off) / 8).min(words.len() - done);
-            let slot = self.slot_of_mut(pos >> CHUNK_SHIFT);
-            let dst = &mut self.arena[slot as usize][off..off + n * 8];
-            for (w, c) in words[done..done + n].iter().zip(dst.chunks_exact_mut(8)) {
-                c.copy_from_slice(&w.to_le_bytes());
-            }
-            done += n;
-            pos += (n * 8) as u64;
-        }
-    }
-
     /// Fills `len` bytes starting at `addr` with `byte`, chunk by chunk
     /// straight into the arena.
     pub fn fill(&mut self, addr: PhysAddr, len: u64, byte: u8) {
@@ -617,28 +572,6 @@ mod tests {
         assert_eq!(m.read_u64(PhysAddr::new(0x2ff8)), 0xabab_abab_abab_abab);
         m.copy(PhysAddr::new(0x2000), PhysAddr::new(0x9000), 4096);
         assert_eq!(m.read_u64(PhysAddr::new(0x9000)), 0xabab_abab_abab_abab);
-    }
-
-    #[test]
-    fn sparse_memory_word_runs() {
-        let mut m = SparseMemory::new();
-        let vals: Vec<u64> = (0..32).map(|i| i * 0x0101_0101).collect();
-        m.write_words(PhysAddr::new(0x8000), &vals);
-        let mut back = vec![0u64; 32];
-        m.read_words(PhysAddr::new(0x8000), &mut back);
-        assert_eq!(back, vals);
-        // Agrees with the scalar accessors.
-        assert_eq!(m.read_u64(PhysAddr::new(0x8008)), vals[1]);
-        // Runs over untouched memory read zero.
-        let mut zeros = vec![0xffu64; 4];
-        m.read_words(PhysAddr::new(0x9_0000), &mut zeros);
-        assert_eq!(zeros, vec![0u64; 4]);
-        // A run crossing a chunk boundary still round-trips.
-        let boundary = (1u64 << CHUNK_SHIFT) * 3 - 16;
-        m.write_words(PhysAddr::new(boundary), &vals[..8]);
-        let mut back = vec![0u64; 8];
-        m.read_words(PhysAddr::new(boundary), &mut back);
-        assert_eq!(back, &vals[..8]);
     }
 
     /// A hand-built "SPME" section: `(chunk, payload)` records, where a
@@ -834,25 +767,22 @@ mod tests {
                         assert_eq!(m.read_u64(PhysAddr::new(addr)), want, "{ctx}");
                     }
                     4 => {
-                        let n = 1 + rng.gen_range(40) as usize;
-                        let addr = pick(&mut rng, 8 * n as u64) & !7;
-                        let words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-                        m.write_words(PhysAddr::new(addr), &words);
-                        for (i, w) in words.iter().enumerate() {
-                            model_write(&mut model, addr + 8 * i as u64, &w.to_le_bytes());
+                        let n = 1 + rng.gen_range(40);
+                        let addr = pick(&mut rng, 8 * n) & !7;
+                        for i in 0..n {
+                            let v = rng.next_u64();
+                            m.write_u64(PhysAddr::new(addr + 8 * i), v);
+                            model_write(&mut model, addr + 8 * i, &v.to_le_bytes());
                         }
                     }
                     5 => {
-                        let n = 1 + rng.gen_range(40) as usize;
-                        let addr = pick(&mut rng, 8 * n as u64) & !7;
-                        let mut words = vec![0xdead_u64; n];
-                        m.read_words(PhysAddr::new(addr), &mut words);
-                        let want = model_read(&model, addr, 8 * n);
-                        let want: Vec<u64> = want
-                            .chunks_exact(8)
-                            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                            .collect();
-                        assert_eq!(words, want, "{ctx}");
+                        let n = 1 + rng.gen_range(40);
+                        let addr = pick(&mut rng, 8 * n) & !7;
+                        for i in 0..n {
+                            let want = model_read(&model, addr + 8 * i, 8);
+                            let want = u64::from_le_bytes(want.try_into().unwrap());
+                            assert_eq!(m.read_u64(PhysAddr::new(addr + 8 * i)), want, "{ctx}");
+                        }
                     }
                     6 => {
                         let len = rng.gen_range(3_000);

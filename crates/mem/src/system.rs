@@ -863,156 +863,6 @@ impl MemorySystem {
         cycles
     }
 
-    /// Charges `count` identical timed accesses to the single
-    /// line-aligned cache line at `line_addr`.
-    ///
-    /// Cycle-identical to calling [`MemorySystem::access`] `count`
-    /// times: the first access runs the full pipeline (it may miss, fill
-    /// and snoop); the repeats are guaranteed L1 hits — every access
-    /// path fills the L1, a write leaves the line Modified with the peer
-    /// already snooped out, and re-touching the MRU line is idempotent —
-    /// so they are accounted in bulk (`n` L1 hits at L1 latency, `n`
-    /// trace entries) in O(1) instead of `n` pipeline walks.
-    fn access_repeated(
-        &mut self,
-        domain: DomainId,
-        line_addr: PhysAddr,
-        access: Access,
-        kind: AccessKind,
-        count: u64,
-    ) -> Cycles {
-        if count == 0 {
-            return Cycles::ZERO;
-        }
-        let cycles = self.access(domain, line_addr, access, kind).cycles;
-        let n = count - 1;
-        if n == 0 {
-            return cycles;
-        }
-        let di = domain.index();
-        let lat = self.cfg.domains[di].latency;
-        if let Some(trace) = &mut self.trace {
-            for _ in 0..n {
-                trace.push(TraceEntry { domain, addr: line_addr, access, kind });
-            }
-        }
-        match kind {
-            AccessKind::Data => {
-                self.stats[di].mem_accesses += n;
-                self.stats[di].l1d.accesses += n;
-                self.stats[di].l1d.hits += n;
-            }
-            AccessKind::Instruction => {
-                self.stats[di].l1i.accesses += n;
-                self.stats[di].l1i.hits += n;
-            }
-        }
-        if let Some(t) = &self.tracer {
-            // The repeats are guaranteed L1 hits; a replayed scalar loop
-            // would emit exactly this event `n` times (a repeated write
-            // finds the line already Modified, so no snoop, no MESI
-            // transition, and the cost stays at the L1 latency).
-            let event = TraceEvent::CacheAccess {
-                domain,
-                addr: (line_addr.raw() >> self.line_shift) << self.line_shift,
-                write: access == Access::Write,
-                ifetch: kind == AccessKind::Instruction,
-                level: TraceLevel::L1,
-                class: None,
-                snooped: false,
-                cost: Cycles::new(lat.l1 as u64),
-            };
-            let mut t = t.borrow_mut();
-            for _ in 0..n {
-                t.record(event);
-            }
-        }
-        cycles + Cycles::new(n * lat.l1 as u64)
-    }
-
-    // ---- fused element / run transfers -------------------------------------
-    //
-    // The batched pipeline's mem-layer entry points: one dispatch per
-    // element run instead of one `access_range` walk per 8-byte word.
-
-    /// Timed read of an 8-byte-aligned `u64`: one line access plus the
-    /// arena read, skipping the generic `access_range` loop. Identical
-    /// timing/stats to [`MemorySystem::read_u64`] for aligned addresses
-    /// (an aligned word never straddles a line).
-    pub fn read_u64_aligned(&mut self, domain: DomainId, addr: PhysAddr) -> (u64, Cycles) {
-        debug_assert!(addr.is_aligned(8), "fused element reads must be 8-byte aligned");
-        let line_addr = addr.align_down(self.line_bytes);
-        let out = self.access(domain, line_addr, Access::Read, AccessKind::Data);
-        (self.store.read_u64(addr), out.cycles)
-    }
-
-    /// Timed write of an 8-byte-aligned `u64`; see
-    /// [`MemorySystem::read_u64_aligned`].
-    pub fn write_u64_aligned(&mut self, domain: DomainId, addr: PhysAddr, value: u64) -> Cycles {
-        debug_assert!(addr.is_aligned(8), "fused element writes must be 8-byte aligned");
-        let line_addr = addr.align_down(self.line_bytes);
-        let out = self.access(domain, line_addr, Access::Write, AccessKind::Data);
-        self.store.write_u64(addr, value);
-        out.cycles
-    }
-
-    /// Timed read of `out.len()` consecutive aligned `u64`s: charge each
-    /// touched line as a run of repeats, and pull the
-    /// payload out of the arena a chunk at a time. Access order (and so
-    /// every counter) matches a per-word [`MemorySystem::read_u64`] loop.
-    pub fn read_u64_run(&mut self, domain: DomainId, addr: PhysAddr, out: &mut [u64]) -> Cycles {
-        debug_assert!(addr.is_aligned(8), "word runs must be 8-byte aligned");
-        if out.is_empty() {
-            return Cycles::ZERO;
-        }
-        let cycles = self.run_lines(domain, addr, out.len() as u64, Access::Read);
-        self.store.read_words(addr, out);
-        cycles
-    }
-
-    /// Timed write of `words` as consecutive aligned `u64`s; see
-    /// [`MemorySystem::read_u64_run`].
-    pub fn write_u64_run(&mut self, domain: DomainId, addr: PhysAddr, words: &[u64]) -> Cycles {
-        debug_assert!(addr.is_aligned(8), "word runs must be 8-byte aligned");
-        if words.is_empty() {
-            return Cycles::ZERO;
-        }
-        let cycles = self.run_lines(domain, addr, words.len() as u64, Access::Write);
-        self.store.write_words(addr, words);
-        cycles
-    }
-
-    /// Charges the line accesses of a `words`-long aligned word run
-    /// starting at `addr`: per line touched, one
-    /// [`MemorySystem::access_repeated`] of however many of the run's
-    /// words fall in that line — exactly the per-word access sequence.
-    fn run_lines(
-        &mut self,
-        domain: DomainId,
-        addr: PhysAddr,
-        words: u64,
-        access: Access,
-    ) -> Cycles {
-        let mut cycles = Cycles::ZERO;
-        let mut pos = addr.raw();
-        let mut left = words;
-        while left > 0 {
-            let line = pos >> self.line_shift;
-            let line_end = (line + 1) << self.line_shift;
-            let n = ((line_end - pos) / 8).min(left);
-            cycles += self.access_repeated(
-                domain,
-                PhysAddr::new(line << self.line_shift),
-                access,
-                AccessKind::Data,
-                n,
-            );
-            pos += n * 8;
-            left -= n;
-        }
-        cycles
-    }
-
     // ---- compiled access plans ---------------------------------------------
 
     /// Replays the plan's ops in `range` as timed data accesses: one

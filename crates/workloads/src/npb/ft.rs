@@ -70,17 +70,15 @@ pub fn run<S: OsSystem>(
     // Initial pseudo-random field, kept host-side for verification.
     let mut rng = DataRng::new(0xF7);
     let mut initial = Vec::with_capacity((cells * 2) as usize);
-    {
-        let mut s = c.batch()?;
-        for i in 0..cells {
-            let re = rng.next_f64() - 0.5;
-            let im = rng.next_f64() - 0.5;
-            s.st_f64_pair(grid.data, 2 * i, re, im)?;
-            initial.push(re);
-            initial.push(im);
-            s.work(10)?;
-        }
-    }
+    let pair = [0, 1].map(|offset| PlanCol::f64(grid.data, ColSpec::Dense { stride: 2, offset }));
+    c.batch()?.plan_map_indexed(&[], &pair, &[], cells, 10, |_, _, wv| {
+        let re = rng.next_f64() - 0.5;
+        let im = rng.next_f64() - 0.5;
+        wv[0] = re.to_bits();
+        wv[1] = im.to_bits();
+        initial.push(re);
+        initial.push(im);
+    })?;
 
     let mut procedures = 0;
     let evolve_phase = 0.37f64;
@@ -101,24 +99,15 @@ pub fn run<S: OsSystem>(
     }
 
     // Checksum + end-to-end verification on the origin: a pure
-    // sequential read, so it streams through the batch path.
+    // sequential read, one read-only plan segment.
     let mut checksum = 0.0f64;
     let mut max_err = 0.0f64;
-    {
-        let mut s = c.batch()?;
-        let mut buf = vec![0.0f64; 512];
-        let total = cells * 2;
-        let mut i = 0u64;
-        while i < total {
-            let n = (total - i).min(512) as usize;
-            s.ld_f64_slice(grid.data, i, &mut buf[..n], 6)?;
-            for (k, &v) in buf[..n].iter().enumerate() {
-                checksum += v;
-                max_err = max_err.max((v - initial[(i + k as u64) as usize]).abs());
-            }
-            i += n as u64;
-        }
-    }
+    let all = PlanCol::f64(grid.data, ColSpec::Dense { stride: 1, offset: 0 });
+    c.batch()?.plan_map_indexed(&[all], &[], &[], cells * 2, 6, |i, rv, _| {
+        let v = f64::from_bits(rv[0]);
+        checksum += v;
+        max_err = max_err.max((v - initial[i as usize]).abs());
+    })?;
     c.flush_work()?;
     Ok(NpbOutcome { verified: max_err < 1e-9, checksum, procedures })
 }

@@ -42,8 +42,8 @@ pub(crate) struct IsArrays {
 }
 
 /// Allocates the IS arrays and generates the keys on the origin (the
-/// NPB driver phase): streamed in page-sized batches, the same
-/// per-element order as the scalar loop.
+/// NPB driver phase): one zero-read plan segment drawing each key from
+/// the RNG as its element is stored.
 ///
 /// # Errors
 ///
@@ -56,17 +56,10 @@ pub(crate) fn setup<S: OsSystem>(
     let sorted = c.alloc_u64(p.keys)?;
     let hist = c.alloc_u64(p.max_key)?;
     let mut rng = DataRng::new(0x15_15);
-    let mut s = c.batch()?;
-    let mut chunk = [0u64; 512];
-    let mut i = 0u64;
-    while i < p.keys {
-        let n = (p.keys - i).min(512) as usize;
-        for v in chunk[..n].iter_mut() {
-            *v = rng.next_u64() % p.max_key;
-        }
-        s.st_u64_slice(keys, i, &chunk[..n], 8)?;
-        i += n as u64;
-    }
+    let dense = PlanCol::u64(keys, ColSpec::Dense { stride: 1, offset: 0 });
+    c.batch()?.plan_map_indexed(&[], &[dense], &[], p.keys, 8, |_, _, wv| {
+        wv[0] = rng.next_u64() % p.max_key;
+    })?;
     Ok(IsArrays { keys, sorted, hist })
 }
 
@@ -84,7 +77,9 @@ pub(crate) fn rank<S: OsSystem>(c: &mut MemoryClient<'_, S>, a: IsArrays) -> Res
     let dense = ColSpec::Dense { stride: 1, offset: 0 };
     let bucket = ColSpec::Value { col: 0, offset: 0 };
     let mut s = c.batch()?;
-    s.fill_u64(hist, 0, hist.len(), 0, 2)?;
+    s.plan_map_indexed(&[], &[PlanCol::u64(hist, dense)], &[], hist.len(), 2, |_, _, wv| {
+        wv[0] = 0;
+    })?;
     // Histogram the keys (read key, read-modify-write bucket — the
     // bucket index is the key value itself).
     s.plan_map_indexed(
@@ -150,7 +145,8 @@ pub(crate) fn spot_check<S: OsSystem>(
 }
 
 /// Full verification: whether the output is in order, and the sum of
-/// its keys. It reads every element unconditionally, so it streams.
+/// its keys. It reads every element unconditionally: one read-only
+/// plan segment.
 ///
 /// # Errors
 ///
@@ -162,21 +158,15 @@ pub(crate) fn verify_sorted<S: OsSystem>(
     let mut checksum = 0.0f64;
     let mut prev = 0u64;
     let mut ordered = true;
-    let mut s = c.batch()?;
-    let mut buf = [0u64; 512];
-    let mut i = 0u64;
-    while i < sorted.len() {
-        let n = (sorted.len() - i).min(512) as usize;
-        s.ld_u64_slice(sorted, i, &mut buf[..n], 5)?;
-        for &k in &buf[..n] {
-            if k < prev {
-                ordered = false;
-            }
-            prev = k;
-            checksum += k as f64;
+    let dense = PlanCol::u64(sorted, ColSpec::Dense { stride: 1, offset: 0 });
+    c.batch()?.plan_map_indexed(&[dense], &[], &[], sorted.len(), 5, |_, rv, _| {
+        let k = rv[0];
+        if k < prev {
+            ordered = false;
         }
-        i += n as u64;
-    }
+        prev = k;
+        checksum += k as f64;
+    })?;
     Ok((ordered, checksum))
 }
 

@@ -308,20 +308,13 @@ fn residual_norm<S: OsSystem>(
     aux: &LevelAux,
 ) -> Result<f64, OsError> {
     compute_residual(c, l, aux)?;
-    // The norm reduction reads r sequentially — a streaming batch.
+    // The norm reduction reads r sequentially — a read-only segment.
     let mut acc = 0.0;
-    let mut s = c.batch()?;
-    let cells = l.n * l.n * l.n;
-    let mut buf = vec![0.0f64; 512];
-    let mut i = 0u64;
-    while i < cells {
-        let n = (cells - i).min(512) as usize;
-        s.ld_f64_slice(l.r, i, &mut buf[..n], 4)?;
-        for &r in &buf[..n] {
-            acc += r * r;
-        }
-        i += n as u64;
-    }
+    let r = PlanCol::f64(l.r, ColSpec::Dense { stride: 1, offset: 0 });
+    c.batch()?.plan_map_indexed(&[r], &[], &[], l.n * l.n * l.n, 4, |_, rv, _| {
+        let r = f64::from_bits(rv[0]);
+        acc += r * r;
+    })?;
     Ok(acc.sqrt())
 }
 

@@ -124,7 +124,7 @@ fn migration_resyncs_the_session_domain() {
 /// A migration-heavy read-modify-write sweep through the client API:
 /// four migrations with a batch scope re-opened after each one. With
 /// `batched == false` the same sweep runs as the explicit loop of
-/// scalar client ops the scope ops stand for.
+/// scalar client ops the scope's segment and element ops stand for.
 fn migration_sweep(kind: SystemKind, batched: bool) -> (u64, u64) {
     let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
     let pid = sys.spawn(DomainId::X86).unwrap();
@@ -132,7 +132,11 @@ fn migration_sweep(kind: SystemKind, batched: bool) -> (u64, u64) {
     let a = c.alloc_u64(1024).unwrap();
     let vals: Vec<u64> = (0..1024).map(|i| i * 3 + 1).collect();
     if batched {
-        c.batch().unwrap().st_u64_slice(a, 0, &vals, 4).unwrap();
+        let col = PlanCol::u64(a, ColSpec::Dense { stride: 1, offset: 0 });
+        c.batch()
+            .unwrap()
+            .plan_map_indexed(&[], &[col], &[], 1024, 4, |i, _, wv| wv[0] = vals[i as usize])
+            .unwrap();
     } else {
         for (i, &v) in vals.iter().enumerate() {
             c.st_u64(a, i as u64, v).unwrap();

@@ -17,8 +17,9 @@
 //!    cycle-identical to the explicit scalar loop on randomised
 //!    gather/scatter cases and on the edges of in-place timing (no read
 //!    column, FT's four-by-four butterfly, a fault that ends a flush
-//!    window), and their streams agree class by class with the
-//!    accounting totals conserved.
+//!    window, flush windows that start off the `work_per` grid), and
+//!    their streams agree class by class with the accounting totals and
+//!    both domain clocks conserved.
 //! 5. `chrome_trace_json` prints byte for byte what the `write!`-based
 //!    exporter it replaced printed, kept here as its oracle.
 
@@ -26,12 +27,12 @@
 
 use stramash_repro::kernel::system::OsSystem;
 use stramash_repro::prelude::*;
-use stramash_repro::sim::render_phases;
 use stramash_repro::sim::rng::SimRng;
 use stramash_repro::sim::trace::{
     chrome_trace_json, reconstruct_domain_stats, render_phase_report, shared_tracer, EventClass,
     FutexOp, MsgType, SharedTracer, TraceEvent, TraceLevel, TraceMemClass, TraceMesi,
 };
+use stramash_repro::sim::{render_phases, Clock};
 use stramash_repro::workloads::kvstore::{run_kv, KvOp};
 use stramash_repro::workloads::npb::{run_npb, Class, NpbKind};
 use stramash_repro::workloads::target::{SystemKind, TargetSystem};
@@ -439,7 +440,8 @@ fn indexed_case(kind: SystemKind, mode: Mode, seed: u64) -> (Fingerprint, Vec<Tr
             for (i, &k) in keys_data.iter().enumerate() {
                 s.st_u64(keys, i as u64, k).unwrap();
             }
-            s.fill_u64(hist, 0, buckets, 0, 2).unwrap();
+            let clear = PlanCol::u64(hist, dense);
+            s.plan_map_indexed(&[], &[clear], &[], buckets, 2, |_, _, wv| wv[0] = 0).unwrap();
         }
         sides.push(Side { pid, keys, hist, out });
     }
@@ -514,10 +516,10 @@ fn accounting_totals(events: &[TraceEvent]) -> ([u64; 2], [u64; 2]) {
 /// same fingerprint, every non-`Accounting` event class identical in
 /// order, and the accounting totals conserved (batching may coalesce
 /// `Charge`/`Retire` funnels).
-fn assert_segments_match_scalar(
+fn assert_segments_match_scalar<F: PartialEq + std::fmt::Debug>(
     ctx: &str,
-    (scalar_fp, scalar_ev): (Fingerprint, Vec<TraceEvent>),
-    (batched_fp, batched_ev): (Fingerprint, Vec<TraceEvent>),
+    (scalar_fp, scalar_ev): (F, Vec<TraceEvent>),
+    (batched_fp, batched_ev): (F, Vec<TraceEvent>),
 ) {
     assert_eq!(scalar_fp, batched_fp, "{ctx}: plan segments drifted from the scalar loop");
     for class in EventClass::ALL {
@@ -565,6 +567,12 @@ enum Boundary {
     /// pending cycles are charged before the element path runs, and
     /// the exec flush falls on that element.
     FaultEndsWindow,
+    /// A dense copy entered with [`OFF_GRID_PENDING`] instructions
+    /// pending and [`OFF_GRID_WORK`] per element: every flush window
+    /// starts off the `work_per` grid, the segment crosses four exec
+    /// flushes and a page boundary, and each window retires its work in
+    /// one call.
+    OffGridFlushes,
 }
 
 /// Elements per segment in the [`Boundary`] cases.
@@ -575,9 +583,23 @@ const BOUNDARY_ELEMS: u64 = 600;
 /// flush quantum (4096), so the flush window is elements `0..64`.
 const FAULT_WORK: u64 = 64;
 
+/// Instructions pending when [`Boundary::OffGridFlushes`] starts: not a
+/// multiple of [`OFF_GRID_WORK`].
+const OFF_GRID_PENDING: u64 = 1000;
+
+/// Instructions per element of [`Boundary::OffGridFlushes`]: it does
+/// not divide the exec flush quantum (4096), and `1000 + 600 · 27`
+/// crosses it four times.
+const OFF_GRID_WORK: u64 = 27;
+
 /// Runs one [`Boundary`] shape on a process per domain, as plan
-/// segments or as the scalar loop they stand for.
-fn boundary_case(kind: SystemKind, mode: Mode, shape: Boundary) -> (Fingerprint, Vec<TraceEvent>) {
+/// segments or as the scalar loop they stand for. Yields the
+/// fingerprint with both domain clocks, and the event stream.
+fn boundary_case(
+    kind: SystemKind,
+    mode: Mode,
+    shape: Boundary,
+) -> ((Fingerprint, [Clock; 2]), Vec<TraceEvent>) {
     let mut sys = TargetSystem::build(kind, HardwareModel::Shared).unwrap();
     let tracer = shared_tracer(RING_CAPACITY);
     sys.install_tracer(tracer.clone());
@@ -678,6 +700,26 @@ fn boundary_case(kind: SystemKind, mode: Mode, shape: Boundary) -> (Fingerprint,
                     .unwrap();
                 }
             }
+            Boundary::OffGridFlushes => {
+                // `out[i] = data[i] * 5 + i` over 600 elements: both
+                // columns cross from their first page into the second.
+                c.work(OFF_GRID_PENDING).unwrap();
+                let dense = ColSpec::Dense { stride: 1, offset: 0 };
+                if mode == Mode::Scalar {
+                    for i in 0..n {
+                        let v = c.ld_u64(data, i).unwrap();
+                        c.st_u64(out, i, v * 5 + i).unwrap();
+                        c.work(OFF_GRID_WORK).unwrap();
+                    }
+                } else {
+                    let (read, write) = (PlanCol::u64(data, dense), PlanCol::u64(out, dense));
+                    let mut s = c.batch().unwrap();
+                    s.plan_map_indexed(&[read], &[write], &[], n, OFF_GRID_WORK, |i, rv, wv| {
+                        wv[0] = rv[0] * 5 + i;
+                    })
+                    .unwrap();
+                }
+            }
         }
         for e in 0..4 * n {
             checksum = checksum.wrapping_mul(1_000_003).wrapping_add(c.ld_u64(out, e).unwrap());
@@ -685,18 +727,26 @@ fn boundary_case(kind: SystemKind, mode: Mode, shape: Boundary) -> (Fingerprint,
         c.flush_work().unwrap();
     }
     let fp = fingerprint_of(&sys, checksum);
+    let clocks = DomainId::ALL.map(|d| *sys.base().timebase.clock(d));
     let t = tracer.borrow();
     assert_eq!(t.dropped(), 0, "{kind}: the ring must be lossless for this workload");
-    (fp, t.events())
+    ((fp, clocks), t.events())
 }
 
 /// The edges of in-place timing — a segment with no read column, a
-/// four-read/four-write butterfly, and a page fault that ends a flush
-/// window — each match the scalar loop exactly like the random cases.
+/// four-read/four-write butterfly, a page fault that ends a flush
+/// window, and flush windows off the `work_per` grid — each match the
+/// scalar loop exactly like the random cases, on both domain clocks.
 #[test]
 fn plan_segment_boundaries_match_scalar() {
+    let shapes = [
+        Boundary::NoReads,
+        Boundary::Butterfly,
+        Boundary::FaultEndsWindow,
+        Boundary::OffGridFlushes,
+    ];
     for kind in SystemKind::ALL {
-        for shape in [Boundary::NoReads, Boundary::Butterfly, Boundary::FaultEndsWindow] {
+        for shape in shapes {
             let (fp, events) = boundary_case(kind, Mode::Batched, shape);
             if matches!(shape, Boundary::FaultEndsWindow) {
                 assert!(
